@@ -2,7 +2,6 @@
 
 from .autoencoder import (
     AutoencoderModel,
-    forward,
     gradient,
     init_model,
     load_model,
@@ -12,30 +11,24 @@ from .autoencoder import (
 from .detector import (
     AlarmEvent,
     DetectorConfig,
-    NoveltyPoint,
     detect_alarms,
     lead_time,
-    novelty,
     rule_alarms,
     score_series,
     suggest_threshold,
 )
 from .features import (
     NormalizationParams,
-    WindowSample,
     fit_normalization,
     make_windows,
-    normalize,
 )
 from .mrt import UpdateRecord, parse_mrt_stream
 from .scg import ScgConfig, TrainReport, scg_minimize, train
 from .series import (
-    MinuteBucket,
     MinuteSeries,
     bucketize,
     read_bucket_csv,
     top_n,
-    total_updates,
     write_bucket_csv,
 )
 from .synth import SurgeSpec, gen_baseline, inject_surge

@@ -17,11 +17,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
 
 import numpy as np
 
-from .features import NormalizationParams, WindowSample, window_matrix
+from .features import NormalizationParams
 
 MODEL_FORMAT_VERSION = 1
 LAYOUT_VERSION = 1
@@ -116,37 +115,28 @@ def init_model(
     )
 
 
-def forward(model: AutoencoderModel, x: np.ndarray) -> np.ndarray:
-    """Reconstruct a single input vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (model.input_dim,):
-        raise DimensionMismatch(f"input has shape {x.shape}, expected ({model.input_dim},)")
-    hidden = np.tanh(model.w1 @ x + model.b1)
-    return model.w2 @ hidden + model.b2
-
-
 def reconstruct(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
-    """Batched forward pass over rows of X, shape (n, input_dim)."""
-    X = _as_matrix(model, X)
+    """Forward pass over the rows of X, shape (n, input_dim)."""
+    _check_matrix(model, X)
     hidden = np.tanh(X @ model.w1.T + model.b1)
     return hidden @ model.w2.T + model.b2
 
 
-def sse_loss(model: AutoencoderModel, X: np.ndarray | Sequence[WindowSample]) -> float:
-    """Half the summed squared reconstruction error over the dataset."""
-    X = _as_matrix(model, X)
+def sse_loss(model: AutoencoderModel, X: np.ndarray) -> float:
+    """Half the summed squared reconstruction error over the rows of X."""
+    _check_matrix(model, X)
     if X.shape[0] == 0:
         raise EmptyDataset("loss requires at least one sample")
     residual = reconstruct(model, X) - X
     return 0.5 * float(np.sum(residual * residual))
 
 
-def gradient(model: AutoencoderModel, X: np.ndarray | Sequence[WindowSample]) -> np.ndarray:
+def gradient(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`sse_loss` over the flattened parameters.
 
     Flattening order: w1 row-major, b1, w2 row-major, b2.
     """
-    X = _as_matrix(model, X)
+    _check_matrix(model, X)
     if X.shape[0] == 0:
         raise EmptyDataset("gradient requires at least one sample")
     hidden = np.tanh(X @ model.w1.T + model.b1)
@@ -182,16 +172,11 @@ def unflatten_params(model: AutoencoderModel, flat: np.ndarray) -> AutoencoderMo
     return replace(model, w1=w1, b1=b1, w2=w2, b2=b2)
 
 
-def _as_matrix(model: AutoencoderModel, X) -> np.ndarray:
-    if isinstance(X, np.ndarray):
-        matrix = X.astype(np.float64, copy=False)
-    else:
-        matrix = window_matrix(X)
-    if matrix.ndim != 2 or (matrix.size and matrix.shape[1] != model.input_dim):
+def _check_matrix(model: AutoencoderModel, X: np.ndarray) -> None:
+    if X.ndim != 2 or X.shape[1] != model.input_dim:
         raise DimensionMismatch(
-            f"dataset has shape {matrix.shape}, expected (n, {model.input_dim})"
+            f"dataset has shape {X.shape}, expected (n, {model.input_dim})"
         )
-    return matrix
 
 
 def save_model(model: AutoencoderModel) -> bytes:

@@ -13,6 +13,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import autoencoder, detector, features, mrt, scg, series, synth
 
 DEFAULT_K = 50
@@ -25,6 +27,10 @@ _BUCKET_MAGIC = series.BUCKET_CSV_HEADER.split(",")[0].encode()
 
 
 class RangeNotCovered(ValueError):
+    pass
+
+
+class TrainingFailed(ValueError):
     pass
 
 
@@ -120,6 +126,15 @@ def _read_bucket_file(path: Path) -> series.MinuteSeries:
     return series.read_bucket_csv(path.read_text(encoding="utf-8"))
 
 
+def _read_scores(path: Path, source: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per-minute scores: novelty for the autoencoder source, update totals for the rule."""
+    text = path.read_text(encoding="utf-8")
+    if source == detector.SOURCE_AUTOENCODER:
+        return detector.read_novelty_csv(text)
+    data = series.read_bucket_csv(text)
+    return data.minutes(), data.totals()
+
+
 def _parse_flag_minute(text: str | None, flag: str) -> int | None:
     if text is None:
         return None
@@ -183,7 +198,7 @@ def cmd_train(args) -> int:
 
     norm = features.fit_normalization(train_series)
     windows = features.make_windows(train_series, args.k, norm)
-    if not windows:
+    if len(windows) == 0:
         raise RangeNotCovered(
             f"training range has {len(train_series)} minutes, fewer than k={args.k}"
         )
@@ -191,9 +206,13 @@ def cmd_train(args) -> int:
         2 * args.k, args.hidden, seed=args.seed, k=args.k, norm=norm
     )
     trained, report = scg.train(model, windows, scg.ScgConfig(max_cycles=args.cycles))
-    args.out.write_bytes(autoencoder.save_model(trained))
     report_path = args.report or args.out.with_suffix(args.out.suffix + ".report.csv")
     report_path.write_text(report.to_csv(), encoding="utf-8")
+    if report.non_finite:
+        raise TrainingFailed(
+            f"training stopped on {report.stop_reason} after {report.cycles_run} cycles"
+        )
+    args.out.write_bytes(autoencoder.save_model(trained))
     return 0
 
 
@@ -201,8 +220,8 @@ def cmd_score(args) -> int:
     data = _read_bucket_file(args.input)
     model = autoencoder.load_model(args.model.read_bytes())
     windows = features.make_windows(data, model.k, model.norm)
-    points = detector.score_series(model, windows)
-    _write_text(args.out, detector.write_novelty_csv(points))
+    novelty = detector.score_series(model, windows)
+    _write_text(args.out, detector.write_novelty_csv(data.minutes()[model.k - 1 :], novelty))
     return 0
 
 
@@ -212,21 +231,16 @@ def cmd_detect(args) -> int:
     if args.quantile_from is not None and args.quantile is None:
         raise ValueError("--quantile-from requires --quantile")
 
-    def value_pairs(path: Path) -> list[tuple[int, float]]:
-        text = path.read_text(encoding="utf-8")
-        if args.source == detector.SOURCE_AUTOENCODER:
-            return [(p.minute_s, p.e) for p in detector.read_novelty_csv(text)]
-        data = series.read_bucket_csv(text)
-        totals = data.totals()
-        return [(data.minute_at(i), float(totals[i])) for i in range(len(data))]
-
-    pairs = value_pairs(args.input)
+    minutes, values = _read_scores(args.input, args.source)
     threshold = args.threshold
     if threshold is None:
-        calibration = pairs if args.quantile_from is None else value_pairs(args.quantile_from)
-        threshold = detector.suggest_threshold((v for _, v in calibration), args.quantile)
+        if args.quantile_from is not None:
+            _, calibration = _read_scores(args.quantile_from, args.source)
+        else:
+            calibration = values
+        threshold = detector.suggest_threshold(calibration, args.quantile)
     events = detector.detect_alarms(
-        pairs, detector.DetectorConfig(threshold, args.gap_minutes), source=args.source
+        minutes, values, detector.DetectorConfig(threshold, args.gap_minutes), source=args.source
     )
     _write_text(args.out, detector.write_alarm_report(events))
     return 0

@@ -17,8 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autoencoder import AutoencoderModel, DimensionMismatch, forward, reconstruct
-from .features import WindowSample, window_matrix
+from .autoencoder import AutoencoderModel, DimensionMismatch, reconstruct
 from .series import MINUTE, MinuteSeries, format_minute_utc, parse_minute_utc
 
 SOURCE_AUTOENCODER = "autoencoder"
@@ -43,12 +42,8 @@ class BadAlarmReport(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class NoveltyPoint:
-    """Novelty value for the window ending at ``minute_s``."""
-
-    minute_s: int
-    e: float
+class NonFiniteValue(ValueError):
+    pass
 
 
 @dataclass(frozen=True)
@@ -78,70 +73,62 @@ class DetectorConfig:
             raise ValueError("group_gap_minutes must be >= 0")
 
 
-def novelty(model: AutoencoderModel, x: WindowSample | np.ndarray) -> float:
-    """Mean squared input/output difference over all dimensions."""
-    vector = x.values if isinstance(x, WindowSample) else np.asarray(x, dtype=np.float64)
-    residual = forward(model, vector) - vector
-    return float(np.mean(residual * residual))
+def score_series(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
+    """Novelty of every row of the window matrix X, shape (n, input_dim).
 
-
-def score_series(
-    model: AutoencoderModel, windows: Sequence[WindowSample]
-) -> list[NoveltyPoint]:
-    """One novelty point per window, aligned to the window's end minute."""
-    if len(windows) == 0:
-        return []
-    X = window_matrix(windows)
-    if X.shape[1] != model.input_dim:
+    For :func:`~bgpnovelty.features.make_windows` output, entry ``i`` scores
+    the window ending at ``series.minutes()[k - 1 + i]``.
+    """
+    if X.shape[-1] != model.input_dim:
         raise DimensionMismatch(
-            f"windows have {X.shape[1]} dimensions, model expects {model.input_dim}"
+            f"windows have {X.shape[-1]} dimensions, model expects {model.input_dim}"
         )
     residual = reconstruct(model, X) - X
-    values = np.mean(residual * residual, axis=1)
-    return [
-        NoveltyPoint(w.end_minute_s, float(e)) for w, e in zip(windows, values)
-    ]
+    return np.mean(residual * residual, axis=1)
 
 
 def detect_alarms(
-    points: Iterable[NoveltyPoint] | Iterable[tuple[int, float]],
+    minutes: np.ndarray,
+    values: np.ndarray,
     cfg: DetectorConfig,
     source: str = SOURCE_AUTOENCODER,
 ) -> list[AlarmEvent]:
     """Group above-threshold minutes into alarm events.
 
-    A minute is an exceedance when its value is strictly greater than the
-    threshold. Two exceedances belong to the same event when at most
-    ``group_gap_minutes`` quiet minutes lie between them (adjacent minutes
-    merge even with a gap of zero). Input must be in ascending minute order.
+    ``values[i]`` is the score of minute ``minutes[i]``. A minute is an
+    exceedance when its value is strictly greater than the threshold. Two
+    exceedances belong to the same event when at most ``group_gap_minutes``
+    quiet minutes lie between them (adjacent minutes merge even with a gap
+    of zero). Minutes must be strictly ascending. The peak is the first
+    minute holding the event's largest value.
     """
-    events: list[AlarmEvent] = []
-    previous_minute = None
-    start = end = peak_minute = None
-    peak = -math.inf
+    minutes = np.asarray(minutes, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if minutes.shape != values.shape:
+        raise ValueError(f"{minutes.size} minutes but {values.size} values")
+    unsorted = np.flatnonzero(np.diff(minutes) <= 0)
+    if unsorted.size:
+        at = format_minute_utc(int(minutes[unsorted[0] + 1]))
+        raise UnsortedInput(f"points not in ascending minute order at {at}")
+    hot = np.flatnonzero(values > cfg.threshold)
+    if hot.size == 0:
+        return []
+    hot_minutes = minutes[hot]
+    hot_values = values[hot]
     merge_span = (cfg.group_gap_minutes + 1) * MINUTE
-
-    for point in points:
-        minute_s, value = (point.minute_s, point.e) if isinstance(point, NoveltyPoint) else point
-        if previous_minute is not None and minute_s <= previous_minute:
-            raise UnsortedInput(
-                f"points not in ascending minute order at {format_minute_utc(minute_s)}"
+    splits = np.flatnonzero(np.diff(hot_minutes) > merge_span) + 1
+    events = []
+    for lo, hi in zip([0, *splits.tolist()], [*splits.tolist(), hot.size]):
+        peak = lo + int(np.argmax(hot_values[lo:hi]))
+        events.append(
+            AlarmEvent(
+                int(hot_minutes[lo]),
+                int(hot_minutes[hi - 1]),
+                int(hot_minutes[peak]),
+                float(hot_values[peak]),
+                source,
             )
-        previous_minute = minute_s
-        if value <= cfg.threshold:
-            continue
-        if start is not None and minute_s - end <= merge_span:
-            end = minute_s
-            if value > peak:
-                peak = value
-                peak_minute = minute_s
-        else:
-            if start is not None:
-                events.append(AlarmEvent(start, end, peak_minute, peak, source))
-            start = end = peak_minute = minute_s
-            peak = value
-    if start is not None:
-        events.append(AlarmEvent(start, end, peak_minute, peak, source))
+        )
     return events
 
 
@@ -151,25 +138,23 @@ def rule_alarms(
     group_gap_minutes: int = 60,
 ) -> list[AlarmEvent]:
     """Threshold alarms on raw per-minute update totals (the rule baseline)."""
-    totals = series.totals()
-    pairs = ((series.minute_at(i), float(totals[i])) for i in range(len(series)))
     return detect_alarms(
-        pairs, DetectorConfig(float(threshold), group_gap_minutes), source=SOURCE_RULE
+        series.minutes(),
+        series.totals(),
+        DetectorConfig(float(threshold), group_gap_minutes),
+        source=SOURCE_RULE,
     )
 
 
-def suggest_threshold(
-    points: Iterable[NoveltyPoint] | Iterable[float], q: float
-) -> float:
-    """Nearest-rank quantile of the values: rank ceil(q*N) of the sorted list."""
+def suggest_threshold(values: np.ndarray, q: float) -> float:
+    """Nearest-rank quantile of the values: rank ceil(q*N) of the sorted values."""
     if not 0.0 < q <= 1.0:
         raise BadQuantile(f"quantile must be in (0, 1], got {q}")
-    values = [p.e if isinstance(p, NoveltyPoint) else float(p) for p in points]
-    if not values:
+    values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
         raise EmptyInput("cannot suggest a threshold from no points")
-    values.sort()
-    rank = math.ceil(q * len(values))
-    return values[rank - 1]
+    rank = math.ceil(q * values.size)
+    return float(np.partition(values, rank - 1)[rank - 1])
 
 
 def lead_time(
@@ -207,19 +192,26 @@ def lead_time(
     return matches
 
 
-def write_novelty_csv(points: Sequence[NoveltyPoint]) -> str:
-    """Render novelty points as CSV with full-precision values."""
+def write_novelty_csv(minutes: np.ndarray, values: np.ndarray) -> str:
+    """Render per-minute novelty values as CSV with full-precision values."""
     lines = [NOVELTY_CSV_HEADER]
-    lines.extend(f"{format_minute_utc(p.minute_s)},{p.e!r}" for p in points)
+    lines.extend(
+        f"{format_minute_utc(minute)},{value!r}"
+        for minute, value in zip(minutes.tolist(), values.tolist(), strict=True)
+    )
     return "\n".join(lines) + "\n"
 
 
-def read_novelty_csv(source: str | Iterable[str]) -> list[NoveltyPoint]:
-    """Parse the novelty CSV format back into points."""
+def read_novelty_csv(source: str | Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the novelty CSV format into int64 minutes and float64 values.
+
+    Raises NonFiniteValue, naming the line, for a ``nan`` or ``inf`` value.
+    """
     lines = source.splitlines() if isinstance(source, str) else [ln.rstrip("\n") for ln in source]
     if not lines or lines[0].rstrip("\r") != NOVELTY_CSV_HEADER:
         raise ValueError(f"expected header {NOVELTY_CSV_HEADER!r}")
-    points = []
+    minutes: list[int] = []
+    values: list[float] = []
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.rstrip("\r")
         if not line:
@@ -227,8 +219,12 @@ def read_novelty_csv(source: str | Iterable[str]) -> list[NoveltyPoint]:
         fields = line.split(",")
         if len(fields) != 2:
             raise ValueError(f"line {line_no}: expected 2 fields, got {len(fields)}")
-        points.append(NoveltyPoint(parse_minute_utc(fields[0]), float(fields[1])))
-    return points
+        minutes.append(parse_minute_utc(fields[0]))
+        value = float(fields[1])
+        if not math.isfinite(value):
+            raise NonFiniteValue(f"line {line_no}: novelty is not finite: {fields[1]!r}")
+        values.append(value)
+    return np.array(minutes, dtype=np.int64), np.array(values, dtype=np.float64)
 
 
 def write_alarm_report(events: Sequence[AlarmEvent]) -> str:

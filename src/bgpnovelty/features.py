@@ -11,8 +11,7 @@ detector looks for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,14 +36,6 @@ class NormalizationParams:
             raise ValueError("normalization bounds must satisfy max >= min")
 
 
-@dataclass(frozen=True)
-class WindowSample:
-    """One 2k-dimensional lag vector; ``end_minute_s`` is inclusive."""
-
-    end_minute_s: int
-    values: np.ndarray = field(repr=False)
-
-
 def fit_normalization(series: MinuteSeries) -> NormalizationParams:
     """Per-channel min/max over the given (training) series."""
     if len(series) == 0:
@@ -57,25 +48,6 @@ def fit_normalization(series: MinuteSeries) -> NormalizationParams:
     )
 
 
-def normalize(value: float, lo: float, hi: float) -> float:
-    """Linear map of [lo, hi] onto [0, 1]; no clamping outside the range.
-
-    A degenerate range (hi == lo) maps everything to 0.0.
-    """
-    if hi < lo:
-        raise ValueError(f"bad normalization range: [{lo}, {hi}]")
-    if hi == lo:
-        return 0.0
-    return (value - lo) / (hi - lo)
-
-
-def denormalize(value: float, lo: float, hi: float) -> float:
-    """Inverse of :func:`normalize` for hi > lo."""
-    if hi < lo:
-        raise ValueError(f"bad normalization range: [{lo}, {hi}]")
-    return lo + value * (hi - lo)
-
-
 def _normalize_array(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     if hi == lo:
         return np.zeros(values.shape, dtype=np.float64)
@@ -86,30 +58,20 @@ def make_windows(
     series: MinuteSeries,
     k: int,
     params: NormalizationParams,
-) -> list[WindowSample]:
-    """Overlapping stride-1 windows, one per minute from index k-1 onward.
+) -> np.ndarray:
+    """Overlapping stride-1 windows as a contiguous float64 matrix of shape (n, 2k).
 
-    The window ending at minute t covers minutes t-k+1 .. t (current minute
-    included). A series shorter than k yields no windows.
+    Row ``i`` is the window ending at minute index ``k-1+i``, i.e. at
+    ``series.minutes()[k - 1 + i]``; it covers minutes ``i .. k-1+i``
+    (current minute included). A series shorter than k yields a (0, 2k)
+    matrix. A degenerate training range (max == min) maps the channel to 0.
     """
     if k < 1:
         raise ValueError(f"lag count k must be >= 1, got {k}")
-    n = len(series)
-    if n < k:
-        return []
+    if len(series) < k:
+        return np.zeros((0, 2 * k), dtype=np.float64)
     ann = _normalize_array(series.announcements, params.a_min, params.a_max)
     wd = _normalize_array(series.withdrawals, params.w_min, params.w_max)
     ann_lags = np.lib.stride_tricks.sliding_window_view(ann, k)
     wd_lags = np.lib.stride_tricks.sliding_window_view(wd, k)
-    values = np.hstack([ann_lags, wd_lags])
-    return [
-        WindowSample(series.minute_at(k - 1 + i), values[i].copy())
-        for i in range(n - k + 1)
-    ]
-
-
-def window_matrix(windows: Sequence[WindowSample]) -> np.ndarray:
-    """Stack window values into a float64 matrix of shape (n_windows, 2k)."""
-    if len(windows) == 0:
-        return np.zeros((0, 0), dtype=np.float64)
-    return np.stack([w.values for w in windows]).astype(np.float64, copy=False)
+    return np.hstack([ann_lags, wd_lags])

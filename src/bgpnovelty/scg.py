@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .autoencoder import (
     sse_loss,
     unflatten_params,
 )
-from .features import WindowSample, window_matrix
 
 STOP_BUDGET = "budget"
 STOP_GRADIENT = "gradient-tolerance"
@@ -186,15 +185,14 @@ def scg_minimize(
 
 def train(
     model: AutoencoderModel,
-    windows: Sequence[WindowSample] | np.ndarray,
+    X: np.ndarray,
     cfg: ScgConfig = ScgConfig(),
 ) -> tuple[AutoencoderModel, TrainReport]:
-    """Fit the autoencoder to the window set with full-batch SCG.
+    """Fit the autoencoder to the rows of the window matrix X by full-batch SCG.
 
-    Deterministic given (model, windows, cfg): the optimizer has no
-    randomness of its own.
+    Deterministic given (model, X, cfg): the optimizer has no randomness of
+    its own.
     """
-    X = windows if isinstance(windows, np.ndarray) else window_matrix(windows)
     if X.ndim != 2:
         raise DimensionMismatch(f"windows must form a 2-D matrix, got shape {X.shape}")
     if X.shape[0] == 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -72,26 +72,12 @@ def format_minute_utc(minute_start_s: int) -> str:
 
 
 @dataclass(frozen=True)
-class MinuteBucket:
-    """Counts for the minute starting at ``minute_start_s`` (multiple of 60)."""
-
-    minute_start_s: int
-    announcements: int
-    withdrawals: int
-
-
-def total_updates(bucket: MinuteBucket) -> int:
-    """Announcements plus withdrawals: the bucket's total update count."""
-    return bucket.announcements + bucket.withdrawals
-
-
-@dataclass(frozen=True)
 class MinuteSeries:
     """Consecutive minute buckets with no gaps.
 
     Bucket ``i`` covers ``[start_minute_s + 60*i, start_minute_s + 60*(i+1))``.
-    Counts are held as parallel int64 arrays; use :meth:`bucket` or iterate
-    to get ``MinuteBucket`` views.
+    Counts are held as parallel int64 arrays; :meth:`minutes` gives the
+    matching int64 minute axis.
     """
 
     start_minute_s: int
@@ -119,16 +105,9 @@ class MinuteSeries:
     def minute_at(self, index: int) -> int:
         return self.start_minute_s + MINUTE * index
 
-    def bucket(self, index: int) -> MinuteBucket:
-        return MinuteBucket(
-            self.minute_at(index),
-            int(self.announcements[index]),
-            int(self.withdrawals[index]),
-        )
-
-    def __iter__(self) -> Iterator[MinuteBucket]:
-        for i in range(len(self)):
-            yield self.bucket(i)
+    def minutes(self) -> np.ndarray:
+        """Start of every bucket as int64 epoch seconds."""
+        return self.start_minute_s + MINUTE * np.arange(len(self), dtype=np.int64)
 
     def totals(self) -> np.ndarray:
         return self.announcements + self.withdrawals
@@ -158,21 +137,6 @@ def bucketize(
             announcements[i] += record.announced
             withdrawals[i] += record.withdrawn
     return MinuteSeries(start_minute_s, announcements, withdrawals)
-
-
-def fill_gaps(buckets: Sequence[MinuteBucket]) -> MinuteSeries:
-    """Turn sparse, strictly-ascending buckets into a gapless zero-filled series."""
-    if not buckets:
-        return MinuteSeries(0, np.zeros(0, np.int64), np.zeros(0, np.int64))
-    start = buckets[0].minute_start_s
-    n = (buckets[-1].minute_start_s - start) // MINUTE + 1
-    announcements = np.zeros(n, dtype=np.int64)
-    withdrawals = np.zeros(n, dtype=np.int64)
-    for bucket in buckets:
-        i = (bucket.minute_start_s - start) // MINUTE
-        announcements[i] = bucket.announcements
-        withdrawals[i] = bucket.withdrawals
-    return MinuteSeries(start, announcements, withdrawals)
 
 
 def slice_range(series: MinuteSeries, start_minute_s: int, end_minute_s: int) -> MinuteSeries:
@@ -205,7 +169,7 @@ def top_n(series: MinuteSeries, n: int) -> list[tuple[int, int]]:
         raise ValueError(f"n must be non-negative, got {n}")
     totals = series.totals()
     order = np.argsort(-totals, kind="stable")[:n]
-    return [(series.minute_at(int(i)), int(totals[i])) for i in order]
+    return list(zip(series.minutes()[order].tolist(), totals[order].tolist()))
 
 
 def read_bucket_csv(source: str | Iterable[str]) -> MinuteSeries:
@@ -214,8 +178,8 @@ def read_bucket_csv(source: str | Iterable[str]) -> MinuteSeries:
     The first line must be exactly ``minute_utc,announcements,withdrawals``;
     rows carry a ``YYYY-MM-DDTHH:MM:00Z`` timestamp and two non-negative
     integers, strictly ascending in time. LF and CRLF inputs are both
-    accepted. Interior gaps between rows are zero-filled (via
-    :func:`fill_gaps`, which owns that behaviour).
+    accepted. Interior gaps between rows are zero-filled. An input without
+    data rows gives an empty series starting at epoch 0.
     """
     lines = source.splitlines() if isinstance(source, str) else [ln.rstrip("\n") for ln in source]
     if not lines:
@@ -224,8 +188,9 @@ def read_bucket_csv(source: str | Iterable[str]) -> MinuteSeries:
     if header != BUCKET_CSV_HEADER:
         raise BadHeader(f"expected header {BUCKET_CSV_HEADER!r}, got {header!r}")
 
-    buckets: list[MinuteBucket] = []
-    previous = None
+    minutes: list[int] = []
+    announcements: list[int] = []
+    withdrawals: list[int] = []
     for line_no, raw in enumerate(lines[1:], start=2):
         line = raw.rstrip("\r")
         if not line:
@@ -237,29 +202,41 @@ def read_bucket_csv(source: str | Iterable[str]) -> MinuteSeries:
             minute_s = parse_minute_utc(fields[0])
         except BadTimestamp as exc:
             raise BadTimestamp(f"line {line_no}: {exc}") from None
-        counts = []
-        for name, text in (("announcements", fields[1]), ("withdrawals", fields[2])):
+        for name, text, column in (
+            ("announcements", fields[1], announcements),
+            ("withdrawals", fields[2], withdrawals),
+        ):
             try:
                 value = int(text)
             except ValueError:
                 raise BucketCsvError(f"line {line_no}: {name} is not an integer: {text!r}") from None
             if value < 0:
                 raise NegativeCount(f"line {line_no}: negative {name}: {value}")
-            counts.append(value)
-        if previous is not None and minute_s <= previous:
+            column.append(value)
+        if minutes and minute_s <= minutes[-1]:
             raise NonMonotonic(
                 f"line {line_no}: timestamp {fields[0]} not after the previous row"
             )
-        previous = minute_s
-        buckets.append(MinuteBucket(minute_s, counts[0], counts[1]))
-    return fill_gaps(buckets)
+        minutes.append(minute_s)
+
+    if not minutes:
+        return MinuteSeries(0, np.zeros(0, np.int64), np.zeros(0, np.int64))
+    index = (np.array(minutes, dtype=np.int64) - minutes[0]) // MINUTE
+    n = int(index[-1]) + 1
+    filled_a = np.zeros(n, dtype=np.int64)
+    filled_w = np.zeros(n, dtype=np.int64)
+    filled_a[index] = announcements
+    filled_w[index] = withdrawals
+    return MinuteSeries(minutes[0], filled_a, filled_w)
 
 
 def write_bucket_csv(series: MinuteSeries) -> str:
     """Render a series in the bucket CSV format (LF line endings)."""
     lines = [BUCKET_CSV_HEADER]
-    for bucket in series:
-        lines.append(
-            f"{format_minute_utc(bucket.minute_start_s)},{bucket.announcements},{bucket.withdrawals}"
+    lines.extend(
+        f"{format_minute_utc(minute)},{a},{w}"
+        for minute, a, w in zip(
+            series.minutes().tolist(), series.announcements.tolist(), series.withdrawals.tolist()
         )
+    )
     return "\n".join(lines) + "\n"

@@ -13,10 +13,10 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bgpnovelty.autoencoder import AutoencoderModel, init_model, sse_loss
-from bgpnovelty.detector import NoveltyPoint, score_series, suggest_threshold
-from bgpnovelty.features import NormalizationParams, fit_normalization, make_windows, window_matrix
+from bgpnovelty.detector import score_series, suggest_threshold
+from bgpnovelty.features import NormalizationParams, fit_normalization, make_windows
 from bgpnovelty.scg import ScgConfig, TrainReport, train
-from bgpnovelty.series import MinuteSeries, fill_gaps, MinuteBucket, parse_minute_utc, slice_range
+from bgpnovelty.series import MINUTE, MinuteSeries, parse_minute_utc, slice_range
 from bgpnovelty.synth import gen_baseline
 
 # Reference ranking of the highest per-minute totals (descending), used by
@@ -53,7 +53,11 @@ def top15_csv_text() -> str:
 def top15_series() -> MinuteSeries:
     """Gapless series holding the reference rows (all other minutes zero)."""
     rows = sorted((parse_minute_utc(ts), total) for ts, total in TOP15)
-    return fill_gaps([MinuteBucket(m, total, 0) for m, total in rows])
+    start = rows[0][0]
+    announcements = np.zeros((rows[-1][0] - start) // MINUTE + 1, dtype=np.int64)
+    for minute, total in rows:
+        announcements[(minute - start) // MINUTE] = total
+    return MinuteSeries(start, announcements, np.zeros_like(announcements))
 
 
 # Pipeline configuration for the session-scoped trained model: a quiet week
@@ -77,13 +81,12 @@ class TrainedPipeline:
     train_series: MinuteSeries
     norm: NormalizationParams
     matrix: np.ndarray
-    windows: list
     model0: AutoencoderModel
     model: AutoencoderModel
     report: TrainReport
     initial_loss: float
     train_seconds: float
-    quiet_points: list[NoveltyPoint]
+    quiet_novelty: np.ndarray
     threshold: float
     train_end_s: int
     test_start_s: int
@@ -95,27 +98,25 @@ def pipeline() -> TrainedPipeline:
     train_end_s = full.minute_at(WEEK_MINUTES - 1)
     train_series = slice_range(full, full.start_minute_s, train_end_s)
     norm = fit_normalization(train_series)
-    windows = make_windows(train_series, K, norm)
-    matrix = window_matrix(windows)
+    matrix = make_windows(train_series, K, norm)
     model0 = init_model(2 * K, HIDDEN, seed=INIT_SEED, k=K, norm=norm)
     initial_loss = sse_loss(model0, matrix)
     started = time.perf_counter()
     model, report = train(model0, matrix, ScgConfig(max_cycles=CYCLES))
     train_seconds = time.perf_counter() - started
-    quiet_points = score_series(model, windows)
-    threshold = suggest_threshold(quiet_points, 0.999)
+    quiet_novelty = score_series(model, matrix)
+    threshold = suggest_threshold(quiet_novelty, 0.999)
     return TrainedPipeline(
         full=full,
         train_series=train_series,
         norm=norm,
         matrix=matrix,
-        windows=windows,
         model0=model0,
         model=model,
         report=report,
         initial_loss=initial_loss,
         train_seconds=train_seconds,
-        quiet_points=quiet_points,
+        quiet_novelty=quiet_novelty,
         threshold=threshold,
         train_end_s=train_end_s,
         test_start_s=full.minute_at(WEEK_MINUTES),

@@ -18,7 +18,6 @@ from bgpnovelty.detector import (
     DetectorConfig,
     detect_alarms,
     lead_time,
-    novelty,
     rule_alarms,
     score_series,
 )
@@ -52,16 +51,16 @@ def criterion(number, description):
 @criterion(1, "novelty formula is exact")
 def test_novelty_exactness():
     four = tiny_model(np.zeros((1, 4)), [0.0], np.zeros((4, 1)), np.ones(4))
-    assert novelty(four, np.zeros(4)) == 1.0
+    assert score_series(four, np.zeros((1, 4)))[0] == 1.0
 
     rng = np.random.default_rng(1)
     for _ in range(100):
         x = rng.uniform(-1, 2, size=6)
         exact = tiny_model(np.zeros((3, 6)), np.zeros(3), np.zeros((6, 3)), x)
-        assert novelty(exact, x) == 0.0
+        assert score_series(exact, x[None, :])[0] == 0.0
 
     two = tiny_model(np.zeros((1, 2)), [0.0], np.zeros((2, 1)), [0.3, 0.6])
-    assert abs(novelty(two, np.array([0.2, 0.4])) - 0.025) < 1e-15
+    assert abs(score_series(two, np.array([[0.2, 0.4]]))[0] - 0.025) < 1e-15
 
 
 @criterion(2, "analytic gradient matches central differences under 5 s")
@@ -121,17 +120,24 @@ def test_training_efficacy(pipeline):
         assert np.array_equal(getattr(pipeline.model, name), getattr(again, name))
 
 
+def held_out_novelty(pipeline, surged):
+    """Minutes and novelty of the surged series' windows that end in the held-out day."""
+    novelty = score_series(pipeline.model, make_windows(surged, K, pipeline.norm))
+    minutes = surged.minutes()[K - 1 :]
+    held_out = minutes >= pipeline.test_start_s
+    return minutes[held_out], novelty[held_out]
+
+
 @criterion(5, "step surge exceeds the quiet 99.9th percentile and alarms within 2 min")
 def test_step_surge_detection(pipeline):
     onset = pipeline.full.minute_at(10_080 + 600)
     surged = inject_surge(pipeline.full, SurgeSpec(onset, 60, "step", 10.0, "both"))
-    points = score_series(pipeline.model, make_windows(surged, K, pipeline.norm))
-    test_points = [p for p in points if p.minute_s >= pipeline.test_start_s]
+    minutes, novelty = held_out_novelty(pipeline, surged)
 
-    surge_peak = max(p.e for p in test_points if onset <= p.minute_s < onset + 60 * MINUTE)
+    surge_peak = novelty[(onset <= minutes) & (minutes < onset + 60 * MINUTE)].max()
     assert surge_peak > pipeline.threshold
 
-    events = detect_alarms(test_points, DetectorConfig(pipeline.threshold, 60))
+    events = detect_alarms(minutes, novelty, DetectorConfig(pipeline.threshold, 60))
     assert events
     surge_event = max(events, key=lambda e: e.peak_value)
     assert abs(surge_event.start_s - onset) <= 2 * MINUTE
@@ -141,9 +147,9 @@ def test_step_surge_detection(pipeline):
 def test_ramp_lead_time(pipeline):
     onset = pipeline.full.minute_at(10_080 + 600)
     surged = inject_surge(pipeline.full, SurgeSpec(onset, 120, "ramp", 10.0, "both"))
-    points = score_series(pipeline.model, make_windows(surged, K, pipeline.norm))
-    test_points = [p for p in points if p.minute_s >= pipeline.test_start_s]
-    ae_events = detect_alarms(test_points, DetectorConfig(pipeline.threshold, 60))
+    ae_events = detect_alarms(
+        *held_out_novelty(pipeline, surged), DetectorConfig(pipeline.threshold, 60)
+    )
 
     test_day = slice_range(surged, pipeline.test_start_s, surged.end_minute_s)
     peak_total = float(test_day.totals().max())
@@ -187,8 +193,8 @@ def test_missing_data_handling():
     assert len(series) == 117  # 17:14 .. 19:10 inclusive
     interior = series.announcements[1:-1], series.withdrawals[1:-1]
     assert not interior[0].any() and not interior[1].any()
-    assert series.bucket(0).announcements == 120
-    assert series.bucket(116).withdrawals == 25
+    assert series.announcements[0] == 120
+    assert series.withdrawals[116] == 25
 
 
 @criterion(9, "hand-built MRT corpus parses to the hand-derived counts")
@@ -215,7 +221,8 @@ def test_persistence_round_trip():
     worst = 0.0
     for _ in range(1000):
         x = rng.uniform(-0.5, 1.5, size=100)
-        worst = max(worst, abs(novelty(model, x) - novelty(restored, x)))
+        X = x[None, :]
+        worst = max(worst, abs(score_series(model, X)[0] - score_series(restored, X)[0]))
     assert worst < 1e-12
 
 

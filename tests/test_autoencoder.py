@@ -12,10 +12,10 @@ from bgpnovelty.autoencoder import (
     EmptyDataset,
     VersionMismatch,
     flatten_params,
-    forward,
     gradient,
     init_model,
     load_model,
+    reconstruct,
     save_model,
     sse_loss,
     unflatten_params,
@@ -82,29 +82,30 @@ class TestInit:
 class TestForward:
     def test_symmetric_weights_cancel(self):
         model = tiny_model([[0.5, -0.5]], [0.0], [[1.0], [1.0]], [0.0, 0.0])
-        assert np.allclose(forward(model, [1.0, 1.0]), [0.0, 0.0])
+        assert np.allclose(reconstruct(model, np.array([[1.0, 1.0]])), [[0.0, 0.0]])
 
     def test_hand_evaluated_tanh_path(self):
         model = tiny_model([[0.5, -0.5]], [0.0], [[1.0], [1.0]], [0.0, 0.0])
         expected = math.tanh(0.5)
-        assert np.allclose(forward(model, [1.0, 0.0]), [expected, expected])
+        assert np.allclose(reconstruct(model, np.array([[1.0, 0.0]])), [[expected, expected]])
         assert abs(expected - 0.4621172) < 5e-8
 
     def test_all_zero_model_outputs_zero(self):
         model = tiny_model(np.zeros((3, 4)), np.zeros(3), np.zeros((4, 3)), np.zeros(4))
-        assert not forward(model, [1.0, -2.0, 3.0, 0.5]).any()
+        assert not reconstruct(model, np.array([[1.0, -2.0, 3.0, 0.5]])).any()
 
     def test_wrong_length_input_raises(self):
         model = init_model(6, 4, seed=0)
         with pytest.raises(DimensionMismatch):
-            forward(model, np.zeros(5))
+            reconstruct(model, np.zeros((1, 5)))
+        with pytest.raises(DimensionMismatch):
+            reconstruct(model, np.zeros(6))
 
     def test_finite_inputs_give_finite_outputs(self):
         model = init_model(12, 9, seed=5)
         rng = np.random.default_rng(5)
-        for _ in range(20):
-            x = rng.normal(scale=100.0, size=12)
-            assert np.all(np.isfinite(forward(model, x)))
+        X = rng.normal(scale=100.0, size=(20, 12))
+        assert np.all(np.isfinite(reconstruct(model, X)))
 
 
 class TestSseLoss:
@@ -206,9 +207,8 @@ class TestPersistence:
         model = init_model(10, 8, seed=9, k=5, norm=NormalizationParams(0, 900, 2, 80))
         restored = load_model(save_model(model))
         rng = np.random.default_rng(9)
-        for _ in range(10):
-            x = rng.uniform(-2, 2, size=10)
-            assert np.max(np.abs(forward(model, x) - forward(restored, x))) < 1e-12
+        X = rng.uniform(-2, 2, size=(10, 10))
+        assert np.max(np.abs(reconstruct(model, X) - reconstruct(restored, X))) < 1e-12
 
     def test_round_trip_preserves_metadata(self):
         norm = NormalizationParams(1.5, 900.25, 2.0, 80.125)

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from bgpnovelty import cli
 from bgpnovelty.cli import build_parser, main
+from bgpnovelty.scg import STOP_NON_FINITE, TrainReport
 from bgpnovelty.series import read_bucket_csv
 
 from conftest import TOP15, top15_csv_text
@@ -41,7 +43,8 @@ class TestIngest:
         out = tmp_path / "buckets.csv"
         assert run("ingest", src, "--out", out) == 0
         series = read_bucket_csv(out.read_text())
-        assert [(b.announcements, b.withdrawals) for b in series] == [(5, 1), (0, 0), (0, 4)]
+        assert series.announcements.tolist() == [5, 0, 0]
+        assert series.withdrawals.tolist() == [1, 0, 4]
 
     def test_csv_passthrough_fills_gaps_only(self, tmp_path):
         src = tmp_path / "sparse.csv"
@@ -69,7 +72,8 @@ class TestIngest:
         ) == 0
         series = read_bucket_csv(out.read_text())
         assert len(series) == 4
-        assert [(b.announcements, b.withdrawals) for b in series] == [(0, 0), (2, 1), (0, 0), (0, 0)]
+        assert series.announcements.tolist() == [0, 2, 0, 0]
+        assert series.withdrawals.tolist() == [0, 1, 0, 0]
 
     def test_missing_input_exits_one_with_diagnostic(self, tmp_path, capsys):
         assert run("ingest", tmp_path / "absent.mrt", "--out", tmp_path / "x.csv") == 1
@@ -114,6 +118,25 @@ class TestTrainScoreDetect:
             ) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_train_non_finite_objective_exits_one_without_model(
+        self, tmp_path, quiet_csv, capsys, monkeypatch
+    ):
+        def diverged(model, windows, cfg):
+            return model, TrainReport([12.5, 12.0], 2, STOP_NON_FINITE)
+
+        monkeypatch.setattr(cli.scg, "train", diverged)
+        model_path = tmp_path / "model.json"
+        report_path = tmp_path / "report.csv"
+        assert run(
+            "train", quiet_csv, "--k", 5, "--hidden", 8, "--out", model_path,
+            "--report", report_path,
+        ) == 1
+        assert "error: training stopped on non-finite-objective after 2 cycles" in (
+            capsys.readouterr().err
+        )
+        assert not model_path.exists()
+        assert report_path.read_text() == "cycle,loss\n1,12.5\n2,12.0\n"
+
     def test_train_range_outside_csv_fails(self, tmp_path, quiet_csv, capsys):
         assert run(
             "train", quiet_csv, "--from", "1999-01-01T00:00:00Z",
@@ -146,6 +169,19 @@ class TestTrainScoreDetect:
         alarms = tmp_path / "alarms.json"
         assert run("detect", novelty_csv, "--threshold", 5.0, "--out", alarms) == 0
         assert json.loads(alarms.read_text()) == []
+
+    @pytest.mark.parametrize("flag", [("--threshold", 1), ("--quantile", 0.5)])
+    def test_detect_rejects_non_finite_novelty(self, tmp_path, capsys, flag):
+        novelty_csv = tmp_path / "n.csv"
+        novelty_csv.write_text(
+            "minute_utc,novelty\n"
+            "2001-06-02T00:00:00Z,5.0\n"
+            "2001-06-02T00:01:00Z,nan\n"
+        )
+        alarms = tmp_path / "alarms.json"
+        assert run("detect", novelty_csv, *flag, "--out", alarms) == 1
+        assert "line 3" in capsys.readouterr().err
+        assert not alarms.exists()
 
     def test_detect_requires_exactly_one_threshold_flag(self, tmp_path, capsys):
         novelty_csv = tmp_path / "n.csv"

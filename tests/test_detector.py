@@ -1,20 +1,24 @@
 """Novelty scoring, alarm grouping, the rule baseline, and lead-time pairing."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bgpnovelty.autoencoder import init_model
+from bgpnovelty.autoencoder import init_model, reconstruct
 from bgpnovelty.detector import (
     AlarmEvent,
     BadQuantile,
     DetectorConfig,
     EmptyInput,
-    NoveltyPoint,
+    NonFiniteValue,
+    SOURCE_AUTOENCODER,
     SOURCE_RULE,
     UnsortedInput,
     detect_alarms,
     lead_time,
-    novelty,
     read_alarm_report,
     read_novelty_csv,
     rule_alarms,
@@ -23,8 +27,8 @@ from bgpnovelty.detector import (
     write_alarm_report,
     write_novelty_csv,
 )
-from bgpnovelty.features import WindowSample, fit_normalization, make_windows
-from bgpnovelty.series import parse_minute_utc
+from bgpnovelty.features import fit_normalization, make_windows
+from bgpnovelty.series import MINUTE, format_minute_utc, parse_minute_utc
 from bgpnovelty.synth import SurgeSpec, gen_baseline, inject_surge
 
 from conftest import top15_series
@@ -34,13 +38,14 @@ MIN = 60
 NOON = 1_000_080_000
 
 
-def identity_2d():
-    """Zero-weight model whose bias reproduces a fixed vector."""
-    return tiny_model(np.zeros((1, 2)), [0.0], np.zeros((2, 1)), [0.0, 0.0])
-
-
 def points_at(values, start=NOON):
-    return [NoveltyPoint(start + MIN * i, v) for i, v in enumerate(values)]
+    """Consecutive minutes from ``start`` and their values, as (minutes, values) arrays."""
+    return start + MIN * np.arange(len(values)), np.asarray(values, dtype=np.float64)
+
+
+def novelty(model, x):
+    """Novelty of one vector, scored as a 1-row window matrix."""
+    return score_series(model, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
 class TestNovelty:
@@ -57,20 +62,13 @@ class TestNovelty:
         model = tiny_model(np.zeros((1, 2)), [0.0], np.zeros((2, 1)), [0.3, 0.6])
         assert abs(novelty(model, np.array([0.2, 0.4])) - 0.025) < 1e-15
 
-    def test_accepts_window_samples(self):
-        model = identity_2d()
-        window = WindowSample(NOON, np.array([1.0, 1.0]))
-        assert novelty(model, window) == 1.0
-
     def test_invariant_under_joint_permutation(self):
         rng = np.random.default_rng(31)
         model = init_model(8, 5, seed=31)
         x = rng.uniform(size=8)
         base = novelty(model, x)
         # permuting inputs and outputs together means permuting the residual
-        from bgpnovelty.autoencoder import forward
-
-        residual = forward(model, x) - x
+        residual = reconstruct(model, x[None, :])[0] - x
         for _ in range(5):
             perm = rng.permutation(8)
             assert np.mean(residual[perm] ** 2) == pytest.approx(base, rel=1e-12)
@@ -82,13 +80,14 @@ class TestScoreSeries:
         params = fit_normalization(series)
         windows = make_windows(series, 50, params)
         model = init_model(100, 10, seed=41, k=50, norm=params)
-        points = score_series(model, windows)
-        assert len(points) == 11
-        assert [p.minute_s for p in points] == [w.end_minute_s for w in windows]
+        values = score_series(model, windows)
+        assert values.shape == (11,)
+        one_by_one = [novelty(model, row) for row in windows]
+        assert np.allclose(values, one_by_one, rtol=1e-12, atol=0.0)
 
     def test_empty_windows_give_empty_points(self):
         model = init_model(4, 3, seed=0)
-        assert score_series(model, []) == []
+        assert score_series(model, np.zeros((0, 4))).shape == (0,)
 
     def test_dimension_mismatch_raises(self):
         from bgpnovelty.autoencoder import DimensionMismatch
@@ -97,7 +96,7 @@ class TestScoreSeries:
         with pytest.raises(DimensionMismatch):
             novelty(model, np.zeros(5))
         with pytest.raises(DimensionMismatch):
-            score_series(model, [WindowSample(NOON, np.zeros(5))])
+            score_series(model, np.zeros((3, 5)))
 
     def test_seeded_surge_peaks_inside_surge_window(self):
         quiet = gen_baseline(400, 500.0, 150.0, 0.0, seed=43)
@@ -105,14 +104,14 @@ class TestScoreSeries:
         onset = quiet.minute_at(300)
         surged = inject_surge(quiet, SurgeSpec(onset, 20, "step", 10.0))
         model = init_model(16, 12, seed=43, k=8, norm=params)
-        points = score_series(model, make_windows(surged, 8, params))
-        best = max(points, key=lambda p: p.e)
-        assert onset <= best.minute_s <= onset + 20 * MIN
+        values = score_series(model, make_windows(surged, 8, params))
+        best = surged.minutes()[8 - 1 + int(np.argmax(values))]
+        assert onset <= best <= onset + 20 * MIN
 
 
 class TestDetectAlarms:
     def test_contiguous_exceedances_form_one_event(self):
-        events = detect_alarms(points_at([0.1, 0.9, 0.95, 0.2]), DetectorConfig(0.5, 0))
+        events = detect_alarms(*points_at([0.1, 0.9, 0.95, 0.2]), DetectorConfig(0.5, 0))
         assert len(events) == 1
         event = events[0]
         assert event.start_s == NOON + MIN
@@ -122,32 +121,32 @@ class TestDetectAlarms:
 
     def test_gap_grouping_semantics(self):
         values = [1.0] + [0.0] * 89 + [1.0]  # two exceedances 90 minutes apart
-        assert len(detect_alarms(points_at(values), DetectorConfig(0.5, 60))) == 2
-        assert len(detect_alarms(points_at(values), DetectorConfig(0.5, 120))) == 1
+        assert len(detect_alarms(*points_at(values), DetectorConfig(0.5, 60))) == 2
+        assert len(detect_alarms(*points_at(values), DetectorConfig(0.5, 120))) == 1
 
     def test_all_below_threshold_is_empty(self):
-        assert detect_alarms(points_at([0.1, 0.2, 0.3]), DetectorConfig(0.5, 60)) == []
+        assert detect_alarms(*points_at([0.1, 0.2, 0.3]), DetectorConfig(0.5, 60)) == []
 
     def test_threshold_equal_value_does_not_fire(self):
-        assert detect_alarms(points_at([0.5, 0.5]), DetectorConfig(0.5, 0)) == []
+        assert detect_alarms(*points_at([0.5, 0.5]), DetectorConfig(0.5, 0)) == []
 
     def test_unsorted_input_raises(self):
-        points = [NoveltyPoint(NOON + MIN, 1.0), NoveltyPoint(NOON, 1.0)]
+        minutes = np.array([NOON + MIN, NOON])
         with pytest.raises(UnsortedInput):
-            detect_alarms(points, DetectorConfig(0.5, 0))
+            detect_alarms(minutes, np.array([1.0, 1.0]), DetectorConfig(0.5, 0))
 
     def test_events_are_sorted_and_disjoint(self):
         rng = np.random.default_rng(47)
         values = rng.uniform(size=500)
-        events = detect_alarms(points_at(list(values)), DetectorConfig(0.8, 5))
+        events = detect_alarms(*points_at(values), DetectorConfig(0.8, 5))
         for earlier, later in zip(events, events[1:]):
             assert earlier.end_s < later.start_s
 
     def test_alarms_are_monotone_in_threshold(self):
         rng = np.random.default_rng(48)
-        values = list(rng.uniform(size=600))
-        low = detect_alarms(points_at(values), DetectorConfig(0.6, 10))
-        high = detect_alarms(points_at(values), DetectorConfig(0.9, 10))
+        values = rng.uniform(size=600)
+        low = detect_alarms(*points_at(values), DetectorConfig(0.6, 10))
+        high = detect_alarms(*points_at(values), DetectorConfig(0.9, 10))
         for strict in high:
             assert any(
                 loose.start_s <= strict.start_s and strict.end_s <= loose.end_s
@@ -179,30 +178,30 @@ class TestRuleAlarms:
 
 class TestSuggestThreshold:
     def test_nearest_rank_on_thousand_values(self):
-        points = points_at(list(range(1, 1001)))
-        assert suggest_threshold(points, 0.999) == 999
+        _, values = points_at(list(range(1, 1001)))
+        assert suggest_threshold(values, 0.999) == 999
 
     def test_quantile_one_is_maximum(self):
-        points = points_at([5.0, 1.0, 3.0])
-        assert suggest_threshold(points, 1.0) == 5.0
+        _, values = points_at([5.0, 1.0, 3.0])
+        assert suggest_threshold(values, 1.0) == 5.0
 
     def test_single_point_for_any_quantile(self):
         for q in (0.001, 0.5, 1.0):
-            assert suggest_threshold([NoveltyPoint(NOON, 2.5)], q) == 2.5
+            assert suggest_threshold(np.array([2.5]), q) == 2.5
 
     def test_monotone_in_quantile(self):
         rng = np.random.default_rng(53)
-        values = list(rng.uniform(size=200))
+        values = rng.uniform(size=200)
         quantiles = [0.1, 0.25, 0.5, 0.75, 0.9, 0.999, 1.0]
         thresholds = [suggest_threshold(values, q) for q in quantiles]
         assert thresholds == sorted(thresholds)
 
     def test_rejects_empty_and_bad_quantile(self):
         with pytest.raises(EmptyInput):
-            suggest_threshold([], 0.5)
+            suggest_threshold(np.array([]), 0.5)
         for q in (0.0, -0.5, 1.5):
             with pytest.raises(BadQuantile):
-                suggest_threshold([1.0], q)
+                suggest_threshold(np.array([1.0]), q)
 
 
 def event(start_min, source="autoencoder", span=5):
@@ -236,9 +235,21 @@ class TestLeadTime:
 
 class TestFormats:
     def test_novelty_csv_round_trip(self):
-        points = points_at([0.0, 0.12345678901234567, 3.5e-7])
-        again = read_novelty_csv(write_novelty_csv(points))
-        assert again == points
+        minutes, values = points_at([0.0, 0.12345678901234567, 3.5e-7])
+        again_minutes, again_values = read_novelty_csv(write_novelty_csv(minutes, values))
+        assert again_minutes.dtype == np.int64 and again_values.dtype == np.float64
+        assert np.array_equal(again_minutes, minutes)
+        assert np.array_equal(again_values, values)
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_novelty_csv_rejects_non_finite_values(self, text):
+        csv = (
+            "minute_utc,novelty\n"
+            "2001-06-02T00:00:00Z,5.0\n"
+            f"2001-06-02T00:01:00Z,{text}\n"
+        )
+        with pytest.raises(NonFiniteValue, match="line 3"):
+            read_novelty_csv(csv)
 
     def test_alarm_report_round_trip(self):
         events = [event(0), event(100, SOURCE_RULE)]
@@ -250,3 +261,73 @@ class TestFormats:
         document = json.loads(write_alarm_report([event(3)]))
         assert isinstance(document, list)
         assert set(document[0]) == {"start", "end", "peak_minute", "peak_value", "source"}
+
+
+def reference_detect_alarms(points, cfg, source=SOURCE_AUTOENCODER):
+    """Per-point grouping loop the array version must reproduce."""
+    events: list[AlarmEvent] = []
+    previous_minute = None
+    start = end = peak_minute = None
+    peak = -math.inf
+    merge_span = (cfg.group_gap_minutes + 1) * MINUTE
+
+    for minute_s, value in points:
+        if previous_minute is not None and minute_s <= previous_minute:
+            raise UnsortedInput(
+                f"points not in ascending minute order at {format_minute_utc(minute_s)}"
+            )
+        previous_minute = minute_s
+        if value <= cfg.threshold:
+            continue
+        if start is not None and minute_s - end <= merge_span:
+            end = minute_s
+            if value > peak:
+                peak = value
+                peak_minute = minute_s
+        else:
+            if start is not None:
+                events.append(AlarmEvent(start, end, peak_minute, peak, source))
+            start = end = peak_minute = minute_s
+            peak = value
+    if start is not None:
+        events.append(AlarmEvent(start, end, peak_minute, peak, source))
+    return events
+
+
+# A few fixed levels make ties and threshold-equal values common; the float
+# range covers everything in between.
+scores = st.one_of(
+    st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(min_value=-1.0, max_value=3.0)
+)
+
+
+class TestDetectAlarmsMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        steps=st.lists(st.integers(min_value=1, max_value=90), max_size=120),
+        data=st.data(),
+        threshold=scores,
+        gap=st.integers(min_value=0, max_value=120),
+    )
+    def test_array_grouping_equals_per_point_loop(self, steps, data, threshold, gap):
+        minutes = NOON + MIN * np.cumsum([0, *steps])
+        values = data.draw(st.lists(scores, min_size=minutes.size, max_size=minutes.size))
+        cfg = DetectorConfig(threshold, gap)
+        expected = reference_detect_alarms(zip(minutes.tolist(), values), cfg)
+        assert detect_alarms(minutes, np.array(values), cfg) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        offsets=st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=40).filter(
+            lambda m: any(b <= a for a, b in zip(m, m[1:]))
+        ),
+        threshold=scores,
+    )
+    def test_non_ascending_minutes_raise(self, offsets, threshold):
+        minutes = NOON + MIN * np.array(offsets)
+        values = np.ones(minutes.size)
+        cfg = DetectorConfig(threshold, 0)
+        with pytest.raises(UnsortedInput) as expected:
+            reference_detect_alarms(zip(minutes.tolist(), values.tolist()), cfg)
+        with pytest.raises(UnsortedInput, match=str(expected.value)):
+            detect_alarms(minutes, values, cfg)

@@ -6,16 +6,23 @@ import pytest
 from bgpnovelty.features import (
     EmptySeries,
     NormalizationParams,
-    denormalize,
+    _normalize_array,
     fit_normalization,
     make_windows,
-    normalize,
-    window_matrix,
 )
 from bgpnovelty.series import MinuteSeries
 from bgpnovelty.synth import gen_baseline
 
 NOON = 1_000_080_000
+
+
+def normalize(value, lo, hi):
+    return float(_normalize_array(np.array([value]), lo, hi)[0])
+
+
+def denormalize(value, lo, hi):
+    """Inverse of the linear map onto [0, 1], for hi > lo."""
+    return lo + value * (hi - lo)
 
 
 def series_of(announcements, withdrawals):
@@ -71,26 +78,27 @@ class TestMakeWindows:
         series = series_of([0, 5, 10], [0, 2, 4])
         params = fit_normalization(series)
         windows = make_windows(series, 1, params)
-        assert [list(w.values) for w in windows] == [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]
+        assert windows.tolist() == [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]]
 
     def test_layout_announce_block_then_withdraw_block_oldest_first(self):
         series = series_of([0, 5, 10, 20], [8, 6, 4, 0])
         params = fit_normalization(series)
         windows = make_windows(series, 3, params)
-        first = windows[0]
-        assert first.end_minute_s == NOON + 120
-        assert first.values[0] == normalize(0, params.a_min, params.a_max)
-        assert list(first.values[:3]) == [0.0, 0.25, 0.5]  # announcements, oldest first
-        assert list(first.values[3:]) == [1.0, 0.75, 0.5]  # withdrawals, oldest first
+        assert windows.shape == (2, 6) and windows.flags.c_contiguous
+        first = windows[0]  # ends at minute index k-1
+        assert series.minutes()[3 - 1] == NOON + 120
+        assert first[0] == normalize(0, params.a_min, params.a_max)
+        assert list(first[:3]) == [0.0, 0.25, 0.5]  # announcements, oldest first
+        assert list(first[3:]) == [1.0, 0.75, 0.5]  # withdrawals, oldest first
 
     def test_series_shorter_than_k_yields_nothing(self):
         series = series_of([1, 2], [3, 4])
-        assert make_windows(series, 3, fit_normalization(series)) == []
+        assert make_windows(series, 3, fit_normalization(series)).shape == (0, 6)
 
     def test_training_range_values_lie_in_unit_interval(self):
         series = gen_baseline(500, 300.0, 80.0, 0.4, seed=9)
         params = fit_normalization(series)
-        matrix = window_matrix(make_windows(series, 12, params))
+        matrix = make_windows(series, 12, params)
         assert matrix.min() >= 0.0 and matrix.max() <= 1.0
 
     def test_out_of_range_values_escape_unit_interval_unclamped(self):
@@ -99,7 +107,7 @@ class TestMakeWindows:
         stormy = series_of(
             (quiet.announcements * 10).tolist(), (quiet.withdrawals * 10).tolist()
         )
-        matrix = window_matrix(make_windows(stormy, 12, params))
+        matrix = make_windows(stormy, 12, params)
         assert matrix.max() > 1.0
 
     def test_adjacent_windows_share_shifted_values(self):
@@ -107,17 +115,17 @@ class TestMakeWindows:
         params = fit_normalization(series)
         windows = make_windows(series, 10, params)
         for earlier, later in zip(windows[:5], windows[1:6]):
-            assert np.array_equal(earlier.values[1:10], later.values[0:9])
-            assert np.array_equal(earlier.values[11:20], later.values[10:19])
+            assert np.array_equal(earlier[1:10], later[0:9])
+            assert np.array_equal(earlier[11:20], later[10:19])
 
     def test_denormalizing_recovers_raw_counts(self):
         series = gen_baseline(80, 150.0, 40.0, 0.2, seed=17)
         params = fit_normalization(series)
         windows = make_windows(series, 8, params)
         last = windows[-1]
-        ann = [denormalize(v, params.a_min, params.a_max) for v in last.values[:8]]
+        ann = [denormalize(v, params.a_min, params.a_max) for v in last[:8]]
         assert np.allclose(ann, series.announcements[-8:])
-        wd = [denormalize(v, params.w_min, params.w_max) for v in last.values[8:]]
+        wd = [denormalize(v, params.w_min, params.w_max) for v in last[8:]]
         assert np.allclose(wd, series.withdrawals[-8:])
 
     def test_rejects_k_below_one(self):

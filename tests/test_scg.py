@@ -9,7 +9,7 @@ from bgpnovelty.autoencoder import (
     init_model,
     sse_loss,
 )
-from bgpnovelty.features import NormalizationParams, WindowSample
+from bgpnovelty.features import NormalizationParams
 from bgpnovelty.scg import (
     STOP_BUDGET,
     STOP_GRADIENT,
@@ -161,15 +161,12 @@ class TestConfig:
 
 
 class TestTrain:
-    def windows_of(self, matrix):
-        return [WindowSample(60 * i, row) for i, row in enumerate(matrix)]
-
     def test_identical_windows_train_to_tiny_loss(self):
         x = np.array([0.2, 0.8, 0.5, 0.1])
         X = np.tile(x, (20, 1))
         model = init_model(4, 4, seed=1, norm=NormalizationParams(0, 1, 0, 1))
         initial = sse_loss(model, X)
-        trained, report = train(model, self.windows_of(X), ScgConfig(max_cycles=100))
+        trained, report = train(model, X, ScgConfig(max_cycles=100))
         assert report.loss_history[-1] <= 1e-3 * initial
         assert_monotone(report)
 

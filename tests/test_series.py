@@ -9,24 +9,26 @@ from bgpnovelty.series import (
     BadTimestamp,
     BucketCsvError,
     InvalidRange,
-    MinuteBucket,
     MinuteSeries,
     NegativeCount,
     NonMonotonic,
     bucketize,
-    fill_gaps,
     format_minute_utc,
     parse_minute_utc,
     read_bucket_csv,
     slice_range,
     top_n,
-    total_updates,
     write_bucket_csv,
 )
 
 from conftest import TOP15, top15_csv_text, top15_series
 
 NOON = 1_000_080_000  # minute-aligned epoch seconds
+
+
+def bucket(series, i):
+    """(minute start, announcements, withdrawals) of bucket ``i``."""
+    return int(series.minutes()[i]), int(series.announcements[i]), int(series.withdrawals[i])
 
 
 class TestTimestamps:
@@ -53,12 +55,12 @@ class TestBucketize:
     def test_sums_records_within_a_minute(self):
         records = [UpdateRecord(NOON + 30, 2, 0), UpdateRecord(NOON + 45, 3, 0)]
         series = bucketize(records, NOON, NOON)
-        assert series.bucket(0) == MinuteBucket(NOON, 5, 0)
+        assert bucket(series, 0) == (NOON, 5, 0)
 
     def test_minutes_without_records_hold_zeros(self):
         records = [UpdateRecord(NOON, 1, 1), UpdateRecord(NOON + 120, 2, 2)]
         series = bucketize(records, NOON, NOON + 120)
-        assert series.bucket(1) == MinuteBucket(NOON + 60, 0, 0)
+        assert bucket(series, 1) == (NOON + 60, 0, 0)
 
     def test_empty_records_give_all_zero_buckets(self):
         series = bucketize([], NOON, NOON + 120)
@@ -107,13 +109,12 @@ class TestBucketize:
 
 class TestTotals:
     def test_total_is_sum_of_channels(self):
-        assert total_updates(MinuteBucket(NOON, 3, 2)) == 5
-        assert total_updates(MinuteBucket(NOON, 0, 0)) == 0
+        assert MinuteSeries(NOON, [3, 0], [2, 0]).totals().tolist() == [5, 0]
 
     def test_reference_peak_minute_total(self):
         series = top15_series()
         i = (parse_minute_utc("2001-07-27T14:50:00Z") - series.start_minute_s) // 60
-        assert total_updates(series.bucket(i)) == 595001
+        assert series.totals()[i] == 595001
 
 
 class TestTopN:
@@ -141,7 +142,7 @@ class TestBucketCsv:
         text = "minute_utc,announcements,withdrawals\n2001-07-27T14:50:00Z,500000,95001\n"
         series = read_bucket_csv(text)
         assert len(series) == 1
-        assert series.bucket(0) == MinuteBucket(996245400, 500000, 95001)
+        assert bucket(series, 0) == (996245400, 500000, 95001)
 
     def test_round_trips_through_write(self):
         text = top15_csv_text()
@@ -158,8 +159,8 @@ class TestBucketCsv:
         )
         series = read_bucket_csv(text)
         assert len(series) == 4
-        assert series.bucket(1) == MinuteBucket(parse_minute_utc("2001-07-05T17:15:00Z"), 0, 0)
-        assert series.bucket(2).announcements == 0
+        assert bucket(series, 1) == (parse_minute_utc("2001-07-05T17:15:00Z"), 0, 0)
+        assert series.announcements[2] == 0
 
     def test_accepts_crlf(self):
         text = "minute_utc,announcements,withdrawals\r\n2001-07-27T14:50:00Z,1,2\r\n"
@@ -204,8 +205,8 @@ class TestBucketCsv:
 
 
 class TestFillAndSlice:
-    def test_fill_gaps_empty_input(self):
-        assert len(fill_gaps([])) == 0
+    def test_header_only_csv_gives_empty_series(self):
+        assert len(read_bucket_csv("minute_utc,announcements,withdrawals\n")) == 0
 
     def test_slice_range_is_inclusive(self):
         series = MinuteSeries(NOON, [1, 2, 3, 4], [0, 0, 0, 0])
