@@ -124,52 +124,72 @@ def reconstruct(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
 
 def sse_loss(model: AutoencoderModel, X: np.ndarray) -> float:
     """Half the summed squared reconstruction error over the rows of X."""
-    _check_matrix(model, X)
-    if X.shape[0] == 0:
-        raise EmptyDataset("loss requires at least one sample")
-    residual = reconstruct(model, X) - X
-    return 0.5 * float(np.sum(residual * residual))
+    f, _ = objective(model, X, "loss")
+    return f(flatten_params(model))
 
 
 def gradient(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
-    """Analytic gradient of :func:`sse_loss` over the flattened parameters.
+    """Analytic gradient of :func:`sse_loss` over w1 (row-major), b1, w2 (row-major), b2."""
+    _, g = objective(model, X, "gradient")
+    return g(flatten_params(model))
 
-    Flattening order: w1 row-major, b1, w2 row-major, b2.
+
+def objective(model: AutoencoderModel, X: np.ndarray, what: str = "objective"):
+    """Fused ``(f, g)`` over flat parameter vectors for the rows of X.
+
+    ``f(flat)`` and ``g(flat)`` equal :func:`sse_loss` and :func:`gradient`
+    bit for bit at the model with parameters ``flat`` (``model`` gives only
+    the dimensions). ``f`` keeps its activations, residual and a copy of its
+    point; ``g`` at a point equal to that copy runs only the backward pass.
     """
     _check_matrix(model, X)
     if X.shape[0] == 0:
-        raise EmptyDataset("gradient requires at least one sample")
-    hidden = np.tanh(X @ model.w1.T + model.b1)
-    residual = (hidden @ model.w2.T + model.b2) - X
-    grad_w2 = residual.T @ hidden
-    grad_b2 = residual.sum(axis=0)
-    d_hidden = (residual @ model.w2) * (1.0 - hidden * hidden)
-    grad_w1 = d_hidden.T @ X
-    grad_b1 = d_hidden.sum(axis=0)
-    return np.concatenate([grad_w1.ravel(), grad_b1, grad_w2.ravel(), grad_b2])
+        raise EmptyDataset(f"{what} requires at least one sample")
+    hidden, residual = np.empty((X.shape[0], model.hidden_dim)), np.empty(X.shape)
+    at = np.full(model.n_params, np.nan)  # point of the last forward pass
+    w2_at = _split(model, at)[2]
+
+    def forward(flat: np.ndarray) -> None:
+        w1, b1, w2, b2 = _split(model, flat)
+        np.add(np.matmul(X, w1.T, out=hidden), b1, out=hidden)
+        np.tanh(hidden, out=hidden)
+        np.add(np.matmul(hidden, w2.T, out=residual), b2, out=residual)
+        np.subtract(residual, X, out=residual)
+        at[:] = flat
+
+    def f(flat: np.ndarray) -> float:
+        forward(flat)
+        return 0.5 * float(np.sum(residual * residual))
+
+    def g(flat: np.ndarray) -> np.ndarray:
+        if not np.array_equal(flat, at):
+            forward(flat)
+        grad_w2, d_hidden = residual.T @ hidden, residual @ w2_at
+        at[:] = np.nan  # hidden turns into 1 - hidden**2 below: the cache is spent
+        d_hidden *= np.subtract(1.0, np.multiply(hidden, hidden, out=hidden), out=hidden)
+        return np.concatenate([(d_hidden.T @ X).ravel(), d_hidden.sum(axis=0), grad_w2.ravel(), residual.sum(axis=0)])
+
+    return f, g
 
 
 def flatten_params(model: AutoencoderModel) -> np.ndarray:
-    return np.concatenate(
-        [model.w1.ravel(), model.b1, model.w2.ravel(), model.b2]
-    )
+    return np.concatenate([model.w1.ravel(), model.b1, model.w2.ravel(), model.b2])
 
 
 def unflatten_params(model: AutoencoderModel, flat: np.ndarray) -> AutoencoderModel:
     """Rebuild a model from a flat parameter vector (inverse of flatten)."""
+    w1, b1, w2, b2 = _split(model, np.array(flat, dtype=np.float64))
+    return replace(model, w1=w1, b1=b1, w2=w2, b2=b2)
+
+
+def _split(model: AutoencoderModel, flat: np.ndarray) -> list[np.ndarray]:
+    """Views of w1, b1, w2 and b2, shaped, in a flat parameter vector."""
     flat = np.asarray(flat, dtype=np.float64)
     if flat.shape != (model.n_params,):
         raise DimensionMismatch(f"expected {model.n_params} parameters, got {flat.shape}")
     h, d = model.hidden_dim, model.input_dim
-    offset = 0
-    w1 = flat[offset : offset + h * d].reshape(h, d).copy()
-    offset += h * d
-    b1 = flat[offset : offset + h].copy()
-    offset += h
-    w2 = flat[offset : offset + d * h].reshape(d, h).copy()
-    offset += d * h
-    b2 = flat[offset : offset + d].copy()
-    return replace(model, w1=w1, b1=b1, w2=w2, b2=b2)
+    w1, b1, w2, b2 = np.split(flat, [h * d, h * d + h, 2 * h * d + h])
+    return [w1.reshape(h, d), b1, w2.reshape(d, h), b2]
 
 
 def _check_matrix(model: AutoencoderModel, X: np.ndarray) -> None:

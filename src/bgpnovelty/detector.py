@@ -219,8 +219,11 @@ def read_novelty_csv(source: str | Iterable[str]) -> tuple[np.ndarray, np.ndarra
         fields = line.split(",")
         if len(fields) != 2:
             raise ValueError(f"line {line_no}: expected 2 fields, got {len(fields)}")
-        minutes.append(parse_minute_utc(fields[0]))
-        value = float(fields[1])
+        try:
+            minutes.append(parse_minute_utc(fields[0]))
+            value = float(fields[1])
+        except ValueError as exc:  # BadTimestamp is a ValueError too
+            raise type(exc)(f"line {line_no}: {exc}") from None
         if not math.isfinite(value):
             raise NonFiniteValue(f"line {line_no}: novelty is not finite: {fields[1]!r}")
         values.append(value)

@@ -9,7 +9,10 @@ for fast supervised learning", Neural Networks 6(4), 1993.
 
 Evaluation economy per cycle: at most two objective evaluations (curvature
 probe plus trial point) and at most one gradient evaluation (at an accepted
-point). The curvature along p is estimated from objective values,
+point: the trial point just evaluated, whose forward pass the fused closures
+of ``autoencoder.objective`` reuse, so a training cycle costs two forward
+passes and one backward pass). The curvature along p is estimated from
+objective values,
 
     p'Hp  ~=  2 (f(x + sigma*p) - f(x) - sigma * p'g(x)) / sigma^2,
 
@@ -30,8 +33,7 @@ from .autoencoder import (
     DimensionMismatch,
     EmptyDataset,
     flatten_params,
-    gradient,
-    sse_loss,
+    objective,
     unflatten_params,
 )
 
@@ -202,14 +204,7 @@ def train(
             f"windows have {X.shape[1]} dimensions, model expects {model.input_dim}"
         )
     X = X.astype(np.float64, copy=False)
-
-    def objective(flat: np.ndarray) -> float:
-        return sse_loss(unflatten_params(model, flat), X)
-
-    def objective_grad(flat: np.ndarray) -> np.ndarray:
-        return gradient(unflatten_params(model, flat), X)
-
-    best, report = scg_minimize(objective, objective_grad, flatten_params(model), cfg)
+    best, report = scg_minimize(*objective(model, X), flatten_params(model), cfg)
     return unflatten_params(model, best), report
 
 

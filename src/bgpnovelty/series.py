@@ -212,6 +212,8 @@ def read_bucket_csv(source: str | Iterable[str]) -> MinuteSeries:
                 raise BucketCsvError(f"line {line_no}: {name} is not an integer: {text!r}") from None
             if value < 0:
                 raise NegativeCount(f"line {line_no}: negative {name}: {value}")
+            if value >= 2**63:  # the int64 columns hold at most 2**63 - 1
+                raise BucketCsvError(f"line {line_no}: {name} exceeds int64: {text!r}")
             column.append(value)
         if minutes and minute_s <= minutes[-1]:
             raise NonMonotonic(

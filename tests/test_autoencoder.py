@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgpnovelty.autoencoder import (
     AutoencoderModel,
@@ -15,6 +17,7 @@ from bgpnovelty.autoencoder import (
     gradient,
     init_model,
     load_model,
+    objective,
     reconstruct,
     save_model,
     sse_loss,
@@ -179,6 +182,88 @@ class TestGradient:
         model = init_model(4, 3, seed=0)
         with pytest.raises(EmptyDataset):
             gradient(model, np.zeros((0, 4)))
+
+
+def reference_loss_and_gradient(model, X):
+    """The loss and gradient formulas, evaluated out of place on the model."""
+    hidden = np.tanh(X @ model.w1.T + model.b1)
+    residual = (hidden @ model.w2.T + model.b2) - X
+    d_hidden = (residual @ model.w2) * (1.0 - hidden * hidden)
+    grad = np.concatenate(
+        [(d_hidden.T @ X).ravel(), d_hidden.sum(axis=0), (residual.T @ hidden).ravel(), residual.sum(axis=0)]
+    )
+    return 0.5 * float(np.sum(residual * residual)), grad
+
+
+shapes_and_seed = st.tuples(
+    st.integers(1, 6), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1)
+)
+
+
+def problem(shape):
+    n, d, h, seed = shape
+    rng = np.random.default_rng(seed)
+    model = init_model(d, h, seed=seed)
+    model = unflatten_params(model, rng.normal(size=model.n_params))
+    return model, rng.uniform(-2.0, 2.0, size=(n, d)), rng
+
+
+class TestObjective:
+    @settings(max_examples=60, deadline=None)
+    @given(shapes_and_seed)
+    def test_equals_sse_loss_and_gradient_exactly(self, shape):
+        model, X, _ = problem(shape)
+        f, g = objective(model, X)
+        flat = flatten_params(model)
+        loss, grad = reference_loss_and_gradient(model, X)
+        assert f(flat) == sse_loss(model, X) == loss
+        assert np.array_equal(g(flat), gradient(model, X))
+        assert np.array_equal(g(flat), grad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes_and_seed)
+    def test_gradient_away_from_last_point_is_fresh(self, shape):
+        model, X, rng = problem(shape)
+        f, g = objective(model, X)
+        flat = flatten_params(model)
+        other = flat + rng.normal(size=flat.size)
+        f(flat)
+        assert np.array_equal(g(other), gradient(unflatten_params(model, other), X))
+        assert np.array_equal(g(flat), gradient(model, X))
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes_and_seed, st.data())
+    def test_in_place_change_after_f_is_never_stale(self, shape, data):
+        model, X, _ = problem(shape)
+        f, g = objective(model, X)
+        flat = flatten_params(model)
+        f(flat)
+        i = data.draw(st.integers(0, flat.size - 1))
+        flat[i] = data.draw(st.floats(-3.0, 3.0).filter(lambda v: v != flat[i]))
+        assert np.array_equal(g(flat), gradient(unflatten_params(model, flat), X))
+
+    @settings(max_examples=30, deadline=None)
+    @given(shapes_and_seed)
+    def test_each_gradient_call_returns_a_new_array(self, shape):
+        model, X, _ = problem(shape)
+        f, g = objective(model, X)
+        flat = flatten_params(model)
+        f(flat)
+        first, second = g(flat), g(flat)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, second)
+
+    def test_rejects_wrong_inputs(self):
+        model = init_model(4, 3, seed=0)
+        with pytest.raises(EmptyDataset):
+            objective(model, np.zeros((0, 4)))
+        with pytest.raises(DimensionMismatch):
+            objective(model, np.zeros((2, 5)))
+        f, g = objective(model, np.zeros((2, 4)))
+        with pytest.raises(DimensionMismatch):
+            f(np.zeros(5))
+        with pytest.raises(DimensionMismatch):
+            g(np.zeros(5))
 
 
 class TestFlattening:

@@ -250,6 +250,16 @@ class TestTop:
         assert got == expected
 
 
+    def test_count_beyond_int64_exits_one_naming_the_line(self, tmp_path, capsys):
+        src = tmp_path / "big.csv"
+        src.write_text(
+            "minute_utc,announcements,withdrawals\n"
+            "2001-07-27T14:50:00Z,99999999999999999999,0\n"
+        )
+        assert run("top", src, "--n", 1) == 1
+        assert "line 2: announcements exceeds int64" in capsys.readouterr().err
+
+
 class TestCompare:
     def test_lead_table(self, tmp_path):
         ae = tmp_path / "ae.json"

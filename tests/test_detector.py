@@ -28,7 +28,7 @@ from bgpnovelty.detector import (
     write_novelty_csv,
 )
 from bgpnovelty.features import fit_normalization, make_windows
-from bgpnovelty.series import MINUTE, format_minute_utc, parse_minute_utc
+from bgpnovelty.series import MINUTE, BadTimestamp, format_minute_utc, parse_minute_utc
 from bgpnovelty.synth import SurgeSpec, gen_baseline, inject_surge
 
 from conftest import top15_series
@@ -249,6 +249,16 @@ class TestFormats:
             f"2001-06-02T00:01:00Z,{text}\n"
         )
         with pytest.raises(NonFiniteValue, match="line 3"):
+            read_novelty_csv(csv)
+
+    def test_novelty_csv_names_the_line_of_a_bad_value(self):
+        csv = "minute_utc,novelty\n2001-06-02T00:00:00Z,5.0\n2001-06-02T00:01:00Z,abc\n"
+        with pytest.raises(ValueError, match="line 3: could not convert"):
+            read_novelty_csv(csv)
+
+    def test_novelty_csv_names_the_line_of_a_bad_timestamp(self):
+        csv = "minute_utc,novelty\n2001-06-02T00:00:00Z,5.0\n2001-06-02T00:01:30Z,1.0\n"
+        with pytest.raises(BadTimestamp, match="line 3: "):
             read_novelty_csv(csv)
 
     def test_alarm_report_round_trip(self):

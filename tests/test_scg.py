@@ -6,8 +6,12 @@ import pytest
 from bgpnovelty.autoencoder import (
     DimensionMismatch,
     EmptyDataset,
+    flatten_params,
+    gradient,
     init_model,
+    save_model,
     sse_loss,
+    unflatten_params,
 )
 from bgpnovelty.features import NormalizationParams
 from bgpnovelty.scg import (
@@ -203,3 +207,42 @@ class TestTrain:
         assert lines[0] == "cycle,loss"
         assert len(lines) == 1 + len(report.loss_history)
         assert lines[1].startswith("1,")
+
+
+class TestFusedObjectiveMatchesReference:
+    """``train`` gives the bytes of SCG over one fresh model per evaluation."""
+
+    @staticmethod
+    def reference_train(model, X, cfg):
+        calls = {"g": 0}
+
+        def f(flat):
+            return sse_loss(unflatten_params(model, flat), X)
+
+        def g(flat):
+            calls["g"] += 1
+            return gradient(unflatten_params(model, flat), X)
+
+        best, report = scg_minimize(f, g, flatten_params(model), cfg)
+        return unflatten_params(model, best), report, calls["g"]
+
+    @pytest.mark.parametrize(
+        "n,d,h,seed,cycles",
+        [(12, 4, 3, 0, 40), (30, 6, 5, 1, 25), (7, 3, 9, 2, 15), (50, 10, 4, 3, 1)],
+    )
+    def test_model_bytes_and_losses_equal(self, n, d, h, seed, cycles):
+        X = np.random.default_rng(seed).uniform(size=(n, d))
+        model = init_model(d, h, seed=seed)
+        cfg = ScgConfig(max_cycles=cycles)
+        expected, expected_report, _ = self.reference_train(model, X, cfg)
+        trained, report = train(model, X, cfg)
+        assert save_model(trained) == save_model(expected)
+        assert report.loss_history == expected_report.loss_history
+        assert report.stop_reason == expected_report.stop_reason
+
+    def test_reference_run_rejects_a_step(self):
+        # The first case above must cover a rejected trial, whose forward
+        # pass stays in the fused cache while the next trial is evaluated.
+        X = np.random.default_rng(0).uniform(size=(12, 4))
+        _, report, g_calls = self.reference_train(init_model(4, 3, seed=0), X, ScgConfig(max_cycles=40))
+        assert g_calls < report.cycles_run + 1

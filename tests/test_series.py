@@ -203,6 +203,20 @@ class TestBucketCsv:
         with pytest.raises(BucketCsvError):
             read_bucket_csv(text)
 
+    @pytest.mark.parametrize("count", [2**63, 99999999999999999999])
+    def test_rejects_count_beyond_int64(self, count):
+        text = (
+            "minute_utc,announcements,withdrawals\n"
+            "2001-07-27T14:50:00Z,1,2\n"
+            f"2001-07-27T14:51:00Z,3,{count}\n"
+        )
+        with pytest.raises(BucketCsvError, match="line 3: withdrawals exceeds int64"):
+            read_bucket_csv(text)
+
+    def test_accepts_int64_maximum(self):
+        text = f"minute_utc,announcements,withdrawals\n2001-07-27T14:50:00Z,{2**63 - 1},0\n"
+        assert read_bucket_csv(text).announcements.tolist() == [2**63 - 1]
+
 
 class TestFillAndSlice:
     def test_header_only_csv_gives_empty_series(self):
