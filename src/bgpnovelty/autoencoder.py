@@ -118,8 +118,12 @@ def init_model(
 def reconstruct(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     """Forward pass over the rows of X, shape (n, input_dim)."""
     _check_matrix(model, X)
-    hidden = np.tanh(X @ model.w1.T + model.b1)
-    return hidden @ model.w2.T + model.b2
+    hidden = X @ model.w1.T
+    hidden += model.b1
+    np.tanh(hidden, out=hidden)
+    out = hidden @ model.w2.T
+    out += model.b2
+    return out
 
 
 def sse_loss(model: AutoencoderModel, X: np.ndarray) -> float:

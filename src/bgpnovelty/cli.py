@@ -249,10 +249,11 @@ def cmd_detect(args) -> int:
 def cmd_top(args) -> int:
     data = _read_bucket_file(args.input)
     ranking = series.top_n(data, args.n)
+    stamps = series.format_minutes_utc([minute for minute, _ in ranking])
     lines = ["rank,minute_utc,total"]
     lines.extend(
-        f"{rank},{series.format_minute_utc(minute)},{total}"
-        for rank, (minute, total) in enumerate(ranking, start=1)
+        f"{rank},{stamp},{total}"
+        for rank, (stamp, (_, total)) in enumerate(zip(stamps, ranking), start=1)
     )
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
@@ -262,11 +263,11 @@ def cmd_compare(args) -> int:
     ae_events = detector.read_alarm_report(args.ae_report.read_text(encoding="utf-8"))
     rule_events = detector.read_alarm_report(args.rule_report.read_text(encoding="utf-8"))
     matches = detector.lead_time(ae_events, rule_events, args.match_window)
+    ae_stamps = series.format_minutes_utc([ae.start_s for ae, _, _ in matches])
+    rule_stamps = series.format_minutes_utc([0 if rule is None else rule.start_s for _, rule, _ in matches])
     lines = ["ae_start,rule_start,lead_minutes"]
-    for ae, rule, lead in matches:
-        rule_text = "" if rule is None else series.format_minute_utc(rule.start_s)
-        lead_text = "" if lead is None else str(lead)
-        lines.append(f"{series.format_minute_utc(ae.start_s)},{rule_text},{lead_text}")
+    for (_, rule, lead), ae_text, rule_text in zip(matches, ae_stamps, rule_stamps):
+        lines.append(f"{ae_text},{'' if rule is None else rule_text},{'' if lead is None else lead}")
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0
 

@@ -12,18 +12,21 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .autoencoder import AutoencoderModel, DimensionMismatch, reconstruct
-from .series import MINUTE, MinuteSeries, format_minute_utc, parse_minute_utc
+from .series import MINUTE, MinuteSeries, csv_columns, first_row_fault, minutes_column
+from .series import format_minute_utc, format_minutes_utc, parse_minutes_utc
 
 SOURCE_AUTOENCODER = "autoencoder"
 SOURCE_RULE = "rule"
 
 NOVELTY_CSV_HEADER = "minute_utc,novelty"
+_SPAN_KEYS = ("start", "end", "peak_minute")  # alarm report fields of AlarmEvent's three minutes
 
 
 class UnsortedInput(ValueError):
@@ -83,8 +86,10 @@ def score_series(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(
             f"windows have {X.shape[-1]} dimensions, model expects {model.input_dim}"
         )
-    residual = reconstruct(model, X) - X
-    return np.mean(residual * residual, axis=1)
+    residual = reconstruct(model, X)
+    residual -= X
+    residual *= residual
+    return np.mean(residual, axis=1)
 
 
 def detect_alarms(
@@ -194,53 +199,50 @@ def lead_time(
 
 def write_novelty_csv(minutes: np.ndarray, values: np.ndarray) -> str:
     """Render per-minute novelty values as CSV with full-precision values."""
-    lines = [NOVELTY_CSV_HEADER]
-    lines.extend(
-        f"{format_minute_utc(minute)},{value!r}"
-        for minute, value in zip(minutes.tolist(), values.tolist(), strict=True)
-    )
-    return "\n".join(lines) + "\n"
+    rows = zip(format_minutes_utc(minutes), map(repr, values.tolist()), strict=True)
+    return "\n".join([NOVELTY_CSV_HEADER, *map(",".join, rows)]) + "\n"
 
 
 def read_novelty_csv(source: str | Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
     """Parse the novelty CSV format into int64 minutes and float64 values.
 
-    Raises NonFiniteValue, naming the line, for a ``nan`` or ``inf`` value.
+    Values take Python's ``float()`` syntax. Errors name the first bad line;
+    a ``nan`` or ``inf`` value raises NonFiniteValue.
     """
-    lines = source.splitlines() if isinstance(source, str) else [ln.rstrip("\n") for ln in source]
-    if not lines or lines[0].rstrip("\r") != NOVELTY_CSV_HEADER:
+    header, (stamps, texts), line_nos, misfit = csv_columns(source, 2, ValueError)
+    if header != NOVELTY_CSV_HEADER:
         raise ValueError(f"expected header {NOVELTY_CSV_HEADER!r}")
-    minutes: list[int] = []
-    values: list[float] = []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.rstrip("\r")
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise ValueError(f"line {line_no}: expected 2 fields, got {len(fields)}")
-        try:
-            minutes.append(parse_minute_utc(fields[0]))
-            value = float(fields[1])
-        except ValueError as exc:  # BadTimestamp is a ValueError too
-            raise type(exc)(f"line {line_no}: {exc}") from None
-        if not math.isfinite(value):
-            raise NonFiniteValue(f"line {line_no}: novelty is not finite: {fields[1]!r}")
-        values.append(value)
-    return np.array(minutes, dtype=np.int64), np.array(values, dtype=np.float64)
+    minutes, stamp_check = minutes_column(stamps)
+    values, bad_value = _floats(texts)
+    first_row_fault(line_nos, [
+        stamp_check,
+        (np.arange(len(texts)) == bad_value[0], lambda i: ValueError(bad_value[1])),
+        (~np.isfinite(values), lambda i: NonFiniteValue(f"novelty is not finite: {texts[i]!r}")),
+    ], misfit)
+    return minutes, values
+
+
+def _floats(texts: list[str]) -> tuple[np.ndarray, tuple[int, str]]:
+    """``float()`` of each text, and the index (-1 for none) and error of the first that fails.
+
+    The values from the failing text on are NaN.
+    """
+    rest = iter(texts)
+    try:
+        return np.fromiter(map(float, rest), np.float64, len(texts)), (-1, "")
+    except ValueError as exc:
+        bad = len(texts) - operator.length_hint(rest) - 1  # map stopped on the text it failed on
+        values = np.full(len(texts), np.nan)
+        values[:bad] = np.fromiter(map(float, texts[:bad]), np.float64, bad)
+        return values, (bad, str(exc))
 
 
 def write_alarm_report(events: Sequence[AlarmEvent]) -> str:
     """Render alarm events as a JSON array."""
+    stamps = format_minutes_utc([t for e in events for t in (e.start_s, e.end_s, e.peak_s)])
     document = [
-        {
-            "start": format_minute_utc(e.start_s),
-            "end": format_minute_utc(e.end_s),
-            "peak_minute": format_minute_utc(e.peak_s),
-            "peak_value": e.peak_value,
-            "source": e.source,
-        }
-        for e in events
+        {**dict(zip(_SPAN_KEYS, stamps[3 * i : 3 * i + 3])), "peak_value": e.peak_value, "source": e.source}
+        for i, e in enumerate(events)
     ]
     return json.dumps(document, indent=1) + "\n"
 
@@ -253,18 +255,12 @@ def read_alarm_report(data: str) -> list[AlarmEvent]:
         raise BadAlarmReport(f"alarm report is not valid JSON: {exc}") from None
     if not isinstance(document, list):
         raise BadAlarmReport("alarm report must be a JSON array")
-    events = []
     try:
-        for entry in document:
-            events.append(
-                AlarmEvent(
-                    start_s=parse_minute_utc(entry["start"]),
-                    end_s=parse_minute_utc(entry["end"]),
-                    peak_s=parse_minute_utc(entry["peak_minute"]),
-                    peak_value=float(entry["peak_value"]),
-                    source=str(entry["source"]),
-                )
-            )
+        stamps = parse_minutes_utc([entry[key] for entry in document for key in _SPAN_KEYS])
+        events = [
+            AlarmEvent(*span, float(entry["peak_value"]), str(entry["source"]))
+            for span, entry in zip(stamps.reshape(-1, 3).tolist(), document)
+        ]
     except (KeyError, TypeError, ValueError) as exc:
         raise BadAlarmReport(f"alarm report entry is malformed: {exc}") from None
     return events

@@ -8,10 +8,9 @@ simply shows up as a run of zero buckets.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
-from typing import Iterable
+from itertools import repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -20,8 +19,6 @@ from .mrt import UpdateRecord
 MINUTE = 60
 
 BUCKET_CSV_HEADER = "minute_utc,announcements,withdrawals"
-
-_MINUTE_RE = re.compile(r"^(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):00Z$")
 
 
 class BucketCsvError(ValueError):
@@ -48,27 +45,74 @@ class InvalidRange(ValueError):
     pass
 
 
-def parse_minute_utc(text: str) -> int:
-    """Parse ``YYYY-MM-DDTHH:MM:00Z`` into minute-aligned epoch seconds.
+def parse_minutes_utc(stamps: Sequence[str]) -> np.ndarray:
+    """Parse ``YYYY-MM-DDTHH:MM:00Z`` stamps into minute-aligned epoch seconds.
 
-    The seconds field must be literally ``00``: raises BadTimestamp for
-    anything else, including otherwise valid ISO-8601 timestamps.
+    Stamps are 20 ASCII characters with the seconds field literally ``00``
+    and a year from 0001 to 9999. Raises BadTimestamp naming the first bad one.
     """
-    match = _MINUTE_RE.match(text)
-    if not match:
-        raise BadTimestamp(f"not a minute-aligned UTC timestamp: {text!r}")
-    year, month, day, hour, minute = (int(g) for g in match.groups())
-    try:
-        moment = datetime(year, month, day, hour, minute, tzinfo=timezone.utc)
-    except ValueError as exc:
-        raise BadTimestamp(f"invalid calendar timestamp: {text!r}") from exc
-    return int(moment.timestamp())
+    minutes, (bad, error) = minutes_column(stamps)
+    if bad.any():
+        raise error(int(np.argmax(bad)))
+    return minutes
+
+
+def parse_minute_utc(text: str) -> int:
+    """One stamp through :func:`parse_minutes_utc`."""
+    return int(parse_minutes_utc([text])[0])
+
+
+def format_minutes_utc(minutes: Sequence[int] | np.ndarray) -> list[str]:
+    """Render epoch seconds as ``YYYY-MM-DDTHH:MM:00Z``, dropping any seconds.
+
+    Raises ValueError outside the years 0001-9999, which the parser rejects.
+    """
+    minutes = np.asarray(minutes, dtype=np.int64)
+    outside = (minutes < _FIRST_SECOND) | (minutes > _LAST_SECOND)
+    if outside.any():
+        raise ValueError(f"epoch second {minutes[np.argmax(outside)]} is outside the years 0001-9999")
+    return [text + ":00Z" for text in np.datetime_as_string(minutes.astype("datetime64[s]"), unit="m").tolist()]
 
 
 def format_minute_utc(minute_start_s: int) -> str:
-    """Render minute-aligned epoch seconds as ``YYYY-MM-DDTHH:MM:00Z``."""
-    moment = datetime.fromtimestamp(minute_start_s, tz=timezone.utc)
-    return moment.strftime("%Y-%m-%dT%H:%M:00Z")
+    """One minute through :func:`format_minutes_utc`."""
+    return format_minutes_utc([minute_start_s])[0]
+
+
+_STAMP = np.array([ord(c) - ord("0") for c in "dddd-dd-ddTdd:dd:00Z"])  # "d": any digit
+_DIGIT = _STAMP == ord("d") - ord("0")
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_FIRST_SECOND, _LAST_SECOND = -62135596800, 253402300799  # 0001-01-01T00:00:00Z, 9999-12-31T23:59:59Z
+
+
+def minutes_column(stamps: Sequence[str]) -> tuple[np.ndarray, tuple]:
+    """Epoch seconds of each stamp, and the ``(bad, error)`` check of :func:`first_row_fault`.
+
+    Seconds hold only where ``bad`` is False; ``error(i)`` is stamp ``i``'s BadTimestamp.
+    """
+    n = len(stamps)
+    lengths = np.fromiter(map(len, stamps), np.int64, n)
+    digits = np.array(stamps, dtype="U20").view(np.int32).reshape(n, 20)  # code points
+    digits -= ord("0")
+    shape_ok = (lengths == 20) & np.where(_DIGIT, (digits >= 0) & (digits < 10), digits == _STAMP).all(axis=1)
+    year, month, day, hour, minute = (
+        digits[:, lo : lo + width] @ 10 ** np.arange(width - 1, -1, -1)
+        for lo, width in ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2))
+    )
+    month_ok = (month >= 1) & (month <= 12)
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _DAYS_IN_MONTH[np.where(month_ok, month, 0)] + ((month == 2) & leap)
+    calendar_ok = (year >= 1) & month_ok & (day >= 1) & (day <= month_days) & (hour < 24) & (minute < 60)
+    # days since 1970-01-01 by the proleptic Gregorian days-from-civil formula
+    era, year_of_era = np.divmod(year - (month <= 2), 400)
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = 146097 * era + 365 * year_of_era + year_of_era // 4 - year_of_era // 100 + day_of_year - 719468
+
+    def error(i: int) -> BadTimestamp:
+        kind = "invalid calendar" if shape_ok[i] else "not a minute-aligned UTC"
+        return BadTimestamp(f"{kind} timestamp: {stamps[i]!r}")
+
+    return 86400 * days + 3600 * hour + 60 * minute, (~(shape_ok & calendar_ok), error)
 
 
 @dataclass(frozen=True)
@@ -176,69 +220,94 @@ def read_bucket_csv(source: str | Iterable[str]) -> MinuteSeries:
     """Read the bucket CSV format into a gapless series.
 
     The first line must be exactly ``minute_utc,announcements,withdrawals``;
-    rows carry a ``YYYY-MM-DDTHH:MM:00Z`` timestamp and two non-negative
-    integers, strictly ascending in time. LF and CRLF inputs are both
+    rows carry a ``YYYY-MM-DDTHH:MM:00Z`` timestamp and two counts of ASCII
+    decimal digits, strictly ascending in time. LF and CRLF inputs are both
     accepted. Interior gaps between rows are zero-filled. An input without
-    data rows gives an empty series starting at epoch 0.
+    data rows gives an empty series starting at epoch 0. An error names the
+    first bad line.
     """
-    lines = source.splitlines() if isinstance(source, str) else [ln.rstrip("\n") for ln in source]
-    if not lines:
+    header, (stamps, announcements, withdrawals), line_nos, misfit = csv_columns(source, 3, BucketCsvError)
+    if header is None:
         raise BadHeader("empty input; expected header line")
-    header = lines[0].rstrip("\r")
     if header != BUCKET_CSV_HEADER:
         raise BadHeader(f"expected header {BUCKET_CSV_HEADER!r}, got {header!r}")
-
-    minutes: list[int] = []
-    announcements: list[int] = []
-    withdrawals: list[int] = []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        line = raw.rstrip("\r")
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise BucketCsvError(f"line {line_no}: expected 3 fields, got {len(fields)}")
-        try:
-            minute_s = parse_minute_utc(fields[0])
-        except BadTimestamp as exc:
-            raise BadTimestamp(f"line {line_no}: {exc}") from None
-        for name, text, column in (
-            ("announcements", fields[1], announcements),
-            ("withdrawals", fields[2], withdrawals),
-        ):
-            try:
-                value = int(text)
-            except ValueError:
-                raise BucketCsvError(f"line {line_no}: {name} is not an integer: {text!r}") from None
-            if value < 0:
-                raise NegativeCount(f"line {line_no}: negative {name}: {value}")
-            if value >= 2**63:  # the int64 columns hold at most 2**63 - 1
-                raise BucketCsvError(f"line {line_no}: {name} exceeds int64: {text!r}")
-            column.append(value)
-        if minutes and minute_s <= minutes[-1]:
-            raise NonMonotonic(
-                f"line {line_no}: timestamp {fields[0]} not after the previous row"
-            )
-        minutes.append(minute_s)
-
-    if not minutes:
-        return MinuteSeries(0, np.zeros(0, np.int64), np.zeros(0, np.int64))
-    index = (np.array(minutes, dtype=np.int64) - minutes[0]) // MINUTE
-    n = int(index[-1]) + 1
-    filled_a = np.zeros(n, dtype=np.int64)
-    filled_w = np.zeros(n, dtype=np.int64)
-    filled_a[index] = announcements
-    filled_w[index] = withdrawals
-    return MinuteSeries(minutes[0], filled_a, filled_w)
+    minutes, stamp_check = minutes_column(stamps)
+    first_row_fault(line_nos, [
+        stamp_check,
+        (_count_faults(announcements), lambda i: _count_error("announcements", announcements[i])),
+        (_count_faults(withdrawals), lambda i: _count_error("withdrawals", withdrawals[i])),
+        (np.diff(minutes, prepend=minutes[:1] - 1) <= 0,
+         lambda i: NonMonotonic(f"timestamp {stamps[i]} not after the previous row")),
+    ], misfit)
+    start = int(minutes[0]) if len(minutes) else 0
+    index = (minutes - start) // MINUTE
+    counts = np.zeros((2, int(index[-1]) + 1 if len(index) else 0), dtype=np.int64)
+    counts[:, index] = np.array([announcements, withdrawals], dtype=np.int64)
+    return MinuteSeries(start, counts[0], counts[1])
 
 
 def write_bucket_csv(series: MinuteSeries) -> str:
     """Render a series in the bucket CSV format (LF line endings)."""
-    lines = [BUCKET_CSV_HEADER]
-    lines.extend(
-        f"{format_minute_utc(minute)},{a},{w}"
-        for minute, a, w in zip(
-            series.minutes().tolist(), series.announcements.tolist(), series.withdrawals.tolist()
-        )
-    )
-    return "\n".join(lines) + "\n"
+    counts = map(str, series.announcements.tolist()), map(str, series.withdrawals.tolist())
+    rows = map(",".join, zip(format_minutes_utc(series.minutes()), *counts))
+    return "\n".join([BUCKET_CSV_HEADER, *rows]) + "\n"
+
+
+def csv_columns(source: str | Iterable[str], width: int, error: type[ValueError]) -> tuple:
+    """Header (None for no lines), the data rows in ``width`` columns, their line numbers.
+
+    Blank lines are skipped. The rows stop before the first one without
+    ``width`` fields, for which the last item is an ``error``; it is None when
+    every row fits.
+    """
+    lines = source.splitlines() if isinstance(source, str) else [ln.rstrip("\n").rstrip("\r") for ln in source]
+    header, rows = (lines[0], lines[1:]) if lines else (None, [])
+    line_nos = np.arange(2, len(rows) + 2)[np.fromiter(map(bool, rows), bool, len(rows))]
+    rows = list(filter(None, rows))
+    commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows))
+    cut = int(np.argmax(commas != width - 1)) if (commas != width - 1).any() else len(rows)
+    misfit = None
+    if cut < len(rows):
+        misfit = error(f"line {line_nos[cut]}: expected {width} fields, got {commas[cut] + 1}")
+    fields = ",".join(rows[:cut]).split(",") if cut else []
+    return header, [fields[i::width] for i in range(width)], line_nos[:cut], misfit
+
+
+def first_row_fault(line_nos: np.ndarray, checks, misfit: ValueError | None) -> None:
+    """Raise for the earliest row any check flags, prefixed with its line number.
+
+    ``checks`` pairs a boolean mask over the rows with a function from a row
+    index to the exception; a row's checks apply in the order given. With
+    no row flagged, raises ``misfit`` when it is not None.
+    """
+    flags = np.array([mask for mask, _ in checks])  # (checks, rows)
+    rows = np.flatnonzero(flags.any(axis=0))
+    if rows.size:
+        exc = checks[int(np.argmax(flags[:, rows[0]]))][1](rows[0])
+        raise type(exc)(f"line {line_nos[rows[0]]}: {exc}")
+    if misfit:
+        raise misfit
+
+
+def _is_digits(text: str) -> bool:
+    return text.isascii() and text.isdigit()
+
+
+def _count_faults(texts: list[str]) -> np.ndarray:
+    """Where a count is not ASCII decimal digits or does not fit in int64."""
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    if _is_digits("".join(texts)) and lengths.all():
+        bad = np.zeros(len(texts), dtype=bool)
+    else:  # find the bad ones
+        bad = ~np.fromiter(map(_is_digits, texts), bool, len(texts))
+    for i in np.flatnonzero(~bad & (lengths > 18)):  # only these can reach 2**63
+        bad[i] = int(texts[i]) >= 2**63
+    return bad
+
+
+def _count_error(name: str, text: str) -> BucketCsvError:
+    if text[:1] == "-" and _is_digits(text[1:]) and int(text[1:]) > 0:
+        return NegativeCount(f"negative {name}: {int(text)}")
+    if _is_digits(text):
+        return BucketCsvError(f"{name} exceeds int64: {text!r}")
+    return BucketCsvError(f"{name} is not an integer: {text!r}")

@@ -317,6 +317,13 @@ class TestSynth:
         assert b.announcements[30] == 5 * a.announcements[30]
         assert b.announcements[29] == a.announcements[29]
 
+    def test_years_before_1000_round_trip_through_top(self, tmp_path, capsys):
+        out = tmp_path / "y.csv"
+        assert run("synth", "--minutes", 3, "--start", "0999-01-01T00:00:00Z", "--out", out) == 0
+        assert out.read_text().splitlines()[1].startswith("0999-01-01T00:00:00Z,")
+        assert run("top", out, "--n", 1) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[1].startswith("0999-01-01T00:0")
+
     def test_bad_surge_spec_exits_one(self, tmp_path, capsys):
         assert run(
             "synth", "--minutes", 10, "--surge", "shape=step", "--out", tmp_path / "x.csv",

@@ -1,6 +1,7 @@
 """Novelty scoring, alarm grouping, the rule baseline, and lead-time pairing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -84,6 +85,17 @@ class TestScoreSeries:
         assert values.shape == (11,)
         one_by_one = [novelty(model, row) for row in windows]
         assert np.allclose(values, one_by_one, rtol=1e-12, atol=0.0)
+
+    def test_equals_the_out_of_place_formula_bit_for_bit(self):
+        rng = np.random.default_rng(44)
+        model = init_model(12, 7, seed=44)
+        model = tiny_model(model.w1, rng.normal(size=7), model.w2, rng.normal(size=12))
+        X = rng.uniform(size=(30, 12))
+        before = X.copy()
+        recon = np.tanh(X @ model.w1.T + model.b1) @ model.w2.T + model.b2
+        assert np.array_equal(reconstruct(model, X), recon)
+        assert np.array_equal(score_series(model, X), np.mean((recon - X) * (recon - X), axis=1))
+        assert np.array_equal(X, before)
 
     def test_empty_windows_give_empty_points(self):
         model = init_model(4, 3, seed=0)
@@ -260,6 +272,35 @@ class TestFormats:
         csv = "minute_utc,novelty\n2001-06-02T00:00:00Z,5.0\n2001-06-02T00:01:30Z,1.0\n"
         with pytest.raises(BadTimestamp, match="line 3: "):
             read_novelty_csv(csv)
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            (["2001-06-02T00:01:00Z,abc", "2001-06-02T00:02:30Z,1.0", "2001-06-02T00:03:00Z"],
+             ValueError, "line 3: could not convert string to float: 'abc'"),
+            (["2001-06-02T00:01:00Z,nan", "2001-06-02T00:02:00Z"],
+             NonFiniteValue, "line 3: novelty is not finite: 'nan'"),
+            (["2001-06-02T00:01:00Z", "2001-06-02T00:02:00Z,abc"],
+             ValueError, "line 3: expected 2 fields, got 1"),
+            (["2001-06-31T00:01:00Z,abc"], BadTimestamp, "line 3: invalid calendar timestamp"),
+            (["", "2001-06-02T00:01:00Z,1.0", "\u0662001-06-02T00:02:00Z,1.0"],
+             BadTimestamp, "line 5: not a minute-aligned UTC timestamp"),
+        ],
+    )
+    def test_novelty_csv_names_the_first_bad_row(self, rows, error, message):
+        csv = "minute_utc,novelty\n2001-06-02T00:00:00Z,5.0\n" + "\n".join(rows) + "\n"
+        with pytest.raises(error, match=re.escape(message)) as raised:
+            read_novelty_csv(csv)
+        assert type(raised.value) is error
+
+    def test_novelty_values_keep_the_float_syntax(self):
+        csv = "minute_utc,novelty\n2001-06-02T00:00:00Z, 1_0.5 \n2001-06-02T00:01:00Z,\u0662\n"
+        assert read_novelty_csv(csv)[1].tolist() == [10.5, 2.0]
+
+    def test_empty_novelty_csv_gives_empty_arrays(self):
+        minutes, values = read_novelty_csv("minute_utc,novelty\n")
+        assert minutes.dtype == np.int64 and values.dtype == np.float64
+        assert minutes.shape == values.shape == (0,)
 
     def test_alarm_report_round_trip(self):
         events = [event(0), event(100, SOURCE_RULE)]

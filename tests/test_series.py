@@ -1,7 +1,12 @@
-"""Minute bucketing, CSV round trips, and ranking."""
+"""Minute bucketing, CSV round trips, ranking, and the minute-timestamp codec."""
+
+import re
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgpnovelty.mrt import UpdateRecord
 from bgpnovelty.series import (
@@ -14,7 +19,9 @@ from bgpnovelty.series import (
     NonMonotonic,
     bucketize,
     format_minute_utc,
+    format_minutes_utc,
     parse_minute_utc,
+    parse_minutes_utc,
     read_bucket_csv,
     slice_range,
     top_n,
@@ -49,6 +56,130 @@ class TestTimestamps:
     def test_rejects_non_minute_timestamps(self, text):
         with pytest.raises(BadTimestamp):
             parse_minute_utc(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0001-01-01T00:00:00Z", "0999-01-01T00:00:00Z", "0999-12-31T23:59:00Z", "9999-12-31T23:59:00Z"],
+    )
+    def test_round_trips_at_four_digit_year_bounds(self, text):
+        assert format_minute_utc(parse_minute_utc(text)) == text
+
+    def test_year_10000_raises_instead_of_writing_an_unreadable_stamp(self):
+        last = parse_minute_utc("9999-12-31T23:59:00Z")
+        with pytest.raises(ValueError, match="outside the years 0001-9999"):
+            format_minute_utc(last + 60)
+        with pytest.raises(ValueError, match=str(last + 60)):
+            format_minutes_utc([last, last + 60, last + 120])
+
+    def test_year_before_0001_raises(self):
+        with pytest.raises(ValueError, match="outside the years 0001-9999"):
+            format_minute_utc(parse_minute_utc("0001-01-01T00:00:00Z") - 60)
+
+    def test_seconds_are_dropped_when_formatting(self):
+        assert format_minutes_utc([61, -1]) == ["1970-01-01T00:01:00Z", "1969-12-31T23:59:00Z"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "\u0662\u0660\u0662\u0660-01-01T00:00:00Z",  # Arabic-Indic digits
+            "\uff12\uff10\uff12\uff10-01-01T00:00:00Z",  # fullwidth digits
+            "2020-01-01T00:00:00Z\n",
+        ],
+    )
+    def test_rejects_non_ascii_digits_and_trailing_newline(self, text):
+        with pytest.raises(BadTimestamp, match="not a minute-aligned UTC timestamp"):
+            parse_minute_utc(text)
+
+    def test_batch_parse_names_the_first_bad_stamp(self):
+        stamps = ["2001-07-27T14:50:00Z", "2001-02-29T00:00:00Z", "2001-07-27T14:50:30Z"]
+        with pytest.raises(BadTimestamp, match="invalid calendar timestamp: '2001-02-29T00:00:00Z'"):
+            parse_minutes_utc(stamps)
+
+    def test_empty_column_gives_empty_arrays(self):
+        minutes = parse_minutes_utc([])
+        assert minutes.dtype == np.int64 and minutes.shape == (0,)
+        assert format_minutes_utc(np.zeros(0, dtype=np.int64)) == []
+
+
+# Scalar reference for the batched codec: a regex restricted to ASCII digits
+# plus datetime for the calendar, and a strftime with the year zero-padded.
+_REFERENCE_STAMP = re.compile(r"(\d{4})-(\d{2})-(\d{2})T(\d{2}):(\d{2}):00Z", re.ASCII)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_FIRST_MINUTE = -62135596800 // 60  # 0001-01-01T00:00Z
+_LAST_MINUTE = 253402300740 // 60  # 9999-12-31T23:59Z
+
+
+def reference_parse(text):
+    match = _REFERENCE_STAMP.fullmatch(text)
+    if not match:
+        raise BadTimestamp(f"not a minute-aligned UTC timestamp: {text!r}")
+    try:
+        moment = datetime(*(int(g) for g in match.groups()), tzinfo=timezone.utc)
+    except ValueError:
+        raise BadTimestamp(f"invalid calendar timestamp: {text!r}") from None
+    return int((moment - _EPOCH).total_seconds())
+
+
+def reference_format(minute_s):
+    moment = _EPOCH + timedelta(seconds=minute_s)
+    return f"{moment.year:04d}" + moment.strftime("-%m-%dT%H:%M:00Z")
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except BadTimestamp as exc:
+        return type(exc), str(exc)
+
+
+minute_epochs = st.integers(min_value=_FIRST_MINUTE, max_value=_LAST_MINUTE).map(lambda m: 60 * m)
+
+# Each mutation rewrites part of a valid stamp into a near miss.
+_MUTATIONS = [
+    lambda s, c: s[:4] + c + s[5:],  # date separator
+    lambda s, c: s[:10] + c + s[11:],  # the "T"
+    lambda s, c: s[:16] + c + s[17:],  # time separator
+    lambda s, c: s[:17] + "30" + s[19:],  # seconds other than 00
+    lambda s, c: s[:11] + "24" + s[13:],  # hour 24
+    lambda s, c: s[:14] + "60" + s[16:],  # minute 60
+    lambda s, c: s[:5] + "02-29" + s[10:],  # Feb 29, valid only in leap years
+    lambda s, c: s[:5] + "02-30" + s[10:],
+    lambda s, c: s[:5] + "13" + s[7:],  # month 13
+    lambda s, c: s[:8] + "00" + s[10:],  # day 0
+    lambda s, c: "0000" + s[4:],  # year 0
+    lambda s, c: s + " ",  # trailing space
+    lambda s, c: s[:-1],  # truncated
+    lambda s, c: c + s[1:],  # replaced first year digit
+    lambda s, c: s[:9] + c + s[10:],  # replaced last day digit
+]
+_REPLACEMENTS = st.sampled_from(["-", ":", "T", "Z", " ", "0", "9", "a", "\u0662", "\uff15", "\u00b2", "\x00"])
+
+
+class TestCodecMatchesScalarReference:
+    @settings(max_examples=300, deadline=None)
+    @given(minutes=st.lists(minute_epochs, max_size=50))
+    def test_format_and_parse_equal_the_reference(self, minutes):
+        stamps = format_minutes_utc(np.array(minutes, dtype=np.int64))
+        assert stamps == [reference_format(m) for m in minutes]
+        assert parse_minutes_utc(stamps).tolist() == minutes
+        assert [reference_parse(s) for s in stamps] == minutes
+
+    @settings(max_examples=500, deadline=None)
+    @given(minute=minute_epochs, mutate=st.sampled_from(_MUTATIONS), char=_REPLACEMENTS)
+    def test_mutated_stamps_are_judged_like_the_reference(self, minute, mutate, char):
+        text = mutate(reference_format(minute), char)
+        assert _outcome(parse_minute_utc, text) == _outcome(reference_parse, text)
+
+    @pytest.mark.parametrize("year", [4, 100, 400, 1900, 1996, 2000, 2001, 2100, 2400, 9996, 9999])
+    @pytest.mark.parametrize("day", ["02-28", "02-29", "02-30", "03-01", "12-31"])
+    def test_leap_years_agree_with_the_reference(self, year, day):
+        text = f"{year:04d}-{day}T12:34:00Z"
+        assert _outcome(parse_minute_utc, text) == _outcome(reference_parse, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(max_size=24))
+    def test_arbitrary_text_is_judged_like_the_reference(self, text):
+        assert _outcome(parse_minute_utc, text) == _outcome(reference_parse, text)
 
 
 class TestBucketize:
@@ -213,6 +344,25 @@ class TestBucketCsv:
         with pytest.raises(BucketCsvError, match="line 3: withdrawals exceeds int64"):
             read_bucket_csv(text)
 
+    @pytest.mark.parametrize("count", ["1_000", " +7 ", "+7", "\u0663", "", "1.0", "0x10", "-0", " 5"])
+    def test_rejects_counts_that_are_not_ascii_digits(self, count):
+        text = (
+            "minute_utc,announcements,withdrawals\n"
+            "2001-07-27T14:50:00Z,1,2\n"
+            f"2001-07-27T14:51:00Z,{count},4\n"
+        )
+        with pytest.raises(BucketCsvError, match=f"line 3: announcements is not an integer: {re.escape(repr(count))}"):
+            read_bucket_csv(text)
+
+    def test_negative_count_keeps_its_message(self):
+        text = "minute_utc,announcements,withdrawals\n2001-07-27T14:50:00Z,1,2\n2001-07-27T14:51:00Z,3,-5\n"
+        with pytest.raises(NegativeCount, match="^line 3: negative withdrawals: -5$"):
+            read_bucket_csv(text)
+
+    def test_leading_zeros_are_digits(self):
+        text = f"minute_utc,announcements,withdrawals\n2001-07-27T14:50:00Z,007,{'0' * 30}42\n"
+        assert bucket(read_bucket_csv(text), 0) == (996245400, 7, 42)
+
     def test_accepts_int64_maximum(self):
         text = f"minute_utc,announcements,withdrawals\n2001-07-27T14:50:00Z,{2**63 - 1},0\n"
         assert read_bucket_csv(text).announcements.tolist() == [2**63 - 1]
@@ -231,3 +381,38 @@ class TestFillAndSlice:
         series = MinuteSeries(NOON, [1, 2], [0, 0])
         with pytest.raises(InvalidRange):
             slice_range(series, NOON - 60, NOON)
+
+
+class TestFirstBadLine:
+    HEADER = "minute_utc,announcements,withdrawals\n"
+    OK = "2001-07-27T14:50:00Z,1,2\n"
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            # a bad count on line 3 comes before a bad stamp and a short row below it
+            (["2001-07-27T14:51:00Z,x,2", "2001-07-27T14:52:30Z,1,2", "2001-07-27T14:53:00Z,1"],
+             BucketCsvError, "line 3: announcements is not an integer: 'x'"),
+            # a short row on line 3 comes before a bad stamp on line 4
+            (["2001-07-27T14:51:00Z,1", "2001-07-27T14:52:30Z,1,2"],
+             BucketCsvError, "line 3: expected 3 fields, got 2"),
+            # a bad stamp on line 3 comes before the out-of-order row on line 4
+            (["2001-07-27T14:51:30Z,1,2", "2001-07-27T14:40:00Z,1,2"],
+             BadTimestamp, "line 3: not a minute-aligned UTC timestamp: '2001-07-27T14:51:30Z'"),
+            # within one row the stamp is checked before the counts
+            (["2001-02-30T14:51:00Z,-1,x"], BadTimestamp, "line 3: invalid calendar timestamp"),
+            (["2001-07-27T14:51:00Z,-1,x"], NegativeCount, "line 3: negative announcements: -1"),
+            # the counts before the order
+            (["2001-07-27T14:49:00Z,1,x"], BucketCsvError, "line 3: withdrawals is not an integer"),
+            # blank lines count towards the line number
+            (["", "2001-07-27T14:50:00Z,1,2", "2001-07-27T14:51:00Z,1,2,3"],
+             NonMonotonic, "line 4: timestamp 2001-07-27T14:50:00Z not after the previous row"),
+        ],
+    )
+    def test_bucket_reader_names_the_first_bad_row(self, rows, error, message):
+        text = self.HEADER + self.OK + "\n".join(rows) + "\n"
+        with pytest.raises(error, match=re.escape(message)) as raised:
+            read_bucket_csv(text)
+        assert type(raised.value) is error
+        with pytest.raises(error, match=re.escape(message)):
+            read_bucket_csv(text.splitlines(keepends=True))
