@@ -22,7 +22,7 @@ from .features import (
     fit_normalization,
     make_windows,
 )
-from .mrt import UpdateRecord, parse_mrt_stream
+from .mrt import parse_mrt_stream
 from .scg import ScgConfig, TrainReport, scg_minimize, train
 from .series import (
     MinuteSeries,

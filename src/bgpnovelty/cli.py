@@ -172,12 +172,12 @@ def cmd_ingest(args) -> int:
         result = parsed
     else:
         records = mrt.parse_mrt_stream(data)
-        if not records and (start is None or end is None):
+        if not len(records) and (start is None or end is None):
             raise ValueError("input contains no BGP UPDATE records and no range was given")
         if start is None:
-            start = min(r.timestamp_s for r in records) // 60 * 60
+            start = int(records[:, 0].min()) // 60 * 60
         if end is None:
-            end = max(r.timestamp_s for r in records) // 60 * 60
+            end = int(records[:, 0].max()) // 60 * 60
         result = series.bucketize(records, start, end)
     _write_text(args.out, series.write_bucket_csv(result))
     return 0

@@ -14,8 +14,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .mrt import UpdateRecord
-
 MINUTE = 60
 
 BUCKET_CSV_HEADER = "minute_utc,announcements,withdrawals"
@@ -157,29 +155,30 @@ class MinuteSeries:
         return self.announcements + self.withdrawals
 
 
-def bucketize(
-    records: Iterable[UpdateRecord],
-    start_minute_s: int,
-    end_minute_s: int,
-) -> MinuteSeries:
-    """Sum update records into one-minute buckets over an inclusive range.
+def bucketize(records: np.ndarray, start_minute_s: int, end_minute_s: int) -> MinuteSeries:
+    """Sum ``(timestamp_s, announced, withdrawn)`` rows into one-minute buckets.
 
-    Records need not be sorted; records outside the range are dropped;
-    minutes with no records hold zeros. The output always spans
-    ``(end - start)/60 + 1`` buckets regardless of input sparsity.
+    ``records`` is an ``(n, 3)`` integer array, as ``mrt.parse_mrt_stream``
+    returns; the range is inclusive. Rows need not be sorted; rows outside
+    the range are dropped; minutes with no rows hold zeros. Sums are exact
+    int64. The output always spans ``(end - start)/60 + 1`` buckets
+    regardless of input sparsity.
     """
     if start_minute_s % MINUTE or end_minute_s % MINUTE:
         raise InvalidRange("range bounds must be minute-aligned epoch seconds")
     if end_minute_s < start_minute_s:
         raise InvalidRange(f"range end {end_minute_s} before start {start_minute_s}")
+    records = np.asarray(records, dtype=np.int64)
+    if records.ndim != 2 or records.shape[1] != 3:
+        raise ValueError(f"records must be an (n, 3) array, got shape {records.shape}")
     n = (end_minute_s - start_minute_s) // MINUTE + 1
+    index = (records[:, 0] - start_minute_s) // MINUTE
+    keep = (index >= 0) & (index < n)
+    index = index[keep]
     announcements = np.zeros(n, dtype=np.int64)
     withdrawals = np.zeros(n, dtype=np.int64)
-    for record in records:
-        if start_minute_s <= record.timestamp_s < end_minute_s + MINUTE:
-            i = (record.timestamp_s - start_minute_s) // MINUTE
-            announcements[i] += record.announced
-            withdrawals[i] += record.withdrawn
+    np.add.at(announcements, index, records[keep, 1])
+    np.add.at(withdrawals, index, records[keep, 2])
     return MinuteSeries(start_minute_s, announcements, withdrawals)
 
 

@@ -48,6 +48,25 @@ def mrt_record(mrt_type: int, subtype: int, body: bytes, timestamp: int = 994601
     return struct.pack(">IHHI", timestamp, mrt_type, subtype, len(body)) + body
 
 
+def bgp4mp_message_record(
+    message: bytes,
+    mrt_type: int = 16,
+    subtype: int = 1,
+    afi: int = 1,
+    timestamp: int = 994601400,
+    microseconds: int = 0,
+) -> bytes:
+    """Any MRT type and subtype around a BGP4MP MESSAGE body.
+
+    The body has the AS4 layout for subtype 4 and the microsecond field for
+    type 17 (BGP4MP_ET), as a parser reading those headers expects.
+    """
+    body = bgp4mp_body(message, as4=subtype == 4, afi=afi)
+    if mrt_type == 17:
+        body = struct.pack(">I", microseconds) + body
+    return mrt_record(mrt_type, subtype, body, timestamp)
+
+
 def bgp4mp_update_record(
     timestamp: int = 994601400,
     n_announced: int = 2,

@@ -202,7 +202,7 @@ def test_mrt_fixture_corpus():
     assert len(CORPUS) >= 5
     for name, stream, expected in CORPUS:
         records = parse_mrt_stream(stream)
-        assert [(r.timestamp_s, r.announced, r.withdrawn) for r in records] == expected, name
+        assert [tuple(r) for r in records.tolist()] == expected, name
 
     with pytest.raises(TruncatedRecord):
         parse_mrt_stream(b"\x00" * 11)

@@ -1,11 +1,17 @@
-"""MRT parser tests against the hand-built byte fixtures."""
+"""MRT parser tests against the hand-built byte fixtures and the per-record reference."""
 
+from itertools import product
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgpnovelty.mrt import (
+    BLOCK_RECORDS,
     MalformedPrefix,
+    MrtParseError,
     TruncatedRecord,
-    UpdateRecord,
     parse_mrt_stream,
 )
 
@@ -13,27 +19,37 @@ from mrtbuild import (
     CORPUS,
     attrs_only_update_record,
     bgp4mp_body,
+    bgp4mp_message_record,
+    bgp_keepalive,
     bgp_update,
     bgp4mp_update_record,
+    keepalive_record,
     mrt_record,
     prefix,
     table_dump_record,
 )
+from mrtref import reference_parse
+
+
+def rows(records):
+    """The parser's ``(n, 3)`` array as a list of ``(timestamp_s, announced, withdrawn)`` tuples."""
+    assert records.dtype == np.int64 and records.ndim == 2 and records.shape[1] == 3
+    return [tuple(r) for r in records.tolist()]
 
 
 @pytest.mark.parametrize("name,stream,expected", CORPUS, ids=[c[0] for c in CORPUS])
 def test_fixture_corpus(name, stream, expected):
     records = parse_mrt_stream(stream)
-    assert [(r.timestamp_s, r.announced, r.withdrawn) for r in records] == expected
+    assert rows(records) == expected
 
 
 def test_update_counts_prefixes_not_messages():
     stream = bgp4mp_update_record(timestamp=1000, n_announced=2, n_withdrawn=1)
-    assert parse_mrt_stream(stream) == [UpdateRecord(1000, 2, 1)]
+    assert rows(parse_mrt_stream(stream)) == [(1000, 2, 1)]
 
 
 def test_table_dump_only_yields_empty_sequence():
-    assert parse_mrt_stream(table_dump_record()) == []
+    assert rows(parse_mrt_stream(table_dump_record())) == []
 
 
 def test_input_shorter_than_header_is_truncated():
@@ -72,37 +88,196 @@ def test_prefix_bytes_overrunning_field_is_malformed():
 
 def test_ipv6_afi_header_is_walked_correctly():
     stream = bgp4mp_update_record(timestamp=2000, n_announced=1, n_withdrawn=0, afi=2)
-    assert parse_mrt_stream(stream) == [UpdateRecord(2000, 1, 0)]
+    assert rows(parse_mrt_stream(stream)) == [(2000, 1, 0)]
 
 
 def test_unknown_afi_record_is_skipped():
     message = bgp_update(nlri=prefix(8, 10))
     stream = mrt_record(16, 1, bgp4mp_body(message, afi=3))
-    assert parse_mrt_stream(stream) == []
+    assert rows(parse_mrt_stream(stream)) == []
 
 
 def test_zero_prefix_update_yields_zero_counts():
     records = parse_mrt_stream(attrs_only_update_record(timestamp=500))
-    assert records == [UpdateRecord(500, 0, 0)]
+    assert rows(records) == [(500, 0, 0)]
 
 
 def test_extended_time_truncates_to_whole_seconds():
     stream = bgp4mp_update_record(timestamp=3000, extended=True, microseconds=999_999)
-    (record,) = parse_mrt_stream(stream)
-    assert record.timestamp_s == 3000
+    ((timestamp_s, _, _),) = rows(parse_mrt_stream(stream))
+    assert timestamp_s == 3000
 
 
 def test_parse_is_pure_function_of_bytes():
     stream = b"".join(item[1] for item in CORPUS)
-    assert parse_mrt_stream(stream) == parse_mrt_stream(stream)
+    assert rows(parse_mrt_stream(stream)) == rows(parse_mrt_stream(stream))
 
 
 @pytest.mark.parametrize("left_idx,right_idx", [(0, 1), (1, 4), (7, 0), (3, 7)])
 def test_concatenation_of_streams_concatenates_parses(left_idx, right_idx):
     left = CORPUS[left_idx][1]
     right = CORPUS[right_idx][1]
-    assert parse_mrt_stream(left + right) == parse_mrt_stream(left) + parse_mrt_stream(right)
+    assert rows(parse_mrt_stream(left + right)) == rows(parse_mrt_stream(left)) + rows(parse_mrt_stream(right))
 
 
 def test_empty_stream_yields_no_records():
-    assert parse_mrt_stream(b"") == []
+    assert rows(parse_mrt_stream(b"")) == []
+
+
+# ---------------------------------------------------------------- against the per-record reference
+
+
+def outcome(parse, data):
+    """Rows as tuples, or the error's class, message and offset."""
+    try:
+        return [tuple(r) for r in np.asarray(parse(data), dtype=np.int64).reshape(-1, 3).tolist()]
+    except MrtParseError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+@st.composite
+def prefix_fields(draw):
+    """0-12 NLRI entries of any length /0 to /32 with random octets."""
+    entries = []
+    for bits in draw(st.lists(st.integers(0, 32), max_size=12)):
+        size = (bits + 7) // 8
+        entries.append(prefix(bits, *draw(st.binary(min_size=size, max_size=size))))
+    return b"".join(entries)
+
+
+@st.composite
+def mrt_pieces(draw):
+    """One record: BGP4MP/BGP4MP_ET or other types, MESSAGE or other subtypes, AFI 1/2/other."""
+    if draw(st.integers(0, 4)):
+        message = bgp_update(
+            withdrawn=draw(prefix_fields()), attrs=draw(st.binary(max_size=8)), nlri=draw(prefix_fields())
+        )
+    else:
+        message = bgp_keepalive()
+    return bgp4mp_message_record(
+        message,
+        mrt_type=draw(st.sampled_from([16, 17, 12, 13])),
+        subtype=draw(st.sampled_from([0, 1, 4, 5])),
+        afi=draw(st.sampled_from([1, 2, 3])),
+        timestamp=draw(st.integers(0, 2**32 - 1)),
+        microseconds=draw(st.integers(0, 999_999)),
+    )
+
+
+streams = st.lists(mrt_pieces(), max_size=8).map(b"".join)
+
+
+class TestMatchesReference:
+    @settings(max_examples=200, deadline=None)
+    @given(stream=streams)
+    def test_built_streams(self, stream):
+        assert outcome(parse_mrt_stream, stream) == outcome(reference_parse, stream)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=streams, data=st.data())
+    def test_streams_cut_at_any_byte(self, stream, data):
+        cut = data.draw(st.integers(0, len(stream)))
+        assert outcome(parse_mrt_stream, stream[:cut]) == outcome(reference_parse, stream[:cut])
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=streams.filter(bool), data=st.data())
+    def test_streams_with_one_byte_changed(self, stream, data):
+        at = data.draw(st.integers(0, len(stream) - 1))
+        changed = stream[:at] + bytes([data.draw(st.integers(0, 255))]) + stream[at + 1 :]
+        assert outcome(parse_mrt_stream, changed) == outcome(reference_parse, changed)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mrt_type=st.sampled_from([16, 17]),
+        subtype=st.sampled_from([1, 4]),
+        body=st.binary(max_size=80),
+        tail=st.binary(max_size=14),
+    )
+    def test_random_bodies_under_message_headers(self, mrt_type, subtype, body, tail):
+        stream = mrt_record(mrt_type, subtype, body) + tail
+        assert outcome(parse_mrt_stream, stream) == outcome(reference_parse, stream)
+
+    def test_streams_longer_than_one_block(self):
+        def piece(i):
+            if i % 4 == 0:
+                return keepalive_record()
+            return bgp4mp_update_record(
+                timestamp=1000 + i, n_announced=i % 5, n_withdrawn=i % 3, as4=i % 2 == 1, extended=i % 7 == 0,
+                afi=1 + i % 2,
+            )
+
+        pieces = [piece(i) for i in range(2 * BLOCK_RECORDS + 17)]
+        stream = b"".join(pieces)
+        records = parse_mrt_stream(stream)
+        assert rows(records) == reference_parse(stream)
+        assert len(records) == sum(1 for i in range(len(pieces)) if i % 4)
+
+
+LAYOUTS = [
+    bgp4mp_update_record(n_announced=2, n_withdrawn=2, as4=as4, extended=extended, afi=afi)
+    for as4, extended, afi in product([False, True], [False, True], [1, 2])
+] + [keepalive_record(), attrs_only_update_record()]
+
+
+@pytest.mark.parametrize("record", LAYOUTS, ids=range(len(LAYOUTS)))
+def test_every_byte_at_edge_values_matches_reference(record):
+    """Each byte of one record set to values that sit on the length and prefix limits."""
+    for at, value in product(range(len(record)), (0, 1, 2, 3, 18, 19, 32, 33, 255)):
+        changed = record[:at] + bytes([value]) + record[at + 1 :]
+        assert outcome(parse_mrt_stream, changed) == outcome(reference_parse, changed), (at, value)
+
+
+def test_every_cut_of_a_mixed_stream_matches_reference():
+    stream = b"".join(LAYOUTS)
+    for cut in range(len(stream) + 1):
+        assert outcome(parse_mrt_stream, stream[:cut]) == outcome(reference_parse, stream[:cut]), cut
+
+
+class TestProperties:
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.binary(max_size=200))
+    def test_arbitrary_bytes_raise_only_parse_errors(self, data):
+        try:
+            parse_mrt_stream(data)
+        except MrtParseError:
+            pass
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=streams, b=streams)
+    def test_parse_of_concatenation_is_concatenation_of_parses(self, a, b):
+        assert rows(parse_mrt_stream(a + b)) == rows(parse_mrt_stream(a)) + rows(parse_mrt_stream(b))
+
+
+class TestFirstFaultWins:
+    def good(self, count):
+        return [bgp4mp_update_record(timestamp=7000 + i, n_announced=1 + i % 3) for i in range(count)]
+
+    def test_bad_prefix_in_second_block_beats_truncated_tail(self):
+        pieces = self.good(BLOCK_RECORDS + 10)
+        pieces[BLOCK_RECORDS + 3] = mrt_record(16, 1, bgp4mp_body(bgp_update(nlri=prefix(8, 10) + bytes([40, 1]))))
+        bad_record_at = sum(map(len, pieces[: BLOCK_RECORDS + 3]))
+        stream = b"".join(pieces) + bgp4mp_update_record()[:-1]
+        with pytest.raises(MalformedPrefix, match="prefix length 40 exceeds 32 bits") as info:
+            parse_mrt_stream(stream)
+        # common header 12, BGP4MP header 8, two IPv4 addresses 8, BGP header 19, two length fields 4, one /8 entry 2
+        assert info.value.offset == bad_record_at + 12 + 8 + 8 + 19 + 4 + 2
+        assert outcome(parse_mrt_stream, stream) == outcome(reference_parse, stream)
+
+    def test_earlier_record_wins_over_earlier_check(self):
+        # Record 1 fails late (an overrunning NLRI prefix); record 2 fails early (short BGP4MP header).
+        pieces = self.good(3)
+        pieces[1] = mrt_record(16, 1, bgp4mp_body(bgp_update(nlri=bytes([24, 10, 0]))))
+        pieces[2] = mrt_record(16, 1, b"\x00" * 3)
+        stream = b"".join(pieces)
+        with pytest.raises(MalformedPrefix, match="prefix bytes overrun the field"):
+            parse_mrt_stream(stream)
+        assert outcome(parse_mrt_stream, stream) == outcome(reference_parse, stream)
+
+    def test_withdrawn_prefix_fault_ranks_before_attribute_checks(self):
+        # Bad withdrawn entry, then an attribute length that overruns the UPDATE.
+        update = bgp_update(withdrawn=bytes([33, 0, 0, 0, 0, 0]))
+        update = update[:-2] + b"\x00\x09"
+        stream = mrt_record(16, 1, bgp4mp_body(update))
+        with pytest.raises(MalformedPrefix, match="prefix length 33"):
+            parse_mrt_stream(stream)
+        assert outcome(parse_mrt_stream, stream) == outcome(reference_parse, stream)

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgpnovelty.mrt import UpdateRecord
 from bgpnovelty.series import (
     BadHeader,
     BadTimestamp,
@@ -182,35 +181,55 @@ class TestCodecMatchesScalarReference:
         assert _outcome(parse_minute_utc, text) == _outcome(reference_parse, text)
 
 
+def rows(*records):
+    """``(timestamp_s, announced, withdrawn)`` tuples as the ``(n, 3)`` array ``bucketize`` takes."""
+    return np.array(records, dtype=np.int64).reshape(-1, 3)
+
+
+def reference_bucketize(records, start, end):
+    """Per-row Python sums over an inclusive minute range, as exact ints."""
+    sums = [[0, 0] for _ in range((end - start) // 60 + 1)]
+    for timestamp, announced, withdrawn in records:
+        if start <= timestamp < end + 60:
+            sums[(timestamp - start) // 60][0] += announced
+            sums[(timestamp - start) // 60][1] += withdrawn
+    return sums
+
+
+record_rows = st.lists(
+    st.tuples(st.integers(NOON - 300, NOON + 900), st.integers(0, 2**40), st.integers(0, 2**40)),
+    max_size=60,
+)
+
+
 class TestBucketize:
     def test_sums_records_within_a_minute(self):
-        records = [UpdateRecord(NOON + 30, 2, 0), UpdateRecord(NOON + 45, 3, 0)]
+        records = rows((NOON + 30, 2, 0), (NOON + 45, 3, 0))
         series = bucketize(records, NOON, NOON)
         assert bucket(series, 0) == (NOON, 5, 0)
 
     def test_minutes_without_records_hold_zeros(self):
-        records = [UpdateRecord(NOON, 1, 1), UpdateRecord(NOON + 120, 2, 2)]
+        records = rows((NOON, 1, 1), (NOON + 120, 2, 2))
         series = bucketize(records, NOON, NOON + 120)
         assert bucket(series, 1) == (NOON + 60, 0, 0)
 
     def test_empty_records_give_all_zero_buckets(self):
-        series = bucketize([], NOON, NOON + 120)
+        series = bucketize(rows(), NOON, NOON + 120)
         assert len(series) == 3
         assert series.totals().sum() == 0
 
     def test_records_outside_range_are_dropped(self):
-        records = [UpdateRecord(NOON - 1, 9, 9), UpdateRecord(NOON + 180, 9, 9)]
+        records = rows((NOON - 1, 9, 9), (NOON + 180, 9, 9))
         series = bucketize(records, NOON, NOON + 120)
         assert series.totals().sum() == 0
 
     def test_is_permutation_invariant(self):
         rng = np.random.default_rng(3)
-        records = [
-            UpdateRecord(NOON + int(rng.integers(0, 600)), int(rng.integers(0, 5)), int(rng.integers(0, 5)))
+        records = rows(*(
+            (NOON + int(rng.integers(0, 600)), int(rng.integers(0, 5)), int(rng.integers(0, 5)))
             for _ in range(200)
-        ]
-        shuffled = list(records)
-        rng.shuffle(shuffled)
+        ))
+        shuffled = rng.permutation(records)
         a = bucketize(records, NOON, NOON + 540)
         b = bucketize(shuffled, NOON, NOON + 540)
         assert np.array_equal(a.announcements, b.announcements)
@@ -218,24 +237,63 @@ class TestBucketize:
 
     def test_conserves_in_range_counts(self):
         rng = np.random.default_rng(4)
-        records = [
-            UpdateRecord(NOON + int(rng.integers(0, 600)), int(rng.integers(0, 7)), int(rng.integers(0, 7)))
+        records = rows(*(
+            (NOON + int(rng.integers(0, 600)), int(rng.integers(0, 7)), int(rng.integers(0, 7)))
             for _ in range(300)
-        ]
+        ))
         series = bucketize(records, NOON, NOON + 540)
-        in_range = [r for r in records if NOON <= r.timestamp_s < NOON + 600]
-        assert int(series.totals().sum()) == sum(r.announced + r.withdrawn for r in in_range)
+        in_range = [r for r in records.tolist() if NOON <= r[0] < NOON + 600]
+        assert int(series.totals().sum()) == sum(announced + withdrawn for _, announced, withdrawn in in_range)
 
     @pytest.mark.parametrize("minutes", [1, 2, 17, 1440])
     def test_length_is_range_size_regardless_of_sparsity(self, minutes):
-        series = bucketize([], NOON, NOON + 60 * (minutes - 1))
+        series = bucketize(rows(), NOON, NOON + 60 * (minutes - 1))
         assert len(series) == minutes
 
     def test_rejects_bad_ranges(self):
         with pytest.raises(InvalidRange):
-            bucketize([], NOON + 60, NOON)
+            bucketize(rows(), NOON + 60, NOON)
         with pytest.raises(InvalidRange):
-            bucketize([], NOON + 30, NOON + 90)
+            bucketize(rows(), NOON + 30, NOON + 90)
+
+    def test_rejects_records_not_in_three_columns(self):
+        with pytest.raises(ValueError, match="shape"):
+            bucketize(np.zeros((4, 2), dtype=np.int64), NOON, NOON + 60)
+
+    def test_sums_past_2_53_are_exact(self):
+        # float64 holds every integer only up to 2**53; 2**53 + 1 rounds to 2**53 there.
+        records = rows((NOON, 2**53, 2**60), (NOON + 59, 1, 3), (NOON + 60, 2**62, 0), (NOON + 61, 2**62 - 1, 0))
+        series = bucketize(records, NOON, NOON + 60)
+        assert bucket(series, 0) == (NOON, 2**53 + 1, 2**60 + 3)
+        assert bucket(series, 1) == (NOON + 60, 2**63 - 1, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=record_rows, lo=st.integers(-3, 3), span=st.integers(0, 12))
+    def test_matches_per_row_sums(self, records, lo, span):
+        start = NOON + 60 * lo
+        series = bucketize(rows(*records), start, start + 60 * span)
+        assert np.column_stack((series.announcements, series.withdrawals)).tolist() == reference_bucketize(
+            records, start, start + 60 * span
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=record_rows, span=st.integers(0, 12))
+    def test_conserves_in_range_and_drops_the_rest(self, records, span):
+        end = NOON + 60 * span
+        series = bucketize(rows(*records), NOON, end)
+        inside = [r for r in records if NOON <= r[0] < end + 60]
+        assert int(series.announcements.sum()) == sum(r[1] for r in inside)
+        assert int(series.withdrawals.sum()) == sum(r[2] for r in inside)
+        assert len(series) == span + 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(records=record_rows, data=st.data())
+    def test_any_permutation_gives_the_same_buckets(self, records, data):
+        shuffled = data.draw(st.permutations(records))
+        a = bucketize(rows(*records), NOON, NOON + 600)
+        b = bucketize(rows(*shuffled), NOON, NOON + 600)
+        assert np.array_equal(a.announcements, b.announcements)
+        assert np.array_equal(a.withdrawals, b.withdrawals)
 
 
 class TestTotals:
