@@ -118,27 +118,30 @@ def init_model(
 def reconstruct(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     """Forward pass over the rows of X, shape (n, input_dim)."""
     _check_matrix(model, X)
-    hidden = X @ model.w1.T
-    hidden += model.b1
+    hidden, out = np.empty((X.shape[0], model.hidden_dim)), np.empty((X.shape[0], model.input_dim))
+    return _forward(X, model.w1, model.b1, model.w2, model.b2, hidden, out)
+
+
+def _forward(X, w1, b1, w2, b2, hidden: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``tanh(X @ w1.T + b1)`` into ``hidden`` and ``hidden @ w2.T + b2`` into ``out``; returns ``out``."""
+    np.add(np.matmul(X, w1.T, out=hidden), b1, out=hidden)
     np.tanh(hidden, out=hidden)
-    out = hidden @ model.w2.T
-    out += model.b2
-    return out
+    return np.add(np.matmul(hidden, w2.T, out=out), b2, out=out)
 
 
 def sse_loss(model: AutoencoderModel, X: np.ndarray) -> float:
     """Half the summed squared reconstruction error over the rows of X."""
-    f, _ = objective(model, X, "loss")
+    f, _ = objective(model, X)
     return f(flatten_params(model))
 
 
 def gradient(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`sse_loss` over w1 (row-major), b1, w2 (row-major), b2."""
-    _, g = objective(model, X, "gradient")
+    _, g = objective(model, X)
     return g(flatten_params(model))
 
 
-def objective(model: AutoencoderModel, X: np.ndarray, what: str = "objective"):
+def objective(model: AutoencoderModel, X: np.ndarray):
     """Fused ``(f, g)`` over flat parameter vectors for the rows of X.
 
     ``f(flat)`` and ``g(flat)`` equal :func:`sse_loss` and :func:`gradient`
@@ -148,17 +151,13 @@ def objective(model: AutoencoderModel, X: np.ndarray, what: str = "objective"):
     """
     _check_matrix(model, X)
     if X.shape[0] == 0:
-        raise EmptyDataset(f"{what} requires at least one sample")
+        raise EmptyDataset("the dataset has no rows; at least one is required")
     hidden, residual = np.empty((X.shape[0], model.hidden_dim)), np.empty(X.shape)
     at = np.full(model.n_params, np.nan)  # point of the last forward pass
     w2_at = _split(model, at)[2]
 
     def forward(flat: np.ndarray) -> None:
-        w1, b1, w2, b2 = _split(model, flat)
-        np.add(np.matmul(X, w1.T, out=hidden), b1, out=hidden)
-        np.tanh(hidden, out=hidden)
-        np.add(np.matmul(hidden, w2.T, out=residual), b2, out=residual)
-        np.subtract(residual, X, out=residual)
+        np.subtract(_forward(X, *_split(model, flat), hidden, residual), X, out=residual)
         at[:] = flat
 
     def f(flat: np.ndarray) -> float:
@@ -230,15 +229,12 @@ def save_model(model: AutoencoderModel) -> bytes:
     return (json.dumps(document, indent=1) + "\n").encode("utf-8")
 
 
-def load_model(data: bytes | str) -> AutoencoderModel:
+def load_model(data: bytes) -> AutoencoderModel:
     """Parse a document produced by :func:`save_model`."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise BadFormat(f"model document is not UTF-8: {exc}") from None
     try:
-        document = json.loads(data)
+        document = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise BadFormat(f"model document is not UTF-8: {exc}") from None
     except json.JSONDecodeError as exc:
         raise BadFormat(f"model document is not valid JSON: {exc}") from None
     if not isinstance(document, dict):

@@ -51,9 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse MRT or bucket CSV into a gapless bucket CSV")
+    p = sub.add_parser("ingest", help="parse MRT or bucket CSV (told apart by its header) into a gapless bucket CSV")
     p.add_argument("input", type=Path)
-    p.add_argument("--format", choices=["auto", "mrt", "csv"], default="auto")
     p.add_argument("--from", dest="from_minute", metavar="MINUTE", help="range start (default: first data minute)")
     p.add_argument("--to", dest="to_minute", metavar="MINUTE", help="range end (default: last data minute)")
     p.add_argument("--out", type=Path, required=True)
@@ -135,13 +134,15 @@ def _read_scores(path: Path, source: str) -> tuple[np.ndarray, np.ndarray]:
     return data.minutes(), data.totals()
 
 
-def _parse_flag_minute(text: str | None, flag: str) -> int | None:
-    if text is None:
-        return None
-    try:
-        return series.parse_minute_utc(text)
-    except series.BadTimestamp as exc:
-        raise ValueError(f"{flag}: {exc}") from None
+def _flag_range(args) -> list[int | None]:
+    """``--from`` and ``--to`` as epoch seconds, None where not given."""
+    bounds = []
+    for text, flag in ((args.from_minute, "--from"), (args.to_minute, "--to")):
+        try:
+            bounds.append(None if text is None else series.parse_minute_utc(text))
+        except series.BadTimestamp as exc:
+            raise ValueError(f"{flag}: {exc}") from None
+    return bounds
 
 
 def _write_text(path: Path | None, text: str) -> None:
@@ -151,25 +152,23 @@ def _write_text(path: Path | None, text: str) -> None:
         path.write_text(text, encoding="utf-8")
 
 
-def cmd_ingest(args) -> int:
-    fmt = args.format
-    data = args.input.read_bytes()
-    if fmt == "auto":
-        fmt = "csv" if data.startswith(_BUCKET_MAGIC) else "mrt"
-    start = _parse_flag_minute(args.from_minute, "--from")
-    end = _parse_flag_minute(args.to_minute, "--to")
+def _slice_to_flags(data: series.MinuteSeries, start: int | None, end: int | None) -> series.MinuteSeries:
+    """``data`` from ``--from`` to ``--to``, each defaulting to the series' own first or last minute."""
+    if len(data) == 0:
+        raise ValueError("input contains no data rows")
+    start = data.start_minute_s if start is None else start
+    end = data.end_minute_s if end is None else end
+    try:
+        return series.slice_range(data, start, end)
+    except series.InvalidRange as exc:
+        raise RangeNotCovered(str(exc)) from None
 
-    if fmt == "csv":
-        parsed = series.read_bucket_csv(data.decode("utf-8"))
-        if len(parsed) == 0:
-            raise ValueError("input contains no data rows")
-        if start is not None or end is not None:
-            parsed = series.slice_range(
-                parsed,
-                parsed.start_minute_s if start is None else start,
-                parsed.end_minute_s if end is None else end,
-            )
-        result = parsed
+
+def cmd_ingest(args) -> int:
+    data = args.input.read_bytes()
+    start, end = _flag_range(args)
+    if data.startswith(_BUCKET_MAGIC):
+        result = _slice_to_flags(series.read_bucket_csv(data.decode("utf-8")), start, end)
     else:
         records = mrt.parse_mrt_stream(data)
         if not len(records) and (start is None or end is None):
@@ -184,18 +183,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    full = _read_bucket_file(args.input)
-    if len(full) == 0:
-        raise ValueError("input contains no data rows")
-    start = _parse_flag_minute(args.from_minute, "--from")
-    end = _parse_flag_minute(args.to_minute, "--to")
-    start = full.start_minute_s if start is None else start
-    end = full.end_minute_s if end is None else end
-    try:
-        train_series = series.slice_range(full, start, end)
-    except series.InvalidRange as exc:
-        raise RangeNotCovered(str(exc)) from None
-
+    train_series = _slice_to_flags(_read_bucket_file(args.input), *_flag_range(args))
     norm = features.fit_normalization(train_series)
     windows = features.make_windows(train_series, args.k, norm)
     if len(windows) == 0:
@@ -249,13 +237,9 @@ def cmd_detect(args) -> int:
 def cmd_top(args) -> int:
     data = _read_bucket_file(args.input)
     ranking = series.top_n(data, args.n)
+    ranks = map(str, range(1, len(ranking) + 1))
     stamps = series.format_minutes_utc([minute for minute, _ in ranking])
-    lines = ["rank,minute_utc,total"]
-    lines.extend(
-        f"{rank},{stamp},{total}"
-        for rank, (stamp, (_, total)) in enumerate(zip(stamps, ranking), start=1)
-    )
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_text(args.out, series.csv_text("rank,minute_utc,total", ranks, stamps, (str(t) for _, t in ranking)))
     return 0
 
 
@@ -265,10 +249,9 @@ def cmd_compare(args) -> int:
     matches = detector.lead_time(ae_events, rule_events, args.match_window)
     ae_stamps = series.format_minutes_utc([ae.start_s for ae, _, _ in matches])
     rule_stamps = series.format_minutes_utc([0 if rule is None else rule.start_s for _, rule, _ in matches])
-    lines = ["ae_start,rule_start,lead_minutes"]
-    for (_, rule, lead), ae_text, rule_text in zip(matches, ae_stamps, rule_stamps):
-        lines.append(f"{ae_text},{'' if rule is None else rule_text},{'' if lead is None else lead}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    rule_column = ("" if rule is None else text for (_, rule, _), text in zip(matches, rule_stamps))
+    leads = ("" if lead is None else str(lead) for _, _, lead in matches)
+    _write_text(args.out, series.csv_text("ae_start,rule_start,lead_minutes", ae_stamps, rule_column, leads))
     return 0
 
 

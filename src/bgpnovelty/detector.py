@@ -14,12 +14,12 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .autoencoder import AutoencoderModel, DimensionMismatch, reconstruct
-from .series import MINUTE, MinuteSeries, csv_columns, first_row_fault, minutes_column
+from .autoencoder import AutoencoderModel, reconstruct
+from .series import MINUTE, MinuteSeries, csv_columns, csv_text, first_row_fault, minutes_column
 from .series import format_minute_utc, format_minutes_utc, parse_minutes_utc
 
 SOURCE_AUTOENCODER = "autoencoder"
@@ -82,10 +82,6 @@ def score_series(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     For :func:`~bgpnovelty.features.make_windows` output, entry ``i`` scores
     the window ending at ``series.minutes()[k - 1 + i]``.
     """
-    if X.shape[-1] != model.input_dim:
-        raise DimensionMismatch(
-            f"windows have {X.shape[-1]} dimensions, model expects {model.input_dim}"
-        )
     residual = reconstruct(model, X)
     residual -= X
     residual *= residual
@@ -199,17 +195,16 @@ def lead_time(
 
 def write_novelty_csv(minutes: np.ndarray, values: np.ndarray) -> str:
     """Render per-minute novelty values as CSV with full-precision values."""
-    rows = zip(format_minutes_utc(minutes), map(repr, values.tolist()), strict=True)
-    return "\n".join([NOVELTY_CSV_HEADER, *map(",".join, rows)]) + "\n"
+    return csv_text(NOVELTY_CSV_HEADER, format_minutes_utc(minutes), map(repr, values.tolist()))
 
 
-def read_novelty_csv(source: str | Iterable[str]) -> tuple[np.ndarray, np.ndarray]:
+def read_novelty_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
     """Parse the novelty CSV format into int64 minutes and float64 values.
 
     Values take Python's ``float()`` syntax. Errors name the first bad line;
     a ``nan`` or ``inf`` value raises NonFiniteValue.
     """
-    header, (stamps, texts), line_nos, misfit = csv_columns(source, 2, ValueError)
+    header, (stamps, texts), line_nos, misfit = csv_columns(text, 2, ValueError)
     if header != NOVELTY_CSV_HEADER:
         raise ValueError(f"expected header {NOVELTY_CSV_HEADER!r}")
     minutes, stamp_check = minutes_column(stamps)

@@ -27,6 +27,8 @@ from array import array
 
 import numpy as np
 
+from .series import first_fault
+
 MRT_HEADER_LEN = 12
 
 MRT_TYPE_BGP4MP = 16
@@ -174,10 +176,9 @@ def _decode_block(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
     checks.insert(withdrawn_rank, (withdrawn_fault >= 0, lambda i: _prefix_error(buf, int(withdrawn_fault[i]))))
     checks.append((announced_fault >= 0, lambda i: _prefix_error(buf, int(announced_fault[i]))))
 
-    flags = np.array([mask for mask, _ in checks])  # (checks, records)
-    faulty = np.flatnonzero(flags.any(axis=0))
-    if faulty.size:
-        raise checks[int(np.argmax(flags[:, faulty[0]]))][1](faulty[0])
+    fault = first_fault(checks)
+    if fault:
+        raise fault[1]
     return np.column_stack((timestamp[live], announced[live], withdrawn[live]))
 
 

@@ -28,14 +28,8 @@ from typing import Callable
 
 import numpy as np
 
-from .autoencoder import (
-    AutoencoderModel,
-    DimensionMismatch,
-    EmptyDataset,
-    flatten_params,
-    objective,
-    unflatten_params,
-)
+from .autoencoder import AutoencoderModel, flatten_params, objective, unflatten_params
+from .series import csv_text
 
 STOP_BUDGET = "budget"
 STOP_GRADIENT = "gradient-tolerance"
@@ -75,9 +69,8 @@ class TrainReport:
         return self.stop_reason == STOP_NON_FINITE
 
     def to_csv(self) -> str:
-        lines = ["cycle,loss"]
-        lines.extend(f"{i},{loss!r}" for i, loss in enumerate(self.loss_history, start=1))
-        return "\n".join(lines) + "\n"
+        cycles = map(str, range(1, len(self.loss_history) + 1))
+        return csv_text("cycle,loss", cycles, map(repr, self.loss_history))
 
 
 def scg_minimize(
@@ -193,16 +186,8 @@ def train(
     """Fit the autoencoder to the rows of the window matrix X by full-batch SCG.
 
     Deterministic given (model, X, cfg): the optimizer has no randomness of
-    its own.
+    its own. Raises DimensionMismatch or EmptyDataset, as ``objective`` does.
     """
-    if X.ndim != 2:
-        raise DimensionMismatch(f"windows must form a 2-D matrix, got shape {X.shape}")
-    if X.shape[0] == 0:
-        raise EmptyDataset("training requires at least one window")
-    if X.shape[1] != model.input_dim:
-        raise DimensionMismatch(
-            f"windows have {X.shape[1]} dimensions, model expects {model.input_dim}"
-        )
     X = X.astype(np.float64, copy=False)
     best, report = scg_minimize(*objective(model, X), flatten_params(model), cfg)
     return unflatten_params(model, best), report

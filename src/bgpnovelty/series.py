@@ -10,11 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 MINUTE = 60
+
+# Longest series a reader or bucketize builds, about 8 years: zero-filling makes memory follow
+# the time span, not the rows, and at this cap the two int64 count columns take 64 MiB.
+MAX_SERIES_MINUTES = 2**22
 
 BUCKET_CSV_HEADER = "minute_utc,announcements,withdrawals"
 
@@ -41,6 +45,10 @@ class NonMonotonic(BucketCsvError):
 
 class InvalidRange(ValueError):
     pass
+
+
+class CountOverflow(ValueError):
+    """A minute's summed count does not fit in int64."""
 
 
 def parse_minutes_utc(stamps: Sequence[str]) -> np.ndarray:
@@ -159,35 +167,39 @@ def bucketize(records: np.ndarray, start_minute_s: int, end_minute_s: int) -> Mi
     """Sum ``(timestamp_s, announced, withdrawn)`` rows into one-minute buckets.
 
     ``records`` is an ``(n, 3)`` integer array, as ``mrt.parse_mrt_stream``
-    returns; the range is inclusive. Rows need not be sorted; rows outside
-    the range are dropped; minutes with no rows hold zeros. Sums are exact
-    int64. The output always spans ``(end - start)/60 + 1`` buckets
-    regardless of input sparsity.
+    returns; the range is inclusive and at most ``MAX_SERIES_MINUTES`` long.
+    Rows need not be sorted; rows outside the range are dropped; minutes
+    with no rows hold zeros. Sums are exact: a minute whose sum leaves int64
+    raises CountOverflow. The output always spans ``(end - start)/60 + 1``
+    buckets regardless of input sparsity.
     """
-    if start_minute_s % MINUTE or end_minute_s % MINUTE:
-        raise InvalidRange("range bounds must be minute-aligned epoch seconds")
-    if end_minute_s < start_minute_s:
-        raise InvalidRange(f"range end {end_minute_s} before start {start_minute_s}")
+    _check_range(start_minute_s, end_minute_s)
     records = np.asarray(records, dtype=np.int64)
     if records.ndim != 2 or records.shape[1] != 3:
         raise ValueError(f"records must be an (n, 3) array, got shape {records.shape}")
     n = (end_minute_s - start_minute_s) // MINUTE + 1
     index = (records[:, 0] - start_minute_s) // MINUTE
-    keep = (index >= 0) & (index < n)
-    index = index[keep]
-    announcements = np.zeros(n, dtype=np.int64)
-    withdrawals = np.zeros(n, dtype=np.int64)
-    np.add.at(announcements, index, records[keep, 1])
-    np.add.at(withdrawals, index, records[keep, 2])
-    return MinuteSeries(start_minute_s, announcements, withdrawals)
+    index[(index < 0) | (index >= n)] = n  # rows outside the range go to a spare bucket, dropped below
+    counts = records[:, 1], records[:, 2]
+    # Summing the high and low 32-bit halves apart cannot wrap below 2**31 rows a minute.
+    halves = np.zeros((4, n + 1), dtype=np.int64)
+    for total, part in zip(halves, [*(c >> 32 for c in counts), *(c & 0xFFFFFFFF for c in counts)]):
+        np.add.at(total, index, part)
+    sums, low = halves[:2, :n], halves[2:, :n]
+    sums += low >> 32
+    over = (sums < -(2**31)) | (sums >= 2**31)
+    if over.any():
+        minute, channel = np.argwhere(over.T)[0]
+        stamp = format_minute_utc(start_minute_s + MINUTE * int(minute))
+        raise CountOverflow(f"{('announcements', 'withdrawals')[channel]} of minute {stamp} sum past int64")
+    sums <<= 32
+    sums |= low & 0xFFFFFFFF
+    return MinuteSeries(start_minute_s, sums[0].copy(), sums[1].copy())  # views would keep all four rows
 
 
 def slice_range(series: MinuteSeries, start_minute_s: int, end_minute_s: int) -> MinuteSeries:
     """Inclusive sub-series; raises InvalidRange when not fully covered."""
-    if start_minute_s % MINUTE or end_minute_s % MINUTE:
-        raise InvalidRange("range bounds must be minute-aligned epoch seconds")
-    if end_minute_s < start_minute_s:
-        raise InvalidRange(f"range end {end_minute_s} before start {start_minute_s}")
+    _check_range(start_minute_s, end_minute_s)
     if len(series) == 0 or start_minute_s < series.start_minute_s or end_minute_s > series.end_minute_s:
         raise InvalidRange(
             f"range {format_minute_utc(start_minute_s)}..{format_minute_utc(end_minute_s)} "
@@ -200,6 +212,17 @@ def slice_range(series: MinuteSeries, start_minute_s: int, end_minute_s: int) ->
         series.announcements[lo:hi].copy(),
         series.withdrawals[lo:hi].copy(),
     )
+
+
+def _check_range(start_minute_s: int, end_minute_s: int) -> None:
+    """Raise InvalidRange unless the inclusive range is minute-aligned, ordered and not too long."""
+    if start_minute_s % MINUTE or end_minute_s % MINUTE:
+        raise InvalidRange("range bounds must be minute-aligned epoch seconds")
+    if end_minute_s < start_minute_s:
+        raise InvalidRange(f"range end {end_minute_s} before start {start_minute_s}")
+    if (end_minute_s - start_minute_s) // MINUTE >= MAX_SERIES_MINUTES:
+        minutes = (end_minute_s - start_minute_s) // MINUTE + 1
+        raise InvalidRange(f"range of {minutes} minutes exceeds the {MAX_SERIES_MINUTES}-minute series limit")
 
 
 def top_n(series: MinuteSeries, n: int) -> list[tuple[int, int]]:
@@ -215,17 +238,18 @@ def top_n(series: MinuteSeries, n: int) -> list[tuple[int, int]]:
     return list(zip(series.minutes()[order].tolist(), totals[order].tolist()))
 
 
-def read_bucket_csv(source: str | Iterable[str]) -> MinuteSeries:
+def read_bucket_csv(text: str) -> MinuteSeries:
     """Read the bucket CSV format into a gapless series.
 
     The first line must be exactly ``minute_utc,announcements,withdrawals``;
     rows carry a ``YYYY-MM-DDTHH:MM:00Z`` timestamp and two counts of ASCII
-    decimal digits, strictly ascending in time. LF and CRLF inputs are both
-    accepted. Interior gaps between rows are zero-filled. An input without
-    data rows gives an empty series starting at epoch 0. An error names the
-    first bad line.
+    decimal digits, strictly ascending in time and less than
+    ``MAX_SERIES_MINUTES`` minutes after the first row. LF and CRLF inputs
+    are both accepted. Interior gaps between rows are zero-filled. An input
+    without data rows gives an empty series starting at epoch 0. An error
+    names the first bad line.
     """
-    header, (stamps, announcements, withdrawals), line_nos, misfit = csv_columns(source, 3, BucketCsvError)
+    header, (stamps, announcements, withdrawals), line_nos, misfit = csv_columns(text, 3, BucketCsvError)
     if header is None:
         raise BadHeader("empty input; expected header line")
     if header != BUCKET_CSV_HEADER:
@@ -237,6 +261,8 @@ def read_bucket_csv(source: str | Iterable[str]) -> MinuteSeries:
         (_count_faults(withdrawals), lambda i: _count_error("withdrawals", withdrawals[i])),
         (np.diff(minutes, prepend=minutes[:1] - 1) <= 0,
          lambda i: NonMonotonic(f"timestamp {stamps[i]} not after the previous row")),
+        ((minutes - minutes[:1]) // MINUTE >= MAX_SERIES_MINUTES,
+         lambda i: BucketCsvError(f"timestamp {stamps[i]} exceeds the {MAX_SERIES_MINUTES}-minute series limit")),
     ], misfit)
     start = int(minutes[0]) if len(minutes) else 0
     index = (minutes - start) // MINUTE
@@ -248,18 +274,22 @@ def read_bucket_csv(source: str | Iterable[str]) -> MinuteSeries:
 def write_bucket_csv(series: MinuteSeries) -> str:
     """Render a series in the bucket CSV format (LF line endings)."""
     counts = map(str, series.announcements.tolist()), map(str, series.withdrawals.tolist())
-    rows = map(",".join, zip(format_minutes_utc(series.minutes()), *counts))
-    return "\n".join([BUCKET_CSV_HEADER, *rows]) + "\n"
+    return csv_text(BUCKET_CSV_HEADER, format_minutes_utc(series.minutes()), *counts)
 
 
-def csv_columns(source: str | Iterable[str], width: int, error: type[ValueError]) -> tuple:
+def csv_text(header: str, *columns) -> str:
+    """The header, then row ``i`` joining item ``i`` of the equally long string columns; every line ends in LF."""
+    return "\n".join([header, *map(",".join, zip(*columns, strict=True))]) + "\n"
+
+
+def csv_columns(text: str, width: int, error: type[ValueError]) -> tuple:
     """Header (None for no lines), the data rows in ``width`` columns, their line numbers.
 
     Blank lines are skipped. The rows stop before the first one without
     ``width`` fields, for which the last item is an ``error``; it is None when
     every row fits.
     """
-    lines = source.splitlines() if isinstance(source, str) else [ln.rstrip("\n").rstrip("\r") for ln in source]
+    lines = text.splitlines()
     header, rows = (lines[0], lines[1:]) if lines else (None, [])
     line_nos = np.arange(2, len(rows) + 2)[np.fromiter(map(bool, rows), bool, len(rows))]
     rows = list(filter(None, rows))
@@ -272,18 +302,23 @@ def csv_columns(source: str | Iterable[str], width: int, error: type[ValueError]
     return header, [fields[i::width] for i in range(width)], line_nos[:cut], misfit
 
 
-def first_row_fault(line_nos: np.ndarray, checks, misfit: ValueError | None) -> None:
-    """Raise for the earliest row any check flags, prefixed with its line number.
+def first_fault(checks) -> tuple[int, Exception] | None:
+    """The earliest row any check flags and the exception of its first failing check, or None.
 
     ``checks`` pairs a boolean mask over the rows with a function from a row
-    index to the exception; a row's checks apply in the order given. With
-    no row flagged, raises ``misfit`` when it is not None.
+    index to the exception; a row's checks apply in the order given.
     """
     flags = np.array([mask for mask, _ in checks])  # (checks, rows)
     rows = np.flatnonzero(flags.any(axis=0))
-    if rows.size:
-        exc = checks[int(np.argmax(flags[:, rows[0]]))][1](rows[0])
-        raise type(exc)(f"line {line_nos[rows[0]]}: {exc}")
+    return (int(rows[0]), checks[int(np.argmax(flags[:, rows[0]]))][1](rows[0])) if rows.size else None
+
+
+def first_row_fault(line_nos: np.ndarray, checks, misfit: ValueError | None) -> None:
+    """Raise :func:`first_fault`'s exception prefixed with its line number, else ``misfit`` if any."""
+    fault = first_fault(checks)
+    if fault:
+        row, exc = fault
+        raise type(exc)(f"line {line_nos[row]}: {exc}")
     if misfit:
         raise misfit
 

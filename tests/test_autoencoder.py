@@ -316,7 +316,7 @@ class TestPersistence:
         doc = json.loads(save_model(init_model(4, 3, seed=0)))
         del doc["w1"]
         with pytest.raises(BadFormat):
-            load_model(json.dumps(doc))
+            load_model(json.dumps(doc).encode())
 
     def test_wrong_layout_version_is_version_mismatch(self):
         import json
@@ -324,7 +324,7 @@ class TestPersistence:
         doc = json.loads(save_model(init_model(4, 3, seed=0)))
         doc["layout_version"] = 2
         with pytest.raises(VersionMismatch):
-            load_model(json.dumps(doc))
+            load_model(json.dumps(doc).encode())
 
     def test_wrong_format_version_is_version_mismatch(self):
         import json
@@ -332,7 +332,7 @@ class TestPersistence:
         doc = json.loads(save_model(init_model(4, 3, seed=0)))
         doc["format_version"] = 99
         with pytest.raises(VersionMismatch):
-            load_model(json.dumps(doc))
+            load_model(json.dumps(doc).encode())
 
     def test_inconsistent_dims_is_bad_format(self):
         import json
@@ -340,7 +340,7 @@ class TestPersistence:
         doc = json.loads(save_model(init_model(4, 3, seed=0)))
         doc["hidden_dim"] = 7
         with pytest.raises(BadFormat):
-            load_model(json.dumps(doc))
+            load_model(json.dumps(doc).encode())
 
     def test_document_declares_versions_and_layout(self):
         import json

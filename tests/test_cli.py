@@ -2,12 +2,15 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from bgpnovelty import cli
+from bgpnovelty.autoencoder import AutoencoderModel, save_model
 from bgpnovelty.cli import build_parser, main
+from bgpnovelty.features import NormalizationParams
 from bgpnovelty.scg import STOP_NON_FINITE, TrainReport
-from bgpnovelty.series import read_bucket_csv
+from bgpnovelty.series import MAX_SERIES_MINUTES, read_bucket_csv
 
 from conftest import TOP15, top15_csv_text
 from mrtbuild import bgp4mp_update_record
@@ -82,8 +85,48 @@ class TestIngest:
     def test_truncated_mrt_exits_one(self, tmp_path, capsys):
         src = tmp_path / "bad.mrt"
         src.write_bytes(b"\x00" * 11)
-        assert run("ingest", src, "--format", "mrt", "--out", tmp_path / "x.csv") == 1
+        assert run("ingest", src, "--out", tmp_path / "x.csv") == 1
         assert "offset" in capsys.readouterr().err
+
+    def test_format_flag_is_a_usage_error(self, tmp_path):
+        src = tmp_path / "updates.mrt"
+        src.write_bytes(bgp4mp_update_record(timestamp=120, n_announced=2, n_withdrawn=1))
+        with pytest.raises(SystemExit) as info:
+            run("ingest", src, "--format", "mrt", "--out", tmp_path / "x.csv")
+        assert info.value.code == 2
+
+    def test_bogus_mrt_timestamp_past_the_series_limit_exits_one(self, tmp_path, capsys):
+        src = tmp_path / "updates.mrt"
+        src.write_bytes(
+            bgp4mp_update_record(timestamp=0, n_announced=1, n_withdrawn=0)
+            + bgp4mp_update_record(timestamp=60 * MAX_SERIES_MINUTES, n_announced=1, n_withdrawn=0)
+        )
+        out = tmp_path / "x.csv"
+        assert run("ingest", src, "--out", out) == 1
+        assert "error: range of 4194305 minutes exceeds the 4194304-minute series limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["mrt", "csv"])
+    def test_range_flags_spanning_years_exit_one(self, tmp_path, capsys, kind):
+        src = tmp_path / "input"
+        if kind == "mrt":
+            src.write_bytes(bgp4mp_update_record(timestamp=120, n_announced=2, n_withdrawn=1))
+        else:
+            src.write_text("minute_utc,announcements,withdrawals\n1970-01-01T00:02:00Z,2,1\n")
+        assert run(
+            "ingest", src, "--from", "1970-01-01T00:00:00Z", "--to", "1980-01-01T00:00:00Z",
+            "--out", tmp_path / "x.csv",
+        ) == 1
+        assert "error: range of 5258881 minutes exceeds the 4194304-minute series limit" in capsys.readouterr().err
+
+    def test_minute_sum_past_int64_exits_one(self, tmp_path, capsys, monkeypatch):
+        # MRT prefix counts are too small to get there, so the parser's rows are stood in for.
+        huge = np.array([[60, 2**62, 0], [61, 2**62, 0]], dtype=np.int64)
+        monkeypatch.setattr(cli.mrt, "parse_mrt_stream", lambda data: huge)
+        src = tmp_path / "updates.mrt"
+        src.write_bytes(b"\x00")
+        assert run("ingest", src, "--out", tmp_path / "x.csv") == 1
+        assert "error: announcements of minute 1970-01-01T00:01:00Z sum past int64" in capsys.readouterr().err
 
 
 class TestTrainScoreDetect:
@@ -143,6 +186,37 @@ class TestTrainScoreDetect:
             "--to", "1999-01-02T00:00:00Z", "--k", 5, "--out", tmp_path / "m.json",
         ) == 1
         assert "not covered" in capsys.readouterr().err
+
+    def test_train_range_spanning_years_exits_one(self, tmp_path, quiet_csv, capsys):
+        assert run(
+            "train", quiet_csv, "--from", "1970-01-01T00:00:00Z",
+            "--to", "1980-01-01T00:00:00Z", "--k", 5, "--out", tmp_path / "m.json",
+        ) == 1
+        assert "error: range of 5258881 minutes exceeds the 4194304-minute series limit" in capsys.readouterr().err
+
+    def test_score_writes_pinned_novelty_bytes(self, tmp_path):
+        # With w1 and b1 zero the hidden layer is tanh(0) = 0 exactly, so every
+        # value below is exact on any BLAS and libm.
+        model = AutoencoderModel(
+            input_dim=4, hidden_dim=3, w1=np.zeros((3, 4)), b1=np.zeros(3), w2=np.ones((4, 3)),
+            b2=np.full(4, 0.5), k=2, norm=NormalizationParams(0.0, 4.0, 0.0, 8.0),
+        )
+        model_path = tmp_path / "model.json"
+        model_path.write_bytes(save_model(model))
+        buckets = tmp_path / "buckets.csv"
+        buckets.write_text(
+            "minute_utc,announcements,withdrawals\n"
+            "2001-09-18T12:00:00Z,0,8\n"
+            "2001-09-18T12:01:00Z,4,0\n"
+            "2001-09-18T12:02:00Z,1,2\n"
+        )
+        out = tmp_path / "novelty.csv"
+        assert run("score", buckets, model_path, "--out", out) == 0
+        assert out.read_bytes() == (
+            b"minute_utc,novelty\n"
+            b"2001-09-18T12:01:00Z,0.25\n"
+            b"2001-09-18T12:02:00Z,0.15625\n"
+        )
 
     def test_score_then_detect_quantile(self, tmp_path, quiet_csv):
         model_path = tmp_path / "model.json"
@@ -249,7 +323,35 @@ class TestTop:
         ]
         assert got == expected
 
+    def test_output_bytes_are_pinned(self, tmp_path, capsys):
+        src = tmp_path / "buckets.csv"
+        src.write_text(top15_csv_text())
+        assert run("top", src, "--n", 3) == 0
+        assert capsys.readouterr().out == (
+            "rank,minute_utc,total\n"
+            "1,2001-07-27T14:50:00Z,595001\n"
+            "2,2001-08-02T13:30:00Z,592458\n"
+            "3,2001-08-17T20:57:00Z,572124\n"
+        )
 
+    def test_zero_rows_give_the_header_only(self, tmp_path, capsys):
+        src = tmp_path / "buckets.csv"
+        src.write_text(top15_csv_text())
+        assert run("top", src, "--n", 0) == 0
+        assert capsys.readouterr().out == "rank,minute_utc,total\n"
+
+    def test_row_past_the_series_limit_exits_one_naming_the_line(self, tmp_path, capsys):
+        src = tmp_path / "buckets.csv"
+        src.write_text(
+            "minute_utc,announcements,withdrawals\n"
+            "1970-01-01T00:00:00Z,1,0\n"
+            "1977-12-22T17:04:00Z,1,0\n"
+        )
+        assert run("top", src, "--n", 1) == 1
+        assert (
+            f"error: line 3: timestamp 1977-12-22T17:04:00Z exceeds the {MAX_SERIES_MINUTES}-minute series limit"
+            in capsys.readouterr().err
+        )
     def test_count_beyond_int64_exits_one_naming_the_line(self, tmp_path, capsys):
         src = tmp_path / "big.csv"
         src.write_text(
@@ -293,6 +395,19 @@ class TestCompare:
         out = tmp_path / "lead.csv"
         assert run("compare", ae, rule, "--out", out) == 0
         assert out.read_text().splitlines()[1] == "2001-09-18T12:00:00Z,,"
+
+    def test_empty_ae_report_gives_the_header_only(self, tmp_path):
+        ae = tmp_path / "ae.json"
+        rule = tmp_path / "rule.json"
+        ae.write_text("[]")
+        rule.write_text(json.dumps([
+            {"start": "2001-09-18T13:00:00Z", "end": "2001-09-18T13:20:00Z",
+             "peak_minute": "2001-09-18T13:05:00Z", "peak_value": 900000.0,
+             "source": "rule"},
+        ]))
+        out = tmp_path / "lead.csv"
+        assert run("compare", ae, rule, "--out", out) == 0
+        assert out.read_bytes() == b"ae_start,rule_start,lead_minutes\n"
 
 
 class TestSynth:

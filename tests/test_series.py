@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from bgpnovelty.series import (
     BadHeader,
     BadTimestamp,
+    MAX_SERIES_MINUTES,
     BucketCsvError,
+    CountOverflow,
     InvalidRange,
     MinuteSeries,
     NegativeCount,
@@ -296,6 +298,72 @@ class TestBucketize:
         assert np.array_equal(a.withdrawals, b.withdrawals)
 
 
+int64_counts = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([2**62, -(2**62), 2**63 - 1, -(2**63), 2**32 - 1, 2**32, -1, 0]),
+)
+
+
+class TestSumsLeavingInt64:
+    @pytest.mark.parametrize(
+        "records, message",
+        [
+            (((NOON + 60, 2**62, 0), (NOON + 61, 2**62, 0)), "announcements of minute 2001-09-10T00:01:00Z"),
+            (((NOON, 0, -(2**62)), (NOON, 0, -(2**62)), (NOON, 0, -1)), "withdrawals of minute 2001-09-10T00:00:00Z"),
+            # the earliest minute is named, whichever channel leaves int64 there
+            (((NOON + 60, 2**62, 0), (NOON + 60, 2**62, 0), (NOON, 0, 2**62), (NOON, 0, 2**62)),
+             "withdrawals of minute 2001-09-10T00:00:00Z"),
+        ],
+    )
+    def test_raises_naming_the_minute(self, records, message):
+        with pytest.raises(CountOverflow, match=re.escape(message) + " sum past int64"):
+            bucketize(rows(*records), NOON, NOON + 60)
+
+    def test_sums_reaching_either_bound_are_exact(self):
+        records = rows((NOON, 2**62, -(2**62)), (NOON, 2**62 - 1, -(2**62)))
+        assert bucket(bucketize(records, NOON, NOON), 0) == (NOON, 2**63 - 1, -(2**63))
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(st.tuples(st.integers(NOON, NOON + 179), int64_counts, int64_counts), max_size=12))
+    def test_matches_python_sums_or_names_the_first_overflow(self, records):
+        expected = reference_bucketize(records, NOON, NOON + 120)
+        outside = [(i, c) for i, sums in enumerate(expected) for c in (0, 1) if not -(2**63) <= sums[c] < 2**63]
+        if outside:
+            minute, channel = outside[0]
+            name = ("announcements", "withdrawals")[channel]
+            with pytest.raises(CountOverflow, match=f"{name} of minute {format_minute_utc(NOON + 60 * minute)}"):
+                bucketize(rows(*records), NOON, NOON + 120)
+        else:
+            series = bucketize(rows(*records), NOON, NOON + 120)
+            assert np.column_stack((series.announcements, series.withdrawals)).tolist() == expected
+
+
+class TestSeriesLimit:
+    def test_bucketize_rejects_a_range_past_the_limit(self):
+        with pytest.raises(InvalidRange, match=f"range of {MAX_SERIES_MINUTES + 1} minutes exceeds the"):
+            bucketize(rows((NOON, 1, 1)), NOON, NOON + 60 * MAX_SERIES_MINUTES)
+
+    def test_slice_range_shares_the_limit(self):
+        series = MinuteSeries(NOON, [1, 2], [0, 0])
+        with pytest.raises(InvalidRange, match="exceeds the 4194304-minute series limit"):
+            slice_range(series, NOON, NOON + 60 * MAX_SERIES_MINUTES)
+        with pytest.raises(InvalidRange, match="not covered"):  # a range of exactly the limit passes that check
+            slice_range(series, NOON, NOON + 60 * (MAX_SERIES_MINUTES - 1))
+
+    def test_reader_rejects_the_first_row_past_the_limit(self):
+        last = format_minute_utc(NOON + 60 * (MAX_SERIES_MINUTES - 1))
+        past = format_minute_utc(NOON + 60 * MAX_SERIES_MINUTES)
+        text = f"minute_utc,announcements,withdrawals\n{format_minute_utc(NOON)},1,2\n{last},3,4\n{past},5,6\n"
+        with pytest.raises(BucketCsvError, match=f"line 4: timestamp {past} exceeds the {MAX_SERIES_MINUTES}-minute"):
+            read_bucket_csv(text)
+
+    def test_reader_accepts_a_series_of_exactly_the_limit(self):
+        last = format_minute_utc(NOON + 60 * (MAX_SERIES_MINUTES - 1))
+        series = read_bucket_csv(f"minute_utc,announcements,withdrawals\n{format_minute_utc(NOON)},1,2\n{last},3,4\n")
+        assert len(series) == MAX_SERIES_MINUTES
+        assert bucket(series, MAX_SERIES_MINUTES - 1) == (NOON + 60 * (MAX_SERIES_MINUTES - 1), 3, 4)
+
+
 class TestTotals:
     def test_total_is_sum_of_channels(self):
         assert MinuteSeries(NOON, [3, 0], [2, 0]).totals().tolist() == [5, 0]
@@ -472,5 +540,3 @@ class TestFirstBadLine:
         with pytest.raises(error, match=re.escape(message)) as raised:
             read_bucket_csv(text)
         assert type(raised.value) is error
-        with pytest.raises(error, match=re.escape(message)):
-            read_bucket_csv(text.splitlines(keepends=True))
