@@ -131,48 +131,87 @@ def _forward(X, w1, b1, w2, b2, hidden: np.ndarray, out: np.ndarray) -> np.ndarr
 
 def sse_loss(model: AutoencoderModel, X: np.ndarray) -> float:
     """Half the summed squared reconstruction error over the rows of X."""
-    f, _ = objective(model, X)
-    return f(flatten_params(model))
+    return objective(model, X)[0](flatten_params(model))
 
 
 def gradient(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`sse_loss` over w1 (row-major), b1, w2 (row-major), b2."""
-    _, g = objective(model, X)
-    return g(flatten_params(model))
+    return objective(model, X)[1](flatten_params(model))
 
 
-def objective(model: AutoencoderModel, X: np.ndarray):
-    """Fused ``(f, g)`` over flat parameter vectors for the rows of X.
+def objective(model: AutoencoderModel, X: np.ndarray, dtype=np.float64):
+    """Fused ``(f, g, curvature)`` over flat parameter vectors for the rows of X.
 
-    ``f(flat)`` and ``g(flat)`` equal :func:`sse_loss` and :func:`gradient`
-    bit for bit at the model with parameters ``flat`` (``model`` gives only
-    the dimensions). ``f`` keeps its activations, residual and a copy of its
-    point; ``g`` at a point equal to that copy runs only the backward pass.
+    ``f(flat)`` is the loss and ``g(flat)`` its gradient at the model with
+    parameters ``flat`` (``model`` gives only the dimensions); in float64
+    they equal :func:`sse_loss` and :func:`gradient` bit for bit.
+    ``curvature(flat, p)`` is the exact second directional derivative p'Hp,
+    by forward-mode differentiation of the network (Pearlmutter, "Fast
+    exact multiplication by the Hessian", 1994).
+
+    X is cast to ``dtype`` once, and the matmuls and ``tanh`` run in it;
+    the loss and the other reductions sum in float64, and the gradient is
+    float64. The closures share one set of buffers: ``f`` leaves the forward
+    pass of its point there, ``g`` at that point adds only the backward
+    pass, and ``curvature`` at that point reuses both and spends them.
     """
     _check_matrix(model, X)
     if X.shape[0] == 0:
         raise EmptyDataset("the dataset has no rows; at least one is required")
-    hidden, residual = np.empty((X.shape[0], model.hidden_dim)), np.empty(X.shape)
-    at = np.full(model.n_params, np.nan)  # point of the last forward pass
-    w2_at = _split(model, at)[2]
+    X = X.astype(dtype, copy=False)
+    n, h = X.shape[0], model.hidden_dim
+    hidden, slope, d_hidden, a_dot = np.empty((4, n, h), dtype)
+    residual, scratch = np.empty((2, *X.shape), dtype)
+    params = np.empty(model.n_params, dtype)
+    w1, b1, w2, b2 = _split(model, params)
+    at = np.full(model.n_params, np.nan)  # point of the buffers
+    backward_at = np.full(model.n_params, np.nan)  # point of slope = 1 - h**2 and d_hidden = (r @ w2) * slope
 
     def forward(flat: np.ndarray) -> None:
-        np.subtract(_forward(X, *_split(model, flat), hidden, residual), X, out=residual)
+        params[:] = _checked(model, flat)
+        np.subtract(_forward(X, w1, b1, w2, b2, hidden, residual), X, out=residual)
         at[:] = flat
+        backward_at[:] = np.nan
+
+    def backward(flat: np.ndarray) -> None:
+        if not np.array_equal(flat, at):
+            forward(flat)
+        if not np.array_equal(flat, backward_at):
+            np.subtract(1.0, np.square(hidden, out=slope), out=slope)
+            np.multiply(np.matmul(residual, w2, out=d_hidden), slope, out=d_hidden)
+            backward_at[:] = flat
 
     def f(flat: np.ndarray) -> float:
         forward(flat)
-        return 0.5 * float(np.sum(residual * residual))
+        return 0.5 * float(np.sum(np.square(residual, out=scratch), dtype=np.float64))
 
     def g(flat: np.ndarray) -> np.ndarray:
-        if not np.array_equal(flat, at):
-            forward(flat)
-        grad_w2, d_hidden = residual.T @ hidden, residual @ w2_at
-        at[:] = np.nan  # hidden turns into 1 - hidden**2 below: the cache is spent
-        d_hidden *= np.subtract(1.0, np.multiply(hidden, hidden, out=hidden), out=hidden)
-        return np.concatenate([(d_hidden.T @ X).ravel(), d_hidden.sum(axis=0), grad_w2.ravel(), residual.sum(axis=0)])
+        backward(flat)
+        return np.concatenate([
+            (d_hidden.T @ X).ravel(), d_hidden.sum(axis=0, dtype=np.float64),
+            (residual.T @ hidden).ravel(), residual.sum(axis=0, dtype=np.float64),
+        ], dtype=np.float64)
 
-    return f, g
+    def curvature(flat: np.ndarray, p: np.ndarray) -> float:
+        backward(flat)
+        at[:] = backward_at[:] = np.nan  # h' and r' overwrite slope and residual below: the buffers are spent
+        p1, q1, p2, q2 = _split(model, _checked(model, p).astype(dtype))
+        np.add(np.matmul(X, p1.T, out=a_dot), q1, out=a_dot)
+        h_dot = np.multiply(slope, a_dot, out=slope)  # h' = (1 - h**2) a'
+        np.multiply(np.square(a_dot, out=a_dot), hidden, out=a_dot)
+        tanh_term = _dot64(d_hidden, a_dot)  # <r @ w2, h h' a'>, as h'' = -2 h h' a'
+        cross = _dot64(p2, residual.T @ h_dot)
+        r_dot = np.matmul(h_dot, w2.T, out=residual)
+        r_dot += np.matmul(hidden, p2.T, out=scratch)
+        r_dot += q2  # r' = h' w2' + h p2' + q2
+        return _dot64(r_dot, r_dot) - 2.0 * tanh_term + 2.0 * cross
+
+    return f, g, curvature
+
+
+def _dot64(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum of ``a * b`` over two equally shaped matrices, accumulated in float64."""
+    return float(np.einsum("ij,ij->", a, b, dtype=np.float64))
 
 
 def flatten_params(model: AutoencoderModel) -> np.ndarray:
@@ -181,15 +220,20 @@ def flatten_params(model: AutoencoderModel) -> np.ndarray:
 
 def unflatten_params(model: AutoencoderModel, flat: np.ndarray) -> AutoencoderModel:
     """Rebuild a model from a flat parameter vector (inverse of flatten)."""
-    w1, b1, w2, b2 = _split(model, np.array(flat, dtype=np.float64))
+    w1, b1, w2, b2 = _split(model, np.array(_checked(model, flat), dtype=np.float64))
     return replace(model, w1=w1, b1=b1, w2=w2, b2=b2)
 
 
-def _split(model: AutoencoderModel, flat: np.ndarray) -> list[np.ndarray]:
-    """Views of w1, b1, w2 and b2, shaped, in a flat parameter vector."""
-    flat = np.asarray(flat, dtype=np.float64)
+def _checked(model: AutoencoderModel, flat: np.ndarray) -> np.ndarray:
+    """``flat`` as an array, after checking that it holds the model's parameter count."""
+    flat = np.asarray(flat)
     if flat.shape != (model.n_params,):
         raise DimensionMismatch(f"expected {model.n_params} parameters, got {flat.shape}")
+    return flat
+
+
+def _split(model: AutoencoderModel, flat: np.ndarray) -> list[np.ndarray]:
+    """Views of w1, b1, w2 and b2, shaped, in a flat parameter vector of the model's length."""
     h, d = model.hidden_dim, model.input_dim
     w1, b1, w2, b2 = np.split(flat, [h * d, h * d + h, 2 * h * d + h])
     return [w1.reshape(h, d), b1, w2.reshape(d, h), b2]

@@ -178,7 +178,8 @@ def cmd_ingest(args) -> int:
         if end is None:
             end = int(records[:, 0].max()) // 60 * 60
         result = series.bucketize(records, start, end)
-    _write_text(args.out, series.write_bucket_csv(result))
+    with args.out.open("w", encoding="utf-8") as out:
+        series.write_bucket_csv(result, out)
     return 0
 
 
@@ -267,7 +268,8 @@ def cmd_synth(args) -> int:
     )
     for spec_text in args.surge:
         result = synth.inject_surge(result, _parse_surge(spec_text))
-    _write_text(args.out, series.write_bucket_csv(result))
+    with args.out.open("w", encoding="utf-8") as out:
+        series.write_bucket_csv(result, out)
     return 0
 
 

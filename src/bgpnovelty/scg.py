@@ -1,23 +1,19 @@
 """Scaled Conjugate Gradient minimizer (Møller's algorithm).
 
 Batch second-order-approximation optimizer with no line search: each cycle
-estimates the directional curvature along the current conjugate direction,
+takes the directional curvature along the current conjugate direction,
 regularizes it with a trust-region scale parameter, takes the implied step,
 and accepts or rejects it by comparing the actual loss reduction with the
 quadratic prediction. See M. Møller, "A scaled conjugate gradient algorithm
 for fast supervised learning", Neural Networks 6(4), 1993.
 
-Evaluation economy per cycle: at most two objective evaluations (curvature
-probe plus trial point) and at most one gradient evaluation (at an accepted
-point: the trial point just evaluated, whose forward pass the fused closures
-of ``autoencoder.objective`` reuse, so a training cycle costs two forward
-passes and one backward pass). The curvature along p is estimated from
-objective values,
-
-    p'Hp  ~=  2 (f(x + sigma*p) - f(x) - sigma * p'g(x)) / sigma^2,
-
-which has the same O(sigma) accuracy as a one-sided gradient difference but
-reuses the gradient already in hand.
+Evaluation economy per cycle: one objective evaluation (the trial point),
+and after an accepted step one gradient and one curvature evaluation at the
+new point. The curvature p'Hp is exact, supplied by the caller, instead of
+Møller's finite-difference probe ``f(x + sigma*p)``: a probe loses its
+accuracy once the loss is evaluated in single precision. For the
+autoencoder, ``autoencoder.objective`` fuses the three, so a cycle costs
+one forward pass, one backward pass and one forward-mode pass over it.
 """
 
 from __future__ import annotations
@@ -38,20 +34,19 @@ STOP_NON_FINITE = "non-finite-objective"
 # Scale parameter ceiling; beyond this the quadratic model has degenerated
 # into vanishing steps and letting lambda grow further only risks overflow.
 _LAMBDA_MAX = 1e20
+# Scaled curvature per unit p'p taken when lambda is 0 and p'Hp is too.
+_FLAT_CURVATURE = 1e-4
 
 
 @dataclass(frozen=True)
 class ScgConfig:
     max_cycles: int = 100
-    sigma0: float = 1e-4
     lambda0: float = 1e-6
     grad_tol: float = 1e-6
 
     def __post_init__(self):
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be > 0")
         if self.lambda0 < 0 or self.grad_tol < 0:
             raise ValueError("lambda0 and grad_tol must be >= 0")
 
@@ -76,14 +71,17 @@ class TrainReport:
 def scg_minimize(
     f: Callable[[np.ndarray], float],
     g: Callable[[np.ndarray], np.ndarray],
+    curvature: Callable[[np.ndarray, np.ndarray], float],
     x0: np.ndarray,
     cfg: ScgConfig = ScgConfig(),
 ) -> tuple[np.ndarray, TrainReport]:
     """Minimize f (with gradient g) from x0; returns the best accepted point.
 
-    Deterministic given the start point. Stops on the cycle budget, on the
-    gradient norm falling below ``grad_tol``, or — flagged in the report —
-    on f or g producing a non-finite value, in which case the last accepted
+    ``curvature(x, p)`` is p'Hp, the second derivative of f at x along p;
+    it is only called at a point where g was just evaluated. Deterministic
+    given the start point. Stops on the cycle budget, on the gradient norm
+    falling below ``grad_tol``, or — flagged in the report — on f, g or the
+    curvature producing a non-finite value, in which case the last accepted
     point is returned.
     """
     x = np.array(x0, dtype=np.float64, copy=True)
@@ -92,12 +90,11 @@ def scg_minimize(
     dim = x.size
 
     fx = float(f(x))
-    gx = np.asarray(g(x), dtype=np.float64)
+    r = -np.asarray(g(x), dtype=np.float64)
     losses: list[float] = []
-    if not _finite(fx, gx):
+    if not _finite(fx, r):
         return x, TrainReport(losses, 0, STOP_NON_FINITE)
 
-    r = -gx
     p = r.copy()
     success = True
     lam = cfg.lambda0
@@ -120,12 +117,10 @@ def scg_minimize(
                 p = r.copy()
                 updates_since_restart = 0
             p_sq = float(p @ p)
-            sigma = cfg.sigma0 / math.sqrt(p_sq)
-            f_probe = float(f(x + sigma * p))
-            if not math.isfinite(f_probe):
+            raw_delta = float(curvature(x, p))
+            if not math.isfinite(raw_delta):
                 stop = STOP_NON_FINITE
                 break
-            raw_delta = 2.0 * (f_probe - fx - sigma * float(p @ gx)) / (sigma * sigma)
 
         # Trust-region scaling; force positive definiteness when needed.
         # (Keeping the raw curvature makes Møller's lambda-bar bookkeeping
@@ -135,7 +130,7 @@ def scg_minimize(
             lam = 2.0 * (lam - delta / p_sq)
             delta = raw_delta + lam * p_sq
         if delta <= 0.0:  # only reachable with lambda == 0 and zero curvature
-            delta = cfg.sigma0 * p_sq
+            delta = _FLAT_CURVATURE * p_sq
 
         mu = float(p @ r)
         alpha = mu / delta
@@ -149,12 +144,11 @@ def scg_minimize(
         if comparison >= 0.0:
             x = x_trial
             fx = f_trial
-            gx_new = np.asarray(g(x), dtype=np.float64)
-            if not _finite(0.0, gx_new):
+            r_new = -np.asarray(g(x), dtype=np.float64)
+            if not _finite(0.0, r_new):
                 losses.append(fx)
                 stop = STOP_NON_FINITE
                 break
-            r_new = -gx_new
             success = True
             updates_since_restart += 1
             if updates_since_restart >= dim:
@@ -164,7 +158,6 @@ def scg_minimize(
                 beta = (float(r_new @ r_new) - float(r_new @ r)) / mu
                 p = r_new + beta * p
             r = r_new
-            gx = gx_new
             if comparison >= 0.75:
                 lam = 0.25 * lam
         else:
@@ -185,11 +178,13 @@ def train(
 ) -> tuple[AutoencoderModel, TrainReport]:
     """Fit the autoencoder to the rows of the window matrix X by full-batch SCG.
 
-    Deterministic given (model, X, cfg): the optimizer has no randomness of
-    its own. Raises DimensionMismatch or EmptyDataset, as ``objective`` does.
+    The loss, gradient and curvature kernels run in float32 (see
+    ``autoencoder.objective``); the SCG vectors, the loss history and the
+    returned weights are float64. Deterministic given (model, X, cfg) at a
+    fixed BLAS thread count: the optimizer has no randomness of its own.
+    Raises DimensionMismatch or EmptyDataset, as ``objective`` does.
     """
-    X = X.astype(np.float64, copy=False)
-    best, report = scg_minimize(*objective(model, X), flatten_params(model), cfg)
+    best, report = scg_minimize(*objective(model, X, dtype=np.float32), flatten_params(model), cfg)
     return unflatten_params(model, best), report
 
 

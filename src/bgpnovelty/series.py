@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -21,6 +21,8 @@ MINUTE = 60
 MAX_SERIES_MINUTES = 2**22
 
 BUCKET_CSV_HEADER = "minute_utc,announcements,withdrawals"
+
+CSV_BLOCK_ROWS = 2**14  # rows a bucket-CSV write renders at once
 
 
 class BucketCsvError(ValueError):
@@ -271,15 +273,31 @@ def read_bucket_csv(text: str) -> MinuteSeries:
     return MinuteSeries(start, counts[0], counts[1])
 
 
-def write_bucket_csv(series: MinuteSeries) -> str:
-    """Render a series in the bucket CSV format (LF line endings)."""
-    counts = map(str, series.announcements.tolist()), map(str, series.withdrawals.tolist())
-    return csv_text(BUCKET_CSV_HEADER, format_minutes_utc(series.minutes()), *counts)
+def write_bucket_csv(series: MinuteSeries, out: TextIO) -> None:
+    """Write a series to a text stream in the bucket CSV format (LF line endings).
+
+    Rows are rendered and written ``CSV_BLOCK_ROWS`` at a time, so memory
+    follows the block, not the series. A series reaching outside the years
+    0001-9999 raises ValueError before anything is written.
+    """
+    if len(series):
+        format_minutes_utc([series.start_minute_s, series.end_minute_s])
+    out.write(BUCKET_CSV_HEADER + "\n")
+    for lo in range(0, len(series), CSV_BLOCK_ROWS):
+        announcements = series.announcements[lo : lo + CSV_BLOCK_ROWS]
+        withdrawals = series.withdrawals[lo : lo + CSV_BLOCK_ROWS]
+        stamps = format_minutes_utc(series.minute_at(lo) + MINUTE * np.arange(announcements.size))
+        out.write(_csv_rows(stamps, map(str, announcements.tolist()), map(str, withdrawals.tolist())))
 
 
 def csv_text(header: str, *columns) -> str:
-    """The header, then row ``i`` joining item ``i`` of the equally long string columns; every line ends in LF."""
-    return "\n".join([header, *map(",".join, zip(*columns, strict=True))]) + "\n"
+    """The header line, then :func:`_csv_rows` of the columns."""
+    return header + "\n" + _csv_rows(*columns)
+
+
+def _csv_rows(*columns) -> str:
+    """Row ``i`` joins item ``i`` of the equally long string columns with commas; every row ends in LF."""
+    return "\n".join([*map(",".join, zip(*columns, strict=True)), ""])
 
 
 def csv_columns(text: str, width: int, error: type[ValueError]) -> tuple:

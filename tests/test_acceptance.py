@@ -86,7 +86,10 @@ def test_scg_optimizer():
     def sphere_grad(x):
         return 2.0 * x
 
-    x, report_a = scg_minimize(sphere, sphere_grad, np.array([3.0, -2.0]), ScgConfig(max_cycles=50))
+    def sphere_curvature(x, p):
+        return 2.0 * float(p @ p)
+
+    x, report_a = scg_minimize(sphere, sphere_grad, sphere_curvature, np.array([3.0, -2.0]), ScgConfig(max_cycles=50))
     assert np.linalg.norm(x) < 1e-4
     assert report_a.cycles_run <= 50
 
@@ -99,8 +102,12 @@ def test_scg_optimizer():
             200.0 * (v[1] - v[0] ** 2),
         ])
 
+    def rosenbrock_curvature(v, p):
+        hessian = np.array([[1200.0 * v[0] ** 2 - 400.0 * v[1] + 2.0, -400.0 * v[0]], [-400.0 * v[0], 200.0]])
+        return float(p @ hessian @ p)
+
     y, report_b = scg_minimize(
-        rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]), ScgConfig(max_cycles=500)
+        rosenbrock, rosenbrock_grad, rosenbrock_curvature, np.array([-1.2, 1.0]), ScgConfig(max_cycles=500)
     )
     assert np.max(np.abs(y - 1.0)) < 1e-3
     assert report_b.cycles_run <= 500

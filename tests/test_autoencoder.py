@@ -213,7 +213,7 @@ class TestObjective:
     @given(shapes_and_seed)
     def test_equals_sse_loss_and_gradient_exactly(self, shape):
         model, X, _ = problem(shape)
-        f, g = objective(model, X)
+        f, g, _ = objective(model, X)
         flat = flatten_params(model)
         loss, grad = reference_loss_and_gradient(model, X)
         assert f(flat) == sse_loss(model, X) == loss
@@ -224,7 +224,7 @@ class TestObjective:
     @given(shapes_and_seed)
     def test_gradient_away_from_last_point_is_fresh(self, shape):
         model, X, rng = problem(shape)
-        f, g = objective(model, X)
+        f, g, _ = objective(model, X)
         flat = flatten_params(model)
         other = flat + rng.normal(size=flat.size)
         f(flat)
@@ -235,7 +235,7 @@ class TestObjective:
     @given(shapes_and_seed, st.data())
     def test_in_place_change_after_f_is_never_stale(self, shape, data):
         model, X, _ = problem(shape)
-        f, g = objective(model, X)
+        f, g, _ = objective(model, X)
         flat = flatten_params(model)
         f(flat)
         i = data.draw(st.integers(0, flat.size - 1))
@@ -246,7 +246,7 @@ class TestObjective:
     @given(shapes_and_seed)
     def test_each_gradient_call_returns_a_new_array(self, shape):
         model, X, _ = problem(shape)
-        f, g = objective(model, X)
+        f, g, _ = objective(model, X)
         flat = flatten_params(model)
         f(flat)
         first, second = g(flat), g(flat)
@@ -259,11 +259,80 @@ class TestObjective:
             objective(model, np.zeros((0, 4)))
         with pytest.raises(DimensionMismatch):
             objective(model, np.zeros((2, 5)))
-        f, g = objective(model, np.zeros((2, 4)))
+        f, g, _ = objective(model, np.zeros((2, 4)))
         with pytest.raises(DimensionMismatch):
             f(np.zeros(5))
         with pytest.raises(DimensionMismatch):
             g(np.zeros(5))
+
+
+def unit_direction(rng, size):
+    p = rng.normal(size=size)
+    return p / np.linalg.norm(p)
+
+
+class TestCurvature:
+    @settings(max_examples=100, deadline=None)
+    @given(shapes_and_seed)
+    def test_float64_matches_central_difference_of_gradient(self, shape):
+        # relative to |Hp|, the largest |p'Hp| for a unit direction p
+        model, X, rng = problem(shape)
+        _, g, curvature = objective(model, X)
+        flat, p = flatten_params(model), unit_direction(rng, model.n_params)
+        step = 1e-5
+        hessian_p = (g(flat + step * p) - g(flat - step * p)) / (2.0 * step)
+        assert abs(curvature(flat, p) - hessian_p @ p) <= 1e-6 * np.linalg.norm(hessian_p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes_and_seed, st.sampled_from([np.float64, np.float32]))
+    def test_after_gradient_equals_a_fresh_objective(self, shape, dtype):
+        model, X, rng = problem(shape)
+        f, g, curvature = objective(model, X, dtype)
+        flat, p = flatten_params(model), unit_direction(rng, model.n_params)
+        f(flat)
+        g(flat)
+        assert curvature(flat, p) == objective(model, X, dtype)[2](flat, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shapes_and_seed)
+    def test_spent_buffers_are_never_stale(self, shape):
+        model, X, rng = problem(shape)
+        f, g, curvature = objective(model, X)
+        flat, p = flatten_params(model), unit_direction(rng, model.n_params)
+        f(flat)
+        g(flat)
+        first = curvature(flat, p)
+        assert np.array_equal(g(flat), gradient(model, X))
+        assert curvature(flat, p) == first
+        assert f(flat) == sse_loss(model, X)
+
+    def test_rejects_wrong_sizes(self):
+        model = init_model(4, 3, seed=0)
+        _, _, curvature = objective(model, np.zeros((2, 4)))
+        with pytest.raises(DimensionMismatch):
+            curvature(np.zeros(5), np.zeros(model.n_params))
+        with pytest.raises(DimensionMismatch):
+            curvature(flatten_params(model), np.zeros(5))
+
+
+class TestFloat32Objective:
+    """float32 kernels against float64 on window-shaped data, at tolerances set from float32's epsilon."""
+
+    EPS = float(np.finfo(np.float32).eps)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_loss_gradient_and_curvature_within_tolerance_of_float64(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(2000, 40))
+        model = init_model(40, 20, seed=seed)
+        flat, p = flatten_params(model), unit_direction(rng, model.n_params)
+        f64, g64, curvature64 = objective(model, X)
+        f32, g32, curvature32 = objective(model, X, np.float32)
+        assert abs(f32(flat) - f64(flat)) <= 10 * self.EPS * f64(flat)
+        grad64, grad32 = g64(flat), g32(flat)
+        assert grad32.dtype == np.float64
+        assert np.max(np.abs(grad32 - grad64)) <= 100 * self.EPS * np.max(np.abs(grad64))
+        assert abs(curvature32(flat, p) - curvature64(flat, p)) <= 100 * self.EPS * abs(curvature64(flat, p))
 
 
 class TestFlattening:

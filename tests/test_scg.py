@@ -7,8 +7,8 @@ from bgpnovelty.autoencoder import (
     DimensionMismatch,
     EmptyDataset,
     flatten_params,
-    gradient,
     init_model,
+    objective,
     save_model,
     sse_loss,
     unflatten_params,
@@ -38,6 +38,10 @@ def sphere_grad(x):
     return 2.0 * x
 
 
+def sphere_curvature(x, p):
+    return 2.0 * float(p @ p)
+
+
 def rosenbrock(v):
     x, y = v
     return float(100.0 * (y - x * x) ** 2 + (1.0 - x) ** 2)
@@ -50,23 +54,29 @@ def rosenbrock_grad(v):
     )
 
 
+def rosenbrock_curvature(v, p):
+    x, y = v
+    hessian = np.array([[1200.0 * x * x - 400.0 * y + 2.0, -400.0 * x], [-400.0 * x, 200.0]])
+    return float(p @ hessian @ p)
+
+
 class TestScgMinimize:
     def test_sphere_converges_quickly(self):
-        x, report = scg_minimize(sphere, sphere_grad, np.array([3.0, -2.0]), ScgConfig(max_cycles=50))
+        x, report = scg_minimize(sphere, sphere_grad, sphere_curvature, np.array([3.0, -2.0]), ScgConfig(max_cycles=50))
         assert np.linalg.norm(x) < 1e-4
         assert report.cycles_run <= 50
         assert_monotone(report)
 
     def test_rosenbrock_reaches_global_minimum(self):
         x, report = scg_minimize(
-            rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]), ScgConfig(max_cycles=500)
+            rosenbrock, rosenbrock_grad, rosenbrock_curvature, np.array([-1.2, 1.0]), ScgConfig(max_cycles=500)
         )
         assert np.max(np.abs(x - 1.0)) < 1e-3
         assert_monotone(report)
 
     def test_stationary_start_returns_immediately(self):
         x0 = np.zeros(3)
-        x, report = scg_minimize(sphere, sphere_grad, x0, ScgConfig())
+        x, report = scg_minimize(sphere, sphere_grad, sphere_curvature, x0, ScgConfig())
         assert np.array_equal(x, x0)
         assert report.cycles_run == 0
         assert report.stop_reason == STOP_GRADIENT
@@ -85,15 +95,18 @@ class TestScgMinimize:
         def g(x):
             return matrix @ (x - target)
 
+        def curvature(x, p):
+            return float(p @ matrix @ p)
+
         x, report = scg_minimize(
-            f, g, rng.normal(size=d), ScgConfig(max_cycles=d + 5, grad_tol=1e-8)
+            f, g, curvature, rng.normal(size=d), ScgConfig(max_cycles=d + 5, grad_tol=1e-8)
         )
         assert np.linalg.norm(g(x)) < 1e-8
         assert report.stop_reason == STOP_GRADIENT
         assert_monotone(report)
 
     def test_evaluation_economy_per_cycle(self):
-        calls = {"f": 0, "g": 0}
+        calls = {"f": 0, "g": 0, "curvature": 0}
 
         def counted_f(x):
             calls["f"] += 1
@@ -103,16 +116,21 @@ class TestScgMinimize:
             calls["g"] += 1
             return rosenbrock_grad(x)
 
+        def counted_curvature(x, p):
+            calls["curvature"] += 1
+            return rosenbrock_curvature(x, p)
+
         _, report = scg_minimize(
-            counted_f, counted_g, np.array([-1.2, 1.0]), ScgConfig(max_cycles=200)
+            counted_f, counted_g, counted_curvature, np.array([-1.2, 1.0]), ScgConfig(max_cycles=200)
         )
-        # one f and one g before the loop; then at most two f and one g per cycle
-        assert calls["f"] <= 1 + 2 * report.cycles_run
+        # one f and one g before the loop; then one f and at most one g and one curvature per cycle
+        assert calls["f"] <= 1 + report.cycles_run
         assert calls["g"] <= 1 + report.cycles_run
+        assert calls["curvature"] <= report.cycles_run
 
     def test_single_cycle_budget_runs_exactly_one_cycle(self):
         _, report = scg_minimize(
-            sphere, sphere_grad, np.array([3.0, -2.0]), ScgConfig(max_cycles=1)
+            sphere, sphere_grad, sphere_curvature, np.array([3.0, -2.0]), ScgConfig(max_cycles=1)
         )
         assert report.cycles_run == 1
         assert report.stop_reason == STOP_BUDGET
@@ -121,26 +139,35 @@ class TestScgMinimize:
         def bad_f(x):
             return float("inf") if np.linalg.norm(x) < 1.0 else sphere(x)
 
-        x, report = scg_minimize(bad_f, sphere_grad, np.array([3.0, -2.0]), ScgConfig())
+        x, report = scg_minimize(bad_f, sphere_grad, sphere_curvature, np.array([3.0, -2.0]), ScgConfig())
         assert report.stop_reason == STOP_NON_FINITE
         assert report.non_finite
         assert np.all(np.isfinite(x))
 
+    def test_non_finite_curvature_flags_and_returns_last_accepted(self):
+        def bad_curvature(x, p):
+            return float("nan") if np.linalg.norm(x) < 1.0 else sphere_curvature(x, p)
+
+        x, report = scg_minimize(sphere, sphere_grad, bad_curvature, np.array([3.0, -2.0]), ScgConfig())
+        assert report.stop_reason == STOP_NON_FINITE
+        assert np.linalg.norm(x) < 1.0
+        assert report.cycles_run == len(report.loss_history) + 1
+
     def test_non_finite_at_start_returns_start(self):
         x0 = np.array([0.5, 0.5])
         bad_f = lambda x: float("nan")
-        x, report = scg_minimize(bad_f, sphere_grad, x0, ScgConfig())
+        x, report = scg_minimize(bad_f, sphere_grad, sphere_curvature, x0, ScgConfig())
         assert np.array_equal(x, x0)
         assert report.cycles_run == 0
         assert report.non_finite
 
     def test_rejects_non_finite_start_point(self):
         with pytest.raises(ValueError):
-            scg_minimize(sphere, sphere_grad, np.array([np.nan, 0.0]), ScgConfig())
+            scg_minimize(sphere, sphere_grad, sphere_curvature, np.array([np.nan, 0.0]), ScgConfig())
 
     def test_budget_stop_reason_when_tolerance_unreachable(self):
         _, report = scg_minimize(
-            rosenbrock, rosenbrock_grad, np.array([-1.2, 1.0]),
+            rosenbrock, rosenbrock_grad, rosenbrock_curvature, np.array([-1.2, 1.0]),
             ScgConfig(max_cycles=5, grad_tol=0.0),
         )
         assert report.stop_reason == STOP_BUDGET
@@ -151,13 +178,12 @@ class TestConfig:
     def test_defaults(self):
         cfg = ScgConfig()
         assert cfg.max_cycles == 100
-        assert cfg.sigma0 == 1e-4
         assert cfg.lambda0 == 1e-6
         assert cfg.grad_tol == 1e-6
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(max_cycles=0), dict(sigma0=0.0), dict(lambda0=-1.0), dict(grad_tol=-0.1)],
+        [dict(max_cycles=0), dict(lambda0=-1.0), dict(grad_tol=-0.1)],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -210,20 +236,23 @@ class TestTrain:
 
 
 class TestFusedObjectiveMatchesReference:
-    """``train`` gives the bytes of SCG over one fresh model per evaluation."""
+    """``train`` gives the bytes of SCG over one fresh float32 objective per evaluation."""
 
     @staticmethod
     def reference_train(model, X, cfg):
         calls = {"g": 0}
 
         def f(flat):
-            return sse_loss(unflatten_params(model, flat), X)
+            return objective(model, X, np.float32)[0](flat)
 
         def g(flat):
             calls["g"] += 1
-            return gradient(unflatten_params(model, flat), X)
+            return objective(model, X, np.float32)[1](flat)
 
-        best, report = scg_minimize(f, g, flatten_params(model), cfg)
+        def curvature(flat, p):
+            return objective(model, X, np.float32)[2](flat, p)
+
+        best, report = scg_minimize(f, g, curvature, flatten_params(model), cfg)
         return unflatten_params(model, best), report, calls["g"]
 
     @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Minute bucketing, CSV round trips, ranking, and the minute-timestamp codec."""
 
+import io
 import re
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -9,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bgpnovelty.series import (
+    BUCKET_CSV_HEADER,
+    CSV_BLOCK_ROWS,
     BadHeader,
     BadTimestamp,
     MAX_SERIES_MINUTES,
@@ -404,7 +408,9 @@ class TestBucketCsv:
     def test_round_trips_through_write(self):
         text = top15_csv_text()
         series = read_bucket_csv(text)
-        again = read_bucket_csv(write_bucket_csv(series))
+        out = io.StringIO()
+        write_bucket_csv(series, out)
+        again = read_bucket_csv(out.getvalue())
         assert np.array_equal(series.announcements, again.announcements)
         assert np.array_equal(series.withdrawals, again.withdrawals)
 
@@ -492,6 +498,50 @@ class TestBucketCsv:
     def test_accepts_int64_maximum(self):
         text = f"minute_utc,announcements,withdrawals\n2001-07-27T14:50:00Z,{2**63 - 1},0\n"
         assert read_bucket_csv(text).announcements.tolist() == [2**63 - 1]
+
+
+class TestBucketCsvWriter:
+    @staticmethod
+    def written(series):
+        out = io.StringIO()
+        write_bucket_csv(series, out)
+        return out.getvalue()
+
+    @pytest.mark.parametrize(
+        "n", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 3]
+    )
+    def test_blocks_join_into_the_whole_series_rendering(self, n):
+        rng = np.random.default_rng(n)
+        series = MinuteSeries(NOON, rng.integers(0, 2**63 - 1, n), rng.integers(0, 10, n))
+        columns = format_minutes_utc(series.minutes()), series.announcements.tolist(), series.withdrawals.tolist()
+        rows = "".join(f"{stamp},{a},{w}\n" for stamp, a, w in zip(*columns))
+        assert self.written(series) == BUCKET_CSV_HEADER + "\n" + rows
+
+    def test_memory_peak_stays_well_below_the_output_size(self):
+        class Sink:
+            size = 0
+
+            def write(self, text):
+                self.size += len(text)
+
+        # a span with hardly any data, like an ingest over a long --from/--to range
+        n = 2**20
+        series, sink = MinuteSeries(NOON, np.zeros(n), np.zeros(n)), Sink()
+        tracemalloc.start()
+        try:
+            write_bucket_csv(series, sink)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.size == len(BUCKET_CSV_HEADER) + 1 + n * len("2001-09-10T01:20:00Z,0,0\n")
+        assert peak < sink.size / 4
+
+    def test_series_past_year_9999_raises_before_writing(self):
+        last_minute = parse_minute_utc("9999-12-31T23:59:00Z")
+        out = io.StringIO()
+        with pytest.raises(ValueError, match="outside the years 0001-9999"):
+            write_bucket_csv(MinuteSeries(last_minute, np.zeros(2), np.zeros(2)), out)
+        assert out.getvalue() == ""
 
 
 class TestFillAndSlice:
