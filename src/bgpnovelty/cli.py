@@ -122,16 +122,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_bucket_file(path: Path) -> series.MinuteSeries:
-    return series.read_bucket_csv(path.read_text(encoding="utf-8"))
+    return series.read_bucket_csv(path.read_bytes())
 
 
 def _read_scores(path: Path, source: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-minute scores: novelty for the autoencoder source, update totals for the rule."""
-    text = path.read_text(encoding="utf-8")
+    data = path.read_bytes()
     if source == detector.SOURCE_AUTOENCODER:
-        return detector.read_novelty_csv(text)
-    data = series.read_bucket_csv(text)
-    return data.minutes(), data.totals()
+        return detector.read_novelty_csv(data)
+    buckets = series.read_bucket_csv(data)
+    return buckets.minutes(), buckets.totals()
 
 
 def _flag_range(args) -> list[int | None]:
@@ -168,7 +168,7 @@ def cmd_ingest(args) -> int:
     data = args.input.read_bytes()
     start, end = _flag_range(args)
     if data.startswith(_BUCKET_MAGIC):
-        result = _slice_to_flags(series.read_bucket_csv(data.decode("utf-8")), start, end)
+        result = _slice_to_flags(series.read_bucket_csv(data), start, end)
     else:
         records = mrt.parse_mrt_stream(data)
         if not len(records) and (start is None or end is None):

@@ -12,20 +12,20 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .autoencoder import AutoencoderModel, reconstruct
-from .series import MINUTE, MinuteSeries, csv_columns, csv_text, first_row_fault, minutes_column
+from .series import MINUTE, MinuteSeries, csv_rows, csv_text, first_row_fault
 from .series import format_minute_utc, format_minutes_utc, parse_minutes_utc
 
 SOURCE_AUTOENCODER = "autoencoder"
 SOURCE_RULE = "rule"
 
 NOVELTY_CSV_HEADER = "minute_utc,novelty"
+_VALUE_AT = len("YYYY-MM-DDTHH:MM:00Z,")  # where a novelty value starts in its row
 _SPAN_KEYS = ("start", "end", "peak_minute")  # alarm report fields of AlarmEvent's three minutes
 
 
@@ -169,8 +169,10 @@ def lead_time(
     start lies within ±match_window_minutes of its own start. Lead is
     rule start minus autoencoder start in minutes, positive when the
     autoencoder fired earlier; unmatched events report None. Both inputs
-    must be sorted by start time.
+    must be sorted by start time; a negative window raises ValueError.
     """
+    if match_window_minutes < 0:
+        raise ValueError(f"match window must be >= 0 minutes, got {match_window_minutes}")
     window_s = match_window_minutes * MINUTE
     claimed = [False] * len(rule_events)
     matches: list[tuple[AlarmEvent, AlarmEvent | None, int | None]] = []
@@ -198,38 +200,53 @@ def write_novelty_csv(minutes: np.ndarray, values: np.ndarray) -> str:
     return csv_text(NOVELTY_CSV_HEADER, format_minutes_utc(minutes), map(repr, values.tolist()))
 
 
-def read_novelty_csv(text: str) -> tuple[np.ndarray, np.ndarray]:
+def read_novelty_csv(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     """Parse the novelty CSV format into int64 minutes and float64 values.
 
-    Values take Python's ``float()`` syntax. Errors name the first bad line;
-    a ``nan`` or ``inf`` value raises NonFiniteValue.
+    Lines are split as :func:`~bgpnovelty.series.csv_rows` says. Values take
+    Python's ``float()`` syntax. Errors name the first bad line; a ``nan`` or
+    ``inf`` value raises NonFiniteValue.
     """
-    header, (stamps, texts), line_nos, misfit = csv_columns(text, 2, ValueError)
-    if header != NOVELTY_CSV_HEADER:
+    rows = csv_rows(data, 2, ValueError)
+    if rows.header != NOVELTY_CSV_HEADER:
         raise ValueError(f"expected header {NOVELTY_CSV_HEADER!r}")
-    minutes, stamp_check = minutes_column(stamps)
-    values, bad_value = _floats(texts)
-    first_row_fault(line_nos, [
+    minutes, stamp_check = rows.minutes()
+    lines = data.split(b"\n")
+    # A row whose stamp is not 20 bytes fails on the stamp, which is checked first; in the others
+    # the value starts at _VALUE_AT, and a CR left at its end is whitespace to float().
+    values, bad = _floats([lines[n - 1][_VALUE_AT:] for n in rows.line_nos.tolist()])
+    first_row_fault(rows.line_nos, [
         stamp_check,
-        (np.arange(len(texts)) == bad_value[0], lambda i: ValueError(bad_value[1])),
-        (~np.isfinite(values), lambda i: NonFiniteValue(f"novelty is not finite: {texts[i]!r}")),
-    ], misfit)
+        (np.arange(values.size) == bad, lambda i: _float_error(rows.text(1, i))),
+        (~np.isfinite(values), lambda i: NonFiniteValue(f"novelty is not finite: {rows.text(1, i)!r}")),
+    ], rows.misfit)
     return minutes, values
 
 
-def _floats(texts: list[str]) -> tuple[np.ndarray, tuple[int, str]]:
-    """``float()`` of each text, and the index (-1 for none) and error of the first that fails.
+def _floats(fields: list[bytes]) -> tuple[np.ndarray, int]:
+    """``float()`` of each field's UTF-8 text, and the index of the first that fails (-1 for none).
 
-    The values from the failing text on are NaN.
+    The values from the failing field on are NaN.
     """
-    rest = iter(texts)
+    try:  # float() reads ASCII bytes as it reads their text, and fails on any other byte
+        return np.fromiter(map(float, fields), np.float64, len(fields)), -1
+    except ValueError:
+        pass
+    values = np.full(len(fields), np.nan)
+    for i, field in enumerate(fields):  # a failure, or text beyond ASCII such as other scripts' digits
+        try:
+            values[i] = float(field.decode())
+        except ValueError:
+            return values, i
+    return values, -1
+
+
+def _float_error(text: str) -> ValueError:
+    """The error of ``float(text)``, for a text it fails on."""
     try:
-        return np.fromiter(map(float, rest), np.float64, len(texts)), (-1, "")
+        float(text)
     except ValueError as exc:
-        bad = len(texts) - operator.length_hint(rest) - 1  # map stopped on the text it failed on
-        values = np.full(len(texts), np.nan)
-        values[:bad] = np.fromiter(map(float, texts[:bad]), np.float64, bad)
-        return values, (bad, str(exc))
+        return exc
 
 
 def write_alarm_report(events: Sequence[AlarmEvent]) -> str:

@@ -9,10 +9,10 @@ simply shows up as a run of zero buckets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import Sequence, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MINUTE = 60
 
@@ -59,9 +59,13 @@ def parse_minutes_utc(stamps: Sequence[str]) -> np.ndarray:
     Stamps are 20 ASCII characters with the seconds field literally ``00``
     and a year from 0001 to 9999. Raises BadTimestamp naming the first bad one.
     """
-    minutes, (bad, error) = minutes_column(stamps)
-    if bad.any():
-        raise error(int(np.argmax(bad)))
+    encoded = [str(stamp).encode("utf-8", "surrogatepass") for stamp in stamps]
+    bounds = np.cumsum([0, *map(len, encoded)])
+    buf = np.frombuffer(b"".join(encoded) + bytes(_STAMP_LEN), np.uint8)
+    minutes, shaped, on_calendar = _stamp_column(buf, bounds[:-1], bounds[1:])
+    bad = np.flatnonzero(~(shaped & on_calendar))
+    if bad.size:
+        raise _stamp_error(shaped[bad[0]], stamps[bad[0]])
     return minutes
 
 
@@ -79,7 +83,23 @@ def format_minutes_utc(minutes: Sequence[int] | np.ndarray) -> list[str]:
     outside = (minutes < _FIRST_SECOND) | (minutes > _LAST_SECOND)
     if outside.any():
         raise ValueError(f"epoch second {minutes[np.argmax(outside)]} is outside the years 0001-9999")
-    return [text + ":00Z" for text in np.datetime_as_string(minutes.astype("datetime64[s]"), unit="m").tolist()]
+    days, seconds = np.divmod(minutes, 86400)
+    # year, month and day by the proleptic Gregorian civil-from-days formula, the inverse of _stamp_column's
+    era, day_of_era = np.divmod(days + 719468, 146097)
+    year_of_era = (day_of_era - day_of_era // 1460 + day_of_era // 36524 - day_of_era // 146096) // 365
+    day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
+    march_month = (5 * day_of_year + 2) // 153  # 0 for March
+    month = np.where(march_month < 10, march_month + 3, march_month - 9)
+    year = 400 * era + year_of_era + (month <= 2)
+    day = day_of_year - (153 * march_month + 2) // 5 + 1
+    rows = np.empty((_STAMP_LEN + 1, minutes.size), np.uint8)  # one stamp and its LF per column
+    rows[:_STAMP_LEN] = _STAMP[:, None]
+    rows[_STAMP_LEN] = _LF
+    for (lo, width), value in zip(_STAMP_FIELDS, (year, month, day, seconds // 3600, seconds // 60 % 60)):
+        for at in range(lo + width - 1, lo - 1, -1):
+            value, digit = np.divmod(value, 10)
+            rows[at] = digit + _ZERO
+    return rows.T.tobytes().decode("ascii").splitlines()
 
 
 def format_minute_utc(minute_start_s: int) -> str:
@@ -87,40 +107,47 @@ def format_minute_utc(minute_start_s: int) -> str:
     return format_minutes_utc([minute_start_s])[0]
 
 
-_STAMP = np.array([ord(c) - ord("0") for c in "dddd-dd-ddTdd:dd:00Z"])  # "d": any digit
-_DIGIT = _STAMP == ord("d") - ord("0")
+_LF, _CR, _COMMA, _ZERO = b"\n\r,0"
+_STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
+_STAMP_LEN = _STAMP.size
+_STAMP_RANGE = np.frombuffer(b"9999-99-99T99:99:00Z", np.uint8) - _STAMP  # how far each byte may exceed _STAMP
+_STAMP_FIELDS = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2))  # (first byte, digits) of year, month, day, hour, minute
 _DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _FIRST_SECOND, _LAST_SECOND = -62135596800, 253402300799  # 0001-01-01T00:00:00Z, 9999-12-31T23:59:59Z
+_COUNT_DIGITS = len(str(2**63 - 1))  # a count of more significant digits exceeds int64
 
 
-def minutes_column(stamps: Sequence[str]) -> tuple[np.ndarray, tuple]:
-    """Epoch seconds of each stamp, and the ``(bad, error)`` check of :func:`first_row_fault`.
+def _stamp_column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Epoch seconds of the stamps ``buf[starts[i]:ends[i]]``, which are stamp-shaped, which are calendar dates.
 
-    Seconds hold only where ``bad`` is False; ``error(i)`` is stamp ``i``'s BadTimestamp.
+    ``buf`` is uint8 and holds at least 20 bytes from every start on. The
+    seconds hold only where a stamp is both.
     """
-    n = len(stamps)
-    lengths = np.fromiter(map(len, stamps), np.int64, n)
-    digits = np.array(stamps, dtype="U20").view(np.int32).reshape(n, 20)  # code points
-    digits -= ord("0")
-    shape_ok = (lengths == 20) & np.where(_DIGIT, (digits >= 0) & (digits < 10), digits == _STAMP).all(axis=1)
-    year, month, day, hour, minute = (
-        digits[:, lo : lo + width] @ 10 ** np.arange(width - 1, -1, -1)
-        for lo, width in ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2))
-    )
+    # (20, n): row j holds byte j of every stamp less byte j of the pattern, wrapping below zero
+    digits = sliding_window_view(buf, _STAMP_LEN)[starts].T - _STAMP[:, None]
+    shaped = (ends - starts == _STAMP_LEN) & (digits <= _STAMP_RANGE[:, None]).all(axis=0)
+    year, month, day, hour, minute = (_decimal(digits[lo : lo + width]) for lo, width in _STAMP_FIELDS)
     month_ok = (month >= 1) & (month <= 12)
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
     month_days = _DAYS_IN_MONTH[np.where(month_ok, month, 0)] + ((month == 2) & leap)
-    calendar_ok = (year >= 1) & month_ok & (day >= 1) & (day <= month_days) & (hour < 24) & (minute < 60)
+    on_calendar = (year >= 1) & month_ok & (day >= 1) & (day <= month_days) & (hour < 24) & (minute < 60)
     # days since 1970-01-01 by the proleptic Gregorian days-from-civil formula
     era, year_of_era = np.divmod(year - (month <= 2), 400)
     day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
     days = 146097 * era + 365 * year_of_era + year_of_era // 4 - year_of_era // 100 + day_of_year - 719468
+    return 86400 * days + 3600 * hour + 60 * minute, shaped, on_calendar
 
-    def error(i: int) -> BadTimestamp:
-        kind = "invalid calendar" if shape_ok[i] else "not a minute-aligned UTC"
-        return BadTimestamp(f"{kind} timestamp: {stamps[i]!r}")
 
-    return 86400 * days + 3600 * hour + 60 * minute, (~(shape_ok & calendar_ok), error)
+def _decimal(digits: np.ndarray, dtype: type = np.int64) -> np.ndarray:
+    """The numbers whose decimal digits are the rows of ``digits``, most significant first."""
+    value = np.zeros(digits.shape[1], dtype)
+    for row in digits:
+        value = 10 * value + row
+    return value
+
+
+def _stamp_error(shaped: bool, text: str) -> BadTimestamp:
+    return BadTimestamp(f"{'invalid calendar' if shaped else 'not a minute-aligned UTC'} timestamp: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -240,36 +267,39 @@ def top_n(series: MinuteSeries, n: int) -> list[tuple[int, int]]:
     return list(zip(series.minutes()[order].tolist(), totals[order].tolist()))
 
 
-def read_bucket_csv(text: str) -> MinuteSeries:
+def read_bucket_csv(data: bytes) -> MinuteSeries:
     """Read the bucket CSV format into a gapless series.
 
     The first line must be exactly ``minute_utc,announcements,withdrawals``;
     rows carry a ``YYYY-MM-DDTHH:MM:00Z`` timestamp and two counts of ASCII
     decimal digits, strictly ascending in time and less than
-    ``MAX_SERIES_MINUTES`` minutes after the first row. LF and CRLF inputs
-    are both accepted. Interior gaps between rows are zero-filled. An input
-    without data rows gives an empty series starting at epoch 0. An error
-    names the first bad line.
+    ``MAX_SERIES_MINUTES`` minutes after the first row. Lines are split as
+    :func:`csv_rows` says. Interior gaps between rows are zero-filled. An
+    input without data rows gives an empty series starting at epoch 0. An
+    error names the first bad line.
     """
-    header, (stamps, announcements, withdrawals), line_nos, misfit = csv_columns(text, 3, BucketCsvError)
-    if header is None:
+    rows = csv_rows(data, 3, BucketCsvError)
+    if rows.header is None:
         raise BadHeader("empty input; expected header line")
-    if header != BUCKET_CSV_HEADER:
-        raise BadHeader(f"expected header {BUCKET_CSV_HEADER!r}, got {header!r}")
-    minutes, stamp_check = minutes_column(stamps)
-    first_row_fault(line_nos, [
+    if rows.header != BUCKET_CSV_HEADER:
+        raise BadHeader(f"expected header {BUCKET_CSV_HEADER!r}, got {rows.header!r}")
+    minutes, stamp_check = rows.minutes()
+    announcements, announcement_check = rows.counts(1, "announcements")
+    withdrawals, withdrawal_check = rows.counts(2, "withdrawals")
+    first_row_fault(rows.line_nos, [
         stamp_check,
-        (_count_faults(announcements), lambda i: _count_error("announcements", announcements[i])),
-        (_count_faults(withdrawals), lambda i: _count_error("withdrawals", withdrawals[i])),
+        announcement_check,
+        withdrawal_check,
         (np.diff(minutes, prepend=minutes[:1] - 1) <= 0,
-         lambda i: NonMonotonic(f"timestamp {stamps[i]} not after the previous row")),
+         lambda i: NonMonotonic(f"timestamp {rows.text(0, i)} not after the previous row")),
         ((minutes - minutes[:1]) // MINUTE >= MAX_SERIES_MINUTES,
-         lambda i: BucketCsvError(f"timestamp {stamps[i]} exceeds the {MAX_SERIES_MINUTES}-minute series limit")),
-    ], misfit)
+         lambda i: BucketCsvError(f"timestamp {rows.text(0, i)} exceeds the {MAX_SERIES_MINUTES}-minute series limit")),
+    ], rows.misfit)
     start = int(minutes[0]) if len(minutes) else 0
     index = (minutes - start) // MINUTE
     counts = np.zeros((2, int(index[-1]) + 1 if len(index) else 0), dtype=np.int64)
-    counts[:, index] = np.array([announcements, withdrawals], dtype=np.int64)
+    counts[0, index] = announcements
+    counts[1, index] = withdrawals
     return MinuteSeries(start, counts[0], counts[1])
 
 
@@ -300,24 +330,85 @@ def _csv_rows(*columns) -> str:
     return "\n".join([*map(",".join, zip(*columns, strict=True)), ""])
 
 
-def csv_columns(text: str, width: int, error: type[ValueError]) -> tuple:
-    """Header (None for no lines), the data rows in ``width`` columns, their line numbers.
+@dataclass(frozen=True)
+class CsvRows:
+    """The header and the data rows of a CSV file as byte spans, as :func:`csv_rows` splits them."""
 
-    Blank lines are skipped. The rows stop before the first one without
-    ``width`` fields, for which the last item is an ``error``; it is None when
-    every row fits.
+    header: str | None  # None for a file without lines
+    buf: np.ndarray  # the file's bytes as uint8, with 20 zero bytes on either side
+    starts: np.ndarray  # (width, rows): field j of row i is buf[starts[j, i]:ends[j, i]]
+    ends: np.ndarray
+    line_nos: np.ndarray
+    misfit: ValueError | None  # the first row without the expected fields, where the rows stop
+
+    def text(self, column: int, row: int) -> str:
+        return self.buf[self.starts[column, row] : self.ends[column, row]].tobytes().decode()
+
+    def minutes(self) -> tuple[np.ndarray, tuple]:
+        """Epoch seconds of the stamps in column 0, and their ``(bad, error)`` check for :func:`first_row_fault`."""
+        seconds, shaped, on_calendar = _stamp_column(self.buf, self.starts[0], self.ends[0])
+        return seconds, (~(shaped & on_calendar), lambda i: _stamp_error(shaped[i], self.text(0, i)))
+
+    def counts(self, column: int, name: str) -> tuple[np.ndarray, tuple]:
+        """int64 counts of a column, and its check: a count that is not ASCII digits or exceeds int64."""
+        starts, ends = self.starts[column], self.ends[column]
+        lengths = ends - starts
+        width = min(int(lengths.max(initial=0)), _COUNT_DIGITS)
+        # (width, rows): the last bytes of each count, zeros before its start; a non-digit reads above 9
+        window = sliding_window_view(self.buf, width)[ends - width].T
+        digits = np.where(np.arange(width)[:, None] >= width - lengths, window - _ZERO, 0)
+        value = _decimal(digits, np.uint64)
+        bad = (lengths == 0) | (digits > 9).any(axis=0) | (value > 2**63 - 1)
+        long = np.flatnonzero(lengths > _COUNT_DIGITS)
+        if long.size:  # everything before the last 19 digits must be zeros
+            sizes = lengths[long] - _COUNT_DIGITS
+            firsts = np.cumsum(sizes) - sizes
+            at = np.repeat(starts[long] - firsts, sizes) + np.arange(sizes.sum())
+            bad[long] |= ~np.logical_and.reduceat(self.buf[at] == _ZERO, firsts)
+        return value.astype(np.int64), (bad, lambda i: _count_error(name, self.text(column, i)))
+
+
+def csv_rows(data: bytes, width: int, error: type[ValueError]) -> CsvRows:
+    """Split CSV bytes into lines and the data rows into ``width`` fields.
+
+    Lines end at LF, or at the end of the data; a CR just before an LF is
+    dropped. Blank lines are skipped but counted in line numbers. The rows
+    stop before the first one without ``width`` fields. Data that is not
+    UTF-8 raises ``error`` naming the line of the first bad byte.
     """
-    lines = text.splitlines()
-    header, rows = (lines[0], lines[1:]) if lines else (None, [])
-    line_nos = np.arange(2, len(rows) + 2)[np.fromiter(map(bool, rows), bool, len(rows))]
-    rows = list(filter(None, rows))
-    commas = np.fromiter(map(str.count, rows, repeat(",")), np.int64, len(rows))
-    cut = int(np.argmax(commas != width - 1)) if (commas != width - 1).any() else len(rows)
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise error(f"line {line}: not UTF-8 text ({exc.reason})") from None
+    pad = _STAMP_LEN  # fixed-width reads near either end of the data stay in the buffer
+    buf = np.frombuffer(bytes(pad) + data + bytes(pad), np.uint8)
+    text = buf[pad:-pad]
+    lf = np.flatnonzero(text == _LF) + pad
+    ends = lf if data[-1:] in (b"", b"\n") else np.append(lf, pad + len(data))
+    starts = np.concatenate(([pad], ends[:-1] + 1))[: ends.size]
+    ends = ends - ((ends > starts) & (ends < pad + len(data)) & (buf[ends - 1] == _CR))
+    commas = np.flatnonzero(text == _COMMA) + pad
+    per_line = np.bincount(np.searchsorted(lf, commas), minlength=ends.size)
+    line_nos = np.flatnonzero(ends[1:] > starts[1:]) + 2
+    fields = per_line[line_nos - 1] + 1
+    misfits = np.flatnonzero(fields != width)
     misfit = None
-    if cut < len(rows):
-        misfit = error(f"line {line_nos[cut]}: expected {width} fields, got {commas[cut] + 1}")
-    fields = ",".join(rows[:cut]).split(",") if cut else []
-    return header, [fields[i::width] for i in range(width)], line_nos[:cut], misfit
+    if misfits.size:
+        cut = misfits[0]
+        misfit = error(f"line {line_nos[cut]}: expected {width} fields, got {fields[cut]}")
+        line_nos = line_nos[:cut]
+    header_commas = int(per_line[:1].sum())
+    row_commas = commas[header_commas : header_commas + (width - 1) * line_nos.size].reshape(-1, width - 1).T
+    return CsvRows(
+        buf[starts[0] : ends[0]].tobytes().decode() if ends.size else None,
+        buf,
+        np.vstack([starts[line_nos - 1], row_commas + 1]),
+        np.vstack([row_commas, ends[line_nos - 1]]),
+        line_nos,
+        misfit,
+    )
 
 
 def first_fault(checks) -> tuple[int, Exception] | None:
@@ -341,25 +432,10 @@ def first_row_fault(line_nos: np.ndarray, checks, misfit: ValueError | None) -> 
         raise misfit
 
 
-def _is_digits(text: str) -> bool:
-    return text.isascii() and text.isdigit()
-
-
-def _count_faults(texts: list[str]) -> np.ndarray:
-    """Where a count is not ASCII decimal digits or does not fit in int64."""
-    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-    if _is_digits("".join(texts)) and lengths.all():
-        bad = np.zeros(len(texts), dtype=bool)
-    else:  # find the bad ones
-        bad = ~np.fromiter(map(_is_digits, texts), bool, len(texts))
-    for i in np.flatnonzero(~bad & (lengths > 18)):  # only these can reach 2**63
-        bad[i] = int(texts[i]) >= 2**63
-    return bad
-
-
 def _count_error(name: str, text: str) -> BucketCsvError:
-    if text[:1] == "-" and _is_digits(text[1:]) and int(text[1:]) > 0:
-        return NegativeCount(f"negative {name}: {int(text)}")
-    if _is_digits(text):
+    digits = text.removeprefix("-")
+    if digits != text and digits.isascii() and digits.isdigit() and digits.strip("0"):
+        return NegativeCount(f"negative {name}: -{digits.lstrip('0')}")
+    if text.isascii() and text.isdigit():
         return BucketCsvError(f"{name} exceeds int64: {text!r}")
     return BucketCsvError(f"{name} is not an integer: {text!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import MINUTE, MinuteSeries
+from .series import MAX_SERIES_MINUTES, MINUTE, MinuteSeries
 
 SECONDS_PER_DAY = 86400
 
@@ -80,8 +80,8 @@ def gen_baseline(
     time. Announcements are drawn before withdrawals from a single seeded
     generator; the same seed always yields the same series.
     """
-    if minutes < 1:
-        raise BadParams("minutes must be >= 1")
+    if not 1 <= minutes <= MAX_SERIES_MINUTES:
+        raise BadParams(f"minutes must be from 1 to the {MAX_SERIES_MINUTES}-minute series limit, got {minutes}")
     if mean_a <= 0 or mean_w <= 0:
         raise BadParams("channel means must be > 0")
     if not 0.0 <= diurnal_amp < 1.0:

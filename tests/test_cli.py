@@ -45,7 +45,7 @@ class TestIngest:
         src.write_bytes(stream)
         out = tmp_path / "buckets.csv"
         assert run("ingest", src, "--out", out) == 0
-        series = read_bucket_csv(out.read_text())
+        series = read_bucket_csv(out.read_bytes())
         assert series.announcements.tolist() == [5, 0, 0]
         assert series.withdrawals.tolist() == [1, 0, 4]
 
@@ -73,7 +73,7 @@ class TestIngest:
             "ingest", src, "--from", "1970-01-01T00:01:00Z", "--to", "1970-01-01T00:04:00Z",
             "--out", out,
         ) == 0
-        series = read_bucket_csv(out.read_text())
+        series = read_bucket_csv(out.read_bytes())
         assert len(series) == 4
         assert series.announcements.tolist() == [0, 2, 0, 0]
         assert series.withdrawals.tolist() == [0, 1, 0, 0]
@@ -396,6 +396,14 @@ class TestCompare:
         assert run("compare", ae, rule, "--out", out) == 0
         assert out.read_text().splitlines()[1] == "2001-09-18T12:00:00Z,,"
 
+    def test_negative_match_window_exits_one(self, tmp_path, capsys):
+        ae = tmp_path / "ae.json"
+        ae.write_text("[]")
+        out = tmp_path / "lead.csv"
+        assert run("compare", ae, ae, "--match-window", -5, "--out", out) == 1
+        assert "error: match window must be >= 0 minutes, got -5" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_ae_report_gives_the_header_only(self, tmp_path):
         ae = tmp_path / "ae.json"
         rule = tmp_path / "rule.json"
@@ -427,8 +435,8 @@ class TestSynth:
             "--surge", "start=1970-01-01T00:30:00Z,duration=10,shape=step,magnitude=5",
             "--out", surged,
         ) == 0
-        a = read_bucket_csv(plain.read_text())
-        b = read_bucket_csv(surged.read_text())
+        a = read_bucket_csv(plain.read_bytes())
+        b = read_bucket_csv(surged.read_bytes())
         assert b.announcements[30] == 5 * a.announcements[30]
         assert b.announcements[29] == a.announcements[29]
 
@@ -438,6 +446,12 @@ class TestSynth:
         assert out.read_text().splitlines()[1].startswith("0999-01-01T00:00:00Z,")
         assert run("top", out, "--n", 1) == 0
         assert capsys.readouterr().out.splitlines()[1].split(",")[1].startswith("0999-01-01T00:0")
+
+    def test_minutes_past_the_series_limit_exit_one_without_output(self, tmp_path, capsys):
+        out = tmp_path / "big.csv"
+        assert run("synth", "--minutes", MAX_SERIES_MINUTES + 1, "--out", out) == 1
+        assert f"{MAX_SERIES_MINUTES}-minute series limit" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_surge_spec_exits_one(self, tmp_path, capsys):
         assert run(

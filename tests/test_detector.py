@@ -244,11 +244,16 @@ class TestLeadTime:
         matches = lead_time([event(60)], [event(0, SOURCE_RULE)], 240)
         assert matches[0][2] == -60
 
+    def test_window_of_zero_pairs_same_minute_starts_and_a_negative_window_raises(self):
+        assert lead_time([event(0)], [event(0, SOURCE_RULE)], 0)[0][2] == 0
+        with pytest.raises(ValueError, match="match window must be >= 0 minutes, got -5"):
+            lead_time([event(0)], [event(0, SOURCE_RULE)], -5)
+
 
 class TestFormats:
     def test_novelty_csv_round_trip(self):
         minutes, values = points_at([0.0, 0.12345678901234567, 3.5e-7])
-        again_minutes, again_values = read_novelty_csv(write_novelty_csv(minutes, values))
+        again_minutes, again_values = read_novelty_csv(write_novelty_csv(minutes, values).encode())
         assert again_minutes.dtype == np.int64 and again_values.dtype == np.float64
         assert np.array_equal(again_minutes, minutes)
         assert np.array_equal(again_values, values)
@@ -261,17 +266,17 @@ class TestFormats:
             f"2001-06-02T00:01:00Z,{text}\n"
         )
         with pytest.raises(NonFiniteValue, match="line 3"):
-            read_novelty_csv(csv)
+            read_novelty_csv(csv.encode())
 
     def test_novelty_csv_names_the_line_of_a_bad_value(self):
         csv = "minute_utc,novelty\n2001-06-02T00:00:00Z,5.0\n2001-06-02T00:01:00Z,abc\n"
         with pytest.raises(ValueError, match="line 3: could not convert"):
-            read_novelty_csv(csv)
+            read_novelty_csv(csv.encode())
 
     def test_novelty_csv_names_the_line_of_a_bad_timestamp(self):
         csv = "minute_utc,novelty\n2001-06-02T00:00:00Z,5.0\n2001-06-02T00:01:30Z,1.0\n"
         with pytest.raises(BadTimestamp, match="line 3: "):
-            read_novelty_csv(csv)
+            read_novelty_csv(csv.encode())
 
     @pytest.mark.parametrize(
         "rows, error, message",
@@ -290,15 +295,15 @@ class TestFormats:
     def test_novelty_csv_names_the_first_bad_row(self, rows, error, message):
         csv = "minute_utc,novelty\n2001-06-02T00:00:00Z,5.0\n" + "\n".join(rows) + "\n"
         with pytest.raises(error, match=re.escape(message)) as raised:
-            read_novelty_csv(csv)
+            read_novelty_csv(csv.encode())
         assert type(raised.value) is error
 
     def test_novelty_values_keep_the_float_syntax(self):
         csv = "minute_utc,novelty\n2001-06-02T00:00:00Z, 1_0.5 \n2001-06-02T00:01:00Z,\u0662\n"
-        assert read_novelty_csv(csv)[1].tolist() == [10.5, 2.0]
+        assert read_novelty_csv(csv.encode())[1].tolist() == [10.5, 2.0]
 
     def test_empty_novelty_csv_gives_empty_arrays(self):
-        minutes, values = read_novelty_csv("minute_utc,novelty\n")
+        minutes, values = read_novelty_csv(b"minute_utc,novelty\n")
         assert minutes.dtype == np.int64 and values.dtype == np.float64
         assert minutes.shape == values.shape == (0,)
 

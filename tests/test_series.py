@@ -143,7 +143,11 @@ minute_epochs = st.integers(min_value=_FIRST_MINUTE, max_value=_LAST_MINUTE).map
 _MUTATIONS = [
     lambda s, c: s[:4] + c + s[5:],  # date separator
     lambda s, c: s[:10] + c + s[11:],  # the "T"
+    lambda s, c: s[:7] + c + s[8:],  # second date separator
+    lambda s, c: s[:13] + c + s[14:],  # first time separator
     lambda s, c: s[:16] + c + s[17:],  # time separator
+    lambda s, c: s[:18] + c + s[19:],  # a seconds digit
+    lambda s, c: s[:19] + c,  # the "Z"
     lambda s, c: s[:17] + "30" + s[19:],  # seconds other than 00
     lambda s, c: s[:11] + "24" + s[13:],  # hour 24
     lambda s, c: s[:14] + "60" + s[16:],  # minute 60
@@ -359,11 +363,12 @@ class TestSeriesLimit:
         past = format_minute_utc(NOON + 60 * MAX_SERIES_MINUTES)
         text = f"minute_utc,announcements,withdrawals\n{format_minute_utc(NOON)},1,2\n{last},3,4\n{past},5,6\n"
         with pytest.raises(BucketCsvError, match=f"line 4: timestamp {past} exceeds the {MAX_SERIES_MINUTES}-minute"):
-            read_bucket_csv(text)
+            read_bucket_csv(text.encode())
 
     def test_reader_accepts_a_series_of_exactly_the_limit(self):
         last = format_minute_utc(NOON + 60 * (MAX_SERIES_MINUTES - 1))
-        series = read_bucket_csv(f"minute_utc,announcements,withdrawals\n{format_minute_utc(NOON)},1,2\n{last},3,4\n")
+        text = f"minute_utc,announcements,withdrawals\n{format_minute_utc(NOON)},1,2\n{last},3,4\n"
+        series = read_bucket_csv(text.encode())
         assert len(series) == MAX_SERIES_MINUTES
         assert bucket(series, MAX_SERIES_MINUTES - 1) == (NOON + 60 * (MAX_SERIES_MINUTES - 1), 3, 4)
 
@@ -401,16 +406,16 @@ class TestTopN:
 class TestBucketCsv:
     def test_reads_single_row(self):
         text = "minute_utc,announcements,withdrawals\n2001-07-27T14:50:00Z,500000,95001\n"
-        series = read_bucket_csv(text)
+        series = read_bucket_csv(text.encode())
         assert len(series) == 1
         assert bucket(series, 0) == (996245400, 500000, 95001)
 
     def test_round_trips_through_write(self):
         text = top15_csv_text()
-        series = read_bucket_csv(text)
+        series = read_bucket_csv(text.encode())
         out = io.StringIO()
         write_bucket_csv(series, out)
-        again = read_bucket_csv(out.getvalue())
+        again = read_bucket_csv(out.getvalue().encode())
         assert np.array_equal(series.announcements, again.announcements)
         assert np.array_equal(series.withdrawals, again.withdrawals)
 
@@ -420,28 +425,28 @@ class TestBucketCsv:
             "2001-07-05T17:14:00Z,10,1\n"
             "2001-07-05T17:17:00Z,20,2\n"
         )
-        series = read_bucket_csv(text)
+        series = read_bucket_csv(text.encode())
         assert len(series) == 4
         assert bucket(series, 1) == (parse_minute_utc("2001-07-05T17:15:00Z"), 0, 0)
         assert series.announcements[2] == 0
 
     def test_accepts_crlf(self):
         text = "minute_utc,announcements,withdrawals\r\n2001-07-27T14:50:00Z,1,2\r\n"
-        assert len(read_bucket_csv(text)) == 1
+        assert len(read_bucket_csv(text.encode())) == 1
 
     def test_rejects_wrong_header(self):
         with pytest.raises(BadHeader):
-            read_bucket_csv("minute,announcements,withdrawals\n")
+            read_bucket_csv(b"minute,announcements,withdrawals\n")
 
     def test_rejects_sub_minute_timestamp(self):
         text = "minute_utc,announcements,withdrawals\n2001-07-27T14:50:30Z,1,2\n"
         with pytest.raises(BadTimestamp):
-            read_bucket_csv(text)
+            read_bucket_csv(text.encode())
 
     def test_rejects_negative_count(self):
         text = "minute_utc,announcements,withdrawals\n2001-07-27T14:50:00Z,-1,2\n"
         with pytest.raises(NegativeCount):
-            read_bucket_csv(text)
+            read_bucket_csv(text.encode())
 
     def test_rejects_equal_timestamps(self):
         text = (
@@ -450,7 +455,7 @@ class TestBucketCsv:
             "2001-07-27T14:50:00Z,3,4\n"
         )
         with pytest.raises(NonMonotonic):
-            read_bucket_csv(text)
+            read_bucket_csv(text.encode())
 
     def test_rejects_descending_timestamps(self):
         text = (
@@ -459,12 +464,12 @@ class TestBucketCsv:
             "2001-07-27T14:50:00Z,3,4\n"
         )
         with pytest.raises(NonMonotonic):
-            read_bucket_csv(text)
+            read_bucket_csv(text.encode())
 
     def test_rejects_malformed_count(self):
         text = "minute_utc,announcements,withdrawals\n2001-07-27T14:50:00Z,abc,2\n"
         with pytest.raises(BucketCsvError):
-            read_bucket_csv(text)
+            read_bucket_csv(text.encode())
 
     @pytest.mark.parametrize("count", [2**63, 99999999999999999999])
     def test_rejects_count_beyond_int64(self, count):
@@ -474,7 +479,7 @@ class TestBucketCsv:
             f"2001-07-27T14:51:00Z,3,{count}\n"
         )
         with pytest.raises(BucketCsvError, match="line 3: withdrawals exceeds int64"):
-            read_bucket_csv(text)
+            read_bucket_csv(text.encode())
 
     @pytest.mark.parametrize("count", ["1_000", " +7 ", "+7", "\u0663", "", "1.0", "0x10", "-0", " 5"])
     def test_rejects_counts_that_are_not_ascii_digits(self, count):
@@ -484,20 +489,20 @@ class TestBucketCsv:
             f"2001-07-27T14:51:00Z,{count},4\n"
         )
         with pytest.raises(BucketCsvError, match=f"line 3: announcements is not an integer: {re.escape(repr(count))}"):
-            read_bucket_csv(text)
+            read_bucket_csv(text.encode())
 
     def test_negative_count_keeps_its_message(self):
         text = "minute_utc,announcements,withdrawals\n2001-07-27T14:50:00Z,1,2\n2001-07-27T14:51:00Z,3,-5\n"
         with pytest.raises(NegativeCount, match="^line 3: negative withdrawals: -5$"):
-            read_bucket_csv(text)
+            read_bucket_csv(text.encode())
 
     def test_leading_zeros_are_digits(self):
         text = f"minute_utc,announcements,withdrawals\n2001-07-27T14:50:00Z,007,{'0' * 30}42\n"
-        assert bucket(read_bucket_csv(text), 0) == (996245400, 7, 42)
+        assert bucket(read_bucket_csv(text.encode()), 0) == (996245400, 7, 42)
 
     def test_accepts_int64_maximum(self):
         text = f"minute_utc,announcements,withdrawals\n2001-07-27T14:50:00Z,{2**63 - 1},0\n"
-        assert read_bucket_csv(text).announcements.tolist() == [2**63 - 1]
+        assert read_bucket_csv(text.encode()).announcements.tolist() == [2**63 - 1]
 
 
 class TestBucketCsvWriter:
@@ -546,7 +551,7 @@ class TestBucketCsvWriter:
 
 class TestFillAndSlice:
     def test_header_only_csv_gives_empty_series(self):
-        assert len(read_bucket_csv("minute_utc,announcements,withdrawals\n")) == 0
+        assert len(read_bucket_csv(b"minute_utc,announcements,withdrawals\n")) == 0
 
     def test_slice_range_is_inclusive(self):
         series = MinuteSeries(NOON, [1, 2, 3, 4], [0, 0, 0, 0])
@@ -588,5 +593,5 @@ class TestFirstBadLine:
     def test_bucket_reader_names_the_first_bad_row(self, rows, error, message):
         text = self.HEADER + self.OK + "\n".join(rows) + "\n"
         with pytest.raises(error, match=re.escape(message)) as raised:
-            read_bucket_csv(text)
+            read_bucket_csv(text.encode())
         assert type(raised.value) is error

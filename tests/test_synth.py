@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bgpnovelty.series import MINUTE
+from bgpnovelty.series import MAX_SERIES_MINUTES, MINUTE
 from bgpnovelty.synth import (
     BadParams,
     OutOfRange,
@@ -63,6 +63,14 @@ class TestGenBaseline:
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(BadParams):
             gen_baseline(**kwargs)
+
+    def test_rejects_more_minutes_than_a_series_holds(self, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("counts drawn before the check")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(BadParams, match=f"series limit, got {MAX_SERIES_MINUTES + 1}"):
+            gen_baseline(MAX_SERIES_MINUTES + 1, 1.0, 1.0, 0.0, seed=0)
 
 
 class TestInjectSurge:
