@@ -63,7 +63,6 @@ class AutoencoderModel:
     b2: np.ndarray = field(repr=False)
     k: int
     norm: NormalizationParams
-    layout_version: int = LAYOUT_VERSION
 
     def __post_init__(self):
         expected = {
@@ -257,7 +256,7 @@ def save_model(model: AutoencoderModel) -> bytes:
         "k": model.k,
         "input_dim": model.input_dim,
         "hidden_dim": model.hidden_dim,
-        "layout_version": model.layout_version,
+        "layout_version": LAYOUT_VERSION,
         "layout": LAYOUT_NAME,
         "norm": {
             "a_min": model.norm.a_min,
@@ -284,12 +283,9 @@ def load_model(data: bytes) -> AutoencoderModel:
     if not isinstance(document, dict):
         raise BadFormat("model document must be a JSON object")
 
-    fmt = document.get("format_version")
-    if fmt != MODEL_FORMAT_VERSION:
-        raise VersionMismatch(f"unsupported format_version: {fmt!r}")
-    layout_version = document.get("layout_version")
-    if layout_version != LAYOUT_VERSION:
-        raise VersionMismatch(f"unsupported layout_version: {layout_version!r}")
+    for key, version in (("format_version", MODEL_FORMAT_VERSION), ("layout_version", LAYOUT_VERSION)):
+        if document.get(key) != version:
+            raise VersionMismatch(f"unsupported {key}: {document.get(key)!r}")
 
     try:
         input_dim = int(document["input_dim"])
@@ -321,7 +317,6 @@ def load_model(data: bytes) -> AutoencoderModel:
             b2=b2,
             k=k,
             norm=norm,
-            layout_version=layout_version,
         )
     except (DimensionMismatch, ValueError) as exc:
         raise BadFormat(str(exc)) from None

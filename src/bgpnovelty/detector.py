@@ -25,7 +25,6 @@ SOURCE_AUTOENCODER = "autoencoder"
 SOURCE_RULE = "rule"
 
 NOVELTY_CSV_HEADER = "minute_utc,novelty"
-_VALUE_AT = len("YYYY-MM-DDTHH:MM:00Z,")  # where a novelty value starts in its row
 _SPAN_KEYS = ("start", "end", "peak_minute")  # alarm report fields of AlarmEvent's three minutes
 
 
@@ -169,10 +168,17 @@ def lead_time(
     start lies within ±match_window_minutes of its own start. Lead is
     rule start minus autoencoder start in minutes, positive when the
     autoencoder fired earlier; unmatched events report None. Both inputs
-    must be sorted by start time; a negative window raises ValueError.
+    must be sorted by start time, else UnsortedInput names the first event
+    out of order; a negative window raises ValueError.
     """
     if match_window_minutes < 0:
         raise ValueError(f"match window must be >= 0 minutes, got {match_window_minutes}")
+    for name, events in (("autoencoder", ae_events), ("rule", rule_events)):
+        early = np.flatnonzero(np.diff([event.start_s for event in events]) < 0)
+        if early.size:
+            n = int(early[0]) + 2  # 1-based number of the event that starts before the one ahead of it
+            at = format_minute_utc(events[n - 1].start_s)
+            raise UnsortedInput(f"{name} events not sorted by start: event {n} starts at {at}, before event {n - 1}")
     window_s = match_window_minutes * MINUTE
     claimed = [False] * len(rule_events)
     matches: list[tuple[AlarmEvent, AlarmEvent | None, int | None]] = []
@@ -211,42 +217,31 @@ def read_novelty_csv(data: bytes) -> tuple[np.ndarray, np.ndarray]:
     if rows.header != NOVELTY_CSV_HEADER:
         raise ValueError(f"expected header {NOVELTY_CSV_HEADER!r}")
     minutes, stamp_check = rows.minutes()
-    lines = data.split(b"\n")
-    # A row whose stamp is not 20 bytes fails on the stamp, which is checked first; in the others
-    # the value starts at _VALUE_AT, and a CR left at its end is whitespace to float().
-    values, bad = _floats([lines[n - 1][_VALUE_AT:] for n in rows.line_nos.tolist()])
+    values, bad, error = _floats(rows.fields(1))
     first_row_fault(rows.line_nos, [
         stamp_check,
-        (np.arange(values.size) == bad, lambda i: _float_error(rows.text(1, i))),
+        (np.arange(values.size) == bad, lambda i: error),
         (~np.isfinite(values), lambda i: NonFiniteValue(f"novelty is not finite: {rows.text(1, i)!r}")),
     ], rows.misfit)
     return minutes, values
 
 
-def _floats(fields: list[bytes]) -> tuple[np.ndarray, int]:
-    """``float()`` of each field's UTF-8 text, and the index of the first that fails (-1 for none).
+def _floats(fields: list[bytes]) -> tuple[np.ndarray, int, ValueError | None]:
+    """``float()`` of each field's UTF-8 text, and the index and error of the first that fails (-1, None for none).
 
     The values from the failing field on are NaN.
     """
     try:  # float() reads ASCII bytes as it reads their text, and fails on any other byte
-        return np.fromiter(map(float, fields), np.float64, len(fields)), -1
+        return np.fromiter(map(float, fields), np.float64, len(fields)), -1, None
     except ValueError:
         pass
     values = np.full(len(fields), np.nan)
     for i, field in enumerate(fields):  # a failure, or text beyond ASCII such as other scripts' digits
         try:
             values[i] = float(field.decode())
-        except ValueError:
-            return values, i
-    return values, -1
-
-
-def _float_error(text: str) -> ValueError:
-    """The error of ``float(text)``, for a text it fails on."""
-    try:
-        float(text)
-    except ValueError as exc:
-        return exc
+        except ValueError as exc:
+            return values, i, exc
+    return values, -1, None
 
 
 def write_alarm_report(events: Sequence[AlarmEvent]) -> str:

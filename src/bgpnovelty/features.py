@@ -32,6 +32,8 @@ class NormalizationParams:
     w_max: float
 
     def __post_init__(self):
+        if not np.isfinite([self.a_min, self.a_max, self.w_min, self.w_max]).all():
+            raise ValueError("normalization bounds must be finite")
         if self.a_max < self.a_min or self.w_max < self.w_min:
             raise ValueError("normalization bounds must satisfy max >= min")
 

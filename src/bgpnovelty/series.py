@@ -83,23 +83,10 @@ def format_minutes_utc(minutes: Sequence[int] | np.ndarray) -> list[str]:
     outside = (minutes < _FIRST_SECOND) | (minutes > _LAST_SECOND)
     if outside.any():
         raise ValueError(f"epoch second {minutes[np.argmax(outside)]} is outside the years 0001-9999")
-    days, seconds = np.divmod(minutes, 86400)
-    # year, month and day by the proleptic Gregorian civil-from-days formula, the inverse of _stamp_column's
-    era, day_of_era = np.divmod(days + 719468, 146097)
-    year_of_era = (day_of_era - day_of_era // 1460 + day_of_era // 36524 - day_of_era // 146096) // 365
-    day_of_year = day_of_era - (365 * year_of_era + year_of_era // 4 - year_of_era // 100)
-    march_month = (5 * day_of_year + 2) // 153  # 0 for March
-    month = np.where(march_month < 10, march_month + 3, march_month - 9)
-    year = 400 * era + year_of_era + (month <= 2)
-    day = day_of_year - (153 * march_month + 2) // 5 + 1
-    rows = np.empty((_STAMP_LEN + 1, minutes.size), np.uint8)  # one stamp and its LF per column
-    rows[:_STAMP_LEN] = _STAMP[:, None]
-    rows[_STAMP_LEN] = _LF
-    for (lo, width), value in zip(_STAMP_FIELDS, (year, month, day, seconds // 3600, seconds // 60 % 60)):
-        for at in range(lo + width - 1, lo - 1, -1):
-            value, digit = np.divmod(value, 10)
-            rows[at] = digit + _ZERO
-    return rows.T.tobytes().decode("ascii").splitlines()
+    rows = np.empty((minutes.size, _STAMP_LEN + 1), np.uint8)  # one stamp and its LF per row
+    rows[:, :16] = (minutes // MINUTE).astype("datetime64[m]").astype("S16")[:, None].view(np.uint8)  # to the minute
+    rows[:, 16:] = np.frombuffer(b":00Z\n", np.uint8)
+    return rows.tobytes().decode("ascii").splitlines()
 
 
 def format_minute_utc(minute_start_s: int) -> str:
@@ -112,7 +99,6 @@ _STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
 _STAMP_LEN = _STAMP.size
 _STAMP_RANGE = np.frombuffer(b"9999-99-99T99:99:00Z", np.uint8) - _STAMP  # how far each byte may exceed _STAMP
 _STAMP_FIELDS = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2))  # (first byte, digits) of year, month, day, hour, minute
-_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 _FIRST_SECOND, _LAST_SECOND = -62135596800, 253402300799  # 0001-01-01T00:00:00Z, 9999-12-31T23:59:59Z
 _COUNT_DIGITS = len(str(2**63 - 1))  # a count of more significant digits exceeds int64
 
@@ -127,15 +113,12 @@ def _stamp_column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     digits = sliding_window_view(buf, _STAMP_LEN)[starts].T - _STAMP[:, None]
     shaped = (ends - starts == _STAMP_LEN) & (digits <= _STAMP_RANGE[:, None]).all(axis=0)
     year, month, day, hour, minute = (_decimal(digits[lo : lo + width]) for lo, width in _STAMP_FIELDS)
-    month_ok = (month >= 1) & (month <= 12)
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _DAYS_IN_MONTH[np.where(month_ok, month, 0)] + ((month == 2) & leap)
-    on_calendar = (year >= 1) & month_ok & (day >= 1) & (day <= month_days) & (hour < 24) & (minute < 60)
-    # days since 1970-01-01 by the proleptic Gregorian days-from-civil formula
-    era, year_of_era = np.divmod(year - (month <= 2), 400)
-    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    days = 146097 * era + 365 * year_of_era + year_of_era // 4 - year_of_era // 100 + day_of_year - 719468
-    return 86400 * days + 3600 * hour + 60 * minute, shaped, on_calendar
+    month_start = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    days = month_start.astype("datetime64[D]").view(np.int64)  # since 1970-01-01
+    month_days = (month_start + 1).astype("datetime64[D]").view(np.int64) - days
+    on_calendar = (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+    on_calendar &= (hour < 24) & (minute < 60)
+    return 86400 * (days + day - 1) + 3600 * hour + 60 * minute, shaped, on_calendar
 
 
 def _decimal(digits: np.ndarray, dtype: type = np.int64) -> np.ndarray:
@@ -335,14 +318,19 @@ class CsvRows:
     """The header and the data rows of a CSV file as byte spans, as :func:`csv_rows` splits them."""
 
     header: str | None  # None for a file without lines
-    buf: np.ndarray  # the file's bytes as uint8, with 20 zero bytes on either side
+    padded: bytes  # the file's bytes with 20 zero bytes on either side
+    buf: np.ndarray  # the padded bytes as uint8
     starts: np.ndarray  # (width, rows): field j of row i is buf[starts[j, i]:ends[j, i]]
     ends: np.ndarray
     line_nos: np.ndarray
     misfit: ValueError | None  # the first row without the expected fields, where the rows stop
 
     def text(self, column: int, row: int) -> str:
-        return self.buf[self.starts[column, row] : self.ends[column, row]].tobytes().decode()
+        return self.padded[self.starts[column, row] : self.ends[column, row]].decode()
+
+    def fields(self, column: int) -> list[bytes]:
+        """Field ``column`` of every row."""
+        return [self.padded[lo:hi] for lo, hi in zip(self.starts[column].tolist(), self.ends[column].tolist())]
 
     def minutes(self) -> tuple[np.ndarray, tuple]:
         """Epoch seconds of the stamps in column 0, and their ``(bad, error)`` check for :func:`first_row_fault`."""
@@ -383,7 +371,8 @@ def csv_rows(data: bytes, width: int, error: type[ValueError]) -> CsvRows:
             line = data.count(b"\n", 0, exc.start) + 1
             raise error(f"line {line}: not UTF-8 text ({exc.reason})") from None
     pad = _STAMP_LEN  # fixed-width reads near either end of the data stay in the buffer
-    buf = np.frombuffer(bytes(pad) + data + bytes(pad), np.uint8)
+    padded = bytes(pad) + data + bytes(pad)
+    buf = np.frombuffer(padded, np.uint8)
     text = buf[pad:-pad]
     lf = np.flatnonzero(text == _LF) + pad
     ends = lf if data[-1:] in (b"", b"\n") else np.append(lf, pad + len(data))
@@ -402,7 +391,8 @@ def csv_rows(data: bytes, width: int, error: type[ValueError]) -> CsvRows:
     header_commas = int(per_line[:1].sum())
     row_commas = commas[header_commas : header_commas + (width - 1) * line_nos.size].reshape(-1, width - 1).T
     return CsvRows(
-        buf[starts[0] : ends[0]].tobytes().decode() if ends.size else None,
+        padded[starts[0] : ends[0]].decode() if ends.size else None,
+        padded,
         buf,
         np.vstack([starts[line_nos - 1], row_commas + 1]),
         np.vstack([row_commas, ends[line_nos - 1]]),

@@ -395,6 +395,15 @@ class TestPersistence:
         with pytest.raises(VersionMismatch):
             load_model(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
+    def test_non_finite_normalization_bound_is_bad_format(self, bound):
+        import json
+
+        doc = json.loads(save_model(init_model(4, 3, seed=0)))
+        doc["norm"]["a_min"] = bound  # json writes NaN, Infinity or -Infinity, and reads them back
+        with pytest.raises(BadFormat, match="normalization bounds must be finite"):
+            load_model(json.dumps(doc).encode())
+
     def test_wrong_format_version_is_version_mismatch(self):
         import json
 

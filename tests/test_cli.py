@@ -404,6 +404,26 @@ class TestCompare:
         assert "error: match window must be >= 0 minutes, got -5" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unsorted_report_exits_one_naming_the_event(self, tmp_path, capsys):
+        ae = tmp_path / "ae.json"
+        rule = tmp_path / "rule.json"
+        ae.write_text(json.dumps([
+            {"start": "2001-09-18T12:00:00Z", "end": "2001-09-18T12:30:00Z",
+             "peak_minute": "2001-09-18T12:10:00Z", "peak_value": 2.0,
+             "source": "autoencoder"},
+        ]))
+        rule.write_text(json.dumps([
+            {"start": start, "end": start, "peak_minute": start, "peak_value": 900000.0, "source": "rule"}
+            for start in ("2001-09-18T13:40:00Z", "2001-09-18T12:00:00Z")
+        ]))
+        out = tmp_path / "lead.csv"
+        assert run("compare", ae, rule, "--match-window", 10, "--out", out) == 1
+        assert (
+            "error: rule events not sorted by start: event 2 starts at 2001-09-18T12:00:00Z, before event 1"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
     def test_empty_ae_report_gives_the_header_only(self, tmp_path):
         ae = tmp_path / "ae.json"
         rule = tmp_path / "rule.json"

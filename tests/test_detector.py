@@ -250,6 +250,16 @@ class TestLeadTime:
             lead_time([event(0)], [event(0, SOURCE_RULE)], -5)
 
 
+    def test_unsorted_input_raises_naming_the_first_event_out_of_order(self):
+        rules = [event(100, SOURCE_RULE), event(0, SOURCE_RULE)]
+        assert lead_time([event(0)], rules[::-1], 10)[0][2] == 0
+        message = f"^rule events not sorted by start: event 2 starts at {format_minute_utc(NOON)}, before event 1$"
+        with pytest.raises(UnsortedInput, match=message):
+            lead_time([event(0)], rules, 10)
+        with pytest.raises(UnsortedInput, match="^autoencoder events not sorted by start: event 3 starts at "):
+            lead_time([event(0), event(5), event(4), event(3)], [], 10)
+
+
 class TestFormats:
     def test_novelty_csv_round_trip(self):
         minutes, values = points_at([0.0, 0.12345678901234567, 3.5e-7])

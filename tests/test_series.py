@@ -1,9 +1,10 @@
 """Minute bucketing, CSV round trips, ranking, and the minute-timestamp codec."""
 
+import calendar
 import io
 import re
 import tracemalloc
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -189,6 +190,26 @@ class TestCodecMatchesScalarReference:
     @given(text=st.text(max_size=24))
     def test_arbitrary_text_is_judged_like_the_reference(self, text):
         assert _outcome(parse_minute_utc, text) == _outcome(reference_parse, text)
+
+    def test_every_day_from_0001_to_9999_round_trips_and_matches_python_dates(self):
+        epoch, last = date(1970, 1, 1).toordinal(), date(9999, 12, 31).toordinal()
+        clock = [f"T{minute // 60:02d}:{minute % 60:02d}:00Z" for minute in range(1440)]
+        for lo in range(1, last + 1, 2**18):  # day numbers as date.toordinal gives them
+            days = np.arange(lo, min(lo + 2**18, last + 1))
+            minutes = 86400 * (days - epoch) + 60 * (days % 1440)  # a different time of day on each day
+            stamps = format_minutes_utc(minutes)
+            dates = map(date.isoformat, map(date.fromordinal, days.tolist()))
+            assert stamps == list(map(str.__add__, dates, map(clock.__getitem__, (days % 1440).tolist())))
+            assert np.array_equal(parse_minutes_utc(stamps), minutes)
+
+    def test_february_29_is_rejected_exactly_in_non_leap_years(self):
+        rejected = []
+        for year in range(1, 10000):
+            try:
+                parse_minute_utc(f"{year:04d}-02-29T00:00:00Z")
+            except BadTimestamp:
+                rejected.append(year)
+        assert rejected == [year for year in range(1, 10000) if not calendar.isleap(year)]
 
 
 def rows(*records):
