@@ -13,7 +13,6 @@ from .detector import (
     DetectorConfig,
     detect_alarms,
     lead_time,
-    rule_alarms,
     score_series,
     suggest_threshold,
 )

@@ -52,7 +52,8 @@ class AutoencoderModel:
     Shapes: w1 is (hidden_dim, input_dim), b1 (hidden_dim,), w2
     (input_dim, hidden_dim), b2 (input_dim,). ``k`` and ``norm`` describe
     the window layout the model expects; ``input_dim`` equals 2k for
-    pipeline models but is free for bare test models.
+    pipeline models but is free for bare test models. All three dimensions
+    must be >= 1.
     """
 
     input_dim: int
@@ -65,6 +66,7 @@ class AutoencoderModel:
     norm: NormalizationParams
 
     def __post_init__(self):
+        _check_dims(self.input_dim, self.hidden_dim, self.k)
         expected = {
             "w1": (self.hidden_dim, self.input_dim),
             "b1": (self.hidden_dim,),
@@ -95,10 +97,10 @@ def init_model(
 
     Weights are zero-mean with standard deviation 1/sqrt(fan-in of the
     receiving layer); biases start at zero. Deterministic given the seed
-    (w1 is drawn before w2).
+    (w1 is drawn before w2). ``k`` defaults to ``input_dim // 2``, at least 1.
     """
-    if input_dim < 1 or hidden_dim < 1:
-        raise ValueError("dimensions must be >= 1")
+    k = max(1, input_dim // 2) if k is None else k
+    _check_dims(input_dim, hidden_dim, k)  # before the draws, whose scale and shape need them
     rng = np.random.default_rng(seed)
     w1 = rng.normal(0.0, 1.0 / math.sqrt(input_dim), size=(hidden_dim, input_dim))
     w2 = rng.normal(0.0, 1.0 / math.sqrt(hidden_dim), size=(input_dim, hidden_dim))
@@ -109,9 +111,14 @@ def init_model(
         b1=np.zeros(hidden_dim),
         w2=w2,
         b2=np.zeros(input_dim),
-        k=input_dim // 2 if k is None else k,
+        k=k,
         norm=norm,
     )
+
+
+def _check_dims(input_dim: int, hidden_dim: int, k: int) -> None:
+    if min(input_dim, hidden_dim, k) < 1:
+        raise ValueError(f"dimensions must be >= 1, got input_dim={input_dim}, hidden_dim={hidden_dim}, k={k}")
 
 
 def reconstruct(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
@@ -288,9 +295,7 @@ def load_model(data: bytes) -> AutoencoderModel:
             raise VersionMismatch(f"unsupported {key}: {document.get(key)!r}")
 
     try:
-        input_dim = int(document["input_dim"])
-        hidden_dim = int(document["hidden_dim"])
-        k = int(document["k"])
+        input_dim, hidden_dim, k = (document[key] for key in ("input_dim", "hidden_dim", "k"))
         norm_doc = document["norm"]
         norm = NormalizationParams(
             a_min=float(norm_doc["a_min"]),
@@ -305,6 +310,8 @@ def load_model(data: bytes) -> AutoencoderModel:
     except (KeyError, TypeError, ValueError) as exc:
         raise BadFormat(f"model document is missing or mistypes a field: {exc}") from None
 
+    if not all(type(dim) is int for dim in (input_dim, hidden_dim, k)) or input_dim != 2 * k:  # bool is an int subclass
+        raise BadFormat(f"model dimensions must be integers with input_dim = 2k, got {input_dim=}, {hidden_dim=}, {k=}")
     if w1.size != hidden_dim * input_dim or w2.size != input_dim * hidden_dim:
         raise BadFormat("weight array lengths do not match the declared dimensions")
     try:

@@ -26,10 +26,6 @@ DEFAULT_SEED = 0
 _BUCKET_MAGIC = series.BUCKET_CSV_HEADER.split(",")[0].encode()
 
 
-class RangeNotCovered(ValueError):
-    pass
-
-
 class TrainingFailed(ValueError):
     pass
 
@@ -121,10 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_bucket_file(path: Path) -> series.MinuteSeries:
-    return series.read_bucket_csv(path.read_bytes())
-
-
 def _read_scores(path: Path, source: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-minute scores: novelty for the autoencoder source, update totals for the rule."""
     data = path.read_bytes()
@@ -158,10 +150,7 @@ def _slice_to_flags(data: series.MinuteSeries, start: int | None, end: int | Non
         raise ValueError("input contains no data rows")
     start = data.start_minute_s if start is None else start
     end = data.end_minute_s if end is None else end
-    try:
-        return series.slice_range(data, start, end)
-    except series.InvalidRange as exc:
-        raise RangeNotCovered(str(exc)) from None
+    return series.slice_range(data, start, end)
 
 
 def cmd_ingest(args) -> int:
@@ -184,13 +173,11 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
-    train_series = _slice_to_flags(_read_bucket_file(args.input), *_flag_range(args))
+    train_series = _slice_to_flags(series.read_bucket_csv(args.input.read_bytes()), *_flag_range(args))
     norm = features.fit_normalization(train_series)
     windows = features.make_windows(train_series, args.k, norm)
     if len(windows) == 0:
-        raise RangeNotCovered(
-            f"training range has {len(train_series)} minutes, fewer than k={args.k}"
-        )
+        raise series.InvalidRange(f"training range has {len(train_series)} minutes, fewer than k={args.k}")
     model = autoencoder.init_model(
         2 * args.k, args.hidden, seed=args.seed, k=args.k, norm=norm
     )
@@ -206,7 +193,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    data = _read_bucket_file(args.input)
+    data = series.read_bucket_csv(args.input.read_bytes())
     model = autoencoder.load_model(args.model.read_bytes())
     windows = features.make_windows(data, model.k, model.norm)
     novelty = detector.score_series(model, windows)
@@ -236,7 +223,7 @@ def cmd_detect(args) -> int:
 
 
 def cmd_top(args) -> int:
-    data = _read_bucket_file(args.input)
+    data = series.read_bucket_csv(args.input.read_bytes())
     ranking = series.top_n(data, args.n)
     ranks = map(str, range(1, len(ranking) + 1))
     stamps = series.format_minutes_utc([minute for minute, _ in ranking])

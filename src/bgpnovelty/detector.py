@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .autoencoder import AutoencoderModel, reconstruct
-from .series import MINUTE, MinuteSeries, csv_rows, csv_text, first_row_fault
+from .series import MINUTE, csv_rows, csv_text, first_row_fault
 from .series import format_minute_utc, format_minutes_utc, parse_minutes_utc
 
 SOURCE_AUTOENCODER = "autoencoder"
@@ -71,6 +71,8 @@ class DetectorConfig:
     group_gap_minutes: int = 60
 
     def __post_init__(self):
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
         if self.group_gap_minutes < 0:
             raise ValueError("group_gap_minutes must be >= 0")
 
@@ -132,20 +134,6 @@ def detect_alarms(
     return events
 
 
-def rule_alarms(
-    series: MinuteSeries,
-    threshold: float,
-    group_gap_minutes: int = 60,
-) -> list[AlarmEvent]:
-    """Threshold alarms on raw per-minute update totals (the rule baseline)."""
-    return detect_alarms(
-        series.minutes(),
-        series.totals(),
-        DetectorConfig(float(threshold), group_gap_minutes),
-        source=SOURCE_RULE,
-    )
-
-
 def suggest_threshold(values: np.ndarray, q: float) -> float:
     """Nearest-rank quantile of the values: rank ceil(q*N) of the sorted values."""
     if not 0.0 < q <= 1.0:
@@ -180,24 +168,16 @@ def lead_time(
             at = format_minute_utc(events[n - 1].start_s)
             raise UnsortedInput(f"{name} events not sorted by start: event {n} starts at {at}, before event {n - 1}")
     window_s = match_window_minutes * MINUTE
-    claimed = [False] * len(rule_events)
     matches: list[tuple[AlarmEvent, AlarmEvent | None, int | None]] = []
+    i = 0  # rule events before i are claimed or start too early for this and every later event
     for ae in ae_events:
-        found = None
-        for i, rule in enumerate(rule_events):
-            if claimed[i]:
-                continue
-            if rule.start_s > ae.start_s + window_s:
-                break
-            if rule.start_s >= ae.start_s - window_s:
-                found = i
-                break
-        if found is None:
-            matches.append((ae, None, None))
-        else:
-            claimed[found] = True
-            rule = rule_events[found]
+        while i < len(rule_events) and rule_events[i].start_s < ae.start_s - window_s:
+            i += 1
+        if i < len(rule_events) and rule_events[i].start_s <= ae.start_s + window_s:
+            rule, i = rule_events[i], i + 1
             matches.append((ae, rule, (rule.start_s - ae.start_s) // MINUTE))
+        else:
+            matches.append((ae, None, None))
     return matches
 
 

@@ -36,19 +36,19 @@ STOP_NON_FINITE = "non-finite-objective"
 _LAMBDA_MAX = 1e20
 # Scaled curvature per unit p'p taken when lambda is 0 and p'Hp is too.
 _FLAT_CURVATURE = 1e-4
+_LAMBDA0 = 1e-6  # scale parameter of the first cycle, Møller's lambda_1
 
 
 @dataclass(frozen=True)
 class ScgConfig:
     max_cycles: int = 100
-    lambda0: float = 1e-6
     grad_tol: float = 1e-6
 
     def __post_init__(self):
         if self.max_cycles < 1:
             raise ValueError("max_cycles must be >= 1")
-        if self.lambda0 < 0 or self.grad_tol < 0:
-            raise ValueError("lambda0 and grad_tol must be >= 0")
+        if self.grad_tol < 0:
+            raise ValueError("grad_tol must be >= 0")
 
 
 @dataclass
@@ -97,7 +97,7 @@ def scg_minimize(
 
     p = r.copy()
     success = True
-    lam = cfg.lambda0
+    lam = _LAMBDA0
     raw_delta = 0.0  # unscaled directional curvature, reused on rejected cycles
     p_sq = float(p @ p)
     updates_since_restart = 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series import MAX_SERIES_MINUTES, MINUTE, MinuteSeries
+from .series import MAX_SERIES_MINUTES, MINUTE, CountOverflow, MinuteSeries, format_minute_utc
 
 SECONDS_PER_DAY = 86400
 
@@ -57,8 +57,8 @@ class SurgeSpec:
             raise BadParams("surge start must be minute-aligned epoch seconds")
         if self.duration_minutes < 1:
             raise BadParams("surge duration must be >= 1 minute")
-        if self.magnitude <= 0:
-            raise BadParams("surge magnitude must be > 0")
+        if not 0 < self.magnitude < np.inf:
+            raise BadParams(f"surge magnitude must be finite and > 0, got {self.magnitude}")
         if self.shape not in SHAPES:
             raise BadParams(f"unknown surge shape: {self.shape!r}")
         if self.channels not in CHANNELS:
@@ -116,7 +116,8 @@ def inject_surge(series: MinuteSeries, spec: SurgeSpec) -> MinuteSeries:
     """Multiply counts over the surge window; scaled counts round to nearest.
 
     Leaves the input untouched and never changes series length or minute
-    alignment. The window must lie entirely within the series.
+    alignment. The window must lie entirely within the series, and a scaled
+    count that would leave int64 raises CountOverflow naming its minute.
     """
     if len(series) == 0:
         raise OutOfRange("cannot inject a surge into an empty series")
@@ -131,8 +132,13 @@ def inject_surge(series: MinuteSeries, spec: SurgeSpec) -> MinuteSeries:
     announcements = series.announcements.copy()
     withdrawals = series.withdrawals.copy()
     window = slice(first, last + 1)
-    if spec.channels in (CHANNELS_ANNOUNCEMENTS, CHANNELS_BOTH):
-        announcements[window] = np.rint(announcements[window] * multipliers).astype(np.int64)
-    if spec.channels in (CHANNELS_WITHDRAWALS, CHANNELS_BOTH):
-        withdrawals[window] = np.rint(withdrawals[window] * multipliers).astype(np.int64)
+    for channel, counts in ((CHANNELS_ANNOUNCEMENTS, announcements), (CHANNELS_WITHDRAWALS, withdrawals)):
+        if spec.channels in (channel, CHANNELS_BOTH):
+            with np.errstate(over="ignore"):  # a product past float64 is inf, caught below
+                scaled = np.rint(counts[window] * multipliers)
+            over = np.flatnonzero(scaled >= 2.0**63)
+            if over.size:
+                stamp = format_minute_utc(series.minute_at(first + int(over[0])))
+                raise CountOverflow(f"surge scales the {channel} of minute {stamp} past int64")
+            counts[window] = scaled.astype(np.int64)
     return MinuteSeries(series.start_minute_s, announcements, withdrawals)

@@ -16,9 +16,9 @@ from bgpnovelty.autoencoder import gradient, init_model, load_model, save_model
 from bgpnovelty.cli import main
 from bgpnovelty.detector import (
     DetectorConfig,
+    SOURCE_RULE,
     detect_alarms,
     lead_time,
-    rule_alarms,
     score_series,
 )
 from bgpnovelty.features import NormalizationParams, make_windows
@@ -160,7 +160,9 @@ def test_ramp_lead_time(pipeline):
 
     test_day = slice_range(surged, pipeline.test_start_s, surged.end_minute_s)
     peak_total = float(test_day.totals().max())
-    rule_events = rule_alarms(test_day, 0.9 * peak_total, 60)
+    rule_events = detect_alarms(
+        test_day.minutes(), test_day.totals(), DetectorConfig(0.9 * peak_total, 60), SOURCE_RULE
+    )
     assert rule_events
 
     ramp_event = max(ae_events, key=lambda e: e.peak_value)

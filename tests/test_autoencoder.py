@@ -412,12 +412,28 @@ class TestPersistence:
         with pytest.raises(VersionMismatch):
             load_model(json.dumps(doc).encode())
 
-    def test_inconsistent_dims_is_bad_format(self):
+    @pytest.mark.parametrize(
+        "changes,message",
+        [
+            (dict(hidden_dim=7), "weight array lengths"),
+            (dict(hidden_dim=0, w1=[], b1=[], w2=[]), "dimensions must be >= 1"),
+            (dict(input_dim=0, k=0, w1=[], w2=[], b2=[]), "dimensions must be >= 1"),
+            (dict(k=2.7), "dimensions must be integers with input_dim = 2k"),
+            (dict(input_dim=4.9), "dimensions must be integers with input_dim = 2k"),
+            (dict(input_dim=4.0), "dimensions must be integers with input_dim = 2k"),
+            (dict(k="2"), "dimensions must be integers with input_dim = 2k"),
+            (dict(hidden_dim=True), "dimensions must be integers with input_dim = 2k"),
+            (dict(k=3), "dimensions must be integers with input_dim = 2k"),
+        ],
+        ids=["hidden_7", "hidden_0", "input_0", "k_float", "input_float", "input_integral_float", "k_string",
+             "hidden_bool", "input_not_2k"],
+    )
+    def test_inconsistent_dims_is_bad_format(self, changes, message):
         import json
 
         doc = json.loads(save_model(init_model(4, 3, seed=0)))
-        doc["hidden_dim"] = 7
-        with pytest.raises(BadFormat):
+        doc.update(changes)
+        with pytest.raises(BadFormat, match=message):
             load_model(json.dumps(doc).encode())
 
     def test_document_declares_versions_and_layout(self):

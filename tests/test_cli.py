@@ -244,6 +244,15 @@ class TestTrainScoreDetect:
         assert run("detect", novelty_csv, "--threshold", 5.0, "--out", alarms) == 0
         assert json.loads(alarms.read_text()) == []
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_detect_rejects_a_non_finite_threshold(self, tmp_path, capsys, threshold):
+        src = tmp_path / "buckets.csv"
+        src.write_text(top15_csv_text())
+        alarms = tmp_path / "alarms.json"
+        assert run("detect", src, "--source", "rule", "--threshold", threshold, "--out", alarms) == 1
+        assert f"threshold must be finite, got {threshold}" in capsys.readouterr().err
+        assert not alarms.exists()
+
     @pytest.mark.parametrize("flag", [("--threshold", 1), ("--quantile", 0.5)])
     def test_detect_rejects_non_finite_novelty(self, tmp_path, capsys, flag):
         novelty_csv = tmp_path / "n.csv"
@@ -478,6 +487,25 @@ class TestSynth:
             "synth", "--minutes", 10, "--surge", "shape=step", "--out", tmp_path / "x.csv",
         ) == 1
         assert "surge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "magnitude,message",
+        [
+            ("nan", "surge magnitude must be finite and > 0, got nan"),
+            ("inf", "surge magnitude must be finite and > 0, got inf"),
+            ("1e300", "surge scales the announcements of minute 1970-01-01T00:02:00Z past int64"),
+        ],
+        ids=["nan", "inf", "1e300"],
+    )
+    def test_bad_surge_magnitude_exits_one_without_output(self, tmp_path, capsys, magnitude, message):
+        out = tmp_path / "s.csv"
+        assert run(
+            "synth", "--minutes", 10,
+            "--surge", f"start=1970-01-01T00:02:00Z,duration=2,shape=step,magnitude={magnitude}",
+            "--out", out,
+        ) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEndToEnd:

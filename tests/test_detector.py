@@ -22,7 +22,6 @@ from bgpnovelty.detector import (
     lead_time,
     read_alarm_report,
     read_novelty_csv,
-    rule_alarms,
     score_series,
     suggest_threshold,
     write_alarm_report,
@@ -33,6 +32,7 @@ from bgpnovelty.series import MINUTE, BadTimestamp, format_minute_utc, parse_min
 from bgpnovelty.synth import SurgeSpec, gen_baseline, inject_surge
 
 from conftest import top15_series
+from leadref import reference_lead_time
 from test_autoencoder import tiny_model
 
 MIN = 60
@@ -142,6 +142,12 @@ class TestDetectAlarms:
     def test_threshold_equal_value_does_not_fire(self):
         assert detect_alarms(*points_at([0.5, 0.5]), DetectorConfig(0.5, 0)) == []
 
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_is_rejected(self, threshold):
+        # no value exceeds NaN or +inf, and every value exceeds -inf
+        with pytest.raises(ValueError, match=f"^threshold must be finite, got {threshold}$"):
+            DetectorConfig(threshold)
+
     def test_unsorted_input_raises(self):
         minutes = np.array([NOON + MIN, NOON])
         with pytest.raises(UnsortedInput):
@@ -168,7 +174,8 @@ class TestDetectAlarms:
 
 class TestRuleAlarms:
     def test_reference_series_events(self):
-        events = rule_alarms(top15_series(), 590_000)
+        series = top15_series()
+        events = detect_alarms(series.minutes(), series.totals(), DetectorConfig(590_000), SOURCE_RULE)
         assert [(e.start_s, e.peak_value) for e in events] == [
             (parse_minute_utc("2001-07-27T14:50:00Z"), 595001.0),
             (parse_minute_utc("2001-08-02T13:30:00Z"), 592458.0),
@@ -179,13 +186,14 @@ class TestRuleAlarms:
         from bgpnovelty.series import MinuteSeries
 
         series = MinuteSeries(NOON, [100, 700_000, 650_000, 50], [0, 0, 0, 0])
-        events = rule_alarms(series, 590_000, 0)
+        events = detect_alarms(series.minutes(), series.totals(), DetectorConfig(590_000, 0), SOURCE_RULE)
         assert len(events) == 1
         assert events[0].start_s == NOON + MIN
         assert events[0].end_s == NOON + 2 * MIN
 
     def test_threshold_above_global_max_is_empty(self):
-        assert rule_alarms(top15_series(), 600_000) == []
+        series = top15_series()
+        assert detect_alarms(series.minutes(), series.totals(), DetectorConfig(600_000), SOURCE_RULE) == []
 
 
 class TestSuggestThreshold:
@@ -258,6 +266,21 @@ class TestLeadTime:
             lead_time([event(0)], rules, 10)
         with pytest.raises(UnsortedInput, match="^autoencoder events not sorted by start: event 3 starts at "):
             lead_time([event(0), event(5), event(4), event(3)], [], 10)
+
+
+# Starts a few minutes apart with repeats, so ties, overlapping windows and
+# contested rule events are common.
+sorted_starts = st.lists(st.integers(min_value=0, max_value=60), max_size=40).map(sorted)
+
+
+class TestLeadTimeMatchesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(ae_starts=sorted_starts, rule_starts=sorted_starts, window=st.integers(min_value=0, max_value=70))
+    def test_forward_pairing_equals_rescanning_loop(self, ae_starts, rule_starts, window):
+        ae_events = [event(start) for start in ae_starts]
+        rule_events = [event(start, SOURCE_RULE) for start in rule_starts]
+        expected = reference_lead_time(ae_events, rule_events, window)
+        assert lead_time(ae_events, rule_events, window) == expected
 
 
 class TestFormats:

@@ -178,12 +178,11 @@ class TestConfig:
     def test_defaults(self):
         cfg = ScgConfig()
         assert cfg.max_cycles == 100
-        assert cfg.lambda0 == 1e-6
         assert cfg.grad_tol == 1e-6
 
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(max_cycles=0), dict(lambda0=-1.0), dict(grad_tol=-0.1)],
+        [dict(max_cycles=0), dict(grad_tol=-0.1)],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bgpnovelty.series import MAX_SERIES_MINUTES, MINUTE
+from bgpnovelty.series import MAX_SERIES_MINUTES, MINUTE, CountOverflow, MinuteSeries
 from bgpnovelty.synth import (
     BadParams,
     OutOfRange,
@@ -141,6 +141,18 @@ class TestInjectSurge:
         with pytest.raises(OutOfRange):
             inject_surge(series, SurgeSpec(series.start_minute_s - MINUTE, 5, "step", 2.0))
 
+    @pytest.mark.parametrize("channels", ["announcements", "withdrawals"])
+    def test_scaled_count_past_int64_raises_naming_the_minute(self, channels):
+        # 2**62 doubled is 2**63, one past the int64 maximum; just under double still fits
+        counts = np.array([1, 2**62, 2**62, 1], dtype=np.int64)
+        series = MinuteSeries(0, counts, counts)
+        fits = inject_surge(series, SurgeSpec(MINUTE, 2, "step", 1.999, channels))
+        assert getattr(fits, channels)[1] == round(2**62 * 1.999)
+        with pytest.raises(CountOverflow, match=f"^surge scales the {channels} of minute 1970-01-01T00:01:00Z past int64$"):
+            inject_surge(series, SurgeSpec(MINUTE, 2, "step", 2.0, channels))
+        with pytest.raises(CountOverflow, match="minute 1970-01-01T00:02:00Z"):
+            inject_surge(series, SurgeSpec(2 * MINUTE, 2, "step", 1e300, channels))
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -149,6 +161,8 @@ class TestInjectSurge:
             dict(start_minute_s=0, duration_minutes=5, shape="sawtooth", magnitude=2.0),
             dict(start_minute_s=0, duration_minutes=5, shape="step", magnitude=2.0, channels="all"),
             dict(start_minute_s=30, duration_minutes=5, shape="step", magnitude=2.0),
+            dict(start_minute_s=0, duration_minutes=5, shape="step", magnitude=float("nan")),
+            dict(start_minute_s=0, duration_minutes=5, shape="step", magnitude=float("inf")),
         ],
     )
     def test_rejects_bad_specs(self, kwargs):
