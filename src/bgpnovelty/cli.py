@@ -10,8 +10,12 @@ format.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
 import sys
+import tempfile
 from pathlib import Path
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -137,11 +141,39 @@ def _flag_range(args) -> list[int | None]:
     return bounds
 
 
-def _write_text(path: Path | None, text: str) -> None:
+@contextlib.contextmanager
+def _output(path: Path | None) -> Iterator[TextIO]:
+    """A text stream for ``path``, or standard output for None.
+
+    A regular file is written to a temporary file beside it and renamed over
+    it only when the block succeeds, so a failed command leaves no partial
+    file and an existing one untouched. Anything else, such as a pipe or a
+    device, is written in place.
+    """
     if path is None:
-        sys.stdout.write(text)
-    else:
-        path.write_text(text, encoding="utf-8")
+        yield sys.stdout
+        return
+    target = path.resolve()  # through a symlink, so the link stays
+    if target.exists() and not target.is_file():
+        with target.open("w", encoding="utf-8") as out:
+            yield out
+        return
+    fd, temp = tempfile.mkstemp(prefix=f".{target.name}.", dir=target.parent)
+    try:
+        with open(fd, "w", encoding="utf-8") as out:
+            yield out
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(temp, 0o666 & ~umask)  # the mode a plain open would give, where mkstemp gives 0o600
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
+def _write_text(path: Path | None, text: str) -> None:
+    with _output(path) as out:
+        out.write(text)
 
 
 def _slice_to_flags(data: series.MinuteSeries, start: int | None, end: int | None) -> series.MinuteSeries:
@@ -167,7 +199,7 @@ def cmd_ingest(args) -> int:
         if end is None:
             end = int(records[:, 0].max()) // 60 * 60
         result = series.bucketize(records, start, end)
-    with args.out.open("w", encoding="utf-8") as out:
+    with _output(args.out) as out:
         series.write_bucket_csv(result, out)
     return 0
 
@@ -175,29 +207,30 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     train_series = _slice_to_flags(series.read_bucket_csv(args.input.read_bytes()), *_flag_range(args))
     norm = features.fit_normalization(train_series)
-    windows = features.make_windows(train_series, args.k, norm)
-    if len(windows) == 0:
+    if len(train_series) < args.k:
         raise series.InvalidRange(f"training range has {len(train_series)} minutes, fewer than k={args.k}")
+    windows = np.empty((len(train_series) - args.k + 1, 2 * args.k), np.float32)  # training runs in float32
+    features.make_windows(train_series, args.k, norm, out=windows)
     model = autoencoder.init_model(
         2 * args.k, args.hidden, seed=args.seed, k=args.k, norm=norm
     )
     trained, report = scg.train(model, windows, scg.ScgConfig(max_cycles=args.cycles))
     report_path = args.report or args.out.with_suffix(args.out.suffix + ".report.csv")
-    report_path.write_text(report.to_csv(), encoding="utf-8")
+    _write_text(report_path, report.to_csv())
     if report.non_finite:
         raise TrainingFailed(
             f"training stopped on {report.stop_reason} after {report.cycles_run} cycles"
         )
-    args.out.write_bytes(autoencoder.save_model(trained))
+    _write_text(args.out, autoencoder.save_model(trained).decode("utf-8"))
     return 0
 
 
 def cmd_score(args) -> int:
     data = series.read_bucket_csv(args.input.read_bytes())
     model = autoencoder.load_model(args.model.read_bytes())
-    windows = features.make_windows(data, model.k, model.norm)
-    novelty = detector.score_series(model, windows)
-    _write_text(args.out, detector.write_novelty_csv(data.minutes()[model.k - 1 :], novelty))
+    novelty = detector.score_windows(model, data)
+    with _output(args.out) as out:
+        detector.write_novelty_csv(data.minutes()[model.k - 1 :], novelty, out)
     return 0
 
 
@@ -255,7 +288,7 @@ def cmd_synth(args) -> int:
     )
     for spec_text in args.surge:
         result = synth.inject_surge(result, _parse_surge(spec_text))
-    with args.out.open("w", encoding="utf-8") as out:
+    with _output(args.out) as out:
         series.write_bucket_csv(result, out)
     return 0
 

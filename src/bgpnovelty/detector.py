@@ -13,12 +13,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
-from .autoencoder import AutoencoderModel, reconstruct
-from .series import MINUTE, csv_rows, csv_text, first_row_fault
+from .autoencoder import AutoencoderModel, _check_matrix, reconstruct
+from .features import SCORE_BLOCK_ROWS, window_blocks
+from .series import CSV_BLOCK_ROWS, MINUTE, MinuteSeries, csv_lines, csv_rows, first_row_fault
 from .series import format_minute_utc, format_minutes_utc, parse_minutes_utc
 
 SOURCE_AUTOENCODER = "autoencoder"
@@ -78,15 +79,37 @@ class DetectorConfig:
 
 
 def score_series(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
-    """Novelty of every row of the window matrix X, shape (n, input_dim).
+    """Novelty of every row of the window matrix X, shape (n, input_dim): entry ``i`` scores row ``i``.
 
-    For :func:`~bgpnovelty.features.make_windows` output, entry ``i`` scores
-    the window ending at ``series.minutes()[k - 1 + i]``.
+    The network runs on ``SCORE_BLOCK_ROWS`` rows at a time, the last block
+    padded with zero rows. BLAS picks its kernel by the matrix shape, and a
+    kernel for fewer rows may round a row's sums differently; with one shape
+    for every call, a row's novelty does not depend on the rows scored with it.
     """
-    residual = reconstruct(model, X)
-    residual -= X
-    residual *= residual
-    return np.mean(residual, axis=1)
+    _check_matrix(model, X)
+    novelty = np.empty(len(X))
+    for lo in range(0, len(X), SCORE_BLOCK_ROWS):
+        block = X[lo : lo + SCORE_BLOCK_ROWS]
+        rows = len(block)
+        if rows < SCORE_BLOCK_ROWS:
+            block = np.concatenate([block, np.zeros((SCORE_BLOCK_ROWS - rows, X.shape[1]))])
+        residual = reconstruct(model, block)
+        residual -= block
+        residual *= residual
+        novelty[lo : lo + rows] = np.mean(residual[:rows], axis=1)
+    return novelty
+
+
+def score_windows(model: AutoencoderModel, series: MinuteSeries) -> np.ndarray:
+    """:func:`score_series` of the series' windows, built and scored ``SCORE_BLOCK_ROWS`` at a time.
+
+    Entry ``i`` scores the window ending at ``series.minutes()[model.k - 1 + i]``.
+    Memory follows the block, not the series, apart from 8 bytes a window.
+    """
+    novelty = np.empty(max(len(series) - model.k + 1, 0))
+    for lo, X in window_blocks(series, model.k, model.norm):
+        novelty[lo : lo + len(X)] = score_series(model, X)
+    return novelty
 
 
 def detect_alarms(
@@ -181,9 +204,23 @@ def lead_time(
     return matches
 
 
-def write_novelty_csv(minutes: np.ndarray, values: np.ndarray) -> str:
-    """Render per-minute novelty values as CSV with full-precision values."""
-    return csv_text(NOVELTY_CSV_HEADER, format_minutes_utc(minutes), map(repr, values.tolist()))
+def write_novelty_csv(minutes: np.ndarray, values: np.ndarray, out: TextIO) -> None:
+    """Write per-minute novelty values to a text stream as CSV with full-precision values.
+
+    Rows are rendered and written ``CSV_BLOCK_ROWS`` at a time. Unequal
+    lengths, or a minute outside the years 0001-9999, raise ValueError
+    before anything is written.
+    """
+    minutes = np.asarray(minutes, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if minutes.shape != values.shape:
+        raise ValueError(f"{minutes.size} minutes but {values.size} values")
+    if minutes.size:
+        format_minutes_utc([minutes.min(), minutes.max()])
+    out.write(NOVELTY_CSV_HEADER + "\n")
+    for lo in range(0, minutes.size, CSV_BLOCK_ROWS):
+        stamps = format_minutes_utc(minutes[lo : lo + CSV_BLOCK_ROWS])
+        out.write(csv_lines(stamps, map(repr, values[lo : lo + CSV_BLOCK_ROWS].tolist())))
 
 
 def read_novelty_csv(data: bytes) -> tuple[np.ndarray, np.ndarray]:

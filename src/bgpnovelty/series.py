@@ -22,7 +22,7 @@ MAX_SERIES_MINUTES = 2**22
 
 BUCKET_CSV_HEADER = "minute_utc,announcements,withdrawals"
 
-CSV_BLOCK_ROWS = 2**14  # rows a bucket-CSV write renders at once
+CSV_BLOCK_ROWS = 2**14  # rows a bucket- or novelty-CSV write renders at once
 
 
 class BucketCsvError(ValueError):
@@ -172,7 +172,13 @@ class MinuteSeries:
         return self.start_minute_s + MINUTE * np.arange(len(self), dtype=np.int64)
 
     def totals(self) -> np.ndarray:
-        return self.announcements + self.withdrawals
+        """Announcements plus withdrawals per minute; a sum outside int64 raises CountOverflow naming its minute."""
+        totals = self.announcements + self.withdrawals
+        over = np.flatnonzero((totals ^ self.announcements) & (totals ^ self.withdrawals) < 0)  # sign unlike both terms
+        if over.size:
+            stamp = format_minute_utc(self.minute_at(int(over[0])))
+            raise CountOverflow(f"announcements plus withdrawals of minute {stamp} pass int64")
+        return totals
 
 
 def bucketize(records: np.ndarray, start_minute_s: int, end_minute_s: int) -> MinuteSeries:
@@ -300,15 +306,15 @@ def write_bucket_csv(series: MinuteSeries, out: TextIO) -> None:
         announcements = series.announcements[lo : lo + CSV_BLOCK_ROWS]
         withdrawals = series.withdrawals[lo : lo + CSV_BLOCK_ROWS]
         stamps = format_minutes_utc(series.minute_at(lo) + MINUTE * np.arange(announcements.size))
-        out.write(_csv_rows(stamps, map(str, announcements.tolist()), map(str, withdrawals.tolist())))
+        out.write(csv_lines(stamps, map(str, announcements.tolist()), map(str, withdrawals.tolist())))
 
 
 def csv_text(header: str, *columns) -> str:
-    """The header line, then :func:`_csv_rows` of the columns."""
-    return header + "\n" + _csv_rows(*columns)
+    """The header line, then :func:`csv_lines` of the columns."""
+    return header + "\n" + csv_lines(*columns)
 
 
-def _csv_rows(*columns) -> str:
+def csv_lines(*columns) -> str:
     """Row ``i`` joins item ``i`` of the equally long string columns with commas; every row ends in LF."""
     return "\n".join([*map(",".join, zip(*columns, strict=True)), ""])
 

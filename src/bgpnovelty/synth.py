@@ -9,6 +9,7 @@ exactly reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,7 @@ import numpy as np
 from .series import MAX_SERIES_MINUTES, MINUTE, CountOverflow, MinuteSeries, format_minute_utc
 
 SECONDS_PER_DAY = 86400
+_POISSON_LAM_MAX = 2**63 - 1 - 10 * math.sqrt(2**63 - 1)  # numpy's largest Poisson rate, ten deviations below int64
 
 SHAPE_STEP = "step"
 SHAPE_RAMP = "ramp"
@@ -82,18 +84,24 @@ def gen_baseline(
     """
     if not 1 <= minutes <= MAX_SERIES_MINUTES:
         raise BadParams(f"minutes must be from 1 to the {MAX_SERIES_MINUTES}-minute series limit, got {minutes}")
-    if mean_a <= 0 or mean_w <= 0:
-        raise BadParams("channel means must be > 0")
     if not 0.0 <= diurnal_amp < 1.0:
         raise BadParams("diurnal_amp must be in [0, 1)")
     if start_minute_s % MINUTE != 0:
         raise BadParams("start must be minute-aligned epoch seconds")
-    rng = np.random.default_rng(seed)
     starts = start_minute_s + MINUTE * np.arange(minutes, dtype=np.int64)
     minute_of_day = (starts % SECONDS_PER_DAY) / MINUTE
     factor = 1.0 + diurnal_amp * np.sin(2.0 * np.pi * minute_of_day / 1440.0)
-    announcements = rng.poisson(mean_a * factor).astype(np.int64)
-    withdrawals = rng.poisson(mean_w * factor).astype(np.int64)
+    rates = []
+    for flag, mean in (("--mean-a", mean_a), ("--mean-w", mean_w)):
+        if not 0.0 < mean < np.inf:
+            raise BadParams(f"{flag} must be finite and > 0, got {mean}")
+        rates.append(mean * factor)
+        if rates[-1].max() > _POISSON_LAM_MAX:
+            raise BadParams(f"{flag} {mean} peaks at a rate of {rates[-1].max():.6g} a minute, "
+                            f"above the largest Poisson rate, {_POISSON_LAM_MAX:.6g}")
+    rng = np.random.default_rng(seed)
+    announcements = rng.poisson(rates[0]).astype(np.int64)
+    withdrawals = rng.poisson(rates[1]).astype(np.int64)
     return MinuteSeries(start_minute_s, announcements, withdrawals)
 
 

@@ -1,6 +1,9 @@
 """Command-line behaviour: each subcommand plus the end-to-end pipe."""
 
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import pytest
 from bgpnovelty import cli
 from bgpnovelty.autoencoder import AutoencoderModel, save_model
 from bgpnovelty.cli import build_parser, main
-from bgpnovelty.features import NormalizationParams
+from bgpnovelty.features import NormalizationParams, fit_normalization, make_windows
 from bgpnovelty.scg import STOP_NON_FINITE, TrainReport
 from bgpnovelty.series import MAX_SERIES_MINUTES, read_bucket_csv
 
@@ -180,6 +183,20 @@ class TestTrainScoreDetect:
         assert not model_path.exists()
         assert report_path.read_text() == "cycle,loss\n1,12.5\n2,12.0\n"
 
+    def test_train_windows_are_the_cast_window_matrix_bit_for_bit(self, tmp_path, quiet_csv, monkeypatch):
+        seen = []
+
+        def keep(model, windows, cfg):
+            seen.append(windows.copy())
+            return model, TrainReport([1.0], 1, "budget")
+
+        monkeypatch.setattr(cli.scg, "train", keep)
+        assert run("train", quiet_csv, "--k", 5, "--hidden", 8, "--out", tmp_path / "m.json") == 0
+        buckets = read_bucket_csv(quiet_csv.read_bytes())
+        expected = make_windows(buckets, 5, fit_normalization(buckets)).astype(np.float32)
+        assert seen[0].dtype == np.float32
+        assert np.array_equal(seen[0].view(np.uint32), expected.view(np.uint32))
+
     def test_train_range_outside_csv_fails(self, tmp_path, quiet_csv, capsys):
         assert run(
             "train", quiet_csv, "--from", "1999-01-01T00:00:00Z",
@@ -217,6 +234,34 @@ class TestTrainScoreDetect:
             b"2001-09-18T12:01:00Z,0.25\n"
             b"2001-09-18T12:02:00Z,0.15625\n"
         )
+
+    def test_score_of_a_series_shorter_than_k_is_the_header_only(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_bytes(save_model(AutoencoderModel(
+            input_dim=4, hidden_dim=3, w1=np.zeros((3, 4)), b1=np.zeros(3), w2=np.ones((4, 3)),
+            b2=np.zeros(4), k=2, norm=NormalizationParams(0.0, 4.0, 0.0, 8.0),
+        )))
+        buckets = tmp_path / "buckets.csv"
+        buckets.write_text("minute_utc,announcements,withdrawals\n2001-09-18T12:00:00Z,0,8\n")
+        out = tmp_path / "novelty.csv"
+        assert run("score", buckets, model_path, "--out", out) == 0
+        assert out.read_bytes() == b"minute_utc,novelty\n"
+
+    def test_score_failing_while_writing_leaves_the_old_output(self, tmp_path, quiet_csv, capsys, monkeypatch):
+        model_path = tmp_path / "model.json"
+        assert run("train", quiet_csv, "--k", 5, "--hidden", 8, "--cycles", 2, "--out", model_path) == 0
+        out = tmp_path / "novelty.csv"
+        out.write_text("old\n")
+
+        def fail_midway(minutes, values, stream):
+            stream.write("minute_utc,novelty\n")
+            raise ValueError("disk on fire")
+
+        monkeypatch.setattr(cli.detector, "write_novelty_csv", fail_midway)
+        assert run("score", quiet_csv, model_path, "--out", out) == 1
+        assert "error: disk on fire" in capsys.readouterr().err
+        assert out.read_text() == "old\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["model.json", "model.json.report.csv", "novelty.csv", "quiet.csv"]
 
     def test_score_then_detect_quantile(self, tmp_path, quiet_csv):
         model_path = tmp_path / "model.json"
@@ -481,6 +526,71 @@ class TestSynth:
         assert run("synth", "--minutes", MAX_SERIES_MINUTES + 1, "--out", out) == 1
         assert f"{MAX_SERIES_MINUTES}-minute series limit" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unwritable_minutes_leave_no_file(self, tmp_path, capsys):
+        out = tmp_path / "y.csv"
+        assert run("synth", "--minutes", 10, "--start", "9999-12-31T23:55:00Z", "--out", out) == 1
+        assert "outside the years 0001-9999" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_leaves_an_existing_output_untouched(self, tmp_path):
+        out = tmp_path / "y.csv"
+        out.write_text("keep\n")
+        assert run("synth", "--minutes", 10, "--start", "9999-12-31T23:55:00Z", "--out", out) == 1
+        assert out.read_text() == "keep\n"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_output_gets_the_mode_of_a_plain_new_file(self, tmp_path):
+        out = tmp_path / "y.csv"
+        assert run("synth", "--minutes", 3, "--out", out) == 0
+        umask = os.umask(0)
+        os.umask(umask)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
+
+    def test_output_through_a_symlink_replaces_its_target(self, tmp_path):
+        target = tmp_path / "real.csv"
+        target.write_text("old\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        assert run("synth", "--minutes", 3, "--out", link) == 0
+        assert link.is_symlink()
+        assert target.read_text().startswith("minute_utc,")
+
+    def test_output_to_a_pipe_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        try:
+            code = run("synth", "--minutes", 3, "--out", fifo)
+        finally:
+            reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert code == 0
+        assert received[0].startswith("minute_utc,announcements,withdrawals\n")
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--mean-a", "nan"], "error: --mean-a must be finite and > 0, got nan"),
+            (["--mean-a", "1e300"], "error: --mean-a 1e+300 peaks at a rate of 1e+300 a minute"),
+        ],
+        ids=["nan", "1e300"],
+    )
+    def test_undrawable_mean_exits_one_naming_flag_and_value(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "n.csv"
+        assert run("synth", "--minutes", 10, *flags, "--out", out) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_totals_past_int64_make_top_exit_one_naming_the_minute(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        assert run("synth", "--minutes", 5, "--mean-a", 9e18, "--mean-w", 9e18, "--out", out) == 0
+        assert run("top", out, "--n", 2) == 1
+        err = capsys.readouterr().err
+        assert "error: announcements plus withdrawals of minute 1970-01-01T00:00:00Z pass int64" in err
 
     def test_bad_surge_spec_exits_one(self, tmp_path, capsys):
         assert run(

@@ -1,7 +1,10 @@
 """Novelty scoring, alarm grouping, the rule baseline, and lead-time pairing."""
 
+import io
 import math
 import re
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,12 +26,14 @@ from bgpnovelty.detector import (
     read_alarm_report,
     read_novelty_csv,
     score_series,
+    score_windows,
     suggest_threshold,
     write_alarm_report,
     write_novelty_csv,
 )
-from bgpnovelty.features import fit_normalization, make_windows
-from bgpnovelty.series import MINUTE, BadTimestamp, format_minute_utc, parse_minute_utc
+from bgpnovelty import detector, features
+from bgpnovelty.features import SCORE_BLOCK_ROWS, NormalizationParams, fit_normalization, make_windows
+from bgpnovelty.series import MINUTE, BadTimestamp, MinuteSeries, format_minute_utc, parse_minute_utc
 from bgpnovelty.synth import SurgeSpec, gen_baseline, inject_surge
 
 from conftest import top15_series
@@ -47,6 +52,12 @@ def points_at(values, start=NOON):
 def novelty(model, x):
     """Novelty of one vector, scored as a 1-row window matrix."""
     return score_series(model, np.asarray(x, dtype=np.float64)[None, :])[0]
+
+
+def novelty_text(minutes, values):
+    out = io.StringIO()
+    write_novelty_csv(minutes, values, out)
+    return out.getvalue()
 
 
 class TestNovelty:
@@ -119,6 +130,58 @@ class TestScoreSeries:
         values = score_series(model, make_windows(surged, 8, params))
         best = surged.minutes()[8 - 1 + int(np.argmax(values))]
         assert onset <= best <= onset + 20 * MIN
+
+
+class TestBlockScoring:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        minutes=st.integers(0, 160),
+        k=st.integers(1, 12),
+        hidden=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+        pick=st.sampled_from(["1", "n-1", "n", "n+1", "any"]),
+        any_rows=st.integers(1, 200),
+    )
+    def test_equals_whole_matrix_scoring_exactly(self, minutes, k, hidden, seed, pick, any_rows):
+        rng = np.random.default_rng(seed)
+        series = MinuteSeries(NOON, rng.poisson(300.0, minutes), rng.integers(0, 1000, minutes))
+        norm = NormalizationParams(50.0, 400.0, 0.0, 700.0)  # counts reach outside the range, as in a storm
+        model = init_model(2 * k, hidden, seed=seed, k=k, norm=norm)
+        model = replace(model, b1=rng.normal(size=hidden), b2=rng.normal(size=2 * k))
+        n = max(minutes - k + 1, 0)
+        rows = {"1": 1, "n-1": max(n - 1, 1), "n": max(n, 1), "n+1": n + 1, "any": any_rows}[pick]
+        whole = score_series(model, make_windows(series, k, norm))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(features, "SCORE_BLOCK_ROWS", rows)
+            assert np.array_equal(score_windows(model, series), whole)
+
+    @pytest.mark.parametrize("rows", [777, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1])
+    def test_equals_whole_matrix_scoring_across_block_edges_at_the_pipeline_shape(self, monkeypatch, rows):
+        series = gen_baseline(2 * SCORE_BLOCK_ROWS + 300, 800.0, 200.0, 0.3, seed=5)
+        norm = fit_normalization(series)
+        model = init_model(100, 100, seed=5, k=50, norm=norm)
+        whole = score_series(model, make_windows(series, 50, norm))
+        monkeypatch.setattr(features, "SCORE_BLOCK_ROWS", rows)
+        assert np.array_equal(score_windows(model, series), whole)
+
+    def test_a_short_series_scores_no_windows(self):
+        model = init_model(10, 4, seed=0)
+        assert score_windows(model, MinuteSeries(NOON, [1, 2, 3], [4, 5, 6])).shape == (0,)
+
+    def test_peak_memory_follows_the_block_not_the_series(self):
+        k, hidden, windows = 50, 100, 50_000
+        # Whole (windows, 2k) input, (windows, hidden) and (windows, 2k) output matrices would take 120 MB.
+        minutes = windows + k - 1
+        series = MinuteSeries(NOON, np.arange(minutes) % 17, np.arange(minutes) % 5)
+        model = init_model(2 * k, hidden, seed=1, k=k, norm=NormalizationParams(0.0, 16.0, 0.0, 4.0))
+        tracemalloc.start()  # numpy reports its buffers to tracemalloc
+        try:
+            values = score_windows(model, series)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (windows,)
+        assert peak < 25 * 2**20
 
 
 class TestDetectAlarms:
@@ -286,10 +349,31 @@ class TestLeadTimeMatchesReference:
 class TestFormats:
     def test_novelty_csv_round_trip(self):
         minutes, values = points_at([0.0, 0.12345678901234567, 3.5e-7])
-        again_minutes, again_values = read_novelty_csv(write_novelty_csv(minutes, values).encode())
+        again_minutes, again_values = read_novelty_csv(novelty_text(minutes, values).encode())
         assert again_minutes.dtype == np.int64 and again_values.dtype == np.float64
         assert np.array_equal(again_minutes, minutes)
         assert np.array_equal(again_values, values)
+
+    def test_novelty_csv_is_written_in_blocks(self, monkeypatch):
+        minutes, values = points_at([0.5, 1.5, 2.5, 3.5, 4.5])
+        whole = novelty_text(minutes, values)
+        monkeypatch.setattr(detector, "CSV_BLOCK_ROWS", 2)
+        assert novelty_text(minutes, values) == whole
+        assert whole.splitlines()[-1] == f"{format_minute_utc(int(minutes[-1]))},4.5"
+
+    @pytest.mark.parametrize(
+        "minutes, values, message",
+        [
+            ([NOON, 253402300800], [1.0, 2.0], "outside the years 0001-9999"),
+            ([NOON, NOON + MIN], [1.0], "2 minutes but 1 values"),
+        ],
+    )
+    def test_novelty_csv_checks_before_writing_anything(self, monkeypatch, minutes, values, message):
+        monkeypatch.setattr(detector, "CSV_BLOCK_ROWS", 1)
+        out = io.StringIO()
+        with pytest.raises(ValueError, match=message):
+            write_novelty_csv(np.array(minutes), np.array(values), out)
+        assert out.getvalue() == ""
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_novelty_csv_rejects_non_finite_values(self, text):

@@ -403,6 +403,16 @@ class TestTotals:
         i = (parse_minute_utc("2001-07-27T14:50:00Z") - series.start_minute_s) // 60
         assert series.totals()[i] == 595001
 
+    def test_sum_at_the_int64_bounds_is_kept(self):
+        assert MinuteSeries(NOON, [2**63 - 2, -(2**62)], [1, -(2**62)]).totals().tolist() == [2**63 - 1, -(2**63)]
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_sum_past_int64_raises_naming_the_minute(self, sign):
+        series = MinuteSeries(NOON, [1, sign * 2**62, sign * 2**62], [1, sign * (2**62 + 1), 0])
+        stamp = format_minute_utc(NOON + 60)
+        with pytest.raises(CountOverflow, match=f"announcements plus withdrawals of minute {stamp} pass int64"):
+            series.totals()
+
 
 class TestTopN:
     def test_reference_table_reproduced_exactly(self):

@@ -1,5 +1,7 @@
 """Synthetic baseline generation and surge injection."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,26 @@ class TestGenBaseline:
     def test_rejects_bad_params(self, kwargs):
         with pytest.raises(BadParams):
             gen_baseline(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(mean_a=float("nan")), "--mean-a must be finite and > 0, got nan"),
+            (dict(mean_w=float("inf")), "--mean-w must be finite and > 0, got inf"),
+            (dict(mean_a=1e300), "--mean-a 1e+300 peaks at a rate of 1e+300 a minute"),
+            (dict(mean_w=7e18, diurnal_amp=0.5), "--mean-w 7e+18 peaks at a rate of 1.05e+19 a minute"),
+        ],
+        ids=["nan", "inf", "1e300", "diurnal-peak"],
+    )
+    def test_rejects_a_mean_numpy_cannot_draw_naming_flag_and_value(self, kwargs, message):
+        params = dict(minutes=1440, mean_a=10.0, mean_w=10.0, diurnal_amp=0.0, seed=0) | kwargs
+        with pytest.raises(BadParams, match=re.escape(message)):
+            gen_baseline(**params)
+
+    def test_peak_rate_is_that_of_the_drawn_minutes(self):
+        # At midnight the sine is 0, so the first minutes stay below the largest Poisson rate.
+        series = gen_baseline(3, 10.0, 7e18, 0.5, seed=0)
+        assert series.withdrawals.min() > 6.9e18
 
     def test_rejects_more_minutes_than_a_series_holds(self, monkeypatch):
         def no_draws(*args, **kwargs):
