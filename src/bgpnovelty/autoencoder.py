@@ -42,7 +42,7 @@ class BadFormat(ValueError):
 
 
 class VersionMismatch(ValueError):
-    """Model document uses an unsupported format or layout version."""
+    """Model document uses an unsupported format version, layout version or layout."""
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,8 @@ def load_model(data: bytes) -> AutoencoderModel:
     if not isinstance(document, dict):
         raise BadFormat("model document must be a JSON object")
 
-    for key, version in (("format_version", MODEL_FORMAT_VERSION), ("layout_version", LAYOUT_VERSION)):
+    versions = ("format_version", MODEL_FORMAT_VERSION), ("layout_version", LAYOUT_VERSION), ("layout", LAYOUT_NAME)
+    for key, version in versions:
         if document.get(key) != version:
             raise VersionMismatch(f"unsupported {key}: {document.get(key)!r}")
 

@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=DEFAULT_K, help="lags per channel (default %(default)s)")
     p.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN, help="hidden units (default %(default)s)")
     p.add_argument("--cycles", type=int, default=DEFAULT_CYCLES, help="training cycles (default %(default)s)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="weight init seed (default %(default)s)")
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="weight init seed (default %(default)s)")
     p.add_argument("--out", type=Path, required=True, help="model file path")
     p.add_argument("--report", type=Path, help="training report CSV (default: <out>.report.csv)")
     p.set_defaults(handler=cmd_train)
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-a", type=float, default=1000.0, help="announcement mean (default %(default)s)")
     p.add_argument("--mean-w", type=float, default=300.0, help="withdrawal mean (default %(default)s)")
     p.add_argument("--diurnal-amp", type=float, default=0.0, help="daily sine amplitude in [0,1)")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     p.add_argument("--start", metavar="MINUTE", default="1970-01-01T00:00:00Z",
                    help="first minute (default %(default)s)")
     p.add_argument("--surge", action="append", default=[], metavar="SPEC",
@@ -119,6 +119,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_synth)
 
     return parser
+
+
+def _seed(text: str) -> int:
+    """``--seed``: decimal digits, an integer of at least 0 as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _read_scores(path: Path, source: str) -> tuple[np.ndarray, np.ndarray]:
@@ -209,8 +216,7 @@ def cmd_train(args) -> int:
     norm = features.fit_normalization(train_series)
     if len(train_series) < args.k:
         raise series.InvalidRange(f"training range has {len(train_series)} minutes, fewer than k={args.k}")
-    windows = np.empty((len(train_series) - args.k + 1, 2 * args.k), np.float32)  # training runs in float32
-    features.make_windows(train_series, args.k, norm, out=windows)
+    windows = features.make_windows(train_series, args.k, norm, np.float32)  # training runs in float32
     model = autoencoder.init_model(
         2 * args.k, args.hidden, seed=args.seed, k=args.k, norm=norm
     )
@@ -230,7 +236,7 @@ def cmd_score(args) -> int:
     model = autoencoder.load_model(args.model.read_bytes())
     novelty = detector.score_windows(model, data)
     with _output(args.out) as out:
-        detector.write_novelty_csv(data.minutes()[model.k - 1 :], novelty, out)
+        detector.write_novelty_csv(data.minute_at(model.k - 1), novelty, out)
     return 0
 
 

@@ -17,15 +17,16 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
+from . import features
 from .autoencoder import AutoencoderModel, _check_matrix, reconstruct
-from .features import SCORE_BLOCK_ROWS, window_blocks
-from .series import CSV_BLOCK_ROWS, MINUTE, MinuteSeries, csv_lines, csv_rows, first_row_fault
+from .series import MINUTE, MinuteSeries, csv_rows, first_row_fault, write_minute_csv
 from .series import format_minute_utc, format_minutes_utc, parse_minutes_utc
 
 SOURCE_AUTOENCODER = "autoencoder"
 SOURCE_RULE = "rule"
 
 NOVELTY_CSV_HEADER = "minute_utc,novelty"
+SCORE_BLOCK_ROWS = 2**12  # windows the network runs on, and score_windows builds, at a time
 _SPAN_KEYS = ("start", "end", "peak_minute")  # alarm report fields of AlarmEvent's three minutes
 
 
@@ -107,8 +108,10 @@ def score_windows(model: AutoencoderModel, series: MinuteSeries) -> np.ndarray:
     Memory follows the block, not the series, apart from 8 bytes a window.
     """
     novelty = np.empty(max(len(series) - model.k + 1, 0))
-    for lo, X in window_blocks(series, model.k, model.norm):
-        novelty[lo : lo + len(X)] = score_series(model, X)
+    for lo in range(0, novelty.size, SCORE_BLOCK_ROWS):
+        minutes = slice(lo, min(lo + SCORE_BLOCK_ROWS, novelty.size) + model.k - 1)  # those this block's windows cover
+        part = MinuteSeries(series.minute_at(lo), series.announcements[minutes], series.withdrawals[minutes])
+        novelty[lo : lo + SCORE_BLOCK_ROWS] = score_series(model, features.make_windows(part, model.k, model.norm))
     return novelty
 
 
@@ -204,23 +207,9 @@ def lead_time(
     return matches
 
 
-def write_novelty_csv(minutes: np.ndarray, values: np.ndarray, out: TextIO) -> None:
-    """Write per-minute novelty values to a text stream as CSV with full-precision values.
-
-    Rows are rendered and written ``CSV_BLOCK_ROWS`` at a time. Unequal
-    lengths, or a minute outside the years 0001-9999, raise ValueError
-    before anything is written.
-    """
-    minutes = np.asarray(minutes, dtype=np.int64)
-    values = np.asarray(values, dtype=np.float64)
-    if minutes.shape != values.shape:
-        raise ValueError(f"{minutes.size} minutes but {values.size} values")
-    if minutes.size:
-        format_minutes_utc([minutes.min(), minutes.max()])
-    out.write(NOVELTY_CSV_HEADER + "\n")
-    for lo in range(0, minutes.size, CSV_BLOCK_ROWS):
-        stamps = format_minutes_utc(minutes[lo : lo + CSV_BLOCK_ROWS])
-        out.write(csv_lines(stamps, map(repr, values[lo : lo + CSV_BLOCK_ROWS].tolist())))
+def write_novelty_csv(start_minute_s: int, values: np.ndarray, out: TextIO) -> None:
+    """Write the novelty of the minutes from ``start_minute_s`` on, as :func:`.series.write_minute_csv` does."""
+    write_minute_csv(out, NOVELTY_CSV_HEADER, start_minute_s, np.asarray(values, dtype=np.float64))
 
 
 def read_novelty_csv(data: bytes) -> tuple[np.ndarray, np.ndarray]:

@@ -12,14 +12,11 @@ detector looks for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .series import MinuteSeries
-
-SCORE_BLOCK_ROWS = 2**12  # windows scoring builds, and the network runs on, at a time
 
 
 class EmptySeries(ValueError):
@@ -60,45 +57,19 @@ def _normalize_array(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (values.astype(np.float64) - lo) / (hi - lo)
 
 
-def make_windows(
-    series: MinuteSeries,
-    k: int,
-    params: NormalizationParams,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def make_windows(series: MinuteSeries, k: int, params: NormalizationParams, dtype: type = np.float64) -> np.ndarray:
     """Overlapping stride-1 windows as a contiguous matrix of shape (n, 2k).
 
     Row ``i`` is the window ending at minute index ``k-1+i``, i.e. at
     ``series.minutes()[k - 1 + i]``; it covers minutes ``i .. k-1+i``
     (current minute included). A series shorter than k yields a (0, 2k)
     matrix. A degenerate training range (max == min) maps the channel to 0.
-    The matrix is float64, or ``out`` when given: it must have the matrix's
-    shape, and its dtype sets the matrix's, each value cast from float64.
+    The matrix has ``dtype``, each value cast from its float64 normalization.
     """
     if k < 1:
         raise ValueError(f"lag count k must be >= 1, got {k}")
-    shape = (max(len(series) - k + 1, 0), 2 * k)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ValueError(f"window buffer has shape {out.shape}, expected {shape}")
-    if shape[0]:
-        out[:, :k] = sliding_window_view(_normalize_array(series.announcements, params.a_min, params.a_max), k)
-        out[:, k:] = sliding_window_view(_normalize_array(series.withdrawals, params.w_min, params.w_max), k)
-    return out
-
-
-def window_blocks(series: MinuteSeries, k: int, params: NormalizationParams) -> Iterator[tuple[int, np.ndarray]]:
-    """:func:`make_windows` of the series, ``SCORE_BLOCK_ROWS`` windows at a time.
-
-    Yields the index of each block's first window and the block, a float64
-    view of one reused buffer that holds until the next block is yielded.
-    """
-    n = max(len(series) - k + 1, 0)
-    rows = SCORE_BLOCK_ROWS
-    buffer = np.empty((min(rows, n), 2 * k))
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        minutes = slice(lo, hi + k - 1)  # the minutes of windows lo .. hi-1
-        part = MinuteSeries(series.minute_at(lo), series.announcements[minutes], series.withdrawals[minutes])
-        yield lo, make_windows(part, k, params, out=buffer[: hi - lo])
+    windows = np.empty((max(len(series) - k + 1, 0), 2 * k), dtype)
+    if len(windows):
+        windows[:, :k] = sliding_window_view(_normalize_array(series.announcements, params.a_min, params.a_max), k)
+        windows[:, k:] = sliding_window_view(_normalize_array(series.withdrawals, params.w_min, params.w_max), k)
+    return windows

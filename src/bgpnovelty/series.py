@@ -293,28 +293,35 @@ def read_bucket_csv(data: bytes) -> MinuteSeries:
 
 
 def write_bucket_csv(series: MinuteSeries, out: TextIO) -> None:
-    """Write a series to a text stream in the bucket CSV format (LF line endings).
+    """Write a series to a text stream in the bucket CSV format, as :func:`write_minute_csv` does."""
+    write_minute_csv(out, BUCKET_CSV_HEADER, series.start_minute_s, series.announcements, series.withdrawals)
 
-    Rows are rendered and written ``CSV_BLOCK_ROWS`` at a time, so memory
-    follows the block, not the series. A series reaching outside the years
-    0001-9999 raises ValueError before anything is written.
+
+def write_minute_csv(out: TextIO, header: str, start_minute_s: int, *columns: np.ndarray) -> None:
+    """Write the header line, then one row per minute from ``start_minute_s`` (LF line endings).
+
+    Row ``i`` holds the stamp of minute ``i`` and the ``repr`` of item ``i``
+    of each equally long column. Rows are rendered and written
+    ``CSV_BLOCK_ROWS`` at a time, so memory follows the block, not the
+    columns. Minutes reaching outside the years 0001-9999 raise ValueError
+    before anything is written.
     """
-    if len(series):
-        format_minutes_utc([series.start_minute_s, series.end_minute_s])
-    out.write(BUCKET_CSV_HEADER + "\n")
-    for lo in range(0, len(series), CSV_BLOCK_ROWS):
-        announcements = series.announcements[lo : lo + CSV_BLOCK_ROWS]
-        withdrawals = series.withdrawals[lo : lo + CSV_BLOCK_ROWS]
-        stamps = format_minutes_utc(series.minute_at(lo) + MINUTE * np.arange(announcements.size))
-        out.write(csv_lines(stamps, map(str, announcements.tolist()), map(str, withdrawals.tolist())))
+    n = len(columns[0])
+    if n:
+        format_minutes_utc([start_minute_s, start_minute_s + MINUTE * (n - 1)])
+    out.write(header + "\n")
+    for lo in range(0, n, CSV_BLOCK_ROWS):
+        blocks = [column[lo : lo + CSV_BLOCK_ROWS].tolist() for column in columns]
+        stamps = format_minutes_utc(start_minute_s + MINUTE * np.arange(lo, lo + len(blocks[0])))
+        out.write(_csv_lines(stamps, *(map(repr, block) for block in blocks)))
 
 
 def csv_text(header: str, *columns) -> str:
-    """The header line, then :func:`csv_lines` of the columns."""
-    return header + "\n" + csv_lines(*columns)
+    """The header line, then :func:`_csv_lines` of the columns."""
+    return header + "\n" + _csv_lines(*columns)
 
 
-def csv_lines(*columns) -> str:
+def _csv_lines(*columns) -> str:
     """Row ``i`` joins item ``i`` of the equally long string columns with commas; every row ends in LF."""
     return "\n".join([*map(",".join, zip(*columns, strict=True)), ""])
 

@@ -395,6 +395,18 @@ class TestPersistence:
         with pytest.raises(VersionMismatch):
             load_model(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("layout", ["withdraw_then_announce_oldest_first", None])
+    def test_foreign_or_missing_layout_is_version_mismatch(self, layout):
+        import json
+
+        doc = json.loads(save_model(init_model(4, 3, seed=0)))
+        if layout is None:
+            del doc["layout"]
+        else:
+            doc["layout"] = layout
+        with pytest.raises(VersionMismatch, match=f"unsupported layout: {layout!r}"):
+            load_model(json.dumps(doc).encode())
+
     @pytest.mark.parametrize("bound", [math.nan, math.inf, -math.inf])
     def test_non_finite_normalization_bound_is_bad_format(self, bound):
         import json

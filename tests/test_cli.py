@@ -154,6 +154,14 @@ class TestTrainScoreDetect:
         assert document["input_dim"] == 10
         assert model_path.with_suffix(".json.report.csv").exists()
 
+    def test_negative_seed_is_a_usage_error_naming_the_flag(self, tmp_path, quiet_csv, capsys):
+        model_path = tmp_path / "model.json"
+        with pytest.raises(SystemExit) as info:
+            run("train", quiet_csv, "--k", 5, "--seed", -3, "--out", model_path)
+        assert info.value.code == 2
+        assert "argument --seed: must be an integer >= 0, got '-3'" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_train_is_reproducible_byte_for_byte(self, tmp_path, quiet_csv):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -499,6 +507,14 @@ class TestSynth:
         for path in (a, b):
             assert run("synth", "--minutes", 100, "--seed", 77, "--out", path) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_seed_is_a_usage_error_naming_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as info:
+            run("synth", "--minutes", 10, "--seed", -1, "--out", out)
+        assert info.value.code == 2
+        assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_surge_flag(self, tmp_path):
         plain = tmp_path / "plain.csv"

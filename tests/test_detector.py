@@ -31,8 +31,9 @@ from bgpnovelty.detector import (
     write_alarm_report,
     write_novelty_csv,
 )
-from bgpnovelty import detector, features
-from bgpnovelty.features import SCORE_BLOCK_ROWS, NormalizationParams, fit_normalization, make_windows
+from bgpnovelty import detector, series as series_module
+from bgpnovelty.detector import SCORE_BLOCK_ROWS
+from bgpnovelty.features import NormalizationParams, fit_normalization, make_windows
 from bgpnovelty.series import MINUTE, BadTimestamp, MinuteSeries, format_minute_utc, parse_minute_utc
 from bgpnovelty.synth import SurgeSpec, gen_baseline, inject_surge
 
@@ -54,9 +55,9 @@ def novelty(model, x):
     return score_series(model, np.asarray(x, dtype=np.float64)[None, :])[0]
 
 
-def novelty_text(minutes, values):
+def novelty_text(start, values):
     out = io.StringIO()
-    write_novelty_csv(minutes, values, out)
+    write_novelty_csv(start, values, out)
     return out.getvalue()
 
 
@@ -150,19 +151,38 @@ class TestBlockScoring:
         model = replace(model, b1=rng.normal(size=hidden), b2=rng.normal(size=2 * k))
         n = max(minutes - k + 1, 0)
         rows = {"1": 1, "n-1": max(n - 1, 1), "n": max(n, 1), "n+1": n + 1, "any": any_rows}[pick]
-        whole = score_series(model, make_windows(series, k, norm))
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(features, "SCORE_BLOCK_ROWS", rows)
+            patch.setattr(detector, "SCORE_BLOCK_ROWS", rows)
+            whole = score_series(model, make_windows(series, k, norm))
             assert np.array_equal(score_windows(model, series), whole)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(0, 2 * SCORE_BLOCK_ROWS + 300),
+        k=st.integers(1, 50),
+        hidden=st.integers(1, 100),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_a_row_scores_the_same_whatever_rows_surround_it(self, n, k, hidden, seed, data):
+        # The padding to SCORE_BLOCK_ROWS rows exists for this: a slice of the matrix scores as the same slice
+        # of the whole matrix's novelty, bit for bit, however its rows fall on block edges. Without it, calls of
+        # a few rows round differently on some BLAS builds.
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-0.5, 2.0, (n, 2 * k))
+        model = init_model(2 * k, hidden, seed=seed, k=k)
+        model = replace(model, b1=rng.normal(size=hidden), b2=rng.normal(size=2 * k))
+        a = data.draw(st.integers(0, n))
+        b = a + data.draw(st.one_of(st.integers(0, min(40, n - a)), st.integers(0, n - a)))
+        assert np.array_equal(score_series(model, X[a:b]), score_series(model, X)[a:b])
 
     @pytest.mark.parametrize("rows", [777, SCORE_BLOCK_ROWS - 1, SCORE_BLOCK_ROWS, SCORE_BLOCK_ROWS + 1])
     def test_equals_whole_matrix_scoring_across_block_edges_at_the_pipeline_shape(self, monkeypatch, rows):
         series = gen_baseline(2 * SCORE_BLOCK_ROWS + 300, 800.0, 200.0, 0.3, seed=5)
         norm = fit_normalization(series)
         model = init_model(100, 100, seed=5, k=50, norm=norm)
-        whole = score_series(model, make_windows(series, 50, norm))
-        monkeypatch.setattr(features, "SCORE_BLOCK_ROWS", rows)
-        assert np.array_equal(score_windows(model, series), whole)
+        monkeypatch.setattr(detector, "SCORE_BLOCK_ROWS", rows)
+        assert np.array_equal(score_windows(model, series), score_series(model, make_windows(series, 50, norm)))
 
     def test_a_short_series_scores_no_windows(self):
         model = init_model(10, 4, seed=0)
@@ -349,30 +369,30 @@ class TestLeadTimeMatchesReference:
 class TestFormats:
     def test_novelty_csv_round_trip(self):
         minutes, values = points_at([0.0, 0.12345678901234567, 3.5e-7])
-        again_minutes, again_values = read_novelty_csv(novelty_text(minutes, values).encode())
+        again_minutes, again_values = read_novelty_csv(novelty_text(NOON, values).encode())
         assert again_minutes.dtype == np.int64 and again_values.dtype == np.float64
         assert np.array_equal(again_minutes, minutes)
         assert np.array_equal(again_values, values)
 
     def test_novelty_csv_is_written_in_blocks(self, monkeypatch):
         minutes, values = points_at([0.5, 1.5, 2.5, 3.5, 4.5])
-        whole = novelty_text(minutes, values)
-        monkeypatch.setattr(detector, "CSV_BLOCK_ROWS", 2)
-        assert novelty_text(minutes, values) == whole
+        whole = novelty_text(NOON, values)
+        monkeypatch.setattr(series_module, "CSV_BLOCK_ROWS", 2)
+        assert novelty_text(NOON, values) == whole
         assert whole.splitlines()[-1] == f"{format_minute_utc(int(minutes[-1]))},4.5"
 
     @pytest.mark.parametrize(
-        "minutes, values, message",
+        "start, values",
         [
-            ([NOON, 253402300800], [1.0, 2.0], "outside the years 0001-9999"),
-            ([NOON, NOON + MIN], [1.0], "2 minutes but 1 values"),
+            (parse_minute_utc("9999-12-31T23:59:00Z"), [1.0, 2.0]),  # the last minute passes year 9999
+            (parse_minute_utc("0001-01-01T00:00:00Z") - MIN, [1.0]),  # the first minute precedes year 0001
         ],
     )
-    def test_novelty_csv_checks_before_writing_anything(self, monkeypatch, minutes, values, message):
-        monkeypatch.setattr(detector, "CSV_BLOCK_ROWS", 1)
+    def test_novelty_csv_checks_before_writing_anything(self, monkeypatch, start, values):
+        monkeypatch.setattr(series_module, "CSV_BLOCK_ROWS", 1)
         out = io.StringIO()
-        with pytest.raises(ValueError, match=message):
-            write_novelty_csv(np.array(minutes), np.array(values), out)
+        with pytest.raises(ValueError, match="outside the years 0001-9999"):
+            write_novelty_csv(start, np.array(values), out)
         assert out.getvalue() == ""
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])

@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgpnovelty import features
 from bgpnovelty.features import (
     EmptySeries,
     NormalizationParams,
     _normalize_array,
     fit_normalization,
     make_windows,
-    window_blocks,
 )
 from bgpnovelty.series import MinuteSeries
 from bgpnovelty.synth import gen_baseline
@@ -138,40 +136,32 @@ class TestMakeWindows:
             make_windows(series, 0, fit_normalization(series))
 
 
-class TestWindowBuffers:
+class TestWindowDtype:
     @pytest.mark.parametrize("k", [1, 3, 12, 50])
     @pytest.mark.parametrize("degenerate", [False, True])
-    def test_float32_buffer_equals_the_cast_matrix_bit_for_bit(self, k, degenerate):
+    def test_float32_matrix_equals_the_cast_matrix_bit_for_bit(self, k, degenerate):
         series = gen_baseline(500, 300.0, 80.0, 0.4, seed=9)
         if degenerate:
             series = series_of(series.announcements, np.full(len(series), 4))
         params = fit_normalization(gen_baseline(200, 250.0, 60.0, 0.1, seed=10))  # scored values leave [0, 1]
-        out = np.empty((len(series) - k + 1, 2 * k), np.float32)
-        assert make_windows(series, k, params, out=out) is out
-        assert np.array_equal(out.view(np.uint32), make_windows(series, k, params).astype(np.float32).view(np.uint32))
+        windows = make_windows(series, k, params, dtype=np.float32)
+        assert windows.dtype == np.float32 and windows.flags.c_contiguous
+        cast = make_windows(series, k, params).astype(np.float32)
+        assert np.array_equal(windows.view(np.uint32), cast.view(np.uint32))
 
-    def test_buffer_of_another_shape_raises(self):
-        series = series_of([1, 2, 3], [4, 5, 6])
-        with pytest.raises(ValueError, match=r"window buffer has shape \(3, 4\), expected \(2, 4\)"):
-            make_windows(series, 2, fit_normalization(series), out=np.empty((3, 4)))
 
+class TestSeriesSlices:
     @settings(max_examples=50, deadline=None)
-    @given(minutes=st.integers(0, 90), k=st.integers(1, 9), rows=st.integers(1, 100), seed=st.integers(0, 2**32 - 1))
-    def test_blocks_tile_the_window_matrix(self, minutes, k, rows, seed):
+    @given(minutes=st.integers(0, 90), k=st.integers(1, 9), data=st.data(), seed=st.integers(0, 2**32 - 1))
+    def test_windows_of_a_slice_are_rows_of_the_whole_matrix(self, minutes, k, data, seed):
         rng = np.random.default_rng(seed)
         series = series_of(rng.integers(0, 500, minutes), rng.integers(0, 90, minutes))
         params = NormalizationParams(20.0, 300.0, 0.0, 50.0)
         whole = make_windows(series, k, params)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(features, "SCORE_BLOCK_ROWS", rows)
-            blocks = [(lo, block.copy()) for lo, block in window_blocks(series, k, params)]
-        assert [lo for lo, _ in blocks] == list(range(0, len(whole), rows))
-        assert all(block.dtype == np.float64 and 1 <= len(block) <= rows for _, block in blocks)
-        assert np.array_equal(np.concatenate([block for _, block in blocks] or [whole]), whole)
-
-    def test_blocks_reuse_one_buffer(self, monkeypatch):
-        monkeypatch.setattr(features, "SCORE_BLOCK_ROWS", 30)
-        series = gen_baseline(100, 200.0, 60.0, 0.0, seed=13)
-        blocks = [block for _, block in window_blocks(series, 10, fit_normalization(series))]
-        assert len(blocks) == 4
-        assert len({block.__array_interface__["data"][0] for block in blocks}) == 1
+        lo = data.draw(st.integers(0, len(whole)))
+        hi = data.draw(st.integers(lo, len(whole)))
+        minutes_of_rows = slice(lo, hi + k - 1)  # the minutes windows lo .. hi-1 cover
+        part = MinuteSeries(
+            series.minute_at(lo), series.announcements[minutes_of_rows], series.withdrawals[minutes_of_rows]
+        )
+        assert np.array_equal(make_windows(part, k, params), whole[lo:hi])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bgpnovelty.autoencoder import (
     DimensionMismatch,
@@ -172,6 +174,57 @@ class TestScgMinimize:
         )
         assert report.stop_reason == STOP_BUDGET
         assert report.cycles_run == 5
+
+
+class TestScgProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        d=st.integers(1, 12),
+        cycles=st.integers(1, 40),
+        grad_tol=st.sampled_from([0.0, 1e-8, 1e-3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_run_on_a_random_convex_quadratic(self, d, cycles, grad_tol, seed):
+        rng = np.random.default_rng(seed)
+        basis, _ = np.linalg.qr(rng.normal(size=(d, d)))
+        matrix = basis @ np.diag(rng.uniform(0.1, 10.0, d)) @ basis.T
+        target = rng.normal(size=d)
+        calls = []  # (kind, point) of every evaluation, in order
+
+        def f(x):
+            calls.append(("f", x.copy()))
+            r = x - target
+            return 0.5 * float(r @ matrix @ r)
+
+        def g(x):
+            calls.append(("g", x.copy()))
+            return matrix @ (x - target)
+
+        def curvature(x, p):
+            calls.append(("curvature", x.copy()))
+            return float(p @ matrix @ p)
+
+        x0 = rng.normal(size=d)
+        x, report = scg_minimize(f, g, curvature, x0, ScgConfig(max_cycles=cycles, grad_tol=grad_tol))
+
+        losses = report.loss_history
+        assert len(losses) == report.cycles_run
+        assert [kind for kind, _ in calls].count("f") == report.cycles_run + 1
+        latest = {}
+        for kind, point in calls:
+            if kind in ("g", "curvature"):
+                assert np.array_equal(point, latest["f" if kind == "g" else "g"])
+            latest[kind] = point
+        assert all(later <= earlier for earlier, later in zip([f(x0), *losses], losses))
+        if losses:
+            assert f(x) == losses[-1]
+        else:
+            assert np.array_equal(x, x0)
+        if report.stop_reason == STOP_BUDGET:
+            assert report.cycles_run == cycles
+        else:
+            assert report.stop_reason == STOP_GRADIENT
+            assert np.linalg.norm(g(x)) <= grad_tol
 
 
 class TestConfig:
