@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import BinaryIO, Iterator, TextIO
 
 import numpy as np
 
@@ -28,6 +28,8 @@ DEFAULT_GAP_MINUTES = 60
 DEFAULT_SEED = 0
 
 _BUCKET_MAGIC = series.BUCKET_CSV_HEADER.split(",")[0].encode()
+_GZIP_MAGIC = b"\x1f\x8b"
+_BZIP2_MAGIC = b"BZh"
 
 
 class TrainingFailed(ValueError):
@@ -193,22 +195,41 @@ def _slice_to_flags(data: series.MinuteSeries, start: int | None, end: int | Non
 
 
 def cmd_ingest(args) -> int:
-    data = args.input.read_bytes()
     start, end = _flag_range(args)
-    if data.startswith(_BUCKET_MAGIC):
-        result = _slice_to_flags(series.read_bucket_csv(data), start, end)
-    else:
-        records = mrt.parse_mrt_stream(data)
-        if not len(records) and (start is None or end is None):
-            raise ValueError("input contains no BGP UPDATE records and no range was given")
-        if start is None:
-            start = int(records[:, 0].min()) // 60 * 60
-        if end is None:
-            end = int(records[:, 0].max()) // 60 * 60
-        result = series.bucketize(records, start, end)
+    with args.input.open("rb") as raw:
+        head = raw.peek(len(_BUCKET_MAGIC))
+        if head.startswith(_BUCKET_MAGIC):
+            result = _slice_to_flags(series.read_bucket_csv(raw.read()), start, end)
+        else:
+            with _decompressed(raw, head) as dump:
+                records = mrt.parse_mrt_stream(dump)
+            if not len(records) and (start is None or end is None):
+                raise ValueError("input contains no BGP UPDATE records and no range was given")
+            if start is None:
+                start = int(records[:, 0].min()) // 60 * 60
+            if end is None:
+                end = int(records[:, 0].max()) // 60 * 60
+            result = series.bucketize(records, start, end)
     with _output(args.out) as out:
         series.write_bucket_csv(result, out)
     return 0
+
+
+def _decompressed(raw: BinaryIO, head: bytes) -> BinaryIO:
+    """``raw``, or a gzip or bzip2 reader over it when ``head``, its first bytes, carry that format's magic.
+
+    The codecs are imported here, so a command that reads no compressed dump
+    starts up without them.
+    """
+    if head.startswith(_GZIP_MAGIC):
+        import gzip
+
+        return gzip.GzipFile(fileobj=raw, mode="rb")
+    if head.startswith(_BZIP2_MAGIC):
+        import bz2
+
+        return bz2.BZ2File(raw)
+    return raw
 
 
 def cmd_train(args) -> int:

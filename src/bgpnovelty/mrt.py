@@ -6,7 +6,7 @@ timestamp, 2-octet type, 2-octet subtype, 4-octet length) and emits one
 BGP4MP (type 16) and BGP4MP_ET (type 17) records of the MESSAGE subtypes
 (1 and 4). Everything else a collector interleaves — table dumps, state
 changes, other protocols, unknown address families, non-UPDATE messages —
-is skipped silently.
+is skipped, and skipped records are not counted yet.
 
 Counts are prefix counts, not message counts: ``announced`` is the number of
 entries in the classic NLRI field, ``withdrawn`` the number of entries in the
@@ -14,16 +14,19 @@ Withdrawn Routes field. Multiprotocol prefixes (MP_REACH_NLRI /
 MP_UNREACH_NLRI) ride inside path attributes and are not decoded; an UPDATE
 carrying only attributes yields a (t, 0, 0) row.
 
-One Python loop walks the common headers and collects the record offsets.
-The bodies are then decoded with numpy over the whole buffer,
-``BLOCK_RECORDS`` records at a time, so temporary memory does not grow with
-the dump.
+The dump is read from a file object ``CHUNK_BYTES`` at a time. One Python
+loop walks the common headers of each chunk, and the whole records found are
+decoded with numpy, ``BLOCK_RECORDS`` at a time; a record cut by the chunk's
+end is carried into the next chunk. Memory follows the chunk and the longest
+record, plus the 24-byte row of each UPDATE, not the dump.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from array import array
+from typing import BinaryIO
 
 import numpy as np
 
@@ -45,12 +48,13 @@ BGP_HEADER_LEN = 19  # 16-octet marker + 2-octet length + 1-octet type
 BGP_TYPE_UPDATE = 2
 
 BLOCK_RECORDS = 4096  # records decoded per numpy pass
+CHUNK_BYTES = 1 << 18  # bytes read from the stream per step
 
-_RECORD_LENGTH = struct.Struct(">I")
+_RECORD_LENGTH = struct.Struct(">8xI")  # the length field, after timestamp, type and subtype
 
 
 class MrtParseError(ValueError):
-    """Parse failure; ``offset`` is the byte position of the fault."""
+    """Parse failure; ``offset`` is the byte position of the fault in the stream."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
@@ -58,55 +62,94 @@ class MrtParseError(ValueError):
 
 
 class TruncatedRecord(MrtParseError):
-    """Stream ends mid-record, or a declared length overruns the buffer."""
+    """Stream ends mid-record, or a declared length overruns the stream."""
 
 
 class MalformedPrefix(MrtParseError):
     """Prefix length above 32 bits, or prefix bytes overrun their field."""
 
 
-def parse_mrt_stream(data: bytes) -> np.ndarray:
-    """Parse a byte stream of MRT records into UPDATE count rows.
+class UnreadableStream(MrtParseError):
+    """A read of the stream failed, as it does on a truncated or corrupt gzip or bzip2 dump.
 
-    Returns an ``(n, 3)`` int64 array of ``(timestamp_s, announced,
-    withdrawn)`` rows, one per UPDATE, in stream order. Pure function of the
-    input bytes: parsing a concatenation of two streams equals concatenating
-    the two parses.
-
-    Raises TruncatedRecord / MalformedPrefix with the byte offset of the
-    first fault in stream order; either aborts the parse.
+    ``offset`` counts the bytes, decompressed where the dump is compressed,
+    that were read before the failing read.
     """
-    starts, tail_fault = _walk_headers(data)
-    buf = np.frombuffer(data, dtype=np.uint8)
-    starts = np.frombuffer(starts, dtype=np.int64)
+
+
+def parse_mrt_stream(stream: BinaryIO) -> np.ndarray:
+    """Parse a binary file object of MRT records into UPDATE count rows.
+
+    Reads ``stream`` to its end, ``CHUNK_BYTES`` at a time, and returns an
+    ``(n, 3)`` int64 array of ``(timestamp_s, announced, withdrawn)`` rows,
+    one per UPDATE, in stream order. The result is a pure function of the
+    stream's bytes, whatever the chunk size: parsing a concatenation of two
+    streams equals concatenating the two parses.
+
+    Raises TruncatedRecord / MalformedPrefix with the stream byte offset of
+    the first fault in stream order; either aborts the parse. A record cut
+    short by the end of the stream is reported only once the stream is read
+    to its end. A read that fails raises UnreadableStream.
+    """
     blocks = [np.empty((0, 3), dtype=np.int64)]
-    for lo in range(0, starts.size, BLOCK_RECORDS):
-        blocks.append(_decode_block(buf, starts[lo : lo + BLOCK_RECORDS]))
-    if tail_fault is not None:
-        raise tail_fault
+    pieces: list[bytes] = []  # read but not yet walked: a cut record, then whole chunks
+    held = 0  # bytes in pieces
+    want = MRT_HEADER_LEN  # bytes held before a walk can complete a record
+    base = 0  # stream offset of the first held byte
+    while chunk := _read(stream, base + held):
+        pieces.append(chunk)
+        held += len(chunk)
+        if held < want:
+            continue
+        data = b"".join(pieces)
+        starts, stop = _walk_headers(data)
+        buf = np.frombuffer(data, dtype=np.uint8)
+        starts = np.frombuffer(starts, dtype=np.int64)
+        for lo in range(0, starts.size, BLOCK_RECORDS):
+            blocks.append(_decode_block(buf, starts[lo : lo + BLOCK_RECORDS], base))
+        pieces = [data[stop:]]
+        held = len(data) - stop
+        want = MRT_HEADER_LEN + (_RECORD_LENGTH.unpack_from(data, stop)[0] if held >= MRT_HEADER_LEN else 0)
+        base += stop
+    if held:
+        if held < MRT_HEADER_LEN:
+            raise TruncatedRecord("stream ends inside an MRT header", base)
+        raise TruncatedRecord("declared record length overruns the stream", base)
     return np.concatenate(blocks)
 
 
-def _walk_headers(data: bytes) -> tuple[array, MrtParseError | None]:
-    """Start offsets of the whole records, and the fault that cuts the stream short."""
+def _read(stream: BinaryIO, offset: int) -> bytes:
+    """The next chunk of ``stream``, empty at its end; a failed read raises UnreadableStream at ``offset``."""
+    try:
+        return stream.read(CHUNK_BYTES)
+    except (EOFError, OSError, zlib.error) as exc:  # what gzip and bz2 raise for a truncated or corrupt stream
+        raise UnreadableStream(f"cannot read the dump: {exc}", offset) from None
+
+
+def _walk_headers(data: bytes) -> tuple[array, int]:
+    """Start offsets of the whole records in ``data``, and the offset where the first cut record starts.
+
+    The loop checks only that a header fits: a declared length that overruns
+    ``data`` can only belong to the last record walked, which is taken back.
+    """
     starts = array("q")
     append = starts.append
     unpack_length = _RECORD_LENGTH.unpack_from
-    n = len(data)
+    limit = len(data) - MRT_HEADER_LEN
     offset = 0
-    while offset < n:
-        if n - offset < MRT_HEADER_LEN:
-            return starts, TruncatedRecord("stream ends inside an MRT header", offset)
-        (length,) = unpack_length(data, offset + 8)
-        if n - offset - MRT_HEADER_LEN < length:
-            return starts, TruncatedRecord("declared record length overruns the stream", offset)
+    while offset <= limit:
         append(offset)
-        offset += MRT_HEADER_LEN + length
-    return starts, None
+        offset += MRT_HEADER_LEN + unpack_length(data, offset)[0]
+    if offset > len(data):
+        offset = starts.pop()
+    return starts, offset
 
 
-def _decode_block(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _decode_block(buf: np.ndarray, starts: np.ndarray, base: int) -> np.ndarray:
     """UPDATE rows of the whole records at ``starts``; raises the block's first fault.
+
+    ``buf`` holds the stream from byte offset ``base`` on, so a fault at
+    ``buf`` position ``i`` is reported at stream offset ``base + i``.
 
     ``live`` marks the records still being decoded. Each check flags the live
     records that fail it and drops them from ``live``; reads for records
@@ -122,7 +165,7 @@ def _decode_block(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
     checks: list[tuple[np.ndarray, object]] = []  # (flagged records, record index -> error), in record order
 
     def check(live: np.ndarray, short: np.ndarray, message: str, at: np.ndarray) -> np.ndarray:
-        checks.append((live & short, lambda i: TruncatedRecord(message, int(at[i]))))
+        checks.append((live & short, lambda i: TruncatedRecord(message, base + int(at[i]))))
         return live & ~short
 
     timestamp = field(starts, 4)
@@ -173,8 +216,8 @@ def _decode_block(buf: np.ndarray, starts: np.ndarray) -> np.ndarray:
         buf, np.concatenate((withdrawn_start, np.where(live, pos, end))), np.concatenate((withdrawn_end, end))
     )
     (withdrawn, announced), (withdrawn_fault, announced_fault) = np.split(count, 2), np.split(fault, 2)
-    checks.insert(withdrawn_rank, (withdrawn_fault >= 0, lambda i: _prefix_error(buf, int(withdrawn_fault[i]))))
-    checks.append((announced_fault >= 0, lambda i: _prefix_error(buf, int(announced_fault[i]))))
+    checks.insert(withdrawn_rank, (withdrawn_fault >= 0, lambda i: _prefix_error(buf, int(withdrawn_fault[i]), base)))
+    checks.append((announced_fault >= 0, lambda i: _prefix_error(buf, int(announced_fault[i]), base)))
 
     fault = first_fault(checks)
     if fault:
@@ -205,7 +248,7 @@ def _count_prefixes(buf: np.ndarray, cursor: np.ndarray, end: np.ndarray) -> tup
     return count, fault
 
 
-def _prefix_error(buf: np.ndarray, at: int) -> MalformedPrefix:
+def _prefix_error(buf: np.ndarray, at: int, base: int) -> MalformedPrefix:
     if buf[at] > 32:
-        return MalformedPrefix(f"prefix length {int(buf[at])} exceeds 32 bits", at)
-    return MalformedPrefix("prefix bytes overrun the field", at)
+        return MalformedPrefix(f"prefix length {int(buf[at])} exceeds 32 bits", base + at)
+    return MalformedPrefix("prefix bytes overrun the field", base + at)

@@ -184,8 +184,9 @@ class MinuteSeries:
 def bucketize(records: np.ndarray, start_minute_s: int, end_minute_s: int) -> MinuteSeries:
     """Sum ``(timestamp_s, announced, withdrawn)`` rows into one-minute buckets.
 
-    ``records`` is an ``(n, 3)`` integer array, as ``mrt.parse_mrt_stream``
-    returns; the range is inclusive and at most ``MAX_SERIES_MINUTES`` long.
+    ``records`` is an ``(n, 3)`` integer array holding every row at once,
+    as ``mrt.parse_mrt_stream`` returns for a whole dump (24 bytes per
+    UPDATE); the range is inclusive and at most ``MAX_SERIES_MINUTES`` long.
     Rows need not be sorted; rows outside the range are dropped; minutes
     with no rows hold zeros. Sums are exact: a minute whose sum leaves int64
     raises CountOverflow. The output always spans ``(end - start)/60 + 1``

@@ -7,9 +7,19 @@ running the parser.
 
 from __future__ import annotations
 
+import io
 import struct
 
+import numpy as np
+
+from bgpnovelty.mrt import parse_mrt_stream
+
 MARKER = b"\xff" * 16
+
+
+def parse_bytes(data: bytes) -> np.ndarray:
+    """``parse_mrt_stream`` over an in-memory stream of ``data``."""
+    return parse_mrt_stream(io.BytesIO(data))
 
 
 def prefix(bits: int, *octets: int) -> bytes:

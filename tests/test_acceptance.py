@@ -22,13 +22,13 @@ from bgpnovelty.detector import (
     score_series,
 )
 from bgpnovelty.features import NormalizationParams, make_windows
-from bgpnovelty.mrt import MalformedPrefix, TruncatedRecord, parse_mrt_stream
+from bgpnovelty.mrt import MalformedPrefix, TruncatedRecord
 from bgpnovelty.scg import ScgConfig, scg_minimize, train
 from bgpnovelty.series import MINUTE, read_bucket_csv, slice_range
 from bgpnovelty.synth import SurgeSpec, inject_surge
 
 from conftest import CYCLES, INIT_SEED, K, top15_csv_text
-from mrtbuild import CORPUS, bgp4mp_update_record, bgp_update, bgp4mp_body, mrt_record
+from mrtbuild import CORPUS, bgp4mp_update_record, bgp_update, bgp4mp_body, mrt_record, parse_bytes
 from test_autoencoder import finite_difference_gradient, tiny_model
 
 
@@ -210,15 +210,15 @@ def test_missing_data_handling():
 def test_mrt_fixture_corpus():
     assert len(CORPUS) >= 5
     for name, stream, expected in CORPUS:
-        records = parse_mrt_stream(stream)
+        records = parse_bytes(stream)
         assert [tuple(r) for r in records.tolist()] == expected, name
 
     with pytest.raises(TruncatedRecord):
-        parse_mrt_stream(b"\x00" * 11)
+        parse_bytes(b"\x00" * 11)
     with pytest.raises(TruncatedRecord):
-        parse_mrt_stream(bgp4mp_update_record()[:-1])
+        parse_bytes(bgp4mp_update_record()[:-1])
     with pytest.raises(MalformedPrefix):
-        parse_mrt_stream(mrt_record(16, 1, bgp4mp_body(bgp_update(nlri=bytes([33, 1, 2, 3, 4, 5])))))
+        parse_bytes(mrt_record(16, 1, bgp4mp_body(bgp_update(nlri=bytes([33, 1, 2, 3, 4, 5])))))
 
 
 @criterion(10, "persisted model scores identically to the original")

@@ -1,14 +1,18 @@
 """Command-line behaviour: each subcommand plus the end-to-end pipe."""
 
+import bz2
+import gzip
 import json
 import os
 import stat
+import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bgpnovelty import cli
+from bgpnovelty import cli, mrt
 from bgpnovelty.autoencoder import AutoencoderModel, save_model
 from bgpnovelty.cli import build_parser, main
 from bgpnovelty.features import NormalizationParams, fit_normalization, make_windows
@@ -130,6 +134,49 @@ class TestIngest:
         src.write_bytes(b"\x00")
         assert run("ingest", src, "--out", tmp_path / "x.csv") == 1
         assert "error: announcements of minute 1970-01-01T00:01:00Z sum past int64" in capsys.readouterr().err
+
+
+class TestIngestStreams:
+    STREAM = b"".join(
+        bgp4mp_update_record(timestamp=60 * (i // 3), n_announced=i % 4, n_withdrawn=i % 3, as4=i % 2 == 1)
+        for i in range(3000)
+    )
+
+    @pytest.mark.parametrize("compress", [gzip.compress, bz2.compress], ids=["gz", "bz2"])
+    def test_compressed_dump_gives_the_raw_dumps_csv(self, tmp_path, compress):
+        (tmp_path / "updates.mrt").write_bytes(self.STREAM)
+        (tmp_path / "updates.mrt.z").write_bytes(compress(self.STREAM))
+        assert run("ingest", tmp_path / "updates.mrt", "--out", tmp_path / "raw.csv") == 0
+        assert run("ingest", tmp_path / "updates.mrt.z", "--out", tmp_path / "z.csv") == 0
+        assert (tmp_path / "z.csv").read_bytes() == (tmp_path / "raw.csv").read_bytes()
+
+    @pytest.mark.parametrize("damage", [lambda c: c[: len(c) // 2], lambda c: c[:10] + b"\x07" + c[11:]],
+                             ids=["truncated", "corrupt"])
+    @pytest.mark.parametrize("compress", [gzip.compress, bz2.compress], ids=["gz", "bz2"])
+    def test_damaged_compressed_dump_exits_one_without_output(self, tmp_path, capsys, compress, damage):
+        src = tmp_path / "updates.mrt.z"
+        src.write_bytes(damage(compress(self.STREAM)))
+        out = tmp_path / "buckets.csv"
+        assert run("ingest", src, "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read the dump: ")
+        assert not out.exists()
+
+    def test_memory_follows_the_chunk_not_the_dump(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(mrt, "CHUNK_BYTES", 1 << 16)
+        record = bgp4mp_update_record(n_announced=240, n_withdrawn=0)  # about 1 KB
+        count = (8 << 20) // len(record)
+        src = tmp_path / "updates.mrt"
+        src.write_bytes(b"".join(struct.pack(">I", 600 + i) + record[4:] for i in range(count)))
+        dump_bytes = src.stat().st_size
+        assert 24 * count < dump_bytes // 40  # the parsed rows are a small part of the dump
+        tracemalloc.start()
+        try:
+            assert run("ingest", src, "--out", tmp_path / "buckets.csv") == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dump_bytes // 4
+        assert read_bucket_csv((tmp_path / "buckets.csv").read_bytes()).announcements.sum() == 240 * count
 
 
 class TestTrainScoreDetect:

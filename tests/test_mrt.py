@@ -1,5 +1,8 @@
 """MRT parser tests against the hand-built byte fixtures and the per-record reference."""
 
+import bz2
+import gzip
+import io
 from itertools import product
 
 import numpy as np
@@ -7,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgpnovelty import mrt
 from bgpnovelty.mrt import (
     BLOCK_RECORDS,
     MalformedPrefix,
     MrtParseError,
     TruncatedRecord,
+    UnreadableStream,
     parse_mrt_stream,
 )
 
@@ -25,6 +30,7 @@ from mrtbuild import (
     bgp4mp_update_record,
     keepalive_record,
     mrt_record,
+    parse_bytes,
     prefix,
     table_dump_record,
 )
@@ -39,36 +45,36 @@ def rows(records):
 
 @pytest.mark.parametrize("name,stream,expected", CORPUS, ids=[c[0] for c in CORPUS])
 def test_fixture_corpus(name, stream, expected):
-    records = parse_mrt_stream(stream)
+    records = parse_bytes(stream)
     assert rows(records) == expected
 
 
 def test_update_counts_prefixes_not_messages():
     stream = bgp4mp_update_record(timestamp=1000, n_announced=2, n_withdrawn=1)
-    assert rows(parse_mrt_stream(stream)) == [(1000, 2, 1)]
+    assert rows(parse_bytes(stream)) == [(1000, 2, 1)]
 
 
 def test_table_dump_only_yields_empty_sequence():
-    assert rows(parse_mrt_stream(table_dump_record())) == []
+    assert rows(parse_bytes(table_dump_record())) == []
 
 
 def test_input_shorter_than_header_is_truncated():
     with pytest.raises(TruncatedRecord) as info:
-        parse_mrt_stream(b"\x00" * 11)
+        parse_bytes(b"\x00" * 11)
     assert info.value.offset == 0
 
 
 def test_declared_length_overrunning_stream_is_truncated():
     record = bgp4mp_update_record()
     with pytest.raises(TruncatedRecord):
-        parse_mrt_stream(record[:-1])
+        parse_bytes(record[:-1])
 
 
 def test_truncation_error_reports_fault_offset():
     good = bgp4mp_update_record()
     stream = good + b"\x00" * 5  # second header starts but cannot complete
     with pytest.raises(TruncatedRecord) as info:
-        parse_mrt_stream(stream)
+        parse_bytes(stream)
     assert info.value.offset == len(good)
 
 
@@ -76,52 +82,52 @@ def test_prefix_length_over_32_bits_is_malformed():
     message = bgp_update(nlri=bytes([33, 1, 2, 3, 4, 5]))
     stream = mrt_record(16, 1, bgp4mp_body(message))
     with pytest.raises(MalformedPrefix):
-        parse_mrt_stream(stream)
+        parse_bytes(stream)
 
 
 def test_prefix_bytes_overrunning_field_is_malformed():
     message = bgp_update(nlri=bytes([24, 10, 0]))  # /24 needs 3 octets, has 2
     stream = mrt_record(16, 1, bgp4mp_body(message))
     with pytest.raises(MalformedPrefix):
-        parse_mrt_stream(stream)
+        parse_bytes(stream)
 
 
 def test_ipv6_afi_header_is_walked_correctly():
     stream = bgp4mp_update_record(timestamp=2000, n_announced=1, n_withdrawn=0, afi=2)
-    assert rows(parse_mrt_stream(stream)) == [(2000, 1, 0)]
+    assert rows(parse_bytes(stream)) == [(2000, 1, 0)]
 
 
 def test_unknown_afi_record_is_skipped():
     message = bgp_update(nlri=prefix(8, 10))
     stream = mrt_record(16, 1, bgp4mp_body(message, afi=3))
-    assert rows(parse_mrt_stream(stream)) == []
+    assert rows(parse_bytes(stream)) == []
 
 
 def test_zero_prefix_update_yields_zero_counts():
-    records = parse_mrt_stream(attrs_only_update_record(timestamp=500))
+    records = parse_bytes(attrs_only_update_record(timestamp=500))
     assert rows(records) == [(500, 0, 0)]
 
 
 def test_extended_time_truncates_to_whole_seconds():
     stream = bgp4mp_update_record(timestamp=3000, extended=True, microseconds=999_999)
-    ((timestamp_s, _, _),) = rows(parse_mrt_stream(stream))
+    ((timestamp_s, _, _),) = rows(parse_bytes(stream))
     assert timestamp_s == 3000
 
 
 def test_parse_is_pure_function_of_bytes():
     stream = b"".join(item[1] for item in CORPUS)
-    assert rows(parse_mrt_stream(stream)) == rows(parse_mrt_stream(stream))
+    assert rows(parse_bytes(stream)) == rows(parse_bytes(stream))
 
 
 @pytest.mark.parametrize("left_idx,right_idx", [(0, 1), (1, 4), (7, 0), (3, 7)])
 def test_concatenation_of_streams_concatenates_parses(left_idx, right_idx):
     left = CORPUS[left_idx][1]
     right = CORPUS[right_idx][1]
-    assert rows(parse_mrt_stream(left + right)) == rows(parse_mrt_stream(left)) + rows(parse_mrt_stream(right))
+    assert rows(parse_bytes(left + right)) == rows(parse_bytes(left)) + rows(parse_bytes(right))
 
 
 def test_empty_stream_yields_no_records():
-    assert rows(parse_mrt_stream(b"")) == []
+    assert rows(parse_bytes(b"")) == []
 
 
 # ---------------------------------------------------------------- against the per-record reference
@@ -171,20 +177,20 @@ class TestMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(stream=streams)
     def test_built_streams(self, stream):
-        assert outcome(parse_mrt_stream, stream) == outcome(reference_parse, stream)
+        assert outcome(parse_bytes, stream) == outcome(reference_parse, stream)
 
     @settings(max_examples=200, deadline=None)
     @given(stream=streams, data=st.data())
     def test_streams_cut_at_any_byte(self, stream, data):
         cut = data.draw(st.integers(0, len(stream)))
-        assert outcome(parse_mrt_stream, stream[:cut]) == outcome(reference_parse, stream[:cut])
+        assert outcome(parse_bytes, stream[:cut]) == outcome(reference_parse, stream[:cut])
 
     @settings(max_examples=300, deadline=None)
     @given(stream=streams.filter(bool), data=st.data())
     def test_streams_with_one_byte_changed(self, stream, data):
         at = data.draw(st.integers(0, len(stream) - 1))
         changed = stream[:at] + bytes([data.draw(st.integers(0, 255))]) + stream[at + 1 :]
-        assert outcome(parse_mrt_stream, changed) == outcome(reference_parse, changed)
+        assert outcome(parse_bytes, changed) == outcome(reference_parse, changed)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -195,7 +201,7 @@ class TestMatchesReference:
     )
     def test_random_bodies_under_message_headers(self, mrt_type, subtype, body, tail):
         stream = mrt_record(mrt_type, subtype, body) + tail
-        assert outcome(parse_mrt_stream, stream) == outcome(reference_parse, stream)
+        assert outcome(parse_bytes, stream) == outcome(reference_parse, stream)
 
     def test_streams_longer_than_one_block(self):
         def piece(i):
@@ -208,7 +214,7 @@ class TestMatchesReference:
 
         pieces = [piece(i) for i in range(2 * BLOCK_RECORDS + 17)]
         stream = b"".join(pieces)
-        records = parse_mrt_stream(stream)
+        records = parse_bytes(stream)
         assert rows(records) == reference_parse(stream)
         assert len(records) == sum(1 for i in range(len(pieces)) if i % 4)
 
@@ -224,13 +230,13 @@ def test_every_byte_at_edge_values_matches_reference(record):
     """Each byte of one record set to values that sit on the length and prefix limits."""
     for at, value in product(range(len(record)), (0, 1, 2, 3, 18, 19, 32, 33, 255)):
         changed = record[:at] + bytes([value]) + record[at + 1 :]
-        assert outcome(parse_mrt_stream, changed) == outcome(reference_parse, changed), (at, value)
+        assert outcome(parse_bytes, changed) == outcome(reference_parse, changed), (at, value)
 
 
 def test_every_cut_of_a_mixed_stream_matches_reference():
     stream = b"".join(LAYOUTS)
     for cut in range(len(stream) + 1):
-        assert outcome(parse_mrt_stream, stream[:cut]) == outcome(reference_parse, stream[:cut]), cut
+        assert outcome(parse_bytes, stream[:cut]) == outcome(reference_parse, stream[:cut]), cut
 
 
 class TestProperties:
@@ -238,14 +244,14 @@ class TestProperties:
     @given(data=st.binary(max_size=200))
     def test_arbitrary_bytes_raise_only_parse_errors(self, data):
         try:
-            parse_mrt_stream(data)
+            parse_bytes(data)
         except MrtParseError:
             pass
 
     @settings(max_examples=100, deadline=None)
     @given(a=streams, b=streams)
     def test_parse_of_concatenation_is_concatenation_of_parses(self, a, b):
-        assert rows(parse_mrt_stream(a + b)) == rows(parse_mrt_stream(a)) + rows(parse_mrt_stream(b))
+        assert rows(parse_bytes(a + b)) == rows(parse_bytes(a)) + rows(parse_bytes(b))
 
 
 class TestFirstFaultWins:
@@ -258,10 +264,10 @@ class TestFirstFaultWins:
         bad_record_at = sum(map(len, pieces[: BLOCK_RECORDS + 3]))
         stream = b"".join(pieces) + bgp4mp_update_record()[:-1]
         with pytest.raises(MalformedPrefix, match="prefix length 40 exceeds 32 bits") as info:
-            parse_mrt_stream(stream)
+            parse_bytes(stream)
         # common header 12, BGP4MP header 8, two IPv4 addresses 8, BGP header 19, two length fields 4, one /8 entry 2
         assert info.value.offset == bad_record_at + 12 + 8 + 8 + 19 + 4 + 2
-        assert outcome(parse_mrt_stream, stream) == outcome(reference_parse, stream)
+        assert outcome(parse_bytes, stream) == outcome(reference_parse, stream)
 
     def test_earlier_record_wins_over_earlier_check(self):
         # Record 1 fails late (an overrunning NLRI prefix); record 2 fails early (short BGP4MP header).
@@ -270,8 +276,8 @@ class TestFirstFaultWins:
         pieces[2] = mrt_record(16, 1, b"\x00" * 3)
         stream = b"".join(pieces)
         with pytest.raises(MalformedPrefix, match="prefix bytes overrun the field"):
-            parse_mrt_stream(stream)
-        assert outcome(parse_mrt_stream, stream) == outcome(reference_parse, stream)
+            parse_bytes(stream)
+        assert outcome(parse_bytes, stream) == outcome(reference_parse, stream)
 
     def test_withdrawn_prefix_fault_ranks_before_attribute_checks(self):
         # Bad withdrawn entry, then an attribute length that overruns the UPDATE.
@@ -279,5 +285,113 @@ class TestFirstFaultWins:
         update = update[:-2] + b"\x00\x09"
         stream = mrt_record(16, 1, bgp4mp_body(update))
         with pytest.raises(MalformedPrefix, match="prefix length 33"):
-            parse_mrt_stream(stream)
-        assert outcome(parse_mrt_stream, stream) == outcome(reference_parse, stream)
+            parse_bytes(stream)
+        assert outcome(parse_bytes, stream) == outcome(reference_parse, stream)
+
+
+# ---------------------------------------------------------------- chunked reading
+
+
+def chunked(data, size):
+    """``outcome`` of parsing ``data`` read ``size`` bytes at a time."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mrt, "CHUNK_BYTES", size)
+        return outcome(parse_bytes, data)
+
+
+def whole(data):
+    """``outcome`` of parsing ``data`` in one chunk larger than the stream."""
+    return chunked(data, len(data) + 1)
+
+
+chunk_sizes = st.one_of(st.integers(1, 40), st.integers(1, 2000))
+LEAD = bgp4mp_update_record(timestamp=60)  # puts what the tests draw past the first chunks
+
+
+class TestAnyChunkSize:
+    @settings(max_examples=200, deadline=None)
+    @given(stream=streams.map(LEAD.__add__), size=chunk_sizes)
+    def test_built_streams(self, stream, size):
+        assert chunked(stream, size) == whole(stream)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream=streams.map(LEAD.__add__), size=chunk_sizes, data=st.data())
+    def test_streams_cut_at_any_byte(self, stream, size, data):
+        cut = stream[: data.draw(st.integers(0, len(stream)))]
+        assert chunked(cut, size) == whole(cut)
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=streams.map(LEAD.__add__), size=chunk_sizes, data=st.data())
+    def test_streams_with_one_byte_changed(self, stream, size, data):
+        at = data.draw(st.integers(0, len(stream) - 1))
+        changed = stream[:at] + bytes([data.draw(st.integers(0, 255))]) + stream[at + 1 :]
+        assert chunked(changed, size) == whole(changed)
+
+    @pytest.mark.parametrize("record", LAYOUTS, ids=range(len(LAYOUTS)))
+    def test_every_byte_changed_past_the_first_chunk(self, record):
+        """Faults of every kind, reported from a chunk that starts after byte 0."""
+        for at, value in product(range(len(record)), (0, 32, 33, 255)):
+            stream = LEAD + record[:at] + bytes([value]) + record[at + 1 :]
+            assert chunked(stream, 7) == whole(stream), (at, value)
+
+    def test_boundary_inside_a_common_header(self):
+        first, second = bgp4mp_update_record(timestamp=60), bgp4mp_update_record(timestamp=120, n_announced=5)
+        assert chunked(first + second, len(first) + 5) == [(60, 2, 1), (120, 5, 1)]
+        for cut, message in ((7, "stream ends inside an MRT header"), (12, "declared record length overruns the stream")):
+            stream = first + second[:cut]
+            fault = (TruncatedRecord, f"{message} (byte offset {len(first)})", len(first))
+            assert chunked(stream, len(first) + 3) == fault == whole(stream)
+
+    def test_boundary_at_a_record_end(self):
+        pieces = [bgp4mp_update_record(timestamp=60 * i, n_announced=i) for i in range(1, 4)]
+        stream = b"".join(pieces)
+        assert chunked(stream, len(pieces[0])) == [(60, 1, 1), (120, 2, 1), (180, 3, 1)]
+        fault = (
+            TruncatedRecord,
+            f"declared record length overruns the stream (byte offset {len(stream) - len(pieces[2])})",
+            len(stream) - len(pieces[2]),
+        )
+        assert chunked(stream[:-1], len(pieces[0])) == fault == whole(stream[:-1])
+
+    def test_record_longer_than_several_chunks(self):
+        long = bgp4mp_update_record(timestamp=600, n_announced=200, n_withdrawn=50)
+        stream = bgp4mp_update_record(timestamp=60) + long + bgp4mp_update_record(timestamp=660)
+        assert len(long) > 10 * 64
+        assert chunked(stream, 64) == [(60, 2, 1), (600, 200, 50), (660, 2, 1)]
+        assert chunked(stream[:-100], 64) == whole(stream[:-100])
+
+    def test_decode_fault_in_the_first_chunk_beats_a_tail_fault_three_chunks_later(self):
+        bad = mrt_record(16, 1, bgp4mp_body(bgp_update(nlri=bytes([24, 10, 0]))))
+        good = b"".join(bgp4mp_update_record(timestamp=60 * i) for i in range(12))
+        size = 128
+        stream = bad + good + bgp4mp_update_record()[:-1]
+        assert len(bad) < size and len(bad + good) > 3 * size
+        fault = (MalformedPrefix, "prefix bytes overrun the field (byte offset 51)", 51)
+        assert chunked(stream, size) == fault == whole(stream)
+
+
+class TestCompressedStreams:
+    STREAM = b"".join(LAYOUTS) + b"".join(bgp4mp_update_record(timestamp=60 * i, n_announced=i % 7) for i in range(500))
+
+    @pytest.mark.parametrize("size", [1, 100, 1 << 18])
+    @pytest.mark.parametrize("compress,open_", [(gzip.compress, gzip.open), (bz2.compress, bz2.open)])
+    def test_compressed_copy_parses_like_the_raw_stream(self, compress, open_, size):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mrt, "CHUNK_BYTES", size)
+            with open_(io.BytesIO(compress(self.STREAM))) as stream:
+                assert rows(parse_mrt_stream(stream)) == rows(parse_bytes(self.STREAM))
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda c: c[: len(c) // 2], lambda c: c[:-1], lambda c: c[:10] + b"\x07" + c[11:]],
+        ids=["cut-in-half", "cut-by-one", "bad-block"],
+    )
+    @pytest.mark.parametrize("compress,open_", [(gzip.compress, gzip.open), (bz2.compress, bz2.open)])
+    def test_damaged_copy_raises_unreadable_stream(self, compress, open_, damage):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mrt, "CHUNK_BYTES", 100)
+            with open_(io.BytesIO(damage(compress(self.STREAM)))) as stream:
+                with pytest.raises(UnreadableStream, match="^cannot read the dump: ") as info:
+                    parse_mrt_stream(stream)
+        # Every byte before the offset was read intact, in whole 100-byte reads.
+        assert info.value.offset % 100 == 0 and info.value.offset < len(self.STREAM)
