@@ -22,7 +22,7 @@ from .features import (
     make_windows,
 )
 from .mrt import parse_mrt_stream
-from .scg import ScgConfig, TrainReport, scg_minimize, train
+from .scg import TrainReport, scg_minimize, train
 from .series import (
     MinuteSeries,
     bucketize,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,15 +45,25 @@ class VersionMismatch(ValueError):
     """Model document uses an unsupported format version, layout version or layout."""
 
 
+# The parameter arrays in flattening order; _shapes gives each one's shape.
+_PARAMS = ("w1", "b1", "w2", "b2")
+
+
+def _shapes(input_dim: int, hidden_dim: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of the arrays named in :data:`_PARAMS`, in that order."""
+    return (hidden_dim, input_dim), (hidden_dim,), (input_dim, hidden_dim), (input_dim,)
+
+
 @dataclass(frozen=True)
 class AutoencoderModel:
     """Weights, biases, and the preprocessing metadata they were trained with.
 
     Shapes: w1 is (hidden_dim, input_dim), b1 (hidden_dim,), w2
-    (input_dim, hidden_dim), b2 (input_dim,). ``k`` and ``norm`` describe
-    the window layout the model expects; ``input_dim`` equals 2k for
-    pipeline models but is free for bare test models. All three dimensions
-    must be >= 1.
+    (input_dim, hidden_dim), b2 (input_dim,). ``k``, the lags per channel,
+    is derived as ``max(1, input_dim // 2)``: ``input_dim`` is 2k for
+    pipeline models but free for bare test models, whose saved document
+    loads back only at an even width. ``k`` and ``norm`` describe the
+    window layout the model expects. Both dimensions must be >= 1.
     """
 
     input_dim: int
@@ -62,18 +72,11 @@ class AutoencoderModel:
     b1: np.ndarray = field(repr=False)
     w2: np.ndarray = field(repr=False)
     b2: np.ndarray = field(repr=False)
-    k: int
     norm: NormalizationParams
 
     def __post_init__(self):
-        _check_dims(self.input_dim, self.hidden_dim, self.k)
-        expected = {
-            "w1": (self.hidden_dim, self.input_dim),
-            "b1": (self.hidden_dim,),
-            "w2": (self.input_dim, self.hidden_dim),
-            "b2": (self.input_dim,),
-        }
-        for name, shape in expected.items():
+        _check_dims(self.input_dim, self.hidden_dim)
+        for name, shape in zip(_PARAMS, _shapes(self.input_dim, self.hidden_dim)):
             array = np.asarray(getattr(self, name), dtype=np.float64)
             if array.shape != shape:
                 raise DimensionMismatch(f"{name} has shape {array.shape}, expected {shape}")
@@ -82,43 +85,35 @@ class AutoencoderModel:
             object.__setattr__(self, name, array)
 
     @property
+    def k(self) -> int:
+        return max(1, self.input_dim // 2)
+
+    @property
     def n_params(self) -> int:
-        return self.hidden_dim * self.input_dim + self.hidden_dim + self.input_dim * self.hidden_dim + self.input_dim
+        return sum(math.prod(shape) for shape in _shapes(self.input_dim, self.hidden_dim))
 
 
 def init_model(
-    input_dim: int,
-    hidden_dim: int,
-    seed: int,
-    k: int | None = None,
-    norm: NormalizationParams = IDENTITY_NORM,
+    input_dim: int, hidden_dim: int, seed: int, norm: NormalizationParams = IDENTITY_NORM
 ) -> AutoencoderModel:
     """Seeded Gaussian initialization.
 
     Weights are zero-mean with standard deviation 1/sqrt(fan-in of the
     receiving layer); biases start at zero. Deterministic given the seed
-    (w1 is drawn before w2). ``k`` defaults to ``input_dim // 2``, at least 1.
+    (w1 is drawn before w2). The model's ``k`` follows from ``input_dim``.
     """
-    k = max(1, input_dim // 2) if k is None else k
-    _check_dims(input_dim, hidden_dim, k)  # before the draws, whose scale and shape need them
+    _check_dims(input_dim, hidden_dim)  # before the draws, whose scale and shape need them
     rng = np.random.default_rng(seed)
     w1 = rng.normal(0.0, 1.0 / math.sqrt(input_dim), size=(hidden_dim, input_dim))
     w2 = rng.normal(0.0, 1.0 / math.sqrt(hidden_dim), size=(input_dim, hidden_dim))
     return AutoencoderModel(
-        input_dim=input_dim,
-        hidden_dim=hidden_dim,
-        w1=w1,
-        b1=np.zeros(hidden_dim),
-        w2=w2,
-        b2=np.zeros(input_dim),
-        k=k,
-        norm=norm,
+        input_dim, hidden_dim, w1=w1, b1=np.zeros(hidden_dim), w2=w2, b2=np.zeros(input_dim), norm=norm
     )
 
 
-def _check_dims(input_dim: int, hidden_dim: int, k: int) -> None:
-    if min(input_dim, hidden_dim, k) < 1:
-        raise ValueError(f"dimensions must be >= 1, got input_dim={input_dim}, hidden_dim={hidden_dim}, k={k}")
+def _check_dims(input_dim: int, hidden_dim: int) -> None:
+    if min(input_dim, hidden_dim) < 1:
+        raise ValueError(f"dimensions must be >= 1, got input_dim={input_dim}, hidden_dim={hidden_dim}")
 
 
 def reconstruct(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
@@ -136,7 +131,7 @@ def _forward(X, w1, b1, w2, b2, hidden: np.ndarray, out: np.ndarray) -> np.ndarr
 
 
 def sse_loss(model: AutoencoderModel, X: np.ndarray) -> float:
-    """Half the summed squared reconstruction error over the rows of X."""
+    """Half the summed squared reconstruction error over the rows of X, in X's precision (see :func:`objective`)."""
     return objective(model, X)[0](flatten_params(model))
 
 
@@ -145,25 +140,28 @@ def gradient(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     return objective(model, X)[1](flatten_params(model))
 
 
-def objective(model: AutoencoderModel, X: np.ndarray, dtype=np.float64):
+def objective(model: AutoencoderModel, X: np.ndarray):
     """Fused ``(f, g, curvature)`` over flat parameter vectors for the rows of X.
 
     ``f(flat)`` is the loss and ``g(flat)`` its gradient at the model with
-    parameters ``flat`` (``model`` gives only the dimensions); in float64
-    they equal :func:`sse_loss` and :func:`gradient` bit for bit.
+    parameters ``flat`` (``model`` gives only the dimensions); they equal
+    :func:`sse_loss` and :func:`gradient` on the same X bit for bit.
     ``curvature(flat, p)`` is the exact second directional derivative p'Hp,
     by forward-mode differentiation of the network (Pearlmutter, "Fast
     exact multiplication by the Hessian", 1994).
 
-    X is cast to ``dtype`` once, and the matmuls and ``tanh`` run in it;
-    the loss and the other reductions sum in float64, and the gradient is
-    float64. The closures share one set of buffers: ``f`` leaves the forward
-    pass of its point there, ``g`` at that point adds only the backward
-    pass, and ``curvature`` at that point reuses both and spends them.
+    The precision comes from X: the matmuls and ``tanh`` run in float32 for
+    a float32 X, and in float64 for a float64 or integer X (cast once). The
+    loss and the other reductions sum in float64, and the gradient is
+    float64. The closures share one set of buffers: ``f`` leaves the
+    forward pass of its point there, ``g`` at that point adds only the
+    backward pass, and ``curvature`` at that point reuses both and spends
+    them.
     """
     _check_matrix(model, X)
     if X.shape[0] == 0:
         raise EmptyDataset("the dataset has no rows; at least one is required")
+    dtype = np.result_type(X, np.float32)
     X = X.astype(dtype, copy=False)
     n, h = X.shape[0], model.hidden_dim
     hidden, slope, d_hidden, a_dot = np.empty((4, n, h), dtype)
@@ -221,13 +219,13 @@ def _dot64(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def flatten_params(model: AutoencoderModel) -> np.ndarray:
-    return np.concatenate([model.w1.ravel(), model.b1, model.w2.ravel(), model.b2])
+    return np.concatenate([getattr(model, name).ravel() for name in _PARAMS])
 
 
 def unflatten_params(model: AutoencoderModel, flat: np.ndarray) -> AutoencoderModel:
     """Rebuild a model from a flat parameter vector (inverse of flatten)."""
-    w1, b1, w2, b2 = _split(model, np.array(_checked(model, flat), dtype=np.float64))
-    return replace(model, w1=w1, b1=b1, w2=w2, b2=b2)
+    arrays = _split(model, np.array(_checked(model, flat), dtype=np.float64))
+    return replace(model, **dict(zip(_PARAMS, arrays)))
 
 
 def _checked(model: AutoencoderModel, flat: np.ndarray) -> np.ndarray:
@@ -240,9 +238,9 @@ def _checked(model: AutoencoderModel, flat: np.ndarray) -> np.ndarray:
 
 def _split(model: AutoencoderModel, flat: np.ndarray) -> list[np.ndarray]:
     """Views of w1, b1, w2 and b2, shaped, in a flat parameter vector of the model's length."""
-    h, d = model.hidden_dim, model.input_dim
-    w1, b1, w2, b2 = np.split(flat, [h * d, h * d + h, 2 * h * d + h])
-    return [w1.reshape(h, d), b1, w2.reshape(d, h), b2]
+    shapes = _shapes(model.input_dim, model.hidden_dim)
+    ends = np.cumsum([math.prod(shape) for shape in shapes])
+    return [part.reshape(shape) for part, shape in zip(np.split(flat, ends[:-1]), shapes)]
 
 
 def _check_matrix(model: AutoencoderModel, X: np.ndarray) -> None:
@@ -265,16 +263,8 @@ def save_model(model: AutoencoderModel) -> bytes:
         "hidden_dim": model.hidden_dim,
         "layout_version": LAYOUT_VERSION,
         "layout": LAYOUT_NAME,
-        "norm": {
-            "a_min": model.norm.a_min,
-            "a_max": model.norm.a_max,
-            "w_min": model.norm.w_min,
-            "w_max": model.norm.w_max,
-        },
-        "w1": model.w1.ravel().tolist(),
-        "b1": model.b1.tolist(),
-        "w2": model.w2.ravel().tolist(),
-        "b2": model.b2.tolist(),
+        "norm": asdict(model.norm),
+        **{name: getattr(model, name).ravel().tolist() for name in _PARAMS},
     }
     return (json.dumps(document, indent=1) + "\n").encode("utf-8")
 
@@ -292,39 +282,24 @@ def load_model(data: bytes) -> AutoencoderModel:
 
     versions = ("format_version", MODEL_FORMAT_VERSION), ("layout_version", LAYOUT_VERSION), ("layout", LAYOUT_NAME)
     for key, version in versions:
-        if document.get(key) != version:
+        if type(document.get(key)) is not type(version) or document[key] != version:  # rejects true and 1.0
             raise VersionMismatch(f"unsupported {key}: {document.get(key)!r}")
 
     try:
         input_dim, hidden_dim, k = (document[key] for key in ("input_dim", "hidden_dim", "k"))
-        norm_doc = document["norm"]
-        norm = NormalizationParams(
-            a_min=float(norm_doc["a_min"]),
-            a_max=float(norm_doc["a_max"]),
-            w_min=float(norm_doc["w_min"]),
-            w_max=float(norm_doc["w_max"]),
-        )
-        w1 = np.asarray(document["w1"], dtype=np.float64)
-        b1 = np.asarray(document["b1"], dtype=np.float64)
-        w2 = np.asarray(document["w2"], dtype=np.float64)
-        b2 = np.asarray(document["b2"], dtype=np.float64)
+        bounds = document["norm"]
+        norm = NormalizationParams(**{bound.name: float(bounds[bound.name]) for bound in fields(NormalizationParams)})
+        arrays = [np.asarray(document[name], dtype=np.float64) for name in _PARAMS]
     except (KeyError, TypeError, ValueError) as exc:
         raise BadFormat(f"model document is missing or mistypes a field: {exc}") from None
 
     if not all(type(dim) is int for dim in (input_dim, hidden_dim, k)) or input_dim != 2 * k:  # bool is an int subclass
         raise BadFormat(f"model dimensions must be integers with input_dim = 2k, got {input_dim=}, {hidden_dim=}, {k=}")
-    if w1.size != hidden_dim * input_dim or w2.size != input_dim * hidden_dim:
+    shapes = _shapes(input_dim, hidden_dim)
+    if any(array.size != math.prod(shape) for array, shape in zip(arrays, shapes)):
         raise BadFormat("weight array lengths do not match the declared dimensions")
+    params = {name: array.reshape(shape) for name, array, shape in zip(_PARAMS, arrays, shapes)}
     try:
-        return AutoencoderModel(
-            input_dim=input_dim,
-            hidden_dim=hidden_dim,
-            w1=w1.reshape(hidden_dim, input_dim),
-            b1=b1,
-            w2=w2.reshape(input_dim, hidden_dim),
-            b2=b2,
-            k=k,
-            norm=norm,
-        )
+        return AutoencoderModel(input_dim, hidden_dim, norm=norm, **params)
     except (DimensionMismatch, ValueError) as exc:
         raise BadFormat(str(exc)) from None

@@ -52,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect BGP routing instability with autoencoder novelty scoring.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    count, seed = _int_at_least(1), _int_at_least(0)  # a seed takes 0 up, as numpy's generators do
 
     p = sub.add_parser("ingest", help="parse MRT or bucket CSV (told apart by its header) into a gapless bucket CSV")
     p.add_argument("input", type=Path)
@@ -64,10 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", type=Path)
     p.add_argument("--from", dest="from_minute", metavar="MINUTE", help="training range start (default: series start)")
     p.add_argument("--to", dest="to_minute", metavar="MINUTE", help="training range end (default: series end)")
-    p.add_argument("--k", type=int, default=DEFAULT_K, help="lags per channel (default %(default)s)")
-    p.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN, help="hidden units (default %(default)s)")
-    p.add_argument("--cycles", type=int, default=DEFAULT_CYCLES, help="training cycles (default %(default)s)")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="weight init seed (default %(default)s)")
+    p.add_argument("--k", type=count, default=DEFAULT_K, help="lags per channel (default %(default)s)")
+    p.add_argument("--hidden", type=count, default=DEFAULT_HIDDEN, help="hidden units (default %(default)s)")
+    p.add_argument("--cycles", type=count, default=DEFAULT_CYCLES, help="training cycles (default %(default)s)")
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED, help="weight init seed (default %(default)s)")
     p.add_argument("--out", type=Path, required=True, help="model file path")
     p.add_argument("--report", type=Path, help="training report CSV (default: <out>.report.csv)")
     p.set_defaults(handler=cmd_train)
@@ -111,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-a", type=float, default=1000.0, help="announcement mean (default %(default)s)")
     p.add_argument("--mean-w", type=float, default=300.0, help="withdrawal mean (default %(default)s)")
     p.add_argument("--diurnal-amp", type=float, default=0.0, help="daily sine amplitude in [0,1)")
-    p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
     p.add_argument("--start", metavar="MINUTE", default="1970-01-01T00:00:00Z",
                    help="first minute (default %(default)s)")
     p.add_argument("--surge", action="append", default=[], metavar="SPEC",
@@ -123,11 +124,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _seed(text: str) -> int:
-    """``--seed``: decimal digits, an integer of at least 0 as numpy's generators take."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
-    return int(text)
+def _int_at_least(minimum: int):
+    """An argparse type for decimal digits that spell an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        return int(text)
+
+    return parse
 
 
 def _read_scores(path: Path, source: str) -> tuple[np.ndarray, np.ndarray]:
@@ -139,15 +144,18 @@ def _read_scores(path: Path, source: str) -> tuple[np.ndarray, np.ndarray]:
     return buckets.minutes(), buckets.totals()
 
 
+def _flag_minute(text: str, flag: str) -> int:
+    """The minute stamp ``text`` as epoch seconds; a bad stamp's error names ``flag``."""
+    try:
+        return series.parse_minute_utc(text)
+    except series.BadTimestamp as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def _flag_range(args) -> list[int | None]:
     """``--from`` and ``--to`` as epoch seconds, None where not given."""
-    bounds = []
-    for text, flag in ((args.from_minute, "--from"), (args.to_minute, "--to")):
-        try:
-            bounds.append(None if text is None else series.parse_minute_utc(text))
-        except series.BadTimestamp as exc:
-            raise ValueError(f"{flag}: {exc}") from None
-    return bounds
+    flags = (args.from_minute, "--from"), (args.to_minute, "--to")
+    return [None if text is None else _flag_minute(text, flag) for text, flag in flags]
 
 
 @contextlib.contextmanager
@@ -237,11 +245,9 @@ def cmd_train(args) -> int:
     norm = features.fit_normalization(train_series)
     if len(train_series) < args.k:
         raise series.InvalidRange(f"training range has {len(train_series)} minutes, fewer than k={args.k}")
-    windows = features.make_windows(train_series, args.k, norm, np.float32)  # training runs in float32
-    model = autoencoder.init_model(
-        2 * args.k, args.hidden, seed=args.seed, k=args.k, norm=norm
-    )
-    trained, report = scg.train(model, windows, scg.ScgConfig(max_cycles=args.cycles))
+    windows = features.make_windows(train_series, args.k, norm, np.float32)  # scg.train's precision: no copy there
+    model = autoencoder.init_model(2 * args.k, args.hidden, seed=args.seed, norm=norm)
+    trained, report = scg.train(model, windows, args.cycles)
     report_path = args.report or args.out.with_suffix(args.out.suffix + ".report.csv")
     _write_text(report_path, report.to_csv())
     if report.non_finite:
@@ -304,7 +310,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    start = series.parse_minute_utc(args.start)
+    start = _flag_minute(args.start, "--start")
     result = synth.gen_baseline(
         minutes=args.minutes,
         mean_a=args.mean_a,
@@ -332,7 +338,7 @@ def _parse_surge(text: str) -> synth.SurgeSpec:
         raise ValueError(f"--surge has unknown keys: {sorted(unknown)}")
     try:
         return synth.SurgeSpec(
-            start_minute_s=series.parse_minute_utc(fields["start"]),
+            start_minute_s=_flag_minute(fields["start"], "--surge start"),
             duration_minutes=int(fields["duration"]),
             shape=fields["shape"],
             magnitude=float(fields["magnitude"]),

@@ -14,6 +14,10 @@ Møller's finite-difference probe ``f(x + sigma*p)``: a probe loses its
 accuracy once the loss is evaluated in single precision. For the
 autoencoder, ``autoencoder.objective`` fuses the three, so a cycle costs
 one forward pass, one backward pass and one forward-mode pass over it.
+
+A run stops on its caller's cycle budget, on a gradient norm below the
+constant ``GRAD_TOL``, or on a non-finite value. The optimizer works in
+float64; ``train`` is the one place that runs the autoencoder in float32.
 """
 
 from __future__ import annotations
@@ -37,18 +41,7 @@ _LAMBDA_MAX = 1e20
 # Scaled curvature per unit p'p taken when lambda is 0 and p'Hp is too.
 _FLAT_CURVATURE = 1e-4
 _LAMBDA0 = 1e-6  # scale parameter of the first cycle, Møller's lambda_1
-
-
-@dataclass(frozen=True)
-class ScgConfig:
-    max_cycles: int = 100
-    grad_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.max_cycles < 1:
-            raise ValueError("max_cycles must be >= 1")
-        if self.grad_tol < 0:
-            raise ValueError("grad_tol must be >= 0")
+GRAD_TOL = 1e-6  # a gradient norm below this ends the run as converged
 
 
 @dataclass
@@ -73,17 +66,19 @@ def scg_minimize(
     g: Callable[[np.ndarray], np.ndarray],
     curvature: Callable[[np.ndarray, np.ndarray], float],
     x0: np.ndarray,
-    cfg: ScgConfig = ScgConfig(),
+    max_cycles: int,
 ) -> tuple[np.ndarray, TrainReport]:
     """Minimize f (with gradient g) from x0; returns the best accepted point.
 
     ``curvature(x, p)`` is p'Hp, the second derivative of f at x along p;
     it is only called at a point where g was just evaluated. Deterministic
-    given the start point. Stops on the cycle budget, on the gradient norm
-    falling below ``grad_tol``, or — flagged in the report — on f, g or the
-    curvature producing a non-finite value, in which case the last accepted
-    point is returned.
+    given the start point. Stops after ``max_cycles`` cycles (at least 1),
+    on the gradient norm falling below the constant ``GRAD_TOL``, or —
+    flagged in the report — on f, g or the curvature producing a non-finite
+    value, in which case the last accepted point is returned.
     """
+    if max_cycles < 1:
+        raise ValueError(f"max_cycles must be >= 1, got {max_cycles}")
     x = np.array(x0, dtype=np.float64, copy=True)
     if not np.all(np.isfinite(x)):
         raise ValueError("start point contains non-finite values")
@@ -104,9 +99,9 @@ def scg_minimize(
 
     cycles = 0
     stop = STOP_BUDGET
-    for _ in range(cfg.max_cycles):
+    for _ in range(max_cycles):
         grad_norm = float(np.linalg.norm(r))
-        if grad_norm == 0.0 or grad_norm < cfg.grad_tol:
+        if grad_norm == 0.0 or grad_norm < GRAD_TOL:
             stop = STOP_GRADIENT
             break
         cycles += 1
@@ -171,20 +166,19 @@ def scg_minimize(
     return x, TrainReport(losses, cycles, stop)
 
 
-def train(
-    model: AutoencoderModel,
-    X: np.ndarray,
-    cfg: ScgConfig = ScgConfig(),
-) -> tuple[AutoencoderModel, TrainReport]:
-    """Fit the autoencoder to the rows of the window matrix X by full-batch SCG.
+def train(model: AutoencoderModel, X: np.ndarray, max_cycles: int) -> tuple[AutoencoderModel, TrainReport]:
+    """Fit the autoencoder to the window matrix X by full-batch SCG, for up to ``max_cycles`` cycles.
 
-    The loss, gradient and curvature kernels run in float32 (see
-    ``autoencoder.objective``); the SCG vectors, the loss history and the
-    returned weights are float64. Deterministic given (model, X, cfg) at a
-    fixed BLAS thread count: the optimizer has no randomness of its own.
-    Raises DimensionMismatch or EmptyDataset, as ``objective`` does.
+    Training runs in float32: X is cast once, which copies nothing when it
+    already is float32, and ``autoencoder.objective`` runs its loss,
+    gradient and curvature kernels in X's precision. The SCG vectors, the
+    loss history and the returned weights are float64. Deterministic given
+    (model, X, max_cycles) at a fixed BLAS thread count: the optimizer has
+    no randomness of its own. Raises DimensionMismatch or EmptyDataset, as
+    ``objective`` does, and ValueError for a budget below 1.
     """
-    best, report = scg_minimize(*objective(model, X, dtype=np.float32), flatten_params(model), cfg)
+    fused = objective(model, X.astype(np.float32, copy=False))
+    best, report = scg_minimize(*fused, flatten_params(model), max_cycles)
     return unflatten_params(model, best), report
 
 

@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from bgpnovelty.autoencoder import AutoencoderModel, init_model, sse_loss
 from bgpnovelty.detector import score_series, suggest_threshold
 from bgpnovelty.features import NormalizationParams, fit_normalization, make_windows
-from bgpnovelty.scg import ScgConfig, TrainReport, train
+from bgpnovelty.scg import TrainReport, train
 from bgpnovelty.series import MINUTE, MinuteSeries, parse_minute_utc, slice_range
 from bgpnovelty.synth import gen_baseline
 
@@ -99,10 +99,10 @@ def pipeline() -> TrainedPipeline:
     train_series = slice_range(full, full.start_minute_s, train_end_s)
     norm = fit_normalization(train_series)
     matrix = make_windows(train_series, K, norm)
-    model0 = init_model(2 * K, HIDDEN, seed=INIT_SEED, k=K, norm=norm)
+    model0 = init_model(2 * K, HIDDEN, seed=INIT_SEED, norm=norm)
     initial_loss = sse_loss(model0, matrix)
     started = time.perf_counter()
-    model, report = train(model0, matrix, ScgConfig(max_cycles=CYCLES))
+    model, report = train(model0, matrix, CYCLES)
     train_seconds = time.perf_counter() - started
     quiet_novelty = score_series(model, matrix)
     threshold = suggest_threshold(quiet_novelty, 0.999)

@@ -23,7 +23,7 @@ from bgpnovelty.detector import (
 )
 from bgpnovelty.features import NormalizationParams, make_windows
 from bgpnovelty.mrt import MalformedPrefix, TruncatedRecord
-from bgpnovelty.scg import ScgConfig, scg_minimize, train
+from bgpnovelty.scg import scg_minimize, train
 from bgpnovelty.series import MINUTE, read_bucket_csv, slice_range
 from bgpnovelty.synth import SurgeSpec, inject_surge
 
@@ -89,7 +89,7 @@ def test_scg_optimizer():
     def sphere_curvature(x, p):
         return 2.0 * float(p @ p)
 
-    x, report_a = scg_minimize(sphere, sphere_grad, sphere_curvature, np.array([3.0, -2.0]), ScgConfig(max_cycles=50))
+    x, report_a = scg_minimize(sphere, sphere_grad, sphere_curvature, np.array([3.0, -2.0]), 50)
     assert np.linalg.norm(x) < 1e-4
     assert report_a.cycles_run <= 50
 
@@ -107,7 +107,7 @@ def test_scg_optimizer():
         return float(p @ hessian @ p)
 
     y, report_b = scg_minimize(
-        rosenbrock, rosenbrock_grad, rosenbrock_curvature, np.array([-1.2, 1.0]), ScgConfig(max_cycles=500)
+        rosenbrock, rosenbrock_grad, rosenbrock_curvature, np.array([-1.2, 1.0]), 500
     )
     assert np.max(np.abs(y - 1.0)) < 1e-3
     assert report_b.cycles_run <= 500
@@ -122,7 +122,7 @@ def test_training_efficacy(pipeline):
     assert pipeline.report.loss_history[-1] <= 0.10 * pipeline.initial_loss
     assert pipeline.train_seconds < 120.0
 
-    again, _ = train(pipeline.model0, pipeline.matrix, ScgConfig(max_cycles=CYCLES))
+    again, _ = train(pipeline.model0, pipeline.matrix, CYCLES)
     for name in ("w1", "b1", "w2", "b2"):
         assert np.array_equal(getattr(pipeline.model, name), getattr(again, name))
 
@@ -224,7 +224,7 @@ def test_mrt_fixture_corpus():
 @criterion(10, "persisted model scores identically to the original")
 def test_persistence_round_trip():
     norm = NormalizationParams(0.0, 1250.0, 0.0, 410.0)
-    model = init_model(100, 100, seed=INIT_SEED, k=50, norm=norm)
+    model = init_model(100, 100, seed=INIT_SEED, norm=norm)
     restored = load_model(save_model(model))
     rng = np.random.default_rng(99)
     worst = 0.0

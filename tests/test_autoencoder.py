@@ -1,6 +1,7 @@
 """Forward pass, loss, analytic gradient, and model persistence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -52,7 +53,6 @@ def tiny_model(w1, b1, w2, b2):
         b1=np.asarray(b1, float),
         w2=w2,
         b2=np.asarray(b2, float),
-        k=max(1, w1.shape[1] // 2),
         norm=NormalizationParams(0, 1, 0, 1),
     )
 
@@ -287,11 +287,11 @@ class TestCurvature:
     @given(shapes_and_seed, st.sampled_from([np.float64, np.float32]))
     def test_after_gradient_equals_a_fresh_objective(self, shape, dtype):
         model, X, rng = problem(shape)
-        f, g, curvature = objective(model, X, dtype)
+        f, g, curvature = objective(model, X.astype(dtype))
         flat, p = flatten_params(model), unit_direction(rng, model.n_params)
         f(flat)
         g(flat)
-        assert curvature(flat, p) == objective(model, X, dtype)[2](flat, p)
+        assert curvature(flat, p) == objective(model, X.astype(dtype))[2](flat, p)
 
     @settings(max_examples=60, deadline=None)
     @given(shapes_and_seed)
@@ -327,7 +327,7 @@ class TestFloat32Objective:
         model = init_model(40, 20, seed=seed)
         flat, p = flatten_params(model), unit_direction(rng, model.n_params)
         f64, g64, curvature64 = objective(model, X)
-        f32, g32, curvature32 = objective(model, X, np.float32)
+        f32, g32, curvature32 = objective(model, X.astype(np.float32))
         assert abs(f32(flat) - f64(flat)) <= 10 * self.EPS * f64(flat)
         grad64, grad32 = g64(flat), g32(flat)
         assert grad32.dtype == np.float64
@@ -358,7 +358,7 @@ class TestFlattening:
 
 class TestPersistence:
     def test_round_trip_preserves_forward_outputs(self):
-        model = init_model(10, 8, seed=9, k=5, norm=NormalizationParams(0, 900, 2, 80))
+        model = init_model(10, 8, seed=9, norm=NormalizationParams(0, 900, 2, 80))
         restored = load_model(save_model(model))
         rng = np.random.default_rng(9)
         X = rng.uniform(-2, 2, size=(10, 10))
@@ -366,7 +366,7 @@ class TestPersistence:
 
     def test_round_trip_preserves_metadata(self):
         norm = NormalizationParams(1.5, 900.25, 2.0, 80.125)
-        model = init_model(10, 8, seed=9, k=5, norm=norm)
+        model = init_model(10, 8, seed=9, norm=norm)
         restored = load_model(save_model(model))
         assert restored.k == 5
         assert restored.norm == norm
@@ -416,6 +416,16 @@ class TestPersistence:
         with pytest.raises(BadFormat, match="normalization bounds must be finite"):
             load_model(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize("key", ["format_version", "layout_version"])
+    @pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+    def test_version_equal_to_1_but_not_the_integer_is_version_mismatch(self, key, value):
+        import json
+
+        doc = json.loads(save_model(init_model(4, 3, seed=0)))
+        doc[key] = value  # True == 1 and 1.0 == 1 in Python
+        with pytest.raises(VersionMismatch, match=re.escape(f"unsupported {key}: {value!r}")):
+            load_model(json.dumps(doc).encode())
+
     def test_wrong_format_version_is_version_mismatch(self):
         import json
 
@@ -451,8 +461,48 @@ class TestPersistence:
     def test_document_declares_versions_and_layout(self):
         import json
 
-        document = json.loads(save_model(init_model(10, 8, seed=1, k=5)))
+        document = json.loads(save_model(init_model(10, 8, seed=1)))
         assert document["format_version"] == 1
         assert document["layout_version"] == 1
         assert document["layout"] == "announce_then_withdraw_oldest_first"
         assert set(document) >= {"k", "input_dim", "hidden_dim", "norm", "w1", "b1", "w2", "b2"}
+
+
+class TestModelDocument:
+    """The parameter table read from every side: document bytes, flat vector, parameter count and k."""
+
+    def test_document_bytes_are_pinned(self):
+        # Hand-picked floats rather than random draws, so the bytes do not depend on numpy's generator.
+        model = AutoencoderModel(
+            input_dim=2, hidden_dim=1, w1=np.array([[0.5, -0.25]]), b1=np.array([0.1]),
+            w2=np.array([[1.5], [-2.0]]), b2=np.array([1e-300, 3.0]), norm=NormalizationParams(0.0, 900.5, 2.0, 80.25),
+        )
+        assert save_model(model) == (
+            b'{\n "format_version": 1,\n "k": 1,\n "input_dim": 2,\n "hidden_dim": 1,\n "layout_version": 1,\n'
+            b' "layout": "announce_then_withdraw_oldest_first",\n'
+            b' "norm": {\n  "a_min": 0.0,\n  "a_max": 900.5,\n  "w_min": 2.0,\n  "w_max": 80.25\n },\n'
+            b' "w1": [\n  0.5,\n  -0.25\n ],\n "b1": [\n  0.1\n ],\n "w2": [\n  1.5,\n  -2.0\n ],\n'
+            b' "b2": [\n  1e-300,\n  3.0\n ]\n}\n'
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(input_dim=st.integers(1, 12), hidden_dim=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+    def test_round_trips_over_any_dimensions(self, input_dim, hidden_dim, seed):
+        rng = np.random.default_rng(seed)
+        a_min, w_min = (float(v) for v in rng.uniform(-1e3, 1e3, 2))
+        a_span, w_span = (float(v) for v in rng.uniform(0.0, 1e3, 2))
+        norm = NormalizationParams(a_min, a_min + a_span, w_min, w_min + w_span)
+        model = init_model(input_dim, hidden_dim, seed=seed, norm=norm)
+        model = unflatten_params(model, rng.normal(size=model.n_params))
+        flat = flatten_params(model)
+        assert len(flat) == model.n_params
+        again = unflatten_params(model, flat)
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(again, name).view(np.uint64), getattr(model, name).view(np.uint64))
+        assert model.k == max(1, input_dim // 2)
+        data = save_model(model)
+        if input_dim % 2:  # a document declares input_dim = 2k, so a model of odd width cannot be persisted
+            with pytest.raises(BadFormat, match="input_dim = 2k"):
+                load_model(data)
+        else:
+            assert save_model(load_model(data)) == data

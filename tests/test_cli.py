@@ -209,6 +209,15 @@ class TestTrainScoreDetect:
         assert "argument --seed: must be an integer >= 0, got '-3'" in capsys.readouterr().err
         assert not model_path.exists()
 
+    @pytest.mark.parametrize("flag", ["--k", "--hidden", "--cycles"])
+    def test_count_below_one_is_a_usage_error_naming_the_flag(self, tmp_path, quiet_csv, capsys, flag):
+        model_path = tmp_path / "model.json"
+        with pytest.raises(SystemExit) as info:
+            run("train", quiet_csv, flag, 0, "--out", model_path)
+        assert info.value.code == 2
+        assert f"argument {flag}: must be an integer >= 1, got '0'" in capsys.readouterr().err
+        assert not model_path.exists()
+
     def test_train_is_reproducible_byte_for_byte(self, tmp_path, quiet_csv):
         first = tmp_path / "a.json"
         second = tmp_path / "b.json"
@@ -222,7 +231,7 @@ class TestTrainScoreDetect:
     def test_train_non_finite_objective_exits_one_without_model(
         self, tmp_path, quiet_csv, capsys, monkeypatch
     ):
-        def diverged(model, windows, cfg):
+        def diverged(model, windows, max_cycles):
             return model, TrainReport([12.5, 12.0], 2, STOP_NON_FINITE)
 
         monkeypatch.setattr(cli.scg, "train", diverged)
@@ -241,7 +250,7 @@ class TestTrainScoreDetect:
     def test_train_windows_are_the_cast_window_matrix_bit_for_bit(self, tmp_path, quiet_csv, monkeypatch):
         seen = []
 
-        def keep(model, windows, cfg):
+        def keep(model, windows, max_cycles):
             seen.append(windows.copy())
             return model, TrainReport([1.0], 1, "budget")
 
@@ -271,7 +280,7 @@ class TestTrainScoreDetect:
         # value below is exact on any BLAS and libm.
         model = AutoencoderModel(
             input_dim=4, hidden_dim=3, w1=np.zeros((3, 4)), b1=np.zeros(3), w2=np.ones((4, 3)),
-            b2=np.full(4, 0.5), k=2, norm=NormalizationParams(0.0, 4.0, 0.0, 8.0),
+            b2=np.full(4, 0.5), norm=NormalizationParams(0.0, 4.0, 0.0, 8.0),
         )
         model_path = tmp_path / "model.json"
         model_path.write_bytes(save_model(model))
@@ -294,7 +303,7 @@ class TestTrainScoreDetect:
         model_path = tmp_path / "model.json"
         model_path.write_bytes(save_model(AutoencoderModel(
             input_dim=4, hidden_dim=3, w1=np.zeros((3, 4)), b1=np.zeros(3), w2=np.ones((4, 3)),
-            b2=np.zeros(4), k=2, norm=NormalizationParams(0.0, 4.0, 0.0, 8.0),
+            b2=np.zeros(4), norm=NormalizationParams(0.0, 4.0, 0.0, 8.0),
         )))
         buckets = tmp_path / "buckets.csv"
         buckets.write_text("minute_utc,announcements,withdrawals\n2001-09-18T12:00:00Z,0,8\n")
@@ -561,6 +570,20 @@ class TestSynth:
             run("synth", "--minutes", 10, "--seed", -1, "--out", out)
         assert info.value.code == 2
         assert "argument --seed: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, name",
+        [
+            (["--start", "nope"], "--start"),
+            (["--surge", "start=nope,duration=2,shape=step,magnitude=5"], "--surge start"),
+        ],
+        ids=["start", "surge_start"],
+    )
+    def test_bad_start_minute_exits_one_naming_the_flag(self, tmp_path, capsys, flags, name):
+        out = tmp_path / "s.csv"
+        assert run("synth", "--minutes", 10, *flags, "--out", out) == 1
+        assert f"error: {name}: not a minute-aligned UTC timestamp: 'nope'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_surge_flag(self, tmp_path):

@@ -92,7 +92,7 @@ class TestScoreSeries:
         series = gen_baseline(60, 100.0, 40.0, 0.0, seed=41)
         params = fit_normalization(series)
         windows = make_windows(series, 50, params)
-        model = init_model(100, 10, seed=41, k=50, norm=params)
+        model = init_model(100, 10, seed=41, norm=params)
         values = score_series(model, windows)
         assert values.shape == (11,)
         one_by_one = [novelty(model, row) for row in windows]
@@ -127,7 +127,7 @@ class TestScoreSeries:
         params = fit_normalization(quiet)
         onset = quiet.minute_at(300)
         surged = inject_surge(quiet, SurgeSpec(onset, 20, "step", 10.0))
-        model = init_model(16, 12, seed=43, k=8, norm=params)
+        model = init_model(16, 12, seed=43, norm=params)
         values = score_series(model, make_windows(surged, 8, params))
         best = surged.minutes()[8 - 1 + int(np.argmax(values))]
         assert onset <= best <= onset + 20 * MIN
@@ -147,7 +147,7 @@ class TestBlockScoring:
         rng = np.random.default_rng(seed)
         series = MinuteSeries(NOON, rng.poisson(300.0, minutes), rng.integers(0, 1000, minutes))
         norm = NormalizationParams(50.0, 400.0, 0.0, 700.0)  # counts reach outside the range, as in a storm
-        model = init_model(2 * k, hidden, seed=seed, k=k, norm=norm)
+        model = init_model(2 * k, hidden, seed=seed, norm=norm)
         model = replace(model, b1=rng.normal(size=hidden), b2=rng.normal(size=2 * k))
         n = max(minutes - k + 1, 0)
         rows = {"1": 1, "n-1": max(n - 1, 1), "n": max(n, 1), "n+1": n + 1, "any": any_rows}[pick]
@@ -170,7 +170,7 @@ class TestBlockScoring:
         # a few rows round differently on some BLAS builds.
         rng = np.random.default_rng(seed)
         X = rng.uniform(-0.5, 2.0, (n, 2 * k))
-        model = init_model(2 * k, hidden, seed=seed, k=k)
+        model = init_model(2 * k, hidden, seed=seed)
         model = replace(model, b1=rng.normal(size=hidden), b2=rng.normal(size=2 * k))
         a = data.draw(st.integers(0, n))
         b = a + data.draw(st.one_of(st.integers(0, min(40, n - a)), st.integers(0, n - a)))
@@ -180,7 +180,7 @@ class TestBlockScoring:
     def test_equals_whole_matrix_scoring_across_block_edges_at_the_pipeline_shape(self, monkeypatch, rows):
         series = gen_baseline(2 * SCORE_BLOCK_ROWS + 300, 800.0, 200.0, 0.3, seed=5)
         norm = fit_normalization(series)
-        model = init_model(100, 100, seed=5, k=50, norm=norm)
+        model = init_model(100, 100, seed=5, norm=norm)
         monkeypatch.setattr(detector, "SCORE_BLOCK_ROWS", rows)
         assert np.array_equal(score_windows(model, series), score_series(model, make_windows(series, 50, norm)))
 
@@ -193,7 +193,7 @@ class TestBlockScoring:
         # Whole (windows, 2k) input, (windows, hidden) and (windows, 2k) output matrices would take 120 MB.
         minutes = windows + k - 1
         series = MinuteSeries(NOON, np.arange(minutes) % 17, np.arange(minutes) % 5)
-        model = init_model(2 * k, hidden, seed=1, k=k, norm=NormalizationParams(0.0, 16.0, 0.0, 4.0))
+        model = init_model(2 * k, hidden, seed=1, norm=NormalizationParams(0.0, 16.0, 0.0, 4.0))
         tracemalloc.start()  # numpy reports its buffers to tracemalloc
         try:
             values = score_windows(model, series)

@@ -1,10 +1,13 @@
 """SCG optimizer behaviour: convergence, economy, determinism."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgpnovelty import scg
 from bgpnovelty.autoencoder import (
     DimensionMismatch,
     EmptyDataset,
@@ -20,7 +23,6 @@ from bgpnovelty.scg import (
     STOP_BUDGET,
     STOP_GRADIENT,
     STOP_NON_FINITE,
-    ScgConfig,
     TrainReport,
     scg_minimize,
     train,
@@ -64,21 +66,21 @@ def rosenbrock_curvature(v, p):
 
 class TestScgMinimize:
     def test_sphere_converges_quickly(self):
-        x, report = scg_minimize(sphere, sphere_grad, sphere_curvature, np.array([3.0, -2.0]), ScgConfig(max_cycles=50))
+        x, report = scg_minimize(sphere, sphere_grad, sphere_curvature, np.array([3.0, -2.0]), 50)
         assert np.linalg.norm(x) < 1e-4
         assert report.cycles_run <= 50
         assert_monotone(report)
 
     def test_rosenbrock_reaches_global_minimum(self):
         x, report = scg_minimize(
-            rosenbrock, rosenbrock_grad, rosenbrock_curvature, np.array([-1.2, 1.0]), ScgConfig(max_cycles=500)
+            rosenbrock, rosenbrock_grad, rosenbrock_curvature, np.array([-1.2, 1.0]), 500
         )
         assert np.max(np.abs(x - 1.0)) < 1e-3
         assert_monotone(report)
 
     def test_stationary_start_returns_immediately(self):
         x0 = np.zeros(3)
-        x, report = scg_minimize(sphere, sphere_grad, sphere_curvature, x0, ScgConfig())
+        x, report = scg_minimize(sphere, sphere_grad, sphere_curvature, x0, 100)
         assert np.array_equal(x, x0)
         assert report.cycles_run == 0
         assert report.stop_reason == STOP_GRADIENT
@@ -100,9 +102,8 @@ class TestScgMinimize:
         def curvature(x, p):
             return float(p @ matrix @ p)
 
-        x, report = scg_minimize(
-            f, g, curvature, rng.normal(size=d), ScgConfig(max_cycles=d + 5, grad_tol=1e-8)
-        )
+        with mock.patch.object(scg, "GRAD_TOL", 1e-8):
+            x, report = scg_minimize(f, g, curvature, rng.normal(size=d), d + 5)
         assert np.linalg.norm(g(x)) < 1e-8
         assert report.stop_reason == STOP_GRADIENT
         assert_monotone(report)
@@ -123,7 +124,7 @@ class TestScgMinimize:
             return rosenbrock_curvature(x, p)
 
         _, report = scg_minimize(
-            counted_f, counted_g, counted_curvature, np.array([-1.2, 1.0]), ScgConfig(max_cycles=200)
+            counted_f, counted_g, counted_curvature, np.array([-1.2, 1.0]), 200
         )
         # one f and one g before the loop; then one f and at most one g and one curvature per cycle
         assert calls["f"] <= 1 + report.cycles_run
@@ -132,7 +133,7 @@ class TestScgMinimize:
 
     def test_single_cycle_budget_runs_exactly_one_cycle(self):
         _, report = scg_minimize(
-            sphere, sphere_grad, sphere_curvature, np.array([3.0, -2.0]), ScgConfig(max_cycles=1)
+            sphere, sphere_grad, sphere_curvature, np.array([3.0, -2.0]), 1
         )
         assert report.cycles_run == 1
         assert report.stop_reason == STOP_BUDGET
@@ -141,7 +142,7 @@ class TestScgMinimize:
         def bad_f(x):
             return float("inf") if np.linalg.norm(x) < 1.0 else sphere(x)
 
-        x, report = scg_minimize(bad_f, sphere_grad, sphere_curvature, np.array([3.0, -2.0]), ScgConfig())
+        x, report = scg_minimize(bad_f, sphere_grad, sphere_curvature, np.array([3.0, -2.0]), 100)
         assert report.stop_reason == STOP_NON_FINITE
         assert report.non_finite
         assert np.all(np.isfinite(x))
@@ -150,7 +151,7 @@ class TestScgMinimize:
         def bad_curvature(x, p):
             return float("nan") if np.linalg.norm(x) < 1.0 else sphere_curvature(x, p)
 
-        x, report = scg_minimize(sphere, sphere_grad, bad_curvature, np.array([3.0, -2.0]), ScgConfig())
+        x, report = scg_minimize(sphere, sphere_grad, bad_curvature, np.array([3.0, -2.0]), 100)
         assert report.stop_reason == STOP_NON_FINITE
         assert np.linalg.norm(x) < 1.0
         assert report.cycles_run == len(report.loss_history) + 1
@@ -158,20 +159,18 @@ class TestScgMinimize:
     def test_non_finite_at_start_returns_start(self):
         x0 = np.array([0.5, 0.5])
         bad_f = lambda x: float("nan")
-        x, report = scg_minimize(bad_f, sphere_grad, sphere_curvature, x0, ScgConfig())
+        x, report = scg_minimize(bad_f, sphere_grad, sphere_curvature, x0, 100)
         assert np.array_equal(x, x0)
         assert report.cycles_run == 0
         assert report.non_finite
 
     def test_rejects_non_finite_start_point(self):
         with pytest.raises(ValueError):
-            scg_minimize(sphere, sphere_grad, sphere_curvature, np.array([np.nan, 0.0]), ScgConfig())
+            scg_minimize(sphere, sphere_grad, sphere_curvature, np.array([np.nan, 0.0]), 100)
 
     def test_budget_stop_reason_when_tolerance_unreachable(self):
-        _, report = scg_minimize(
-            rosenbrock, rosenbrock_grad, rosenbrock_curvature, np.array([-1.2, 1.0]),
-            ScgConfig(max_cycles=5, grad_tol=0.0),
-        )
+        with mock.patch.object(scg, "GRAD_TOL", 0.0):
+            _, report = scg_minimize(rosenbrock, rosenbrock_grad, rosenbrock_curvature, np.array([-1.2, 1.0]), 5)
         assert report.stop_reason == STOP_BUDGET
         assert report.cycles_run == 5
 
@@ -205,7 +204,9 @@ class TestScgProperties:
             return float(p @ matrix @ p)
 
         x0 = rng.normal(size=d)
-        x, report = scg_minimize(f, g, curvature, x0, ScgConfig(max_cycles=cycles, grad_tol=grad_tol))
+        # mock, not monkeypatch: a function-scoped fixture would span every example of @given
+        with mock.patch.object(scg, "GRAD_TOL", grad_tol):
+            x, report = scg_minimize(f, g, curvature, x0, cycles)
 
         losses = report.loss_history
         assert len(losses) == report.cycles_run
@@ -228,18 +229,14 @@ class TestScgProperties:
 
 
 class TestConfig:
-    def test_defaults(self):
-        cfg = ScgConfig()
-        assert cfg.max_cycles == 100
-        assert cfg.grad_tol == 1e-6
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(max_cycles=0), dict(grad_tol=-0.1)],
-    )
+    @pytest.mark.parametrize("kwargs", [dict(max_cycles=0)])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
-            ScgConfig(**kwargs)
+            scg_minimize(sphere, sphere_grad, sphere_curvature, np.array([3.0, -2.0]), **kwargs)
+
+    def test_train_rejects_a_budget_below_one(self):
+        with pytest.raises(ValueError, match="max_cycles must be >= 1, got 0"):
+            train(init_model(4, 3, seed=0), np.zeros((2, 4)), 0)
 
 
 class TestTrain:
@@ -248,7 +245,7 @@ class TestTrain:
         X = np.tile(x, (20, 1))
         model = init_model(4, 4, seed=1, norm=NormalizationParams(0, 1, 0, 1))
         initial = sse_loss(model, X)
-        trained, report = train(model, X, ScgConfig(max_cycles=100))
+        trained, report = train(model, X, 100)
         assert report.loss_history[-1] <= 1e-3 * initial
         assert_monotone(report)
 
@@ -256,31 +253,43 @@ class TestTrain:
         rng = np.random.default_rng(21)
         X = rng.uniform(size=(30, 6))
         model = init_model(6, 5, seed=2)
-        first, _ = train(model, X, ScgConfig(max_cycles=25))
-        second, _ = train(model, X, ScgConfig(max_cycles=25))
+        first, _ = train(model, X, 25)
+        second, _ = train(model, X, 25)
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
 
     def test_single_cycle_budget(self):
         X = np.random.default_rng(22).uniform(size=(10, 4))
         model = init_model(4, 3, seed=3)
-        _, report = train(model, X, ScgConfig(max_cycles=1))
+        _, report = train(model, X, 1)
         assert report.cycles_run == 1
+
+    def test_float32_windows_reach_the_objective_uncopied(self, monkeypatch):
+        X = np.random.default_rng(24).uniform(size=(10, 4)).astype(np.float32)
+        seen = []
+
+        def keep(model, data):
+            seen.append(data)
+            return objective(model, data)
+
+        monkeypatch.setattr(scg, "objective", keep)
+        train(init_model(4, 3, seed=3), X, 1)
+        assert seen[0] is X
 
     def test_dimension_mismatch(self):
         model = init_model(4, 3, seed=0)
         with pytest.raises(DimensionMismatch):
-            train(model, np.zeros((5, 6)), ScgConfig())
+            train(model, np.zeros((5, 6)), 100)
 
     def test_empty_windows(self):
         model = init_model(4, 3, seed=0)
         with pytest.raises(EmptyDataset):
-            train(model, np.zeros((0, 4)), ScgConfig())
+            train(model, np.zeros((0, 4)), 100)
 
     def test_report_csv_format(self):
         X = np.random.default_rng(23).uniform(size=(10, 4))
         model = init_model(4, 3, seed=3)
-        _, report = train(model, X, ScgConfig(max_cycles=3))
+        _, report = train(model, X, 3)
         lines = report.to_csv().strip().splitlines()
         assert lines[0] == "cycle,loss"
         assert len(lines) == 1 + len(report.loss_history)
@@ -291,20 +300,20 @@ class TestFusedObjectiveMatchesReference:
     """``train`` gives the bytes of SCG over one fresh float32 objective per evaluation."""
 
     @staticmethod
-    def reference_train(model, X, cfg):
+    def reference_train(model, X, max_cycles):
         calls = {"g": 0}
 
         def f(flat):
-            return objective(model, X, np.float32)[0](flat)
+            return objective(model, X.astype(np.float32))[0](flat)
 
         def g(flat):
             calls["g"] += 1
-            return objective(model, X, np.float32)[1](flat)
+            return objective(model, X.astype(np.float32))[1](flat)
 
         def curvature(flat, p):
-            return objective(model, X, np.float32)[2](flat, p)
+            return objective(model, X.astype(np.float32))[2](flat, p)
 
-        best, report = scg_minimize(f, g, curvature, flatten_params(model), cfg)
+        best, report = scg_minimize(f, g, curvature, flatten_params(model), max_cycles)
         return unflatten_params(model, best), report, calls["g"]
 
     @pytest.mark.parametrize(
@@ -314,9 +323,8 @@ class TestFusedObjectiveMatchesReference:
     def test_model_bytes_and_losses_equal(self, n, d, h, seed, cycles):
         X = np.random.default_rng(seed).uniform(size=(n, d))
         model = init_model(d, h, seed=seed)
-        cfg = ScgConfig(max_cycles=cycles)
-        expected, expected_report, _ = self.reference_train(model, X, cfg)
-        trained, report = train(model, X, cfg)
+        expected, expected_report, _ = self.reference_train(model, X, cycles)
+        trained, report = train(model, X, cycles)
         assert save_model(trained) == save_model(expected)
         assert report.loss_history == expected_report.loss_history
         assert report.stop_reason == expected_report.stop_reason
@@ -325,5 +333,5 @@ class TestFusedObjectiveMatchesReference:
         # The first case above must cover a rejected trial, whose forward
         # pass stays in the fused cache while the next trial is evaluated.
         X = np.random.default_rng(0).uniform(size=(12, 4))
-        _, report, g_calls = self.reference_train(init_model(4, 3, seed=0), X, ScgConfig(max_cycles=40))
+        _, report, g_calls = self.reference_train(init_model(4, 3, seed=0), X, 40)
         assert g_calls < report.cycles_run + 1
