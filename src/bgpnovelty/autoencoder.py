@@ -116,10 +116,13 @@ def _check_dims(input_dim: int, hidden_dim: int) -> None:
         raise ValueError(f"dimensions must be >= 1, got input_dim={input_dim}, hidden_dim={hidden_dim}")
 
 
-def reconstruct(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
-    """Forward pass over the rows of X, shape (n, input_dim)."""
+def reconstruct(model: AutoencoderModel, X: np.ndarray, layers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+    """Forward pass over the rows of X, shape (n, input_dim), written to the output buffer of ``layers``.
+
+    ``layers``, float64 of shape (n, hidden_dim) and (n, input_dim), are allocated when not given.
+    """
     _check_matrix(model, X)
-    hidden, out = np.empty((X.shape[0], model.hidden_dim)), np.empty((X.shape[0], model.input_dim))
+    hidden, out = layers or (np.empty((X.shape[0], model.hidden_dim)), np.empty((X.shape[0], model.input_dim)))
     return _forward(X, model.w1, model.b1, model.w2, model.b2, hidden, out)
 
 
@@ -254,8 +257,11 @@ def save_model(model: AutoencoderModel) -> bytes:
     """Serialize to a versioned JSON document.
 
     Floats are written with full round-trip precision, so load(save(m))
-    reproduces the weights bit for bit.
+    reproduces the weights bit for bit. A model of odd ``input_dim`` raises
+    BadFormat, as the document declares ``input_dim = 2k``.
     """
+    if model.input_dim % 2:
+        raise BadFormat(f"cannot save a model of odd width: a document needs input_dim = 2k, got {model.input_dim}")
     document = {
         "format_version": MODEL_FORMAT_VERSION,
         "k": model.k,

@@ -52,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Detect BGP routing instability with autoencoder novelty scoring.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    count, seed = _int_at_least(1), _int_at_least(0)  # a seed takes 0 up, as numpy's generators do
+    count, whole = _int_at_least(1), _int_at_least(0)  # seeds (as numpy's generators), --n and minute spans may be 0
 
     p = sub.add_parser("ingest", help="parse MRT or bucket CSV (told apart by its header) into a gapless bucket CSV")
     p.add_argument("input", type=Path)
@@ -68,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=count, default=DEFAULT_K, help="lags per channel (default %(default)s)")
     p.add_argument("--hidden", type=count, default=DEFAULT_HIDDEN, help="hidden units (default %(default)s)")
     p.add_argument("--cycles", type=count, default=DEFAULT_CYCLES, help="training cycles (default %(default)s)")
-    p.add_argument("--seed", type=seed, default=DEFAULT_SEED, help="weight init seed (default %(default)s)")
+    p.add_argument("--seed", type=whole, default=DEFAULT_SEED, help="weight init seed (default %(default)s)")
     p.add_argument("--out", type=Path, required=True, help="model file path")
     p.add_argument("--report", type=Path, help="training report CSV (default: <out>.report.csv)")
     p.set_defaults(handler=cmd_train)
@@ -88,31 +88,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quantile-from", type=Path, metavar="FILE",
                    help="take the quantile over this calibration file (same format as the "
                         "input) instead of the input itself, e.g. a quiet-period scoring")
-    p.add_argument("--gap-minutes", type=int, default=DEFAULT_GAP_MINUTES,
+    p.add_argument("--gap-minutes", type=whole, default=DEFAULT_GAP_MINUTES,
                    help="quiet minutes merged into one event (default %(default)s)")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(handler=cmd_detect)
 
     p = sub.add_parser("top", help="rank the highest per-minute update totals")
     p.add_argument("input", type=Path)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=whole, required=True)
     p.add_argument("--out", type=Path, help="default: standard output")
     p.set_defaults(handler=cmd_top)
 
     p = sub.add_parser("compare", help="lead-time table for two alarm reports")
     p.add_argument("ae_report", type=Path)
     p.add_argument("rule_report", type=Path)
-    p.add_argument("--match-window", type=int, default=240,
+    p.add_argument("--match-window", type=whole, default=240,
                    help="pairing window in minutes (default %(default)s)")
     p.add_argument("--out", type=Path, help="default: standard output")
     p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic bucket CSV")
-    p.add_argument("--minutes", type=int, required=True)
+    p.add_argument("--minutes", type=count, required=True)
     p.add_argument("--mean-a", type=float, default=1000.0, help="announcement mean (default %(default)s)")
     p.add_argument("--mean-w", type=float, default=300.0, help="withdrawal mean (default %(default)s)")
     p.add_argument("--diurnal-amp", type=float, default=0.0, help="daily sine amplitude in [0,1)")
-    p.add_argument("--seed", type=seed, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=whole, default=DEFAULT_SEED)
     p.add_argument("--start", metavar="MINUTE", default="1970-01-01T00:00:00Z",
                    help="first minute (default %(default)s)")
     p.add_argument("--surge", action="append", default=[], metavar="SPEC",
@@ -137,10 +137,10 @@ def _int_at_least(minimum: int):
 
 def _read_scores(path: Path, source: str) -> tuple[np.ndarray, np.ndarray]:
     """Per-minute scores: novelty for the autoencoder source, update totals for the rule."""
-    data = path.read_bytes()
-    if source == detector.SOURCE_AUTOENCODER:
-        return detector.read_novelty_csv(data)
-    buckets = series.read_bucket_csv(data)
+    with path.open("rb") as data:
+        if source == detector.SOURCE_AUTOENCODER:
+            return detector.read_novelty_csv(data)
+        buckets = series.read_bucket_csv(data)
     return buckets.minutes(), buckets.totals()
 
 
@@ -207,7 +207,7 @@ def cmd_ingest(args) -> int:
     with args.input.open("rb") as raw:
         head = raw.peek(len(_BUCKET_MAGIC))
         if head.startswith(_BUCKET_MAGIC):
-            result = _slice_to_flags(series.read_bucket_csv(raw.read()), start, end)
+            result = _slice_to_flags(series.read_bucket_csv(raw), start, end)
         else:
             with _decompressed(raw, head) as dump:
                 records = mrt.parse_mrt_stream(dump)
@@ -241,7 +241,8 @@ def _decompressed(raw: BinaryIO, head: bytes) -> BinaryIO:
 
 
 def cmd_train(args) -> int:
-    train_series = _slice_to_flags(series.read_bucket_csv(args.input.read_bytes()), *_flag_range(args))
+    with args.input.open("rb") as data:
+        train_series = _slice_to_flags(series.read_bucket_csv(data), *_flag_range(args))
     norm = features.fit_normalization(train_series)
     if len(train_series) < args.k:
         raise series.InvalidRange(f"training range has {len(train_series)} minutes, fewer than k={args.k}")
@@ -259,7 +260,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_score(args) -> int:
-    data = series.read_bucket_csv(args.input.read_bytes())
+    with args.input.open("rb") as buckets:
+        data = series.read_bucket_csv(buckets)
     model = autoencoder.load_model(args.model.read_bytes())
     novelty = detector.score_windows(model, data)
     with _output(args.out) as out:
@@ -289,7 +291,8 @@ def cmd_detect(args) -> int:
 
 
 def cmd_top(args) -> int:
-    data = series.read_bucket_csv(args.input.read_bytes())
+    with args.input.open("rb") as buckets:
+        data = series.read_bucket_csv(buckets)
     ranking = series.top_n(data, args.n)
     ranks = map(str, range(1, len(ranking) + 1))
     stamps = series.format_minutes_utc([minute for minute, _ in ranking])

@@ -13,20 +13,20 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import BinaryIO, Sequence, TextIO
 
 import numpy as np
 
 from . import features
 from .autoencoder import AutoencoderModel, _check_matrix, reconstruct
-from .series import MINUTE, MinuteSeries, csv_rows, first_row_fault, write_minute_csv
+from .series import MINUTE, CsvRows, MinuteSeries, first_row_fault, read_csv, write_minute_csv
 from .series import format_minute_utc, format_minutes_utc, parse_minutes_utc
 
 SOURCE_AUTOENCODER = "autoencoder"
 SOURCE_RULE = "rule"
 
 NOVELTY_CSV_HEADER = "minute_utc,novelty"
-SCORE_BLOCK_ROWS = 2**12  # windows the network runs on, and score_windows builds, at a time
+SCORE_BLOCK_ROWS = 2**10  # windows the network runs on, and score_windows builds, at a time
 _SPAN_KEYS = ("start", "end", "peak_minute")  # alarm report fields of AlarmEvent's three minutes
 
 
@@ -79,13 +79,16 @@ class DetectorConfig:
             raise ValueError("group_gap_minutes must be >= 0")
 
 
-def score_series(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
+def score_series(model: AutoencoderModel, X: np.ndarray, layers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Novelty of every row of the window matrix X, shape (n, input_dim): entry ``i`` scores row ``i``.
 
     The network runs on ``SCORE_BLOCK_ROWS`` rows at a time, the last block
     padded with zero rows. BLAS picks its kernel by the matrix shape, and a
     kernel for fewer rows may round a row's sums differently; with one shape
     for every call, a row's novelty does not depend on the rows scored with it.
+    ``layers``, the buffers :func:`reconstruct` writes, have ``SCORE_BLOCK_ROWS``
+    rows; a caller scoring block after block passes one pair to every call,
+    as fresh buffers for each block cost as much in page faults as the products.
     """
     _check_matrix(model, X)
     novelty = np.empty(len(X))
@@ -94,7 +97,7 @@ def score_series(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
         rows = len(block)
         if rows < SCORE_BLOCK_ROWS:
             block = np.concatenate([block, np.zeros((SCORE_BLOCK_ROWS - rows, X.shape[1]))])
-        residual = reconstruct(model, block)
+        residual = reconstruct(model, block, layers)
         residual -= block
         residual *= residual
         novelty[lo : lo + rows] = np.mean(residual[:rows], axis=1)
@@ -108,10 +111,12 @@ def score_windows(model: AutoencoderModel, series: MinuteSeries) -> np.ndarray:
     Memory follows the block, not the series, apart from 8 bytes a window.
     """
     novelty = np.empty(max(len(series) - model.k + 1, 0))
+    layers = np.empty((SCORE_BLOCK_ROWS, model.hidden_dim)), np.empty((SCORE_BLOCK_ROWS, model.input_dim))
     for lo in range(0, novelty.size, SCORE_BLOCK_ROWS):
         minutes = slice(lo, min(lo + SCORE_BLOCK_ROWS, novelty.size) + model.k - 1)  # those this block's windows cover
         part = MinuteSeries(series.minute_at(lo), series.announcements[minutes], series.withdrawals[minutes])
-        novelty[lo : lo + SCORE_BLOCK_ROWS] = score_series(model, features.make_windows(part, model.k, model.norm))
+        windows = features.make_windows(part, model.k, model.norm)
+        novelty[lo : lo + SCORE_BLOCK_ROWS] = score_series(model, windows, layers)
     return novelty
 
 
@@ -212,24 +217,33 @@ def write_novelty_csv(start_minute_s: int, values: np.ndarray, out: TextIO) -> N
     write_minute_csv(out, NOVELTY_CSV_HEADER, start_minute_s, np.asarray(values, dtype=np.float64))
 
 
-def read_novelty_csv(data: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Parse the novelty CSV format into int64 minutes and float64 values.
+def read_novelty_csv(stream: BinaryIO) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a binary file object in the novelty CSV format into int64 minutes and float64 values.
 
-    Lines are split as :func:`~bgpnovelty.series.csv_rows` says. Values take
-    Python's ``float()`` syntax. Errors name the first bad line; a ``nan`` or
-    ``inf`` value raises NonFiniteValue.
+    The file is read as :func:`~bgpnovelty.series.read_csv` says. Values
+    take Python's ``float()`` syntax. Errors name the first bad line; a
+    ``nan`` or ``inf`` value raises NonFiniteValue.
     """
-    rows = csv_rows(data, 2, ValueError)
-    if rows.header != NOVELTY_CSV_HEADER:
+    minutes, values = [np.empty(0, np.int64)], [np.empty(0)]
+
+    def read_rows(rows: CsvRows) -> None:
+        stamps, stamp_check = rows.minutes()
+        scores, bad, error = _floats(rows.fields(1))
+        first_row_fault(rows.line_nos, [
+            stamp_check,
+            (np.arange(scores.size) == bad, lambda i: error),
+            (~np.isfinite(scores), lambda i: NonFiniteValue(f"novelty is not finite: {rows.text(1, i)!r}")),
+        ], rows.misfit)
+        minutes.append(stamps)
+        values.append(scores)
+
+    read_csv(stream, 2, ValueError, _check_novelty_header, read_rows)
+    return np.concatenate(minutes), np.concatenate(values)
+
+
+def _check_novelty_header(header: str | None) -> None:
+    if header != NOVELTY_CSV_HEADER:
         raise ValueError(f"expected header {NOVELTY_CSV_HEADER!r}")
-    minutes, stamp_check = rows.minutes()
-    values, bad, error = _floats(rows.fields(1))
-    first_row_fault(rows.line_nos, [
-        stamp_check,
-        (np.arange(values.size) == bad, lambda i: error),
-        (~np.isfinite(values), lambda i: NonFiniteValue(f"novelty is not finite: {rows.text(1, i)!r}")),
-    ], rows.misfit)
-    return minutes, values
 
 
 def _floats(fields: list[bytes]) -> tuple[np.ndarray, int, ValueError | None]:

@@ -9,7 +9,7 @@ simply shows up as a run of zero buckets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence, TextIO
+from typing import BinaryIO, Callable, Sequence, TextIO
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,7 +22,8 @@ MAX_SERIES_MINUTES = 2**22
 
 BUCKET_CSV_HEADER = "minute_utc,announcements,withdrawals"
 
-CSV_BLOCK_ROWS = 2**14  # rows a bucket- or novelty-CSV write renders at once
+CSV_BLOCK_ROWS = 2**12  # rows a bucket- or novelty-CSV write renders at once
+CSV_CHUNK_BYTES = 2**18  # bytes a CSV read takes at a time; each chunk costs a fixed run of numpy calls
 
 
 class BucketCsvError(ValueError):
@@ -257,40 +258,55 @@ def top_n(series: MinuteSeries, n: int) -> list[tuple[int, int]]:
     return list(zip(series.minutes()[order].tolist(), totals[order].tolist()))
 
 
-def read_bucket_csv(data: bytes) -> MinuteSeries:
-    """Read the bucket CSV format into a gapless series.
+def read_bucket_csv(stream: BinaryIO) -> MinuteSeries:
+    """Read a binary file object in the bucket CSV format into a gapless series.
 
     The first line must be exactly ``minute_utc,announcements,withdrawals``;
     rows carry a ``YYYY-MM-DDTHH:MM:00Z`` timestamp and two counts of ASCII
     decimal digits, strictly ascending in time and less than
-    ``MAX_SERIES_MINUTES`` minutes after the first row. Lines are split as
-    :func:`csv_rows` says. Interior gaps between rows are zero-filled. An
+    ``MAX_SERIES_MINUTES`` minutes after the first row. The file is read as
+    :func:`read_csv` says. Interior gaps between rows are zero-filled. An
     input without data rows gives an empty series starting at epoch 0. An
-    error names the first bad line.
+    error names the first bad line. Memory follows the chunk and the series,
+    plus 20 bytes a row.
     """
-    rows = csv_rows(data, 3, BucketCsvError)
-    if rows.header is None:
-        raise BadHeader("empty input; expected header line")
-    if rows.header != BUCKET_CSV_HEADER:
-        raise BadHeader(f"expected header {BUCKET_CSV_HEADER!r}, got {rows.header!r}")
-    minutes, stamp_check = rows.minutes()
-    announcements, announcement_check = rows.counts(1, "announcements")
-    withdrawals, withdrawal_check = rows.counts(2, "withdrawals")
-    first_row_fault(rows.line_nos, [
-        stamp_check,
-        announcement_check,
-        withdrawal_check,
-        (np.diff(minutes, prepend=minutes[:1] - 1) <= 0,
-         lambda i: NonMonotonic(f"timestamp {rows.text(0, i)} not after the previous row")),
-        ((minutes - minutes[:1]) // MINUTE >= MAX_SERIES_MINUTES,
-         lambda i: BucketCsvError(f"timestamp {rows.text(0, i)} exceeds the {MAX_SERIES_MINUTES}-minute series limit")),
-    ], rows.misfit)
-    start = int(minutes[0]) if len(minutes) else 0
-    index = (minutes - start) // MINUTE
-    counts = np.zeros((2, int(index[-1]) + 1 if len(index) else 0), dtype=np.int64)
-    counts[0, index] = announcements
-    counts[1, index] = withdrawals
+    blocks = []  # (minutes after the first row's, announcements, withdrawals) of each chunk's rows
+    first = last = np.empty(0, np.int64)  # the first and the latest minute read, once a row is read
+
+    def read_rows(rows: CsvRows) -> None:
+        nonlocal first, last
+        minutes, stamp_check = rows.minutes()
+        announcements, announcement_check = rows.counts(1, "announcements")
+        withdrawals, withdrawal_check = rows.counts(2, "withdrawals")
+        if not first.size:
+            first, last = minutes[:1], minutes[:1] - 1
+        index = (minutes - first) // MINUTE
+        first_row_fault(rows.line_nos, [
+            stamp_check,
+            announcement_check,
+            withdrawal_check,
+            (np.diff(minutes, prepend=last) <= 0,
+             lambda i: NonMonotonic(f"timestamp {rows.text(0, i)} not after the previous row")),
+            (index >= MAX_SERIES_MINUTES, lambda i: BucketCsvError(
+                f"timestamp {rows.text(0, i)} exceeds the {MAX_SERIES_MINUTES}-minute series limit")),
+        ], rows.misfit)
+        last = minutes[-1:] if minutes.size else last
+        blocks.append((index.astype(np.int32), announcements, withdrawals))
+
+    read_csv(stream, 3, BucketCsvError, _check_bucket_header, read_rows)
+    start, n = (int(first[0]), int(last[0] - first[0]) // MINUTE + 1) if first.size else (0, 0)
+    counts = np.zeros((2, n), dtype=np.int64)
+    for index, announcements, withdrawals in blocks:
+        counts[0, index] = announcements
+        counts[1, index] = withdrawals
     return MinuteSeries(start, counts[0], counts[1])
+
+
+def _check_bucket_header(header: str | None) -> None:
+    if header is None:
+        raise BadHeader("empty input; expected header line")
+    if header != BUCKET_CSV_HEADER:
+        raise BadHeader(f"expected header {BUCKET_CSV_HEADER!r}, got {header!r}")
 
 
 def write_bucket_csv(series: MinuteSeries, out: TextIO) -> None:
@@ -329,10 +345,10 @@ def _csv_lines(*columns) -> str:
 
 @dataclass(frozen=True)
 class CsvRows:
-    """The header and the data rows of a CSV file as byte spans, as :func:`csv_rows` splits them."""
+    """The header and the data rows of a piece of a CSV file as byte spans, as :func:`csv_rows` splits them."""
 
-    header: str | None  # None for a file without lines
-    padded: bytes  # the file's bytes with 20 zero bytes on either side
+    header: str | None  # None for a piece without the file's first line, or a file without lines
+    padded: bytes  # the piece's bytes with 20 zero bytes on either side
     buf: np.ndarray  # the padded bytes as uint8
     starts: np.ndarray  # (width, rows): field j of row i is buf[starts[j, i]:ends[j, i]]
     ends: np.ndarray
@@ -370,20 +386,56 @@ class CsvRows:
         return value.astype(np.int64), (bad, lambda i: _count_error(name, self.text(column, i)))
 
 
-def csv_rows(data: bytes, width: int, error: type[ValueError]) -> CsvRows:
-    """Split CSV bytes into lines and the data rows into ``width`` fields.
+def read_csv(
+    stream: BinaryIO, width: int, error: type[ValueError], check_header: Callable, read_rows: Callable
+) -> None:
+    """Read a CSV file object ``CSV_CHUNK_BYTES`` at a time and pass on its header and rows.
+
+    The bytes up to the last LF read go through :func:`csv_rows`; the line
+    cut by a chunk's end waits for the next chunk. ``check_header`` gets the
+    first line (None for an empty file), and ``read_rows`` the rows of each
+    piece in turn. The first ValueError these raise is held, and nothing
+    more is passed on, while the rest of the file is read: a byte that is
+    not UTF-8 anywhere in the file raises ``error`` naming its line instead,
+    as a whole-file decode would.
+    """
+    fault, lines, held = None, 0, bytearray()  # LF bytes passed on; bytes read but not passed on
+    while True:
+        chunk = stream.read(CSV_CHUNK_BYTES)
+        held += chunk
+        if chunk and b"\n" not in chunk:
+            continue
+        end = held.rfind(b"\n") + 1 if chunk else len(held)
+        piece, held = held[:end], held[end:]
+        if not piece.isascii():
+            try:
+                piece.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = lines + piece.count(b"\n", 0, exc.start) + 1
+                raise error(f"line {line}: not UTF-8 text ({exc.reason})") from None
+        if fault is None:
+            try:
+                rows = csv_rows(piece, width, error, lines + 1)
+                if not lines:
+                    check_header(rows.header)
+                read_rows(rows)
+            except ValueError as exc:
+                fault = exc
+        lines += piece.count(b"\n")
+        if not chunk:
+            break
+    if fault:
+        raise fault
+
+
+def csv_rows(data: bytes, width: int, error: type[ValueError], first_line: int) -> CsvRows:
+    """Split UTF-8 CSV bytes into lines, numbered from ``first_line``, and the data rows into ``width`` fields.
 
     Lines end at LF, or at the end of the data; a CR just before an LF is
-    dropped. Blank lines are skipped but counted in line numbers. The rows
-    stop before the first one without ``width`` fields. Data that is not
-    UTF-8 raises ``error`` naming the line of the first bad byte.
+    dropped. Line 1 is the header. Blank lines are skipped but counted in
+    line numbers. The rows stop before the first one without ``width``
+    fields.
     """
-    if not data.isascii():
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise error(f"line {line}: not UTF-8 text ({exc.reason})") from None
     pad = _STAMP_LEN  # fixed-width reads near either end of the data stay in the buffer
     padded = bytes(pad) + data + bytes(pad)
     buf = np.frombuffer(padded, np.uint8)
@@ -394,22 +446,23 @@ def csv_rows(data: bytes, width: int, error: type[ValueError]) -> CsvRows:
     ends = ends - ((ends > starts) & (ends < pad + len(data)) & (buf[ends - 1] == _CR))
     commas = np.flatnonzero(text == _COMMA) + pad
     per_line = np.bincount(np.searchsorted(lf, commas), minlength=ends.size)
-    line_nos = np.flatnonzero(ends[1:] > starts[1:]) + 2
-    fields = per_line[line_nos - 1] + 1
+    header = int(first_line == 1)  # lines of the data that are the header
+    line_nos = np.flatnonzero(ends[header:] > starts[header:]) + header + first_line
+    fields = per_line[line_nos - first_line] + 1
     misfits = np.flatnonzero(fields != width)
     misfit = None
     if misfits.size:
         cut = misfits[0]
         misfit = error(f"line {line_nos[cut]}: expected {width} fields, got {fields[cut]}")
         line_nos = line_nos[:cut]
-    header_commas = int(per_line[:1].sum())
+    header_commas = int(per_line[:header].sum())
     row_commas = commas[header_commas : header_commas + (width - 1) * line_nos.size].reshape(-1, width - 1).T
     return CsvRows(
-        padded[starts[0] : ends[0]].decode() if ends.size else None,
+        padded[starts[0] : ends[0]].decode() if header and ends.size else None,
         padded,
         buf,
-        np.vstack([starts[line_nos - 1], row_commas + 1]),
-        np.vstack([row_commas, ends[line_nos - 1]]),
+        np.vstack([starts[line_nos - first_line], row_commas + 1]),
+        np.vstack([row_commas, ends[line_nos - first_line]]),
         line_nos,
         misfit,
     )

@@ -7,6 +7,7 @@ per channel, 100 hidden units, 100 training cycles.
 """
 
 import functools
+import io
 import time
 
 import numpy as np
@@ -198,7 +199,7 @@ def test_missing_data_handling():
         "2001-07-05T17:14:00Z,120,30\n"
         "2001-07-05T19:10:00Z,110,25\n"
     )
-    series = read_bucket_csv(text.encode())
+    series = read_bucket_csv(io.BytesIO(text.encode()))
     assert len(series) == 117  # 17:14 .. 19:10 inclusive
     interior = series.announcements[1:-1], series.withdrawals[1:-1]
     assert not interior[0].any() and not interior[1].any()

@@ -2,6 +2,7 @@
 
 import bz2
 import gzip
+import io
 import json
 import os
 import stat
@@ -52,7 +53,7 @@ class TestIngest:
         src.write_bytes(stream)
         out = tmp_path / "buckets.csv"
         assert run("ingest", src, "--out", out) == 0
-        series = read_bucket_csv(out.read_bytes())
+        series = read_bucket_csv(io.BytesIO(out.read_bytes()))
         assert series.announcements.tolist() == [5, 0, 0]
         assert series.withdrawals.tolist() == [1, 0, 4]
 
@@ -80,7 +81,7 @@ class TestIngest:
             "ingest", src, "--from", "1970-01-01T00:01:00Z", "--to", "1970-01-01T00:04:00Z",
             "--out", out,
         ) == 0
-        series = read_bucket_csv(out.read_bytes())
+        series = read_bucket_csv(io.BytesIO(out.read_bytes()))
         assert len(series) == 4
         assert series.announcements.tolist() == [0, 2, 0, 0]
         assert series.withdrawals.tolist() == [0, 1, 0, 0]
@@ -176,7 +177,7 @@ class TestIngestStreams:
         finally:
             tracemalloc.stop()
         assert peak < dump_bytes // 4
-        assert read_bucket_csv((tmp_path / "buckets.csv").read_bytes()).announcements.sum() == 240 * count
+        assert read_bucket_csv(io.BytesIO((tmp_path / "buckets.csv").read_bytes())).announcements.sum() == 240 * count
 
 
 class TestTrainScoreDetect:
@@ -256,7 +257,7 @@ class TestTrainScoreDetect:
 
         monkeypatch.setattr(cli.scg, "train", keep)
         assert run("train", quiet_csv, "--k", 5, "--hidden", 8, "--out", tmp_path / "m.json") == 0
-        buckets = read_bucket_csv(quiet_csv.read_bytes())
+        buckets = read_bucket_csv(io.BytesIO(quiet_csv.read_bytes()))
         expected = make_windows(buckets, 5, fit_normalization(buckets)).astype(np.float32)
         assert seen[0].dtype == np.float32
         assert np.array_equal(seen[0].view(np.uint32), expected.view(np.uint32))
@@ -352,6 +353,16 @@ class TestTrainScoreDetect:
         alarms = tmp_path / "alarms.json"
         assert run("detect", novelty_csv, "--threshold", 5.0, "--out", alarms) == 0
         assert json.loads(alarms.read_text()) == []
+
+    def test_negative_gap_is_a_usage_error_naming_the_flag(self, tmp_path, capsys):
+        novelty_csv = tmp_path / "n.csv"
+        novelty_csv.write_text("minute_utc,novelty\n2001-06-02T00:00:00Z,0.1\n")
+        alarms = tmp_path / "alarms.json"
+        with pytest.raises(SystemExit) as info:
+            run("detect", novelty_csv, "--threshold", 5.0, "--gap-minutes", -3, "--out", alarms)
+        assert info.value.code == 2
+        assert "argument --gap-minutes: must be an integer >= 0, got '-3'" in capsys.readouterr().err
+        assert not alarms.exists()
 
     @pytest.mark.parametrize("threshold", ["nan", "inf"])
     def test_detect_rejects_a_non_finite_threshold(self, tmp_path, capsys, threshold):
@@ -458,6 +469,14 @@ class TestTop:
         assert run("top", src, "--n", 0) == 0
         assert capsys.readouterr().out == "rank,minute_utc,total\n"
 
+    def test_negative_n_is_a_usage_error_naming_the_flag(self, tmp_path, capsys):
+        src = tmp_path / "buckets.csv"
+        src.write_text(top15_csv_text())
+        with pytest.raises(SystemExit) as info:
+            run("top", src, "--n", -1)
+        assert info.value.code == 2
+        assert "argument --n: must be an integer >= 0, got '-1'" in capsys.readouterr().err
+
     def test_row_past_the_series_limit_exits_one_naming_the_line(self, tmp_path, capsys):
         src = tmp_path / "buckets.csv"
         src.write_text(
@@ -514,12 +533,14 @@ class TestCompare:
         assert run("compare", ae, rule, "--out", out) == 0
         assert out.read_text().splitlines()[1] == "2001-09-18T12:00:00Z,,"
 
-    def test_negative_match_window_exits_one(self, tmp_path, capsys):
+    def test_negative_match_window_is_a_usage_error_naming_the_flag(self, tmp_path, capsys):
         ae = tmp_path / "ae.json"
         ae.write_text("[]")
         out = tmp_path / "lead.csv"
-        assert run("compare", ae, ae, "--match-window", -5, "--out", out) == 1
-        assert "error: match window must be >= 0 minutes, got -5" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            run("compare", ae, ae, "--match-window", -5, "--out", out)
+        assert info.value.code == 2
+        assert "argument --match-window: must be an integer >= 0, got '-5'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unsorted_report_exits_one_naming_the_event(self, tmp_path, capsys):
@@ -595,8 +616,8 @@ class TestSynth:
             "--surge", "start=1970-01-01T00:30:00Z,duration=10,shape=step,magnitude=5",
             "--out", surged,
         ) == 0
-        a = read_bucket_csv(plain.read_bytes())
-        b = read_bucket_csv(surged.read_bytes())
+        a = read_bucket_csv(io.BytesIO(plain.read_bytes()))
+        b = read_bucket_csv(io.BytesIO(surged.read_bytes()))
         assert b.announcements[30] == 5 * a.announcements[30]
         assert b.announcements[29] == a.announcements[29]
 
@@ -611,6 +632,14 @@ class TestSynth:
         out = tmp_path / "big.csv"
         assert run("synth", "--minutes", MAX_SERIES_MINUTES + 1, "--out", out) == 1
         assert f"{MAX_SERIES_MINUTES}-minute series limit" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_minutes_is_a_usage_error_naming_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        with pytest.raises(SystemExit) as info:
+            run("synth", "--minutes", 0, "--out", out)
+        assert info.value.code == 2
+        assert "argument --minutes: must be an integer >= 1, got '0'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unwritable_minutes_leave_no_file(self, tmp_path, capsys):

@@ -369,7 +369,7 @@ class TestLeadTimeMatchesReference:
 class TestFormats:
     def test_novelty_csv_round_trip(self):
         minutes, values = points_at([0.0, 0.12345678901234567, 3.5e-7])
-        again_minutes, again_values = read_novelty_csv(novelty_text(NOON, values).encode())
+        again_minutes, again_values = read_novelty_csv(io.BytesIO(novelty_text(NOON, values).encode()))
         assert again_minutes.dtype == np.int64 and again_values.dtype == np.float64
         assert np.array_equal(again_minutes, minutes)
         assert np.array_equal(again_values, values)
@@ -403,17 +403,17 @@ class TestFormats:
             f"2001-06-02T00:01:00Z,{text}\n"
         )
         with pytest.raises(NonFiniteValue, match="line 3"):
-            read_novelty_csv(csv.encode())
+            read_novelty_csv(io.BytesIO(csv.encode()))
 
     def test_novelty_csv_names_the_line_of_a_bad_value(self):
         csv = "minute_utc,novelty\n2001-06-02T00:00:00Z,5.0\n2001-06-02T00:01:00Z,abc\n"
         with pytest.raises(ValueError, match="line 3: could not convert"):
-            read_novelty_csv(csv.encode())
+            read_novelty_csv(io.BytesIO(csv.encode()))
 
     def test_novelty_csv_names_the_line_of_a_bad_timestamp(self):
         csv = "minute_utc,novelty\n2001-06-02T00:00:00Z,5.0\n2001-06-02T00:01:30Z,1.0\n"
         with pytest.raises(BadTimestamp, match="line 3: "):
-            read_novelty_csv(csv.encode())
+            read_novelty_csv(io.BytesIO(csv.encode()))
 
     @pytest.mark.parametrize(
         "rows, error, message",
@@ -432,15 +432,15 @@ class TestFormats:
     def test_novelty_csv_names_the_first_bad_row(self, rows, error, message):
         csv = "minute_utc,novelty\n2001-06-02T00:00:00Z,5.0\n" + "\n".join(rows) + "\n"
         with pytest.raises(error, match=re.escape(message)) as raised:
-            read_novelty_csv(csv.encode())
+            read_novelty_csv(io.BytesIO(csv.encode()))
         assert type(raised.value) is error
 
     def test_novelty_values_keep_the_float_syntax(self):
         csv = "minute_utc,novelty\n2001-06-02T00:00:00Z, 1_0.5 \n2001-06-02T00:01:00Z,\u0662\n"
-        assert read_novelty_csv(csv.encode())[1].tolist() == [10.5, 2.0]
+        assert read_novelty_csv(io.BytesIO(csv.encode()))[1].tolist() == [10.5, 2.0]
 
     def test_empty_novelty_csv_gives_empty_arrays(self):
-        minutes, values = read_novelty_csv(b"minute_utc,novelty\n")
+        minutes, values = read_novelty_csv(io.BytesIO(b"minute_utc,novelty\n"))
         assert minutes.dtype == np.int64 and values.dtype == np.float64
         assert minutes.shape == values.shape == (0,)
 

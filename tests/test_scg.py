@@ -14,7 +14,6 @@ from bgpnovelty.autoencoder import (
     flatten_params,
     init_model,
     objective,
-    save_model,
     sse_loss,
     unflatten_params,
 )
@@ -325,7 +324,7 @@ class TestFusedObjectiveMatchesReference:
         model = init_model(d, h, seed=seed)
         expected, expected_report, _ = self.reference_train(model, X, cycles)
         trained, report = train(model, X, cycles)
-        assert save_model(trained) == save_model(expected)
+        assert flatten_params(trained).tobytes() == flatten_params(expected).tobytes()  # d = 3 has no document
         assert report.loss_history == expected_report.loss_history
         assert report.stop_reason == expected_report.stop_reason
 
