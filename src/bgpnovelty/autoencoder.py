@@ -143,7 +143,7 @@ def gradient(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     return objective(model, X)[1](flatten_params(model))
 
 
-def objective(model: AutoencoderModel, X: np.ndarray):
+def objective(model: AutoencoderModel, X: np.ndarray, run=map):
     """Fused ``(f, g, curvature)`` over flat parameter vectors for the rows of X.
 
     ``f(flat)`` is the loss and ``g(flat)`` its gradient at the model with
@@ -160,6 +160,14 @@ def objective(model: AutoencoderModel, X: np.ndarray):
     forward pass of its point there, ``g`` at that point adds only the
     backward pass, and ``curvature`` at that point reuses both and spends
     them.
+
+    The work runs in blocks, which ``run`` maps a function over as the
+    builtin ``map`` does; ``scg.train`` passes a thread pool's ``map``. Row
+    work runs on row blocks, the products that sum over all rows on blocks
+    of their output rows, and the column sums on blocks of columns. The
+    whole-array float64 sums are never split. The blocks follow from the
+    shapes alone (see :func:`max_tasks`), so the results do not depend on
+    how many workers run them; they depend on the BLAS build.
     """
     _check_matrix(model, X)
     if X.shape[0] == 0:
@@ -171,12 +179,25 @@ def objective(model: AutoencoderModel, X: np.ndarray):
     residual, scratch = np.empty((2, *X.shape), dtype)
     params = np.empty(model.n_params, dtype)
     w1, b1, w2, b2 = _split(model, params)
+    rows, units, inputs = _partition(n, model.input_dim, h)
     at = np.full(model.n_params, np.nan)  # point of the buffers
     backward_at = np.full(model.n_params, np.nan)  # point of slope = 1 - h**2 and d_hidden = (r @ w2) * slope
 
+    def each(task, blocks) -> None:
+        for _ in run(task, blocks):  # drained, so that a block's exception reaches the caller
+            pass
+
+    def forward_rows(b: slice) -> None:
+        np.subtract(_forward(X[b], w1, b1, w2, b2, hidden[b], residual[b]), X[b], out=residual[b])
+        np.square(residual[b], out=scratch[b])  # summed whole by f
+
+    def backward_rows(b: slice) -> None:
+        np.subtract(1.0, np.square(hidden[b], out=slope[b]), out=slope[b])
+        np.multiply(np.matmul(residual[b], w2, out=d_hidden[b]), slope[b], out=d_hidden[b])
+
     def forward(flat: np.ndarray) -> None:
         params[:] = _checked(model, flat)
-        np.subtract(_forward(X, w1, b1, w2, b2, hidden, residual), X, out=residual)
+        each(forward_rows, rows)
         at[:] = flat
         backward_at[:] = np.nan
 
@@ -184,36 +205,89 @@ def objective(model: AutoencoderModel, X: np.ndarray):
         if not np.array_equal(flat, at):
             forward(flat)
         if not np.array_equal(flat, backward_at):
-            np.subtract(1.0, np.square(hidden, out=slope), out=slope)
-            np.multiply(np.matmul(residual, w2, out=d_hidden), slope, out=d_hidden)
+            each(backward_rows, rows)
             backward_at[:] = flat
 
     def f(flat: np.ndarray) -> float:
         forward(flat)
-        return 0.5 * float(np.sum(np.square(residual, out=scratch), dtype=np.float64))
+        return 0.5 * float(np.sum(scratch, dtype=np.float64))
 
     def g(flat: np.ndarray) -> np.ndarray:
         backward(flat)
-        return np.concatenate([
-            (d_hidden.T @ X).ravel(), d_hidden.sum(axis=0, dtype=np.float64),
-            (residual.T @ hidden).ravel(), residual.sum(axis=0, dtype=np.float64),
-        ], dtype=np.float64)
+        grad = np.empty(model.n_params)
+        g_w1, g_b1, g_w2, g_b2 = _split(model, grad)
+
+        def sums(task: tuple) -> None:
+            left, right, out_w, out_b, b = task  # rows b of left.T @ right, and of left's column sums
+            out_w[b] = left[:, b].T @ right
+            out_b[b] = left[:, b].sum(axis=0, dtype=np.float64)
+
+        each(sums, [(d_hidden, X, g_w1, g_b1, b) for b in units] + [(residual, hidden, g_w2, g_b2, b) for b in inputs])
+        return grad
 
     def curvature(flat: np.ndarray, p: np.ndarray) -> float:
         backward(flat)
         at[:] = backward_at[:] = np.nan  # h' and r' overwrite slope and residual below: the buffers are spent
         p1, q1, p2, q2 = _split(model, _checked(model, p).astype(dtype))
-        np.add(np.matmul(X, p1.T, out=a_dot), q1, out=a_dot)
-        h_dot = np.multiply(slope, a_dot, out=slope)  # h' = (1 - h**2) a'
-        np.multiply(np.square(a_dot, out=a_dot), hidden, out=a_dot)
+        h_dot = slope  # h' = (1 - h**2) a', written over slope
+        cross_terms = np.empty(p2.shape, dtype)
+
+        def tangent_rows(b: slice) -> None:
+            np.add(np.matmul(X[b], p1.T, out=a_dot[b]), q1, out=a_dot[b])
+            np.multiply(slope[b], a_dot[b], out=h_dot[b])
+            np.multiply(np.square(a_dot[b], out=a_dot[b]), hidden[b], out=a_dot[b])
+
+        def cross_rows(b: slice) -> None:
+            np.matmul(residual[:, b].T, h_dot, out=cross_terms[b])
+
+        def r_dot_rows(b: slice) -> None:
+            r_dot = np.matmul(h_dot[b], w2.T, out=residual[b])
+            r_dot += np.matmul(hidden[b], p2.T, out=scratch[b])
+            r_dot += q2  # r' = h' w2' + h p2' + q2
+
+        each(tangent_rows, rows)
         tanh_term = _dot64(d_hidden, a_dot)  # <r @ w2, h h' a'>, as h'' = -2 h h' a'
-        cross = _dot64(p2, residual.T @ h_dot)
-        r_dot = np.matmul(h_dot, w2.T, out=residual)
-        r_dot += np.matmul(hidden, p2.T, out=scratch)
-        r_dot += q2  # r' = h' w2' + h p2' + q2
-        return _dot64(r_dot, r_dot) - 2.0 * tanh_term + 2.0 * cross
+        each(cross_rows, inputs)
+        cross = _dot64(p2, cross_terms)
+        each(r_dot_rows, rows)
+        return _dot64(residual, residual) - 2.0 * tanh_term + 2.0 * cross
 
     return f, g, curvature
+
+
+# Blocks of the objective. A product is split only where each part keeps at
+# least _BLOCK_WORK multiply-adds: OpenBLAS's SkylakeX kernels round a
+# product of up to about 10**6 multiply-adds through separate small-matrix
+# code, so a finer split would round differently from the whole. Inner block
+# edges fall on multiples of _BLOCK_ALIGN. The block count is a power of two
+# up to _MAX_BLOCKS. More blocks than workers let the others take over the
+# share of a worker whose CPU another process keeps busy: on 2 cores with one
+# of them busy, 8 row blocks of a 10,031 x 100 window matrix trained as fast
+# as one thread, and 4 blocks 15% slower; with both free, 4 and 8 ran alike.
+_BLOCK_WORK = 1 << 22
+_BLOCK_ALIGN = 16
+_MAX_BLOCKS = 8
+
+
+def _blocks(size: int, work_per_item: int) -> list[slice]:
+    """``range(size)`` as slices of at least ``_BLOCK_WORK`` work each, at ``work_per_item`` per item."""
+    least = max(_BLOCK_ALIGN, -(-_BLOCK_WORK // max(work_per_item, 1))) + _BLOCK_ALIGN
+    count = 1
+    while count < _MAX_BLOCKS and size // (2 * count) >= least:
+        count *= 2
+    edges = [0, *(i * size // count // _BLOCK_ALIGN * _BLOCK_ALIGN for i in range(1, count)), size]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _partition(n: int, input_dim: int, hidden_dim: int) -> tuple[list[slice], list[slice], list[slice]]:
+    """Blocks of the n rows, of the hidden units and of the inputs, for the objective over n rows."""
+    return _blocks(n, input_dim * hidden_dim), _blocks(hidden_dim, n * input_dim), _blocks(input_dim, n * hidden_dim)
+
+
+def max_tasks(model: AutoencoderModel, X: np.ndarray) -> int:
+    """The most blocks of one kind in :func:`objective` over X: 1 where nothing is split."""
+    blocks = _partition(X.shape[0] if X.ndim == 2 else 0, model.input_dim, model.hidden_dim)
+    return max(map(len, blocks))
 
 
 def _dot64(a: np.ndarray, b: np.ndarray) -> float:

@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import BinaryIO, Iterator, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -28,12 +28,14 @@ DEFAULT_GAP_MINUTES = 60
 DEFAULT_SEED = 0
 
 _BUCKET_MAGIC = series.BUCKET_CSV_HEADER.split(",")[0].encode()
-_GZIP_MAGIC = b"\x1f\x8b"
-_BZIP2_MAGIC = b"BZh"
 
 
 class TrainingFailed(ValueError):
     pass
+
+
+class UsageError(Exception):
+    """A combination of flags that the parser does not check: it exits 2, as the parser's own errors do."""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -41,6 +43,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except UsageError as exc:
+        parser.error(f"{args.command}: {exc}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -84,10 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", choices=[detector.SOURCE_AUTOENCODER, detector.SOURCE_RULE],
                    default=detector.SOURCE_AUTOENCODER)
     p.add_argument("--threshold", type=float, help="fixed threshold in the scored units")
-    p.add_argument("--quantile", type=float, help="derive the threshold from this quantile of the input")
+    p.add_argument("--quantile", type=float, help="derive the threshold from this quantile of --quantile-from")
     p.add_argument("--quantile-from", type=Path, metavar="FILE",
-                   help="take the quantile over this calibration file (same format as the "
-                        "input) instead of the input itself, e.g. a quiet-period scoring")
+                   help="calibration file (same format as the input) the quantile is taken over, "
+                        "e.g. a quiet-period scoring; the input's own path calibrates on the input")
     p.add_argument("--gap-minutes", type=whole, default=DEFAULT_GAP_MINUTES,
                    help="quiet minutes merged into one event (default %(default)s)")
     p.add_argument("--out", type=Path, required=True)
@@ -209,8 +213,7 @@ def cmd_ingest(args) -> int:
         if head.startswith(_BUCKET_MAGIC):
             result = _slice_to_flags(series.read_bucket_csv(raw), start, end)
         else:
-            with _decompressed(raw, head) as dump:
-                records = mrt.parse_mrt_stream(dump)
+            records = mrt.parse_mrt_stream(raw, mrt.compression(head))
             if not len(records) and (start is None or end is None):
                 raise ValueError("input contains no BGP UPDATE records and no range was given")
             if start is None:
@@ -221,23 +224,6 @@ def cmd_ingest(args) -> int:
     with _output(args.out) as out:
         series.write_bucket_csv(result, out)
     return 0
-
-
-def _decompressed(raw: BinaryIO, head: bytes) -> BinaryIO:
-    """``raw``, or a gzip or bzip2 reader over it when ``head``, its first bytes, carry that format's magic.
-
-    The codecs are imported here, so a command that reads no compressed dump
-    starts up without them.
-    """
-    if head.startswith(_GZIP_MAGIC):
-        import gzip
-
-        return gzip.GzipFile(fileobj=raw, mode="rb")
-    if head.startswith(_BZIP2_MAGIC):
-        import bz2
-
-        return bz2.BZ2File(raw)
-    return raw
 
 
 def cmd_train(args) -> int:
@@ -274,14 +260,13 @@ def cmd_detect(args) -> int:
         raise ValueError("exactly one of --threshold and --quantile is required")
     if args.quantile_from is not None and args.quantile is None:
         raise ValueError("--quantile-from requires --quantile")
+    if args.quantile is not None and args.quantile_from is None:
+        raise UsageError("--quantile requires --quantile-from FILE; pass the input's own path to calibrate on it")
 
     minutes, values = _read_scores(args.input, args.source)
     threshold = args.threshold
     if threshold is None:
-        if args.quantile_from is not None:
-            _, calibration = _read_scores(args.quantile_from, args.source)
-        else:
-            calibration = values
+        _, calibration = _read_scores(args.quantile_from, args.source)
         threshold = detector.suggest_threshold(calibration, args.quantile)
     events = detector.detect_alarms(
         minutes, values, detector.DetectorConfig(threshold, args.gap_minutes), source=args.source

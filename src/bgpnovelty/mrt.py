@@ -14,19 +14,22 @@ Withdrawn Routes field. Multiprotocol prefixes (MP_REACH_NLRI /
 MP_UNREACH_NLRI) ride inside path attributes and are not decoded; an UPDATE
 carrying only attributes yields a (t, 0, 0) row.
 
-The dump is read from a file object ``CHUNK_BYTES`` at a time. One Python
-loop walks the common headers of each chunk, and the whole records found are
-decoded with numpy, ``BLOCK_RECORDS`` at a time; a record cut by the chunk's
-end is carried into the next chunk. Memory follows the chunk and the longest
-record, plus the 24-byte row of each UPDATE, not the dump.
+The dump is read from a file object ``CHUNK_BYTES`` at a time, and a gzip
+or bzip2 dump is decompressed in the same loop, at most ``CHUNK_BYTES`` a
+step. One Python loop walks the common headers of each chunk, and the whole
+records found are decoded with numpy, ``BLOCK_RECORDS`` at a time; a record
+cut by the chunk's end is carried into the next chunk. Memory follows the
+chunk and the longest record, plus the 24-byte row of each UPDATE, not the
+dump.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 import zlib
 from array import array
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -48,7 +51,11 @@ BGP_HEADER_LEN = 19  # 16-octet marker + 2-octet length + 1-octet type
 BGP_TYPE_UPDATE = 2
 
 BLOCK_RECORDS = 4096  # records decoded per numpy pass
-CHUNK_BYTES = 1 << 18  # bytes read from the stream per step
+CHUNK_BYTES = 1 << 18  # bytes read from the stream, and at most decompressed, per step
+
+GZIP = "gzip"
+BZIP2 = "bzip2"
+_MAGIC = {b"\x1f\x8b": GZIP, b"BZh": BZIP2}
 
 _RECORD_LENGTH = struct.Struct(">8xI")  # the length field, after timestamp, type and subtype
 
@@ -70,33 +77,42 @@ class MalformedPrefix(MrtParseError):
 
 
 class UnreadableStream(MrtParseError):
-    """A read of the stream failed, as it does on a truncated or corrupt gzip or bzip2 dump.
+    """A read of the stream failed, or a gzip or bzip2 dump is truncated or corrupt.
 
     ``offset`` counts the bytes, decompressed where the dump is compressed,
-    that were read before the failing read.
+    that were read before the fault: every record before it was parsed.
     """
 
 
-def parse_mrt_stream(stream: BinaryIO) -> np.ndarray:
+def compression(head: bytes) -> str | None:
+    """:data:`GZIP` or :data:`BZIP2` when ``head``, a dump's first bytes, carries that format's magic, else None."""
+    return next((name for magic, name in _MAGIC.items() if head.startswith(magic)), None)
+
+
+def parse_mrt_stream(stream: BinaryIO, compressed: str | None = None) -> np.ndarray:
     """Parse a binary file object of MRT records into UPDATE count rows.
 
     Reads ``stream`` to its end, ``CHUNK_BYTES`` at a time, and returns an
     ``(n, 3)`` int64 array of ``(timestamp_s, announced, withdrawn)`` rows,
     one per UPDATE, in stream order. The result is a pure function of the
     stream's bytes, whatever the chunk size: parsing a concatenation of two
-    streams equals concatenating the two parses.
+    streams equals concatenating the two parses. With ``compressed`` set to
+    :data:`GZIP` or :data:`BZIP2`, the stream holds the records in that
+    format, as one member or several concatenated ones.
 
     Raises TruncatedRecord / MalformedPrefix with the stream byte offset of
     the first fault in stream order; either aborts the parse. A record cut
     short by the end of the stream is reported only once the stream is read
-    to its end. A read that fails raises UnreadableStream.
+    to its end. A read that fails, or compressed bytes that do not decode
+    to their end, raise UnreadableStream.
     """
     blocks = [np.empty((0, 3), dtype=np.int64)]
     pieces: list[bytes] = []  # read but not yet walked: a cut record, then whole chunks
     held = 0  # bytes in pieces
     want = MRT_HEADER_LEN  # bytes held before a walk can complete a record
     base = 0  # stream offset of the first held byte
-    while chunk := _read(stream, base + held):
+    chunks = iter(lambda: stream.read(CHUNK_BYTES), b"") if compressed is None else _decompressed(stream, compressed)
+    while chunk := _next(chunks, base + held):
         pieces.append(chunk)
         held += len(chunk)
         if held < want:
@@ -118,12 +134,43 @@ def parse_mrt_stream(stream: BinaryIO) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def _read(stream: BinaryIO, offset: int) -> bytes:
-    """The next chunk of ``stream``, empty at its end; a failed read raises UnreadableStream at ``offset``."""
+def _next(chunks: Iterator[bytes], offset: int) -> bytes:
+    """The next chunk, empty at the end; a failed read or decode raises UnreadableStream at ``offset``."""
     try:
-        return stream.read(CHUNK_BYTES)
-    except (EOFError, OSError, zlib.error) as exc:  # what gzip and bz2 raise for a truncated or corrupt stream
+        return next(chunks, b"")
+    except (EOFError, OSError, zlib.error) as exc:  # what the codecs raise for a truncated or corrupt stream
         raise UnreadableStream(f"cannot read the dump: {exc}", offset) from None
+
+
+def _decompressed(stream: BinaryIO, compressed: str) -> Iterator[bytes]:
+    """The decompressed bytes of a gzip or bzip2 stream, at most ``CHUNK_BYTES`` a piece, member after member.
+
+    A decompressor stops at the end of its member, so a fresh one takes the
+    bytes after it, as GzipFile and BZ2File do for concatenated files; bytes
+    after the last member must start another. zlib keeps the input it had no
+    room to decode in ``unconsumed_tail``; bz2 keeps it inside, and says so
+    by ``needs_input``. The bz2 module is imported only for a bzip2 stream.
+    """
+    if compressed == GZIP:
+        new = functools.partial(zlib.decompressobj, 31)  # wbits 16 + 15: a gzip header and trailer
+    else:
+        import bz2
+
+        new = bz2.BZ2Decompressor
+    decoder, fresh, data = new(), True, b""
+    while True:
+        if decoder.eof:
+            decoder, fresh, data = new(), True, decoder.unused_data
+        if not data and getattr(decoder, "needs_input", True):
+            data = stream.read(CHUNK_BYTES)
+            if not data and fresh:
+                return
+        out = decoder.decompress(data, CHUNK_BYTES)
+        fed, fresh, data = data, False, getattr(decoder, "unconsumed_tail", b"")
+        if out:
+            yield out
+        elif not fed and not decoder.eof:
+            raise EOFError("compressed dump ended before the end-of-stream marker was reached")
 
 
 def _walk_headers(data: bytes) -> tuple[array, int]:

@@ -22,13 +22,16 @@ float64; ``train`` is the one place that runs the autoencoder in float32.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .autoencoder import AutoencoderModel, flatten_params, objective, unflatten_params
+from .autoencoder import AutoencoderModel, flatten_params, max_tasks, objective, unflatten_params
 from .series import csv_text
 
 STOP_BUDGET = "budget"
@@ -172,14 +175,45 @@ def train(model: AutoencoderModel, X: np.ndarray, max_cycles: int) -> tuple[Auto
     Training runs in float32: X is cast once, which copies nothing when it
     already is float32, and ``autoencoder.objective`` runs its loss,
     gradient and curvature kernels in X's precision. The SCG vectors, the
-    loss history and the returned weights are float64. Deterministic given
-    (model, X, max_cycles) at a fixed BLAS thread count: the optimizer has
-    no randomness of its own. Raises DimensionMismatch or EmptyDataset, as
-    ``objective`` does, and ValueError for a budget below 1.
+    loss history and the returned weights are float64. The objective's
+    blocks run on a thread pool with one worker per CPU in the process's
+    affinity, up to the blocks there are; with one worker they run in this
+    thread, and no thread outlives the call. Deterministic given (model, X,
+    max_cycles): the weights depend on the BLAS build, not on the worker
+    count, and the optimizer has no randomness of its own. Raises
+    DimensionMismatch or EmptyDataset, as ``objective`` does, and ValueError
+    for a budget below 1.
     """
-    fused = objective(model, X.astype(np.float32, copy=False))
-    best, report = scg_minimize(*fused, flatten_params(model), max_cycles)
+    X = X.astype(np.float32, copy=False)
+    with _mapper(min(_usable_cpus(), max_tasks(model, X))) as run:
+        fused = objective(model, X, run)
+        best, report = scg_minimize(*fused, flatten_params(model), max_cycles)
     return unflatten_params(model, best), report
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity where the platform reports one, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _mapper(workers: int):
+    """The builtin ``map`` for one worker, else the ``map`` of a pool of ``workers`` threads, shut down on exit.
+
+    Each worker takes the caller's numpy error handling, which is per thread.
+    ``concurrent.futures`` is imported here: at module level it would slow
+    every command's start-up.
+    """
+    if workers <= 1:
+        yield map
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers, initializer=functools.partial(np.seterr, **np.geterr())) as pool:
+        yield pool.map
 
 
 def _finite(value: float, array: np.ndarray) -> bool:

@@ -2,12 +2,16 @@
 
 import math
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgpnovelty import autoencoder
 from bgpnovelty.autoencoder import (
     AutoencoderModel,
     BadFormat,
@@ -18,6 +22,7 @@ from bgpnovelty.autoencoder import (
     gradient,
     init_model,
     load_model,
+    max_tasks,
     objective,
     reconstruct,
     save_model,
@@ -333,6 +338,87 @@ class TestFloat32Objective:
         assert grad32.dtype == np.float64
         assert np.max(np.abs(grad32 - grad64)) <= 100 * self.EPS * np.max(np.abs(grad64))
         assert abs(curvature32(flat, p) - curvature64(flat, p)) <= 100 * self.EPS * abs(curvature64(flat, p))
+
+
+# (_BLOCK_WORK, _BLOCK_ALIGN) for the block tests: the shipped blocking, under
+# which these small problems run as one block, and two fine ones that split them.
+BLOCKINGS = [(autoencoder._BLOCK_WORK, autoencoder._BLOCK_ALIGN), (1, 1), (64, 4)]
+
+
+def evaluations(model, X, run, flat, p, other):
+    """f, g and the curvature at ``flat``, then g and f at ``other``, with the objective's blocks mapped by ``run``."""
+    f, g, curvature = objective(model, X, run)
+    return f(flat), g(flat).tobytes(), curvature(flat, p), g(other).tobytes(), f(other)
+
+
+class TestBlocks:
+    """The objective's blocks give the same bits however many workers run them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        d=st.integers(1, 40),
+        h=st.integers(1, 40),
+        blocking=st.sampled_from(BLOCKINGS),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_serially_and_on_pools_of_two_and_three(self, n, d, h, blocking, dtype, seed):
+        rng = np.random.default_rng(seed)
+        model = init_model(d, h, seed=seed)
+        flat, p, other = (rng.normal(size=model.n_params) for _ in range(3))
+        X = rng.uniform(-2.0, 2.0, size=(n, d)).astype(dtype)
+        work, align = blocking
+        # mock, not monkeypatch: a function-scoped fixture would span every example of @given
+        with mock.patch.multiple(autoencoder, _BLOCK_WORK=work, _BLOCK_ALIGN=align):
+            with ThreadPoolExecutor(2) as two, ThreadPoolExecutor(3) as three:
+                serial, *pooled = (evaluations(model, X, run, flat, p, other) for run in (map, two.map, three.map))
+        assert pooled == [serial, serial]
+
+    @pytest.mark.parametrize("n,d,h", [(2100, 64, 64), (9000, 100, 100), (6000, 150, 40)])
+    def test_same_bits_at_sizes_the_shipped_blocking_splits(self, n, d, h):
+        rng = np.random.default_rng(n)
+        model = init_model(d, h, seed=1)
+        flat, p, other = (rng.normal(scale=0.1, size=model.n_params) for _ in range(3))
+        X = rng.uniform(size=(n, d)).astype(np.float32)
+        assert max_tasks(model, X) > 1
+        with ThreadPoolExecutor(2) as two, ThreadPoolExecutor(3) as three:
+            serial, *pooled = (evaluations(model, X, run, flat, p, other) for run in (map, two.map, three.map))
+        assert pooled == [serial, serial]
+
+    def test_same_bits_on_more_workers_than_blocks_switching_often(self):
+        rng = np.random.default_rng(5)
+        model = init_model(12, 9, seed=5)
+        flat, p, other = (rng.normal(size=model.n_params) for _ in range(3))
+        X = rng.uniform(size=(200, 12)).astype(np.float32)
+        interval = sys.getswitchinterval()
+        with mock.patch.multiple(autoencoder, _BLOCK_WORK=1, _BLOCK_ALIGN=1):
+            serial = evaluations(model, X, map, flat, p, other)
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(16) as pool:
+                    pooled = [evaluations(model, X, pool.map, flat, p, other) for _ in range(20)]
+            finally:
+                sys.setswitchinterval(interval)
+        assert pooled == [serial] * 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(size=st.integers(0, 100_000), work_per_item=st.integers(1, 10**7))
+    def test_blocks_cover_the_range_in_large_aligned_parts(self, size, work_per_item):
+        blocks = autoencoder._blocks(size, work_per_item)
+        edges = [block.start for block in blocks] + [size]
+        assert [block.stop for block in blocks] == edges[1:]
+        assert edges[0] == 0
+        count = len(blocks)
+        assert count <= autoencoder._MAX_BLOCKS and count & (count - 1) == 0
+        if count > 1:
+            assert all(edge % autoencoder._BLOCK_ALIGN == 0 for edge in edges[1:-1])
+            assert all((block.stop - block.start) * work_per_item >= autoencoder._BLOCK_WORK for block in blocks)
+
+    def test_small_problems_run_as_one_block(self):
+        model = init_model(6, 5, seed=0)
+        assert max_tasks(model, np.zeros((500, 6))) == 1
+        assert max_tasks(model, np.zeros(6)) == 1  # not a matrix: objective rejects it
 
 
 class TestFlattening:

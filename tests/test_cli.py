@@ -9,6 +9,7 @@ import stat
 import struct
 import threading
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -130,7 +131,7 @@ class TestIngest:
     def test_minute_sum_past_int64_exits_one(self, tmp_path, capsys, monkeypatch):
         # MRT prefix counts are too small to get there, so the parser's rows are stood in for.
         huge = np.array([[60, 2**62, 0], [61, 2**62, 0]], dtype=np.int64)
-        monkeypatch.setattr(cli.mrt, "parse_mrt_stream", lambda data: huge)
+        monkeypatch.setattr(cli.mrt, "parse_mrt_stream", lambda data, compressed: huge)
         src = tmp_path / "updates.mrt"
         src.write_bytes(b"\x00")
         assert run("ingest", src, "--out", tmp_path / "x.csv") == 1
@@ -162,13 +163,37 @@ class TestIngestStreams:
         assert capsys.readouterr().err.startswith("error: cannot read the dump: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "compress,decoder",
+        [(gzip.compress, lambda: zlib.decompressobj(31)), (lambda data: bz2.compress(data, 1), bz2.BZ2Decompressor)],
+        ids=["gz", "bz2"],
+    )
+    def test_cut_dump_names_the_offset_of_its_last_decoded_byte(self, tmp_path, capsys, compress, decoder):
+        stream = self.STREAM * 4  # past one 256 KiB chunk
+        packed = compress(stream)
+        cut = packed[: len(packed) * 3 // 4]
+        decoded = len(decoder().decompress(cut))  # every byte the cut copy still holds
+        assert mrt.CHUNK_BYTES < decoded < len(stream)
+        (tmp_path / "updates.mrt.z").write_bytes(cut)
+        assert run("ingest", tmp_path / "updates.mrt.z", "--out", tmp_path / "buckets.csv") == 1
+        assert capsys.readouterr().err.endswith(f"(byte offset {decoded})\n")
+
     def test_memory_follows_the_chunk_not_the_dump(self, tmp_path, monkeypatch):
+        self.check_ingest_memory(tmp_path, monkeypatch, lambda stream: stream)
+
+    def test_memory_follows_the_chunk_not_a_compressed_dump(self, tmp_path, monkeypatch):
+        self.check_ingest_memory(tmp_path, monkeypatch, gzip.compress)
+
+    @staticmethod
+    def check_ingest_memory(tmp_path, monkeypatch, compress):
         monkeypatch.setattr(mrt, "CHUNK_BYTES", 1 << 16)
         record = bgp4mp_update_record(n_announced=240, n_withdrawn=0)  # about 1 KB
         count = (8 << 20) // len(record)
         src = tmp_path / "updates.mrt"
-        src.write_bytes(b"".join(struct.pack(">I", 600 + i) + record[4:] for i in range(count)))
-        dump_bytes = src.stat().st_size
+        stream = b"".join(struct.pack(">I", 600 + i) + record[4:] for i in range(count))
+        dump_bytes = len(stream)
+        src.write_bytes(compress(stream))
+        del stream
         assert 24 * count < dump_bytes // 40  # the parsed rows are a small part of the dump
         tracemalloc.start()
         try:
@@ -339,9 +364,19 @@ class TestTrainScoreDetect:
         assert len(lines) == 1 + (400 - 5 + 1)
 
         alarms = tmp_path / "alarms.json"
-        assert run("detect", novelty_csv, "--quantile", 0.99, "--out", alarms) == 0
+        assert run("detect", novelty_csv, "--quantile", 0.99, "--quantile-from", novelty_csv, "--out", alarms) == 0
         events = json.loads(alarms.read_text())
         assert isinstance(events, list)
+
+    def test_quantile_without_calibration_is_a_usage_error_naming_the_flag(self, tmp_path, capsys):
+        novelty_csv = tmp_path / "n.csv"
+        novelty_csv.write_text("minute_utc,novelty\n2001-06-02T00:00:00Z,0.1\n")
+        alarms = tmp_path / "alarms.json"
+        with pytest.raises(SystemExit) as info:
+            run("detect", novelty_csv, "--quantile", 0.99, "--out", alarms)
+        assert info.value.code == 2
+        assert "error: detect: --quantile requires --quantile-from FILE" in capsys.readouterr().err
+        assert not alarms.exists()
 
     def test_detect_all_below_threshold_writes_empty_report(self, tmp_path):
         novelty_csv = tmp_path / "n.csv"
@@ -373,7 +408,7 @@ class TestTrainScoreDetect:
         assert f"threshold must be finite, got {threshold}" in capsys.readouterr().err
         assert not alarms.exists()
 
-    @pytest.mark.parametrize("flag", [("--threshold", 1), ("--quantile", 0.5)])
+    @pytest.mark.parametrize("flag", [("--threshold", 1), ("--quantile", 0.5, "--quantile-from", None)])
     def test_detect_rejects_non_finite_novelty(self, tmp_path, capsys, flag):
         novelty_csv = tmp_path / "n.csv"
         novelty_csv.write_text(
@@ -382,6 +417,7 @@ class TestTrainScoreDetect:
             "2001-06-02T00:01:00Z,nan\n"
         )
         alarms = tmp_path / "alarms.json"
+        flag = [novelty_csv if arg is None else arg for arg in flag]  # the input calibrates itself
         assert run("detect", novelty_csv, *flag, "--out", alarms) == 1
         assert "line 3" in capsys.readouterr().err
         assert not alarms.exists()
@@ -743,7 +779,7 @@ class TestEndToEnd:
                    "--out", buckets) == 0
         assert run("train", buckets, "--out", model) == 0
         assert run("score", buckets, model, "--out", novelty_csv) == 0
-        assert run("detect", novelty_csv, "--quantile", 0.999, "--out", alarms) == 0
+        assert run("detect", novelty_csv, "--quantile", 0.999, "--quantile-from", novelty_csv, "--out", alarms) == 0
         assert isinstance(json.loads(alarms.read_text()), list)
 
     def test_usage_error_exits_two(self):

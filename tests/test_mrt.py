@@ -3,6 +3,7 @@
 import bz2
 import gzip
 import io
+import zlib
 from itertools import product
 
 import numpy as np
@@ -13,10 +14,13 @@ from hypothesis import strategies as st
 from bgpnovelty import mrt
 from bgpnovelty.mrt import (
     BLOCK_RECORDS,
+    BZIP2,
+    GZIP,
     MalformedPrefix,
     MrtParseError,
     TruncatedRecord,
     UnreadableStream,
+    compression,
     parse_mrt_stream,
 )
 
@@ -395,3 +399,71 @@ class TestCompressedStreams:
                     parse_mrt_stream(stream)
         # Every byte before the offset was read intact, in whole 100-byte reads.
         assert info.value.offset % 100 == 0 and info.value.offset < len(self.STREAM)
+
+
+def level_one_bzip2(data):
+    """bzip2 in 100 kB blocks, so that a cut dump still holds whole blocks to decode."""
+    return bz2.compress(data, compresslevel=1)
+
+
+# (compress, format name, decoder of the bytes a cut or damaged copy still holds)
+CODECS = [
+    (gzip.compress, GZIP, lambda data: zlib.decompressobj(31).decompress(data)),
+    (level_one_bzip2, BZIP2, lambda data: bz2.BZ2Decompressor().decompress(data)),
+]
+
+
+class TestDecompressedInTheChunkLoop:
+    RECORDS = [bgp4mp_update_record(timestamp=60 * i, n_announced=i % 7, as4=i % 2 == 1) for i in range(12_000)]
+    STREAM = b"".join(RECORDS)
+
+    def test_format_is_told_by_its_magic_bytes(self):
+        assert compression(gzip.compress(b"x")) == GZIP
+        assert compression(bz2.compress(b"x")) == BZIP2
+        assert compression(self.STREAM[:3]) is None
+        assert compression(b"") is None
+
+    @pytest.mark.parametrize("size", [1, 100, 1 << 18])
+    @pytest.mark.parametrize("compress,name,_", CODECS, ids=[GZIP, BZIP2])
+    def test_multi_member_dump_parses_like_the_raw_bytes(self, compress, name, _, size):
+        stream = b"".join(self.RECORDS[:300])
+        cut = len(stream) // 3 + 5  # inside a record: members need not end at one
+        dump = compress(stream[:cut]) + compress(b"") + compress(stream[cut:])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mrt, "CHUNK_BYTES", size)
+            assert rows(parse_mrt_stream(io.BytesIO(dump), name)) == rows(parse_bytes(stream))
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.75])
+    @pytest.mark.parametrize("compress,name,decode", CODECS, ids=[GZIP, BZIP2])
+    def test_cut_dump_names_the_offset_of_its_last_decoded_byte(self, compress, name, decode, fraction):
+        packed = compress(self.STREAM)
+        cut = packed[: int(len(packed) * fraction)]
+        decoded = len(decode(cut))  # every byte the cut copy still holds
+        assert 0 < decoded < len(self.STREAM)
+        with pytest.raises(UnreadableStream, match="^cannot read the dump: ") as info:
+            parse_mrt_stream(io.BytesIO(cut), name)
+        assert info.value.offset == decoded
+
+    def test_a_dump_cut_past_the_first_chunk_is_named_exactly(self):
+        packed = gzip.compress(self.STREAM)
+        cut = packed[: int(len(packed) * 0.75)]
+        assert len(zlib.decompressobj(31).decompress(cut)) > mrt.CHUNK_BYTES  # past one read of the parent's GzipFile
+        with pytest.raises(UnreadableStream) as info:
+            parse_mrt_stream(io.BytesIO(cut), GZIP)
+        assert info.value.offset % mrt.CHUNK_BYTES != 0
+
+    @pytest.mark.parametrize("compress,name,_", CODECS, ids=[GZIP, BZIP2])
+    def test_bytes_after_the_last_member_must_start_another(self, compress, name, _):
+        stream = b"".join(self.RECORDS[:100])
+        with pytest.raises(UnreadableStream) as info:
+            parse_mrt_stream(io.BytesIO(compress(stream) + b"trailing bytes"), name)
+        assert info.value.offset == len(stream)
+
+    @pytest.mark.parametrize("compress,name,_", CODECS, ids=[GZIP, BZIP2])
+    def test_output_per_step_is_bounded_by_the_chunk(self, compress, name, _):
+        dump = compress(bytes(1 << 20))  # a megabyte of zeros packs into a few kilobytes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mrt, "CHUNK_BYTES", 1 << 12)
+            pieces = list(mrt._decompressed(io.BytesIO(dump), name))
+        assert sum(map(len, pieces)) == 1 << 20
+        assert max(map(len, pieces)) <= 1 << 12

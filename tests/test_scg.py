@@ -1,5 +1,6 @@
 """SCG optimizer behaviour: convergence, economy, determinism."""
 
+import threading
 from unittest import mock
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bgpnovelty import scg
+from bgpnovelty import autoencoder, scg
 from bgpnovelty.autoencoder import (
     DimensionMismatch,
     EmptyDataset,
@@ -267,9 +268,9 @@ class TestTrain:
         X = np.random.default_rng(24).uniform(size=(10, 4)).astype(np.float32)
         seen = []
 
-        def keep(model, data):
+        def keep(model, data, run):
             seen.append(data)
-            return objective(model, data)
+            return objective(model, data, run)
 
         monkeypatch.setattr(scg, "objective", keep)
         train(init_model(4, 3, seed=3), X, 1)
@@ -334,3 +335,107 @@ class TestFusedObjectiveMatchesReference:
         X = np.random.default_rng(0).uniform(size=(12, 4))
         _, report, g_calls = self.reference_train(init_model(4, 3, seed=0), X, 40)
         assert g_calls < report.cycles_run + 1
+
+
+@pytest.fixture
+def fine_blocks(monkeypatch):
+    """Blocks small enough that the few-row problems below run as several tasks."""
+    monkeypatch.setattr(autoencoder, "_BLOCK_WORK", 1)
+    monkeypatch.setattr(autoencoder, "_BLOCK_ALIGN", 1)
+
+
+@pytest.fixture
+def block_threads(monkeypatch):
+    """The threads that run the objective's forward blocks, collected as train runs."""
+    seen = set()
+    forward = autoencoder._forward
+
+    def recorded(*args):
+        seen.add(threading.current_thread())
+        return forward(*args)
+
+    monkeypatch.setattr(autoencoder, "_forward", recorded)
+    return seen
+
+
+def cpus(monkeypatch, count):
+    monkeypatch.setattr(scg, "_usable_cpus", lambda: count)
+
+
+class TestTrainWorkers:
+    """``train`` runs the objective's blocks on a pool sized by the CPUs, with the same result at any size."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        d=st.integers(1, 6),
+        h=st.integers(1, 6),
+        cycles=st.integers(1, 15),
+        count=st.sampled_from([2, 3, 5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_model_and_losses_at_any_cpu_count(self, n, d, h, cycles, count, seed):
+        X = np.random.default_rng(seed).uniform(size=(n, d))
+        model = init_model(d, h, seed=seed)
+        outcomes = []
+        # mock, not monkeypatch: a function-scoped fixture would span every example of @given
+        with mock.patch.multiple(autoencoder, _BLOCK_WORK=1, _BLOCK_ALIGN=1):
+            for usable in (1, count):
+                with mock.patch.object(scg, "_usable_cpus", lambda: usable):
+                    trained, report = train(model, X, cycles)
+                outcomes.append((flatten_params(trained).tobytes(), report.loss_history, report.stop_reason))
+        assert outcomes[1] == outcomes[0]
+
+    def test_one_cpu_runs_every_block_in_the_calling_thread(self, fine_blocks, block_threads, monkeypatch):
+        cpus(monkeypatch, 1)
+        before = threading.active_count()
+        train(init_model(4, 3, seed=0), np.random.default_rng(1).uniform(size=(40, 4)), 5)
+        assert block_threads == {threading.current_thread()}
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_run(self, fine_blocks, block_threads, monkeypatch):
+        cpus(monkeypatch, 3)
+        before = threading.active_count()
+        _, report = train(init_model(4, 3, seed=0), np.random.default_rng(1).uniform(size=(40, 4)), 5)
+        assert report.stop_reason == STOP_BUDGET
+        assert threading.current_thread() not in block_threads  # the blocks ran on the pool
+        assert threading.active_count() == before
+
+    def test_non_finite_stop_ends_the_pool_and_keeps_the_callers_error_handling(
+        self, fine_blocks, block_threads, monkeypatch
+    ):
+        cpus(monkeypatch, 3)
+        before = threading.active_count()
+        # The squares overflow float32. The pytest configuration turns numpy's
+        # warning into an error, so a worker that ignored the caller's errstate would raise.
+        with np.errstate(all="ignore"):
+            _, report = train(init_model(4, 3, seed=0), np.full((40, 4), 1e30), 5)
+        assert report.stop_reason == STOP_NON_FINITE
+        assert threading.current_thread() not in block_threads
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("X,error", [(np.zeros((0, 4)), EmptyDataset), (np.zeros((40, 6)), DimensionMismatch)])
+    def test_bad_windows_raise_before_any_block_runs(self, X, error, fine_blocks, block_threads, monkeypatch):
+        cpus(monkeypatch, 3)
+        before = threading.active_count()
+        with pytest.raises(error):
+            train(init_model(4, 3, seed=0), X, 5)
+        assert not block_threads
+        assert threading.active_count() == before
+
+    def test_a_workers_exception_reaches_the_caller_unchanged(self, fine_blocks, monkeypatch):
+        cpus(monkeypatch, 3)
+        failure = ArithmeticError("raised in a block")
+        forward = autoencoder._forward
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise failure
+            return forward(*args)
+
+        monkeypatch.setattr(autoencoder, "_forward", failing)
+        before = threading.active_count()
+        with pytest.raises(ArithmeticError) as raised:
+            train(init_model(4, 3, seed=0), np.random.default_rng(1).uniform(size=(40, 4)), 5)
+        assert raised.value is failure
+        assert threading.active_count() == before
