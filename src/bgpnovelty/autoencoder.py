@@ -165,26 +165,28 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
     builtin ``map`` does; ``scg.train`` passes a thread pool's ``map``. Row
     work runs on row blocks, the products that sum over all rows on blocks
     of their output rows, and the column sums on blocks of columns. The
-    whole-array float64 sums are never split. The blocks follow from the
-    shapes alone (see :func:`max_tasks`), so the results do not depend on
-    how many workers run them; they depend on the BLAS build.
+    whole-array float64 sums are never split; the gradient's task ``i``
+    takes block ``i`` of both its products. A phase of one task runs through
+    the builtin ``map``, in the calling thread. The blocks follow
+    from the shapes alone (see :func:`_blocks`), so the results do not
+    depend on how many workers run them; they depend on the BLAS build.
     """
     _check_matrix(model, X)
     if X.shape[0] == 0:
         raise EmptyDataset("the dataset has no rows; at least one is required")
     dtype = np.result_type(X, np.float32)
     X = X.astype(dtype, copy=False)
-    n, h = X.shape[0], model.hidden_dim
+    n, d, h = *X.shape, model.hidden_dim
     hidden, slope, d_hidden, a_dot = np.empty((4, n, h), dtype)
     residual, scratch = np.empty((2, *X.shape), dtype)
     params = np.empty(model.n_params, dtype)
     w1, b1, w2, b2 = _split(model, params)
-    rows, units, inputs = _partition(n, model.input_dim, h)
+    rows, units, inputs = _blocks(n, d * h), _blocks(h, n * d), _blocks(d, n * h)  # of the rows, hidden units, inputs
     at = np.full(model.n_params, np.nan)  # point of the buffers
     backward_at = np.full(model.n_params, np.nan)  # point of slope = 1 - h**2 and d_hidden = (r @ w2) * slope
 
     def each(task, blocks) -> None:
-        for _ in run(task, blocks):  # drained, so that a block's exception reaches the caller
+        for _ in (run if len(blocks) > 1 else map)(task, blocks):  # drained, so a block's exception reaches the caller
             pass
 
     def forward_rows(b: slice) -> None:
@@ -216,13 +218,16 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
         backward(flat)
         grad = np.empty(model.n_params)
         g_w1, g_b1, g_w2, g_b2 = _split(model, grad)
+        products = (d_hidden, X, g_w1, g_b1, units), (residual, hidden, g_w2, g_b2, inputs)
 
-        def sums(task: tuple) -> None:
-            left, right, out_w, out_b, b = task  # rows b of left.T @ right, and of left's column sums
-            out_w[b] = left[:, b].T @ right
-            out_b[b] = left[:, b].sum(axis=0, dtype=np.float64)
+        def sums(i: int) -> None:  # block i of each product: its rows of left.T @ right and of left's column sums
+            for left, right, out_w, out_b, blocks in products:
+                if i < len(blocks):
+                    b = blocks[i]
+                    out_w[b] = left[:, b].T @ right
+                    out_b[b] = left[:, b].sum(axis=0, dtype=np.float64)
 
-        each(sums, [(d_hidden, X, g_w1, g_b1, b) for b in units] + [(residual, hidden, g_w2, g_b2, b) for b in inputs])
+        each(sums, range(max(len(units), len(inputs))))
         return grad
 
     def curvature(flat: np.ndarray, p: np.ndarray) -> float:
@@ -277,17 +282,6 @@ def _blocks(size: int, work_per_item: int) -> list[slice]:
         count *= 2
     edges = [0, *(i * size // count // _BLOCK_ALIGN * _BLOCK_ALIGN for i in range(1, count)), size]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-
-def _partition(n: int, input_dim: int, hidden_dim: int) -> tuple[list[slice], list[slice], list[slice]]:
-    """Blocks of the n rows, of the hidden units and of the inputs, for the objective over n rows."""
-    return _blocks(n, input_dim * hidden_dim), _blocks(hidden_dim, n * input_dim), _blocks(input_dim, n * hidden_dim)
-
-
-def max_tasks(model: AutoencoderModel, X: np.ndarray) -> int:
-    """The most blocks of one kind in :func:`objective` over X: 1 where nothing is split."""
-    blocks = _partition(X.shape[0] if X.ndim == 2 else 0, model.input_dim, model.hidden_dim)
-    return max(map(len, blocks))
 
 
 def _dot64(a: np.ndarray, b: np.ndarray) -> float:

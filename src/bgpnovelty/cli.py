@@ -24,7 +24,6 @@ from . import autoencoder, detector, features, mrt, scg, series, synth
 DEFAULT_K = 50
 DEFAULT_HIDDEN = 100
 DEFAULT_CYCLES = 100
-DEFAULT_GAP_MINUTES = 60
 DEFAULT_SEED = 0
 
 _BUCKET_MAGIC = series.BUCKET_CSV_HEADER.split(",")[0].encode()
@@ -87,12 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", type=Path, help="novelty CSV (autoencoder) or bucket CSV (rule)")
     p.add_argument("--source", choices=[detector.SOURCE_AUTOENCODER, detector.SOURCE_RULE],
                    default=detector.SOURCE_AUTOENCODER)
-    p.add_argument("--threshold", type=float, help="fixed threshold in the scored units")
-    p.add_argument("--quantile", type=float, help="derive the threshold from this quantile of --quantile-from")
+    threshold = p.add_mutually_exclusive_group(required=True)
+    threshold.add_argument("--threshold", type=float, help="fixed threshold in the scored units")
+    threshold.add_argument("--quantile", type=float, help="derive the threshold from this quantile of --quantile-from")
     p.add_argument("--quantile-from", type=Path, metavar="FILE",
                    help="calibration file (same format as the input) the quantile is taken over, "
                         "e.g. a quiet-period scoring; the input's own path calibrates on the input")
-    p.add_argument("--gap-minutes", type=whole, default=DEFAULT_GAP_MINUTES,
+    p.add_argument("--gap-minutes", type=whole, default=detector.DetectorConfig.group_gap_minutes,
                    help="quiet minutes merged into one event (default %(default)s)")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(handler=cmd_detect)
@@ -217,9 +217,9 @@ def cmd_ingest(args) -> int:
             if not len(records) and (start is None or end is None):
                 raise ValueError("input contains no BGP UPDATE records and no range was given")
             if start is None:
-                start = int(records[:, 0].min()) // 60 * 60
+                start = int(records[:, 0].min()) // series.MINUTE * series.MINUTE
             if end is None:
-                end = int(records[:, 0].max()) // 60 * 60
+                end = int(records[:, 0].max()) // series.MINUTE * series.MINUTE
             result = series.bucketize(records, start, end)
     with _output(args.out) as out:
         series.write_bucket_csv(result, out)
@@ -256,12 +256,11 @@ def cmd_score(args) -> int:
 
 
 def cmd_detect(args) -> int:
-    if (args.threshold is None) == (args.quantile is None):
-        raise ValueError("exactly one of --threshold and --quantile is required")
-    if args.quantile_from is not None and args.quantile is None:
-        raise ValueError("--quantile-from requires --quantile")
-    if args.quantile is not None and args.quantile_from is None:
-        raise UsageError("--quantile requires --quantile-from FILE; pass the input's own path to calibrate on it")
+    if (args.quantile is None) != (args.quantile_from is None):
+        raise UsageError(
+            "--quantile-from requires --quantile" if args.quantile is None
+            else "--quantile requires --quantile-from FILE; pass the input's own path to calibrate on it"
+        )
 
     minutes, values = _read_scores(args.input, args.source)
     threshold = args.threshold

@@ -17,14 +17,16 @@ carrying only attributes yields a (t, 0, 0) row.
 The dump is read from a file object ``CHUNK_BYTES`` at a time, and a gzip
 or bzip2 dump is decompressed in the same loop, at most ``CHUNK_BYTES`` a
 step. One Python loop walks the common headers of each chunk, and the whole
-records found are decoded with numpy, ``BLOCK_RECORDS`` at a time; a record
-cut by the chunk's end is carried into the next chunk. Memory follows the
-chunk and the longest record, plus the 24-byte row of each UPDATE, not the
-dump.
+records found are decoded with numpy in one pass; a record cut by the
+chunk's end is carried into the next chunk. A pass sees a chunk and at most
+one carried record, and so about ``CHUNK_BYTES / 12`` records at most.
+Memory follows the chunk and the longest record, plus the 24-byte row of
+each UPDATE, not the dump.
 """
 
 from __future__ import annotations
 
+import bz2
 import functools
 import struct
 import zlib
@@ -50,12 +52,13 @@ AFI_IPV6 = 2
 BGP_HEADER_LEN = 19  # 16-octet marker + 2-octet length + 1-octet type
 BGP_TYPE_UPDATE = 2
 
-BLOCK_RECORDS = 4096  # records decoded per numpy pass
 CHUNK_BYTES = 1 << 18  # bytes read from the stream, and at most decompressed, per step
 
 GZIP = "gzip"
 BZIP2 = "bzip2"
 _MAGIC = {b"\x1f\x8b": GZIP, b"BZh": BZIP2}
+# A fresh decompressor for one member of each format; zlib's wbits 16 + 15 takes a gzip header and trailer.
+_DECOMPRESSORS = {GZIP: functools.partial(zlib.decompressobj, 31), BZIP2: bz2.BZ2Decompressor}
 
 _RECORD_LENGTH = struct.Struct(">8xI")  # the length field, after timestamp, type and subtype
 
@@ -119,10 +122,7 @@ def parse_mrt_stream(stream: BinaryIO, compressed: str | None = None) -> np.ndar
             continue
         data = b"".join(pieces)
         starts, stop = _walk_headers(data)
-        buf = np.frombuffer(data, dtype=np.uint8)
-        starts = np.frombuffer(starts, dtype=np.int64)
-        for lo in range(0, starts.size, BLOCK_RECORDS):
-            blocks.append(_decode_block(buf, starts[lo : lo + BLOCK_RECORDS], base))
+        blocks.append(_decode_block(np.frombuffer(data, dtype=np.uint8), np.frombuffer(starts, dtype=np.int64), base))
         pieces = [data[stop:]]
         held = len(data) - stop
         want = MRT_HEADER_LEN + (_RECORD_LENGTH.unpack_from(data, stop)[0] if held >= MRT_HEADER_LEN else 0)
@@ -149,14 +149,9 @@ def _decompressed(stream: BinaryIO, compressed: str) -> Iterator[bytes]:
     bytes after it, as GzipFile and BZ2File do for concatenated files; bytes
     after the last member must start another. zlib keeps the input it had no
     room to decode in ``unconsumed_tail``; bz2 keeps it inside, and says so
-    by ``needs_input``. The bz2 module is imported only for a bzip2 stream.
+    by ``needs_input``.
     """
-    if compressed == GZIP:
-        new = functools.partial(zlib.decompressobj, 31)  # wbits 16 + 15: a gzip header and trailer
-    else:
-        import bz2
-
-        new = bz2.BZ2Decompressor
+    new = _DECOMPRESSORS[compressed]
     decoder, fresh, data = new(), True, b""
     while True:
         if decoder.eof:

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autoencoder import AutoencoderModel, flatten_params, max_tasks, objective, unflatten_params
+from .autoencoder import AutoencoderModel, flatten_params, objective, unflatten_params
 from .series import csv_text
 
 STOP_BUDGET = "budget"
@@ -176,16 +176,17 @@ def train(model: AutoencoderModel, X: np.ndarray, max_cycles: int) -> tuple[Auto
     already is float32, and ``autoencoder.objective`` runs its loss,
     gradient and curvature kernels in X's precision. The SCG vectors, the
     loss history and the returned weights are float64. The objective's
-    blocks run on a thread pool with one worker per CPU in the process's
-    affinity, up to the blocks there are; with one worker they run in this
-    thread, and no thread outlives the call. Deterministic given (model, X,
+    blocks run on a thread pool of one worker per CPU in the process's
+    affinity, which starts a thread only when a block waits and no thread
+    is idle. With one CPU, and in a phase of one block, they run in this
+    thread; no thread outlives the call. Deterministic given (model, X,
     max_cycles): the weights depend on the BLAS build, not on the worker
     count, and the optimizer has no randomness of its own. Raises
     DimensionMismatch or EmptyDataset, as ``objective`` does, and ValueError
     for a budget below 1.
     """
     X = X.astype(np.float32, copy=False)
-    with _mapper(min(_usable_cpus(), max_tasks(model, X))) as run:
+    with _mapper(_usable_cpus()) as run:
         fused = objective(model, X, run)
         best, report = scg_minimize(*fused, flatten_params(model), max_cycles)
     return unflatten_params(model, best), report

@@ -22,7 +22,6 @@ from bgpnovelty.autoencoder import (
     gradient,
     init_model,
     load_model,
-    max_tasks,
     objective,
     reconstruct,
     save_model,
@@ -381,7 +380,7 @@ class TestBlocks:
         model = init_model(d, h, seed=1)
         flat, p, other = (rng.normal(scale=0.1, size=model.n_params) for _ in range(3))
         X = rng.uniform(size=(n, d)).astype(np.float32)
-        assert max_tasks(model, X) > 1
+        assert len(autoencoder._blocks(n, d * h)) > 1  # the rows are split
         with ThreadPoolExecutor(2) as two, ThreadPoolExecutor(3) as three:
             serial, *pooled = (evaluations(model, X, run, flat, p, other) for run in (map, two.map, three.map))
         assert pooled == [serial, serial]
@@ -414,11 +413,6 @@ class TestBlocks:
         if count > 1:
             assert all(edge % autoencoder._BLOCK_ALIGN == 0 for edge in edges[1:-1])
             assert all((block.stop - block.start) * work_per_item >= autoencoder._BLOCK_WORK for block in blocks)
-
-    def test_small_problems_run_as_one_block(self):
-        model = init_model(6, 5, seed=0)
-        assert max_tasks(model, np.zeros((500, 6))) == 1
-        assert max_tasks(model, np.zeros(6)) == 1  # not a matrix: objective rejects it
 
 
 class TestFlattening:

@@ -7,6 +7,8 @@ import json
 import os
 import stat
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 import zlib
@@ -41,6 +43,14 @@ class TestDefaults:
             ["detect", "n.csv", "--threshold", "1", "--out", "a.json"]
         )
         assert args.gap_minutes == 60
+
+    def test_importing_the_cli_does_not_load_the_thread_pool(self):
+        # scg.train imports concurrent.futures when it trains: every other command starts without it.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        probe = "import sys, bgpnovelty.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
+        env = {**os.environ, "PYTHONPATH": src}
+        loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert loaded.stdout == "[]\n"
 
 
 class TestIngest:
@@ -425,11 +435,12 @@ class TestTrainScoreDetect:
     def test_detect_requires_exactly_one_threshold_flag(self, tmp_path, capsys):
         novelty_csv = tmp_path / "n.csv"
         novelty_csv.write_text("minute_utc,novelty\n2001-06-02T00:00:00Z,0.1\n")
-        assert run("detect", novelty_csv, "--out", tmp_path / "a.json") == 1
-        assert run(
-            "detect", novelty_csv, "--threshold", 1, "--quantile", 0.9,
-            "--out", tmp_path / "a.json",
-        ) == 1
+        for flags in [(), ("--threshold", 1, "--quantile", 0.9, "--quantile-from", novelty_csv)]:
+            with pytest.raises(SystemExit) as info:
+                run("detect", novelty_csv, *flags, "--out", tmp_path / "a.json")
+            assert info.value.code == 2
+            assert "--threshold" in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists()
 
     def test_detect_quantile_from_calibration_file(self, tmp_path):
         quiet = tmp_path / "quiet.csv"
@@ -456,11 +467,11 @@ class TestTrainScoreDetect:
         live.write_text("minute_utc,novelty\n2001-09-18T12:00:00Z,0.05\n")
         quiet = tmp_path / "quiet.csv"
         quiet.write_text("minute_utc,novelty\n2001-06-02T00:00:00Z,0.01\n")
-        assert run(
-            "detect", live, "--threshold", 1.0, "--quantile-from", quiet,
-            "--out", tmp_path / "a.json",
-        ) == 1
-        assert "--quantile" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as info:
+            run("detect", live, "--threshold", 1.0, "--quantile-from", quiet, "--out", tmp_path / "a.json")
+        assert info.value.code == 2
+        assert "error: detect: --quantile-from requires --quantile" in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists()
 
     def test_detect_rule_source_on_bucket_csv(self, tmp_path):
         src = tmp_path / "buckets.csv"

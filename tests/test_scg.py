@@ -362,6 +362,19 @@ def cpus(monkeypatch, count):
     monkeypatch.setattr(scg, "_usable_cpus", lambda: count)
 
 
+def threads_started(monkeypatch) -> list:
+    """The threads started from here on, collected as they start."""
+    started = []
+    start = threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return started
+
+
 class TestTrainWorkers:
     """``train`` runs the objective's blocks on a pool sized by the CPUs, with the same result at any size."""
 
@@ -391,6 +404,25 @@ class TestTrainWorkers:
         before = threading.active_count()
         train(init_model(4, 3, seed=0), np.random.default_rng(1).uniform(size=(40, 4)), 5)
         assert block_threads == {threading.current_thread()}
+        assert threading.active_count() == before
+
+    def test_a_small_problem_runs_every_block_in_the_calling_thread_on_several_cpus(self, block_threads, monkeypatch):
+        # The shipped blocking keeps 500 x 6 whole: the pool is opened, and no thread starts.
+        cpus(monkeypatch, 3)
+        started = threads_started(monkeypatch)
+        train(init_model(6, 5, seed=0), np.random.default_rng(1).uniform(size=(500, 6)), 5)
+        assert block_threads == {threading.current_thread()}
+        assert not started
+
+    def test_the_pool_starts_at_most_one_thread_per_cpu(self, block_threads, monkeypatch):
+        # 9,000 x 100 windows at 100 hidden units: the shipped blocking cuts the rows into 8 blocks.
+        cpus(monkeypatch, 2)
+        started = threads_started(monkeypatch)
+        before = threading.active_count()
+        train(init_model(100, 100, seed=0), np.random.default_rng(1).uniform(size=(9000, 100)), 2)
+        assert len(autoencoder._blocks(9000, 100 * 100)) == 8
+        assert 1 <= len(started) <= 2
+        assert threading.current_thread() not in block_threads
         assert threading.active_count() == before
 
     def test_no_thread_outlives_a_run(self, fine_blocks, block_threads, monkeypatch):
