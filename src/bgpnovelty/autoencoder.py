@@ -14,8 +14,11 @@ instance that was trained.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -185,10 +188,6 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
     at = np.full(model.n_params, np.nan)  # point of the buffers
     backward_at = np.full(model.n_params, np.nan)  # point of slope = 1 - h**2 and d_hidden = (r @ w2) * slope
 
-    def each(task, blocks) -> None:
-        for _ in (run if len(blocks) > 1 else map)(task, blocks):  # drained, so a block's exception reaches the caller
-            pass
-
     def forward_rows(b: slice) -> None:
         np.subtract(_forward(X[b], w1, b1, w2, b2, hidden[b], residual[b]), X[b], out=residual[b])
         np.square(residual[b], out=scratch[b])  # summed whole by f
@@ -199,7 +198,7 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
 
     def forward(flat: np.ndarray) -> None:
         params[:] = _checked(model, flat)
-        each(forward_rows, rows)
+        _each(run, forward_rows, rows)
         at[:] = flat
         backward_at[:] = np.nan
 
@@ -207,7 +206,7 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
         if not np.array_equal(flat, at):
             forward(flat)
         if not np.array_equal(flat, backward_at):
-            each(backward_rows, rows)
+            _each(run, backward_rows, rows)
             backward_at[:] = flat
 
     def f(flat: np.ndarray) -> float:
@@ -227,7 +226,7 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
                     out_w[b] = left[:, b].T @ right
                     out_b[b] = left[:, b].sum(axis=0, dtype=np.float64)
 
-        each(sums, range(max(len(units), len(inputs))))
+        _each(run, sums, range(max(len(units), len(inputs))))
         return grad
 
     def curvature(flat: np.ndarray, p: np.ndarray) -> float:
@@ -250,11 +249,11 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
             r_dot += np.matmul(hidden[b], p2.T, out=scratch[b])
             r_dot += q2  # r' = h' w2' + h p2' + q2
 
-        each(tangent_rows, rows)
+        _each(run, tangent_rows, rows)
         tanh_term = _dot64(d_hidden, a_dot)  # <r @ w2, h h' a'>, as h'' = -2 h h' a'
-        each(cross_rows, inputs)
+        _each(run, cross_rows, inputs)
         cross = _dot64(p2, cross_terms)
-        each(r_dot_rows, rows)
+        _each(run, r_dot_rows, rows)
         return _dot64(residual, residual) - 2.0 * tanh_term + 2.0 * cross
 
     return f, g, curvature
@@ -282,6 +281,47 @@ def _blocks(size: int, work_per_item: int) -> list[slice]:
         count *= 2
     edges = [0, *(i * size // count // _BLOCK_ALIGN * _BLOCK_ALIGN for i in range(1, count)), size]
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity where the platform reports one, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _mapper():
+    """The ``map`` that training and scoring run their blocks with, and how many blocks it runs at once.
+
+    It is the builtin ``map`` for one usable CPU, else the ``map`` of a pool
+    of one thread per usable CPU, up to ``_MAX_BLOCKS`` threads, which starts
+    a thread only when a block waits and no thread is idle, and is shut down
+    on exit. No phase of the objective has more blocks, and scoring holds a
+    set of block buffers per worker, so the cap keeps a many-core host's
+    threads and memory at those of ``_MAX_BLOCKS`` CPUs. Each worker takes
+    the caller's numpy error handling, which is per thread.
+    ``concurrent.futures`` is imported here: at module level it would slow
+    every command's start-up.
+    """
+    workers = min(_usable_cpus(), _MAX_BLOCKS)
+    if workers <= 1:
+        yield map, 1
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(workers, initializer=functools.partial(np.seterr, **np.geterr())) as pool:
+        yield pool.map, workers
+
+
+def _each(run, task, blocks) -> None:
+    """``task`` of every block, through ``run`` for several blocks and in the calling thread for one.
+
+    The results are drained, so a block's exception reaches the caller.
+    """
+    for _ in (run if len(blocks) > 1 else map)(task, blocks):
+        pass
 
 
 def _dot64(a: np.ndarray, b: np.ndarray) -> float:

@@ -3,6 +3,9 @@
 The novelty of a window is the mean squared difference between the
 autoencoder's outputs and its inputs over all 2k dimensions: zero for a
 perfect reconstruction, growing as the input leaves the trained envelope.
+Scoring cuts a series' windows into blocks of ``SCORE_BLOCK_ROWS`` and
+scores them on the thread pool that training uses, one block per worker at
+a time; a window's novelty does not depend on the block or the worker count.
 Alarms group above-threshold minutes into episodes; the rule-based baseline
 applies the same grouping to raw per-minute update totals so the two alarm
 streams can be compared for lead time.
@@ -18,7 +21,7 @@ from typing import BinaryIO, Sequence, TextIO
 import numpy as np
 
 from . import features
-from .autoencoder import AutoencoderModel, _check_matrix, reconstruct
+from .autoencoder import AutoencoderModel, _check_matrix, _each, _mapper, reconstruct
 from .series import MINUTE, CsvRows, MinuteSeries, first_row_fault, read_csv, write_minute_csv
 from .series import format_minute_utc, format_minutes_utc, parse_minutes_utc
 
@@ -26,7 +29,7 @@ SOURCE_AUTOENCODER = "autoencoder"
 SOURCE_RULE = "rule"
 
 NOVELTY_CSV_HEADER = "minute_utc,novelty"
-SCORE_BLOCK_ROWS = 2**10  # windows the network runs on, and score_windows builds, at a time
+SCORE_BLOCK_ROWS = 2**9  # windows the network runs on, and a score_windows task builds, at a time
 _SPAN_KEYS = ("start", "end", "peak_minute")  # alarm report fields of AlarmEvent's three minutes
 
 
@@ -82,13 +85,18 @@ class DetectorConfig:
 def score_series(model: AutoencoderModel, X: np.ndarray, layers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Novelty of every row of the window matrix X, shape (n, input_dim): entry ``i`` scores row ``i``.
 
-    The network runs on ``SCORE_BLOCK_ROWS`` rows at a time, the last block
-    padded with zero rows. BLAS picks its kernel by the matrix shape, and a
-    kernel for fewer rows may round a row's sums differently; with one shape
-    for every call, a row's novelty does not depend on the rows scored with it.
-    ``layers``, the buffers :func:`reconstruct` writes, have ``SCORE_BLOCK_ROWS``
-    rows; a caller scoring block after block passes one pair to every call,
-    as fresh buffers for each block cost as much in page faults as the products.
+    The network runs on ``SCORE_BLOCK_ROWS`` rows at a time, in the calling
+    thread, the last block padded with zero rows. BLAS picks its kernel by
+    the matrix shape, and a kernel for fewer rows may round a row's sums
+    differently; with one shape for every call, a row's novelty does not
+    depend on the rows scored with it. At the pipeline's 100 inputs and 100
+    hidden units a block is above the sizes OpenBLAS's SkylakeX kernels
+    round through small-matrix code (see ``autoencoder._BLOCK_WORK``), so
+    there the novelty does not depend on ``SCORE_BLOCK_ROWS`` either.
+    ``layers``, the buffers :func:`reconstruct` writes, have
+    ``SCORE_BLOCK_ROWS`` rows; a thread scoring block after block passes
+    its one pair to every call, as fresh buffers for each block cost as
+    much in page faults as the products.
     """
     _check_matrix(model, X)
     novelty = np.empty(len(X))
@@ -108,15 +116,38 @@ def score_windows(model: AutoencoderModel, series: MinuteSeries) -> np.ndarray:
     """:func:`score_series` of the series' windows, built and scored ``SCORE_BLOCK_ROWS`` at a time.
 
     Entry ``i`` scores the window ending at ``series.minutes()[model.k - 1 + i]``.
-    Memory follows the block, not the series, apart from 8 bytes a window.
+    The whole blocks run on ``autoencoder._mapper``, the pool ``scg.train``
+    uses: one worker per CPU in the process's affinity, up to
+    ``autoencoder._MAX_BLOCKS``, each building and scoring one block at a
+    time in its own window and layer buffers. A last, shorter block runs
+    after them in the calling thread, as every block does with one CPU or
+    one whole block; no thread outlives the call. The novelty is the same
+    at any worker count. Memory follows the block and the workers, not the
+    series, apart from 8 bytes a window.
     """
     novelty = np.empty(max(len(series) - model.k + 1, 0))
-    layers = np.empty((SCORE_BLOCK_ROWS, model.hidden_dim)), np.empty((SCORE_BLOCK_ROWS, model.input_dim))
-    for lo in range(0, novelty.size, SCORE_BLOCK_ROWS):
-        minutes = slice(lo, min(lo + SCORE_BLOCK_ROWS, novelty.size) + model.k - 1)  # those this block's windows cover
-        part = MinuteSeries(series.minute_at(lo), series.announcements[minutes], series.withdrawals[minutes])
-        windows = features.make_windows(part, model.k, model.norm)
-        novelty[lo : lo + SCORE_BLOCK_ROWS] = score_series(model, windows, layers)
+    starts = range(0, novelty.size, SCORE_BLOCK_ROWS)
+    widths = model.input_dim, model.hidden_dim, model.input_dim  # of the windows and the two layers
+
+    def score_block(lo: int) -> None:
+        buffer, *layers = free.pop()
+        try:
+            minutes = slice(lo, min(lo + SCORE_BLOCK_ROWS, novelty.size) + model.k - 1)  # those its windows cover
+            part = MinuteSeries(series.minute_at(lo), series.announcements[minutes], series.withdrawals[minutes])
+            windows = features.make_windows(part, model.k, model.norm, out=buffer)
+            novelty[lo : lo + len(windows)] = score_series(model, windows, layers)
+        finally:
+            free.append((buffer, *layers))  # a failed block leaves its buffers to the blocks after it
+
+    whole = novelty.size // SCORE_BLOCK_ROWS  # blocks of SCORE_BLOCK_ROWS windows; a last, shorter one follows
+    with _mapper() as (run, workers):
+        # The buffers, and the padding score_series allocates for the short
+        # block, are allocated in this thread: glibc gives each thread its
+        # own heap, which keeps what the thread freed after the thread ends.
+        free = [tuple(np.empty((SCORE_BLOCK_ROWS, w)) for w in widths) for _ in range(min(workers, len(starts)))]
+        _each(run, score_block, starts[:whole])
+        for lo in starts[whole:]:
+            score_block(lo)
     return novelty
 
 

@@ -57,7 +57,9 @@ def _normalize_array(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
     return (values.astype(np.float64) - lo) / (hi - lo)
 
 
-def make_windows(series: MinuteSeries, k: int, params: NormalizationParams, dtype: type = np.float64) -> np.ndarray:
+def make_windows(
+    series: MinuteSeries, k: int, params: NormalizationParams, dtype: type = np.float64, out: np.ndarray | None = None
+) -> np.ndarray:
     """Overlapping stride-1 windows as a contiguous matrix of shape (n, 2k).
 
     Row ``i`` is the window ending at minute index ``k-1+i``, i.e. at
@@ -65,10 +67,18 @@ def make_windows(series: MinuteSeries, k: int, params: NormalizationParams, dtyp
     (current minute included). A series shorter than k yields a (0, 2k)
     matrix. A degenerate training range (max == min) maps the channel to 0.
     The matrix has ``dtype``, each value cast from its float64 normalization.
+    Given ``out``, a matrix of ``dtype``, 2k columns and at least n rows,
+    the windows are written to its first n rows, and that view is returned.
     """
     if k < 1:
         raise ValueError(f"lag count k must be >= 1, got {k}")
-    windows = np.empty((max(len(series) - k + 1, 0), 2 * k), dtype)
+    shape = max(len(series) - k + 1, 0), 2 * k
+    if out is None:
+        windows = np.empty(shape, dtype)
+    elif out.dtype != dtype:
+        raise ValueError(f"out has dtype {out.dtype}, not {np.dtype(dtype)}")
+    else:
+        windows = out[: shape[0]]
     if len(windows):
         windows[:, :k] = sliding_window_view(_normalize_array(series.announcements, params.a_min, params.a_max), k)
         windows[:, k:] = sliding_window_view(_normalize_array(series.withdrawals, params.w_min, params.w_max), k)

@@ -22,16 +22,13 @@ float64; ``train`` is the one place that runs the autoencoder in float32.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .autoencoder import AutoencoderModel, flatten_params, objective, unflatten_params
+from .autoencoder import AutoencoderModel, _mapper, flatten_params, objective, unflatten_params
 from .series import csv_text
 
 STOP_BUDGET = "budget"
@@ -176,45 +173,21 @@ def train(model: AutoencoderModel, X: np.ndarray, max_cycles: int) -> tuple[Auto
     already is float32, and ``autoencoder.objective`` runs its loss,
     gradient and curvature kernels in X's precision. The SCG vectors, the
     loss history and the returned weights are float64. The objective's
-    blocks run on a thread pool of one worker per CPU in the process's
-    affinity, which starts a thread only when a block waits and no thread
-    is idle. With one CPU, and in a phase of one block, they run in this
-    thread; no thread outlives the call. Deterministic given (model, X,
-    max_cycles): the weights depend on the BLAS build, not on the worker
-    count, and the optimizer has no randomness of its own. Raises
-    DimensionMismatch or EmptyDataset, as ``objective`` does, and ValueError
-    for a budget below 1.
+    blocks run on ``autoencoder._mapper``, the pool that scoring uses too:
+    one worker per CPU in the process's affinity, up to
+    ``autoencoder._MAX_BLOCKS``, which starts a thread only when a block
+    waits and no thread is idle. With one CPU, and in a phase of one
+    block, they run in this thread; no thread outlives the call.
+    Deterministic given (model, X, max_cycles): the weights depend on the
+    BLAS build, not on the worker count, and the optimizer has no
+    randomness of its own. Raises DimensionMismatch or EmptyDataset, as
+    ``objective`` does, and ValueError for a budget below 1.
     """
     X = X.astype(np.float32, copy=False)
-    with _mapper(_usable_cpus()) as run:
+    with _mapper() as (run, _):
         fused = objective(model, X, run)
         best, report = scg_minimize(*fused, flatten_params(model), max_cycles)
     return unflatten_params(model, best), report
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity where the platform reports one, else the CPU count."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-@contextlib.contextmanager
-def _mapper(workers: int):
-    """The builtin ``map`` for one worker, else the ``map`` of a pool of ``workers`` threads, shut down on exit.
-
-    Each worker takes the caller's numpy error handling, which is per thread.
-    ``concurrent.futures`` is imported here: at module level it would slow
-    every command's start-up.
-    """
-    if workers <= 1:
-        yield map
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(workers, initializer=functools.partial(np.seterr, **np.geterr())) as pool:
-        yield pool.map
 
 
 def _finite(value: float, array: np.ndarray) -> bool:

@@ -1,8 +1,9 @@
-"""Shared fixtures: the reference top-15 table and a trained session pipeline."""
+"""Shared fixtures: the reference top-15 table, a trained session pipeline and the worker-pool helpers."""
 
 from __future__ import annotations
 
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from bgpnovelty import autoencoder
 from bgpnovelty.autoencoder import AutoencoderModel, init_model, sse_loss
 from bgpnovelty.detector import score_series, suggest_threshold
 from bgpnovelty.features import NormalizationParams, fit_normalization, make_windows
@@ -38,6 +40,38 @@ TOP15 = [
     ("2001-08-10T16:33:00Z", 432627),
     ("2001-08-20T20:43:00Z", 418252),
 ]
+
+
+def cpus(monkeypatch, count):
+    """Size the thread pool of training and scoring as if the process could run on ``count`` CPUs."""
+    monkeypatch.setattr(autoencoder, "_usable_cpus", lambda: count)
+
+
+@pytest.fixture
+def block_threads(monkeypatch):
+    """The threads that run the network's forward pass on a block, collected as training or scoring runs."""
+    seen = set()
+    forward = autoencoder._forward
+
+    def recorded(*args):
+        seen.add(threading.current_thread())
+        return forward(*args)
+
+    monkeypatch.setattr(autoencoder, "_forward", recorded)
+    return seen
+
+
+def threads_started(monkeypatch) -> list:
+    """The threads started from here on, collected as they start."""
+    started = []
+    start = threading.Thread.start
+
+    def recorded(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recorded)
+    return started
 
 
 def top15_csv_text() -> str:

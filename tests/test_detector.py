@@ -3,8 +3,11 @@
 import io
 import math
 import re
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,13 +34,13 @@ from bgpnovelty.detector import (
     write_alarm_report,
     write_novelty_csv,
 )
-from bgpnovelty import detector, series as series_module
+from bgpnovelty import autoencoder, detector, series as series_module
 from bgpnovelty.detector import SCORE_BLOCK_ROWS
 from bgpnovelty.features import NormalizationParams, fit_normalization, make_windows
 from bgpnovelty.series import MINUTE, BadTimestamp, MinuteSeries, format_minute_utc, parse_minute_utc
 from bgpnovelty.synth import SurgeSpec, gen_baseline, inject_surge
 
-from conftest import top15_series
+from conftest import DIURNAL, MEAN_A, MEAN_W, cpus, threads_started, top15_series
 from leadref import reference_lead_time
 from test_autoencoder import tiny_model
 
@@ -189,6 +192,15 @@ class TestBlockScoring:
         assert score_windows(model, MinuteSeries(NOON, [1, 2, 3], [4, 5, 6])).shape == (0,)
 
     def test_peak_memory_follows_the_block_not_the_series(self):
+        self.assert_peak_memory_follows_the_block()
+
+    def test_peak_memory_follows_the_block_on_a_many_core_host(self, monkeypatch):
+        # The pool's cap, not the host's CPU count, bounds the workers and so their buffers.
+        cpus(monkeypatch, 64)
+        self.assert_peak_memory_follows_the_block()
+
+    @staticmethod
+    def assert_peak_memory_follows_the_block():
         k, hidden, windows = 50, 100, 50_000
         # Whole (windows, 2k) input, (windows, hidden) and (windows, 2k) output matrices would take 120 MB.
         minutes = windows + k - 1
@@ -202,6 +214,155 @@ class TestBlockScoring:
             tracemalloc.stop()
         assert values.shape == (windows,)
         assert peak < 25 * 2**20
+
+    @pytest.mark.parametrize("rows", [1024, 2048])
+    def test_the_block_size_keeps_the_novelty_bits_at_the_pipeline_shape(self, pipeline, monkeypatch, rows):
+        # At 100 inputs and 100 hidden units each block is above the BLAS small-matrix sizes, so the
+        # shipped 512-row blocks score a month as the 1,024 rows before them did: the golden novelty digest
+        # holds whatever the block size.
+        assert SCORE_BLOCK_ROWS == 512
+        month = gen_baseline(43_200, MEAN_A, MEAN_W, DIURNAL, seed=1)
+        shipped = score_windows(pipeline.model, month)
+        monkeypatch.setattr(detector, "SCORE_BLOCK_ROWS", rows)
+        assert np.array_equal(score_windows(pipeline.model, month), shipped)
+
+
+class TestScoreWorkers:
+    """``score_windows`` runs its blocks on the training pool, with the same novelty at any pool size."""
+
+    @staticmethod
+    def scored(minutes, k=3, hidden=4, seed=0):
+        rng = np.random.default_rng(seed)
+        series = MinuteSeries(NOON, rng.poisson(300.0, minutes), rng.integers(0, 1000, minutes))
+        norm = NormalizationParams(50.0, 400.0, 0.0, 700.0)
+        model = init_model(2 * k, hidden, seed=seed, norm=norm)
+        return replace(model, b1=rng.normal(size=hidden), b2=rng.normal(size=2 * k)), series
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(1, 12),
+        hidden=st.integers(1, 24),
+        count=st.sampled_from([1, 2, 3, 5]),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_same_novelty_at_any_cpu_count(self, k, hidden, count, seed, data):
+        edges = [0, k - 1, k, k + SCORE_BLOCK_ROWS - 1, k + SCORE_BLOCK_ROWS, k + SCORE_BLOCK_ROWS + 1]
+        minutes = data.draw(st.sampled_from(edges) | st.integers(0, 3 * SCORE_BLOCK_ROWS + 60))
+        model, series = self.scored(minutes, k, hidden, seed)
+        whole = score_series(model, make_windows(series, k, model.norm))
+        # mock, not monkeypatch: a function-scoped fixture would span every example of @given
+        with mock.patch.object(autoencoder, "_usable_cpus", lambda: count):
+            assert np.array_equal(score_windows(model, series), whole)
+
+    def test_one_cpu_runs_every_block_in_the_calling_thread(self, block_threads, monkeypatch):
+        cpus(monkeypatch, 1)
+        started = threads_started(monkeypatch)
+        model, series = self.scored(3 * SCORE_BLOCK_ROWS + 2)
+        assert score_windows(model, series).shape == (3 * SCORE_BLOCK_ROWS,)
+        assert block_threads == {threading.current_thread()}
+        assert not started
+
+    def test_a_one_block_series_starts_no_thread(self, block_threads, monkeypatch):
+        cpus(monkeypatch, 3)
+        started = threads_started(monkeypatch)
+        model, series = self.scored(SCORE_BLOCK_ROWS + 2)
+        assert score_windows(model, series).shape == (SCORE_BLOCK_ROWS,)
+        assert block_threads == {threading.current_thread()}
+        assert not started
+
+    def test_the_blocks_run_on_the_pool_and_no_thread_outlives_it(self, block_threads, monkeypatch):
+        cpus(monkeypatch, 3)
+        started = threads_started(monkeypatch)
+        before = threading.active_count()
+        model, series = self.scored(4 * SCORE_BLOCK_ROWS + 2)
+        score_windows(model, series)
+        assert 1 <= len(started) <= 3
+        assert block_threads and threading.current_thread() not in block_threads
+        assert threading.active_count() == before
+
+    def test_the_short_last_block_runs_in_the_calling_thread(self, monkeypatch):
+        # score_series pads it with a fresh block, which a worker's heap would keep after the worker ends.
+        cpus(monkeypatch, 3)
+        calls = []
+        score = detector.score_series
+
+        def recorded(model, X, layers=None):
+            calls.append((len(X), threading.current_thread() is threading.main_thread()))
+            return score(model, X, layers)
+
+        monkeypatch.setattr(detector, "score_series", recorded)
+        model, series = self.scored(3 * SCORE_BLOCK_ROWS + 102)
+        score_windows(model, series)
+        assert calls[-1] == (100, True)
+        assert sorted(calls[:-1]) == [(SCORE_BLOCK_ROWS, False)] * 3
+
+    def test_a_many_core_host_starts_at_most_max_blocks_workers(self, monkeypatch):
+        cpus(monkeypatch, 64)
+        started = threads_started(monkeypatch)
+        forward = autoencoder._forward
+
+        def slow(*args):
+            time.sleep(0.01)  # every block is still running when the last one is submitted
+            return forward(*args)
+
+        monkeypatch.setattr(autoencoder, "_forward", slow)
+        model, series = self.scored(4 * autoencoder._MAX_BLOCKS * SCORE_BLOCK_ROWS + 2)
+        score_windows(model, series)
+        assert 1 <= len(started) <= autoencoder._MAX_BLOCKS
+
+    def test_the_workers_keep_the_callers_error_handling(self, monkeypatch):
+        cpus(monkeypatch, 3)
+        model, series = self.scored(3 * SCORE_BLOCK_ROWS + 2)
+        model = replace(model, w2=np.full_like(model.w2, 1e200))
+        # The squared residuals overflow. The pytest configuration turns numpy's warning into an error,
+        # so a worker that ignored the caller's errstate would raise.
+        with np.errstate(all="ignore"):
+            values = score_windows(model, series)
+        assert np.isinf(values).all()
+
+    def test_a_blocks_exception_reaches_the_caller_after_the_pool_shuts_down(self, monkeypatch):
+        cpus(monkeypatch, 3)
+        failure = ArithmeticError("raised in a block")
+        forward = autoencoder._forward
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise failure
+            return forward(*args)
+
+        monkeypatch.setattr(autoencoder, "_forward", failing)
+        before = threading.active_count()
+        model, series = self.scored(3 * SCORE_BLOCK_ROWS + 2)
+        with pytest.raises(ArithmeticError) as raised:
+            score_windows(model, series)
+        assert raised.value is failure
+        assert threading.active_count() == before
+
+    def test_a_failed_block_leaves_its_buffers_to_the_blocks_after_it(self, monkeypatch):
+        # Every block fails, twice as many as there are workers, and each block's exception is kept rather
+        # than raised, so that no block is cancelled: each still gets a set of buffers and fails in the network.
+        cpus(monkeypatch, 3)
+        errors = []
+        each = detector._each
+
+        def kept(run, task, blocks):
+            def block(lo):
+                try:
+                    task(lo)
+                except Exception as error:
+                    errors.append(error)
+
+            each(run, block, blocks)
+
+        def failing(*args):
+            raise ArithmeticError("raised in a block")
+
+        monkeypatch.setattr(detector, "_each", kept)
+        monkeypatch.setattr(autoencoder, "_forward", failing)
+        model, series = self.scored(6 * SCORE_BLOCK_ROWS + 2)
+        score_windows(model, series)
+        assert [type(error) for error in errors] == [ArithmeticError] * 6
 
 
 class TestDetectAlarms:

@@ -130,6 +130,24 @@ class TestMakeWindows:
         wd = [denormalize(v, params.w_min, params.w_max) for v in last[8:]]
         assert np.allclose(wd, series.withdrawals[-8:])
 
+    @pytest.mark.parametrize("minutes", [3, 10, 20])
+    def test_out_receives_the_windows_in_its_first_rows(self, minutes):
+        series = gen_baseline(minutes, 150.0, 40.0, 0.2, seed=minutes)
+        params = fit_normalization(series)
+        out = np.full((20, 6), -1.0)
+        windows = make_windows(series, 3, params, out=out)
+        n = minutes - 2
+        assert np.shares_memory(windows, out) and windows.shape == (n, 6)
+        assert np.array_equal(out[:n], make_windows(series, 3, params))
+        assert (out[n:] == -1.0).all()
+
+    def test_out_of_another_dtype_is_refused(self):
+        series = gen_baseline(10, 150.0, 40.0, 0.2, seed=1)
+        out = np.zeros((8, 6), np.float32)
+        with pytest.raises(ValueError, match="float32"):
+            make_windows(series, 3, fit_normalization(series), out=out)
+        assert not out.any()
+
     def test_rejects_k_below_one(self):
         series = series_of([1], [1])
         with pytest.raises(ValueError):

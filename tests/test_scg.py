@@ -28,6 +28,8 @@ from bgpnovelty.scg import (
     train,
 )
 
+from conftest import cpus, threads_started
+
 
 def assert_monotone(report: TrainReport):
     history = report.loss_history
@@ -344,37 +346,6 @@ def fine_blocks(monkeypatch):
     monkeypatch.setattr(autoencoder, "_BLOCK_ALIGN", 1)
 
 
-@pytest.fixture
-def block_threads(monkeypatch):
-    """The threads that run the objective's forward blocks, collected as train runs."""
-    seen = set()
-    forward = autoencoder._forward
-
-    def recorded(*args):
-        seen.add(threading.current_thread())
-        return forward(*args)
-
-    monkeypatch.setattr(autoencoder, "_forward", recorded)
-    return seen
-
-
-def cpus(monkeypatch, count):
-    monkeypatch.setattr(scg, "_usable_cpus", lambda: count)
-
-
-def threads_started(monkeypatch) -> list:
-    """The threads started from here on, collected as they start."""
-    started = []
-    start = threading.Thread.start
-
-    def recorded(thread):
-        started.append(thread)
-        start(thread)
-
-    monkeypatch.setattr(threading.Thread, "start", recorded)
-    return started
-
-
 class TestTrainWorkers:
     """``train`` runs the objective's blocks on a pool sized by the CPUs, with the same result at any size."""
 
@@ -394,7 +365,7 @@ class TestTrainWorkers:
         # mock, not monkeypatch: a function-scoped fixture would span every example of @given
         with mock.patch.multiple(autoencoder, _BLOCK_WORK=1, _BLOCK_ALIGN=1):
             for usable in (1, count):
-                with mock.patch.object(scg, "_usable_cpus", lambda: usable):
+                with mock.patch.object(autoencoder, "_usable_cpus", lambda: usable):
                     trained, report = train(model, X, cycles)
                 outcomes.append((flatten_params(trained).tobytes(), report.loss_history, report.stop_reason))
         assert outcomes[1] == outcomes[0]
