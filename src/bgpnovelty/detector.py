@@ -82,7 +82,7 @@ class DetectorConfig:
             raise ValueError("group_gap_minutes must be >= 0")
 
 
-def score_series(model: AutoencoderModel, X: np.ndarray, layers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
+def score_series(model: AutoencoderModel, X: np.ndarray, buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Novelty of every row of the window matrix X, shape (n, input_dim): entry ``i`` scores row ``i``.
 
     The network runs on ``SCORE_BLOCK_ROWS`` rows at a time, in the calling
@@ -93,18 +93,22 @@ def score_series(model: AutoencoderModel, X: np.ndarray, layers: tuple[np.ndarra
     hidden units a block is above the sizes OpenBLAS's SkylakeX kernels
     round through small-matrix code (see ``autoencoder._BLOCK_WORK``), so
     there the novelty does not depend on ``SCORE_BLOCK_ROWS`` either.
-    ``layers``, the buffers :func:`reconstruct` writes, have
-    ``SCORE_BLOCK_ROWS`` rows; a thread scoring block after block passes
-    its one pair to every call, as fresh buffers for each block cost as
-    much in page faults as the products.
+    ``buffers`` are the float64 (windows, hidden, output) matrices of
+    ``SCORE_BLOCK_ROWS`` rows that a thread scoring block after block passes
+    to every call, as fresh ones cost as much in page faults as the products;
+    a short block is padded in the first, where it may already lie. Without
+    them, a call pads in one matrix of its own.
     """
     _check_matrix(model, X)
+    padded, *layers = buffers or (np.empty((SCORE_BLOCK_ROWS, X.shape[1])),)
     novelty = np.empty(len(X))
     for lo in range(0, len(X), SCORE_BLOCK_ROWS):
         block = X[lo : lo + SCORE_BLOCK_ROWS]
         rows = len(block)
         if rows < SCORE_BLOCK_ROWS:
-            block = np.concatenate([block, np.zeros((SCORE_BLOCK_ROWS - rows, X.shape[1]))])
+            padded[:rows] = block  # numpy skips the copy when the block already lies there
+            padded[rows:] = 0.0
+            block = padded
         residual = reconstruct(model, block, layers)
         residual -= block
         residual *= residual
@@ -116,38 +120,33 @@ def score_windows(model: AutoencoderModel, series: MinuteSeries) -> np.ndarray:
     """:func:`score_series` of the series' windows, built and scored ``SCORE_BLOCK_ROWS`` at a time.
 
     Entry ``i`` scores the window ending at ``series.minutes()[model.k - 1 + i]``.
-    The whole blocks run on ``autoencoder._mapper``, the pool ``scg.train``
-    uses: one worker per CPU in the process's affinity, up to
-    ``autoencoder._MAX_BLOCKS``, each building and scoring one block at a
-    time in its own window and layer buffers. A last, shorter block runs
-    after them in the calling thread, as every block does with one CPU or
-    one whole block; no thread outlives the call. The novelty is the same
-    at any worker count. Memory follows the block and the workers, not the
-    series, apart from 8 bytes a window.
+    Every block, the short last one too, runs on ``autoencoder._mapper``,
+    the pool ``scg.train`` uses: one worker per CPU in the process's
+    affinity, up to ``autoencoder._MAX_BLOCKS``, each building, padding and
+    scoring one block at a time in its own window and layer buffers. No
+    thread outlives the call, and the novelty is the same at any worker
+    count. Memory follows the block and the workers, not the series, apart
+    from 8 bytes a window.
     """
     novelty = np.empty(max(len(series) - model.k + 1, 0))
     starts = range(0, novelty.size, SCORE_BLOCK_ROWS)
     widths = model.input_dim, model.hidden_dim, model.input_dim  # of the windows and the two layers
 
     def score_block(lo: int) -> None:
-        buffer, *layers = free.pop()
+        buffers = free.pop()
         try:
             minutes = slice(lo, min(lo + SCORE_BLOCK_ROWS, novelty.size) + model.k - 1)  # those its windows cover
             part = MinuteSeries(series.minute_at(lo), series.announcements[minutes], series.withdrawals[minutes])
-            windows = features.make_windows(part, model.k, model.norm, out=buffer)
-            novelty[lo : lo + len(windows)] = score_series(model, windows, layers)
+            windows = features.make_windows(part, model.k, model.norm, out=buffers[0])
+            novelty[lo : lo + len(windows)] = score_series(model, windows, buffers)
         finally:
-            free.append((buffer, *layers))  # a failed block leaves its buffers to the blocks after it
+            free.append(buffers)  # a failed block leaves its buffers to the blocks after it
 
-    whole = novelty.size // SCORE_BLOCK_ROWS  # blocks of SCORE_BLOCK_ROWS windows; a last, shorter one follows
     with _mapper() as (run, workers):
-        # The buffers, and the padding score_series allocates for the short
-        # block, are allocated in this thread: glibc gives each thread its
+        # The buffers are allocated in this thread: glibc gives each thread its
         # own heap, which keeps what the thread freed after the thread ends.
         free = [tuple(np.empty((SCORE_BLOCK_ROWS, w)) for w in widths) for _ in range(min(workers, len(starts)))]
-        _each(run, score_block, starts[:whole])
-        for lo in starts[whole:]:
-            score_block(lo)
+        _each(run, score_block, starts)
     return novelty
 
 

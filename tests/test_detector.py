@@ -215,6 +215,24 @@ class TestBlockScoring:
         assert values.shape == (windows,)
         assert peak < 25 * 2**20
 
+    def test_a_short_block_is_padded_in_the_given_buffers(self):
+        # As in score_windows, the block lies in the windows buffer, whose rows after it hold an earlier block.
+        k, hidden, rows = 50, 100, 143
+        model = init_model(2 * k, hidden, seed=1)
+        buffers = tuple(np.empty((SCORE_BLOCK_ROWS, w)) for w in (2 * k, hidden, 2 * k))
+        X = np.random.default_rng(1).uniform(-0.5, 2.0, (rows, 2 * k))
+        buffers[0][:rows] = X
+        buffers[0][rows:] = 1e200  # scored unpadded, their squared residuals would overflow
+        tracemalloc.start()
+        try:
+            values = score_series(model, buffers[0][:rows], buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**10  # a fresh padded block alone would take 400 KiB
+        assert np.array_equal(values, score_series(model, X))
+        assert np.array_equal(score_series(model, X, buffers), values)  # a block from elsewhere is copied in
+
     @pytest.mark.parametrize("rows", [1024, 2048])
     def test_the_block_size_keeps_the_novelty_bits_at_the_pipeline_shape(self, pipeline, monkeypatch, rows):
         # At 100 inputs and 100 hidden units each block is above the BLAS small-matrix sizes, so the
@@ -281,21 +299,20 @@ class TestScoreWorkers:
         assert block_threads and threading.current_thread() not in block_threads
         assert threading.active_count() == before
 
-    def test_the_short_last_block_runs_in_the_calling_thread(self, monkeypatch):
-        # score_series pads it with a fresh block, which a worker's heap would keep after the worker ends.
+    def test_the_short_last_block_runs_on_the_pool_like_the_whole_blocks(self, monkeypatch):
+        # score_series pads it in the worker's own window buffer, so a worker allocates no block its heap would keep.
         cpus(monkeypatch, 3)
         calls = []
         score = detector.score_series
 
-        def recorded(model, X, layers=None):
+        def recorded(model, X, buffers=None):
             calls.append((len(X), threading.current_thread() is threading.main_thread()))
-            return score(model, X, layers)
+            return score(model, X, buffers)
 
         monkeypatch.setattr(detector, "score_series", recorded)
         model, series = self.scored(3 * SCORE_BLOCK_ROWS + 102)
         score_windows(model, series)
-        assert calls[-1] == (100, True)
-        assert sorted(calls[:-1]) == [(SCORE_BLOCK_ROWS, False)] * 3
+        assert sorted(calls) == [(100, False)] + [(SCORE_BLOCK_ROWS, False)] * 3
 
     def test_a_many_core_host_starts_at_most_max_blocks_workers(self, monkeypatch):
         cpus(monkeypatch, 64)
