@@ -159,20 +159,19 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
     The precision comes from X: the matmuls and ``tanh`` run in float32 for
     a float32 X, and in float64 for a float64 or integer X (cast once). The
     loss and the other reductions sum in float64, and the gradient is
-    float64. The closures share one set of buffers: ``f`` leaves the
-    forward pass of its point there, ``g`` at that point adds only the
-    backward pass, and ``curvature`` at that point reuses both and spends
-    them.
+    float64. The closures keep the layers of their last point: ``g`` at the
+    point of ``f`` adds only the backward pass, and ``curvature`` at the
+    point of ``g`` only the forward-mode pass.
 
-    The work runs in blocks, which ``run`` maps a function over as the
-    builtin ``map`` does; ``scg.train`` passes a thread pool's ``map``. Row
-    work runs on row blocks, the products that sum over all rows on blocks
-    of their output rows, and the column sums on blocks of columns. The
-    whole-array float64 sums are never split; the gradient's task ``i``
-    takes block ``i`` of both its products. A phase of one task runs through
-    the builtin ``map``, in the calling thread. The blocks follow
-    from the shapes alone (see :func:`_blocks`), so the results do not
-    depend on how many workers run them; they depend on the BLAS build.
+    Each call makes one pass over the row blocks of :func:`_blocks`, which
+    ``run`` maps a function over as the builtin ``map`` does; ``scg.train``
+    passes a thread pool's ``map``. A pass of one block runs through the
+    builtin ``map``, in the calling thread. Each block writes float64
+    partial sums, the gradient's products among them, and the partials are
+    added in a fixed order. A worker keeps its temporaries in block-sized
+    buffers from a free list, so no call allocates a matrix of every row.
+    The blocks follow from the shapes alone, so the results do not depend
+    on how many workers run them; they depend on the BLAS build.
     """
     _check_matrix(model, X)
     if X.shape[0] == 0:
@@ -180,89 +179,87 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
     dtype = np.result_type(X, np.float32)
     X = X.astype(dtype, copy=False)
     n, d, h = *X.shape, model.hidden_dim
-    hidden, slope, d_hidden, a_dot = np.empty((4, n, h), dtype)
-    residual, scratch = np.empty((2, *X.shape), dtype)
+    hidden, d_hidden = np.empty((2, n, h), dtype)  # d_hidden = (r @ w2) * (1 - h**2)
+    residual = np.empty_like(X)
     params = np.empty(model.n_params, dtype)
     w1, b1, w2, b2 = _split(model, params)
-    rows, units, inputs = _blocks(n, d * h), _blocks(h, n * d), _blocks(d, n * h)  # of the rows, hidden units, inputs
-    at = np.full(model.n_params, np.nan)  # point of the buffers
-    backward_at = np.full(model.n_params, np.nan)  # point of slope = 1 - h**2 and d_hidden = (r @ w2) * slope
+    rows = _blocks(n, d * h)
+    most = max(b.stop - b.start for b in rows)
+    free = []  # a (2, most, d) and a (2, most, h) buffer per worker, made when none is free
+    losses, tangents, grads = np.empty(len(rows)), np.empty((len(rows), 3)), np.empty((len(rows), model.n_params))
+    grad_parts = [_split(model, grad) for grad in grads]
+    at = np.full(model.n_params, np.nan)  # point of hidden and residual
+    backward_at = np.full(model.n_params, np.nan)  # point of d_hidden
 
-    def forward_rows(b: slice) -> None:
+    def each_block(task) -> None:
+        def block(i: int) -> None:
+            try:
+                wide, narrow = free.pop()
+            except IndexError:
+                wide, narrow = np.empty((2, most, d), dtype), np.empty((2, most, h), dtype)
+            try:
+                size = rows[i].stop - rows[i].start
+                task(i, rows[i], wide[:, :size], narrow[:, :size])
+            finally:
+                free.append((wide, narrow))
+
+        _each(run, block, range(len(rows)))
+
+    def forward_rows(i: int, b: slice, wide: np.ndarray, _) -> None:
         np.subtract(_forward(X[b], w1, b1, w2, b2, hidden[b], residual[b]), X[b], out=residual[b])
-        np.square(residual[b], out=scratch[b])  # summed whole by f
+        losses[i] = np.sum(np.square(residual[b], out=wide[0]), dtype=np.float64)
 
-    def backward_rows(b: slice) -> None:
-        np.subtract(1.0, np.square(hidden[b], out=slope[b]), out=slope[b])
-        np.multiply(np.matmul(residual[b], w2, out=d_hidden[b]), slope[b], out=d_hidden[b])
-
-    def forward(flat: np.ndarray) -> None:
-        params[:] = _checked(model, flat)
-        _each(run, forward_rows, rows)
-        at[:] = flat
-        backward_at[:] = np.nan
-
-    def backward(flat: np.ndarray) -> None:
-        if not np.array_equal(flat, at):
-            forward(flat)
-        if not np.array_equal(flat, backward_at):
-            _each(run, backward_rows, rows)
-            backward_at[:] = flat
+    def backward_rows(i: int, b: slice, _, narrow: np.ndarray) -> None:
+        slope = np.subtract(1.0, np.square(hidden[b], out=narrow[0]), out=narrow[0])
+        np.multiply(np.matmul(residual[b], w2, out=d_hidden[b]), slope, out=d_hidden[b])
+        g_w1, g_b1, g_w2, g_b2 = grad_parts[i]
+        g_w1[:] = d_hidden[b].T @ X[b]
+        np.sum(d_hidden[b], axis=0, dtype=np.float64, out=g_b1)
+        g_w2[:] = residual[b].T @ hidden[b]
+        np.sum(residual[b], axis=0, dtype=np.float64, out=g_b2)
 
     def f(flat: np.ndarray) -> float:
-        forward(flat)
-        return 0.5 * float(np.sum(scratch, dtype=np.float64))
+        params[:] = _checked(model, flat)
+        each_block(forward_rows)
+        at[:] = flat
+        backward_at[:] = np.nan
+        return 0.5 * float(losses.sum())
 
     def g(flat: np.ndarray) -> np.ndarray:
-        backward(flat)
-        grad = np.empty(model.n_params)
-        g_w1, g_b1, g_w2, g_b2 = _split(model, grad)
-        products = (d_hidden, X, g_w1, g_b1, units), (residual, hidden, g_w2, g_b2, inputs)
-
-        def sums(i: int) -> None:  # block i of each product: its rows of left.T @ right and of left's column sums
-            for left, right, out_w, out_b, blocks in products:
-                if i < len(blocks):
-                    b = blocks[i]
-                    out_w[b] = left[:, b].T @ right
-                    out_b[b] = left[:, b].sum(axis=0, dtype=np.float64)
-
-        _each(run, sums, range(max(len(units), len(inputs))))
-        return grad
+        if not np.array_equal(flat, at):
+            f(flat)
+        each_block(backward_rows)
+        backward_at[:] = flat
+        return grads.sum(axis=0)
 
     def curvature(flat: np.ndarray, p: np.ndarray) -> float:
-        backward(flat)
-        at[:] = backward_at[:] = np.nan  # h' and r' overwrite slope and residual below: the buffers are spent
+        if not np.array_equal(flat, backward_at):
+            g(flat)
         p1, q1, p2, q2 = _split(model, _checked(model, p).astype(dtype))
-        h_dot = slope  # h' = (1 - h**2) a', written over slope
-        cross_terms = np.empty(p2.shape, dtype)
 
-        def tangent_rows(b: slice) -> None:
-            np.add(np.matmul(X[b], p1.T, out=a_dot[b]), q1, out=a_dot[b])
-            np.multiply(slope[b], a_dot[b], out=h_dot[b])
-            np.multiply(np.square(a_dot[b], out=a_dot[b]), hidden[b], out=a_dot[b])
-
-        def cross_rows(b: slice) -> None:
-            np.matmul(residual[:, b].T, h_dot, out=cross_terms[b])
-
-        def r_dot_rows(b: slice) -> None:
-            r_dot = np.matmul(h_dot[b], w2.T, out=residual[b])
-            r_dot += np.matmul(hidden[b], p2.T, out=scratch[b])
+        def tangent_rows(i: int, b: slice, wide: np.ndarray, narrow: np.ndarray) -> None:
+            (products, r_dot), (a_dot, h_dot) = wide, narrow
+            np.add(np.matmul(X[b], p1.T, out=a_dot), q1, out=a_dot)
+            np.multiply(np.subtract(1.0, np.square(hidden[b], out=h_dot), out=h_dot), a_dot, out=h_dot)  # h'
+            np.multiply(np.square(a_dot, out=a_dot), hidden[b], out=a_dot)
+            tangents[i, 0] = _dot64(d_hidden[b], a_dot)  # <r @ w2, h h' a'>, as h'' = -2 h h' a'
+            tangents[i, 1] = _dot64(residual[b], np.matmul(h_dot, p2.T, out=products))  # <r, h' p2'>
+            np.add(np.matmul(h_dot, w2.T, out=r_dot), np.matmul(hidden[b], p2.T, out=products), out=r_dot)
             r_dot += q2  # r' = h' w2' + h p2' + q2
+            tangents[i, 2] = _dot64(r_dot, r_dot)
 
-        _each(run, tangent_rows, rows)
-        tanh_term = _dot64(d_hidden, a_dot)  # <r @ w2, h h' a'>, as h'' = -2 h h' a'
-        _each(run, cross_rows, inputs)
-        cross = _dot64(p2, cross_terms)
-        _each(run, r_dot_rows, rows)
-        return _dot64(residual, residual) - 2.0 * tanh_term + 2.0 * cross
+        each_block(tangent_rows)
+        tanh_term, cross, r_dot_sq = tangents.sum(axis=0)
+        return r_dot_sq - 2.0 * tanh_term + 2.0 * cross
 
     return f, g, curvature
 
 
-# Blocks of the objective. A product is split only where each part keeps at
-# least _BLOCK_WORK multiply-adds: OpenBLAS's SkylakeX kernels round a
-# product of up to about 10**6 multiply-adds through separate small-matrix
-# code, so a finer split would round differently from the whole. Inner block
+# Row blocks of the objective. The rows are split only where each block's
+# products keep at least _BLOCK_WORK multiply-adds: OpenBLAS's SkylakeX
+# kernels round a product of up to about 10**6 multiply-adds through
+# separate small-matrix code, so with finer blocks the layers' rows would
+# round differently from those of the unsplit products. Inner block
 # edges fall on multiples of _BLOCK_ALIGN. The block count is a power of two
 # up to _MAX_BLOCKS. More blocks than workers let the others take over the
 # share of a worker whose CPU another process keeps busy: on 2 cores with one
@@ -283,12 +280,27 @@ def _blocks(size: int, work_per_item: int) -> list[slice]:
     return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
 
 
+# The cgroup v2 CPU limit of the process's cgroup: "<quota> <period>" in
+# microseconds, or "max <period>" for none (Documentation/admin-guide/cgroup-v2.rst).
+_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
 def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity where the platform reports one, else the CPU count."""
+    """CPUs this process may run on: its affinity where the platform reports one, else the CPU count.
+
+    A cgroup v2 CPU quota in ``_CPU_MAX`` lowers the count to the quota
+    rounded up, as more threads than that would only take turns.
+    """
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    try:
+        with open(_CPU_MAX, encoding="ascii") as limit:
+            quota, period = map(int, limit.read().split())  # "max" raises ValueError: no quota
+    except (OSError, ValueError):
+        return cpus
+    return max(1, min(cpus, -(-quota // period)))
 
 
 @contextlib.contextmanager
@@ -301,18 +313,31 @@ def _mapper():
     on exit. No phase of the objective has more blocks, and scoring holds a
     set of block buffers per worker, so the cap keeps a many-core host's
     threads and memory at those of ``_MAX_BLOCKS`` CPUs. Each worker takes
-    the caller's numpy error handling, which is per thread.
-    ``concurrent.futures`` is imported here: at module level it would slow
-    every command's start-up.
+    the caller's numpy error handling, which is per thread. The pool, and
+    the import of ``concurrent.futures``, wait for the first call, which
+    :func:`_each` makes only for two blocks or more: a run whose every phase
+    is one block, and every command that does not train or score, start
+    without them.
     """
     workers = min(_usable_cpus(), _MAX_BLOCKS)
     if workers <= 1:
         yield map, 1
         return
-    from concurrent.futures import ThreadPoolExecutor
+    pool, initializer = None, functools.partial(np.seterr, **np.geterr())
 
-    with ThreadPoolExecutor(workers, initializer=functools.partial(np.seterr, **np.geterr())) as pool:
-        yield pool.map, workers
+    def run(task, blocks):
+        nonlocal pool
+        if pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(workers, initializer=initializer)
+        return pool.map(task, blocks)
+
+    try:
+        yield run, workers
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def _each(run, task, blocks) -> None:

@@ -121,8 +121,8 @@ def score_windows(model: AutoencoderModel, series: MinuteSeries) -> np.ndarray:
 
     Entry ``i`` scores the window ending at ``series.minutes()[model.k - 1 + i]``.
     Every block, the short last one too, runs on ``autoencoder._mapper``,
-    the pool ``scg.train`` uses: one worker per CPU in the process's
-    affinity, up to ``autoencoder._MAX_BLOCKS``, each building, padding and
+    the pool ``scg.train`` uses: one worker per usable CPU, up to
+    ``autoencoder._MAX_BLOCKS``, each building, padding and
     scoring one block at a time in its own window and layer buffers. No
     thread outlives the call, and the novelty is the same at any worker
     count. Memory follows the block and the workers, not the series, apart

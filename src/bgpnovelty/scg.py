@@ -171,17 +171,17 @@ def train(model: AutoencoderModel, X: np.ndarray, max_cycles: int) -> tuple[Auto
 
     Training runs in float32: X is cast once, which copies nothing when it
     already is float32, and ``autoencoder.objective`` runs its loss,
-    gradient and curvature kernels in X's precision. The SCG vectors, the
-    loss history and the returned weights are float64. The objective's
-    blocks run on ``autoencoder._mapper``, the pool that scoring uses too:
-    one worker per CPU in the process's affinity, up to
-    ``autoencoder._MAX_BLOCKS``, which starts a thread only when a block
-    waits and no thread is idle. With one CPU, and in a phase of one
-    block, they run in this thread; no thread outlives the call.
-    Deterministic given (model, X, max_cycles): the weights depend on the
-    BLAS build, not on the worker count, and the optimizer has no
-    randomness of its own. Raises DimensionMismatch or EmptyDataset, as
-    ``objective`` does, and ValueError for a budget below 1.
+    gradient and curvature kernels in X's precision, one pass over its row
+    blocks each, with float64 partial sums per block. The SCG vectors, the
+    loss history and the returned weights are float64. The blocks run on
+    ``autoencoder._mapper``, the pool that scoring uses too: one worker per
+    usable CPU, up to ``autoencoder._MAX_BLOCKS``, opened at the first pass
+    of two blocks or more. With one CPU, and in a pass of one block, they
+    run in this thread; no thread outlives the call. Deterministic given
+    (model, X, max_cycles): the weights depend on the BLAS build, not on
+    the worker count, and the optimizer has no randomness of its own.
+    Raises DimensionMismatch or EmptyDataset, as ``objective`` does, and
+    ValueError for a budget below 1.
     """
     X = X.astype(np.float32, copy=False)
     with _mapper() as (run, _):

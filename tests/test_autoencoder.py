@@ -3,6 +3,7 @@
 import math
 import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -324,11 +325,10 @@ class TestFloat32Objective:
 
     EPS = float(np.finfo(np.float32).eps)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_loss_gradient_and_curvature_within_tolerance_of_float64(self, seed):
+    def check(self, n, d, h, seed):
         rng = np.random.default_rng(seed)
-        X = rng.uniform(size=(2000, 40))
-        model = init_model(40, 20, seed=seed)
+        X = rng.uniform(size=(n, d))
+        model = init_model(d, h, seed=seed)
         flat, p = flatten_params(model), unit_direction(rng, model.n_params)
         f64, g64, curvature64 = objective(model, X)
         f32, g32, curvature32 = objective(model, X.astype(np.float32))
@@ -337,6 +337,36 @@ class TestFloat32Objective:
         assert grad32.dtype == np.float64
         assert np.max(np.abs(grad32 - grad64)) <= 100 * self.EPS * np.max(np.abs(grad64))
         assert abs(curvature32(flat, p) - curvature64(flat, p)) <= 100 * self.EPS * abs(curvature64(flat, p))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_loss_gradient_and_curvature_within_tolerance_of_float64(self, seed):
+        self.check(2000, 40, 20, seed)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_row_block_partials_within_tolerance_of_float64(self, seed):
+        # 9,000 x 100 windows at 100 hidden units: the shipped blocking sums 8 row blocks' partials.
+        assert len(autoencoder._blocks(9000, 100 * 100)) == 8
+        self.check(9000, 100, 100, seed)
+
+
+class TestObjectiveMemory:
+    def test_a_cycle_allocates_no_matrix_of_every_row(self):
+        # 8 row blocks: run serially, the first cycle makes one worker's four
+        # block-sized buffers, half an (n, d) matrix in all, and nothing of n rows.
+        rng = np.random.default_rng(3)
+        X = rng.uniform(size=(9000, 100)).astype(np.float32)
+        model = init_model(100, 100, seed=3)
+        flat, p = flatten_params(model), unit_direction(rng, model.n_params)
+        f, g, curvature = objective(model, X)
+        tracemalloc.start()
+        try:
+            f(flat)
+            g(flat)
+            curvature(flat, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < X.nbytes
 
 
 # (_BLOCK_WORK, _BLOCK_ALIGN) for the block tests: the shipped blocking, under
@@ -413,6 +443,30 @@ class TestBlocks:
         if count > 1:
             assert all(edge % autoencoder._BLOCK_ALIGN == 0 for edge in edges[1:-1])
             assert all((block.stop - block.start) * work_per_item >= autoencoder._BLOCK_WORK for block in blocks)
+
+
+class TestUsableCpus:
+    """The pool's size: the CPU affinity, capped by a cgroup v2 CPU quota where one is set."""
+
+    @pytest.mark.parametrize(
+        "limit,expected",
+        [
+            ("max 100000\n", 64),
+            ("200000 100000\n", 2),
+            ("150000 100000\n", 2),
+            ("50000 100000\n", 1),
+            ("6400000 100000\n", 64),
+            ("garbled\n", 64),
+            (None, 64),
+        ],
+    )
+    def test_quota_caps_the_affinity(self, limit, expected, tmp_path, monkeypatch):
+        path = tmp_path / "cpu.max"
+        if limit is not None:
+            path.write_text(limit)
+        monkeypatch.setattr(autoencoder, "_CPU_MAX", str(path))
+        monkeypatch.setattr(autoencoder.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        assert autoencoder._usable_cpus() == expected
 
 
 class TestFlattening:

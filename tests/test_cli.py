@@ -45,12 +45,33 @@ class TestDefaults:
         assert args.gap_minutes == 60
 
     def test_importing_the_cli_does_not_load_the_thread_pool(self):
-        # scg.train imports concurrent.futures when it trains: every other command starts without it.
+        # The pool imports concurrent.futures when it opens: every other command starts without it.
         src = os.path.dirname(os.path.dirname(cli.__file__))
         probe = "import sys, bgpnovelty.cli; print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
         env = {**os.environ, "PYTHONPATH": src}
         loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
         assert loaded.stdout == "[]\n"
+
+    def test_one_block_phases_leave_the_thread_pool_unloaded(self, tmp_path):
+        # On several CPUs, a small train and a 300-minute score run every
+        # phase as one block, in the calling thread: no pool is opened.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        probe = (
+            "import sys\n"
+            "from bgpnovelty import autoencoder, cli\n"
+            "autoencoder._usable_cpus = lambda: 4\n"
+            "for argv in (['synth', '--minutes', '300', '--seed', '2', '--out', 'series.csv'],\n"
+            "             ['train', 'series.csv', '--k', '5', '--hidden', '4', '--cycles', '5', '--out', 'model.json'],\n"
+            "             ['score', 'series.csv', 'model.json', '--out', 'novelty.csv']):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "print(sorted(m for m in sys.modules if m.startswith('concurrent')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        loaded = subprocess.run(
+            [sys.executable, "-c", probe], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
+        )
+        assert loaded.stdout == "[]\n"
+        assert len((tmp_path / "novelty.csv").read_text().splitlines()) == 1 + 300 - 5 + 1
 
 
 class TestIngest:

@@ -378,7 +378,7 @@ class TestTrainWorkers:
         assert threading.active_count() == before
 
     def test_a_small_problem_runs_every_block_in_the_calling_thread_on_several_cpus(self, block_threads, monkeypatch):
-        # The shipped blocking keeps 500 x 6 whole: the pool is opened, and no thread starts.
+        # The shipped blocking keeps 500 x 6 whole: no phase opens the pool, and no thread starts.
         cpus(monkeypatch, 3)
         started = threads_started(monkeypatch)
         train(init_model(6, 5, seed=0), np.random.default_rng(1).uniform(size=(500, 6)), 5)

@@ -1,0 +1,90 @@
+"""Figures a declared numerical change records: final training losses and detection quality.
+
+    python3 tools/declared_change_figures.py [--tree DIR] [--loss-seeds 1-10] [--detect-seeds 1-3]
+
+Runs the benchmark's own inputs (``bench/workloads.py``) through the CLI of
+the package in ``DIR/src`` (default: this checkout), with BLAS on one thread:
+
+- ``train_week``: the final loss of the 100-cycle training, per seed;
+- ``score_month``: per seed and detector (autoencoder at quantile 0.999 of
+  the quiet week, rule at quantile 0.999 of the quiet week's totals, both
+  with a 60-minute gap), each surge's onset delay in minutes, and the
+  off-surge alarm events and minutes. An event is off-surge if it overlaps
+  neither a surge nor the hour after it; its minutes run from its start to
+  its end. The onset delay is the minutes from a surge's first minute to
+  the start of the first event that overlaps the surge, 0 when that event
+  began earlier.
+
+Prints one JSON object. Nothing is written outside a temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+HOUR = 60
+
+
+def seeds(text: str) -> list[int]:
+    lo, _, hi = text.partition("-")
+    return list(range(int(lo), int(hi or lo) + 1))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parent.parent)
+    parser.add_argument("--loss-seeds", type=seeds, default=seeds("1-10"))
+    parser.add_argument("--detect-seeds", type=seeds, default=seeds("1-3"))
+    args = parser.parse_args()
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ[name] = "1"  # before numpy is first imported
+    sys.path[:0] = [str(args.tree.resolve() / "src"), str(args.tree.resolve() / "bench")]
+    import numpy as np
+    import workloads
+
+    def run(plan) -> None:
+        for argv in plan.commands:
+            workloads.cli(argv)
+
+    out = {"tree": str(args.tree), "final_loss": {}, "detection": {}}
+    with tempfile.TemporaryDirectory() as scratch:
+        for seed in args.loss_seeds:
+            work = Path(scratch, f"train-{seed}")
+            work.mkdir()
+            os.chdir(work)
+            run(workloads.prepare_train_week(work, seed))
+            out["final_loss"][seed] = float(workloads._csv_rows(work / "model.json.report.csv", "cycle,loss")[-1][1])
+        for seed in args.detect_seeds:
+            work = Path(scratch, f"score-{seed}")
+            work.mkdir()
+            os.chdir(work)
+            plan = workloads.prepare_score_month(work, seed)
+            run(plan)
+            offsets = np.random.default_rng(seed).integers(120, 1200, size=len(workloads.SURGES))
+            surges = [(day * 1440 + int(offset), minutes) for (day, minutes, _), offset in zip(workloads.SURGES, offsets)]
+            start = workloads._epoch_minute((work / "month.csv").read_text().splitlines()[1].split(",")[0])
+            spans = [(start + 60 * onset, start + 60 * (onset + minutes - 1)) for onset, minutes in surges]
+            figures = {}
+            for name, report in (("ae", "ae_alarms.json"), ("rule", "rule_alarms.json")):
+                events = [(lo, hi) for lo, hi, _, _ in workloads._alarm_spans(work / report)]
+                delays = []
+                for lo, hi in spans:
+                    starts = [s for s, e in events if s <= hi and e >= lo]
+                    delays.append(max(0, (min(starts) - lo) // 60) if starts else None)
+                off = [(s, e) for s, e in events if not any(s <= hi + 60 * HOUR and e >= lo for lo, hi in spans)]
+                figures[name] = {
+                    "onset_delay_min": delays,
+                    "off_surge_events": len(off),
+                    "off_surge_minutes": sum((e - s) // 60 + 1 for s, e in off),
+                }
+            out["detection"][seed] = figures
+    print(json.dumps(out))
+
+
+if __name__ == "__main__":
+    main()
