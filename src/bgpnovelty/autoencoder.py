@@ -138,23 +138,26 @@ def _forward(X, w1, b1, w2, b2, hidden: np.ndarray, out: np.ndarray) -> np.ndarr
 
 def sse_loss(model: AutoencoderModel, X: np.ndarray) -> float:
     """Half the summed squared reconstruction error over the rows of X, in X's precision (see :func:`objective`)."""
-    return objective(model, X)[0](flatten_params(model))
+    with objective(model, X) as (f, _, _):
+        return f(flatten_params(model))
 
 
 def gradient(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
     """Analytic gradient of :func:`sse_loss` over w1 (row-major), b1, w2 (row-major), b2."""
-    return objective(model, X)[1](flatten_params(model))
+    with objective(model, X) as (_, g, _):
+        return g(flatten_params(model))
 
 
-def objective(model: AutoencoderModel, X: np.ndarray, run=map):
-    """Fused ``(f, g, curvature)`` over flat parameter vectors for the rows of X.
+@contextlib.contextmanager
+def objective(model: AutoencoderModel, X: np.ndarray):
+    """Fused ``(f, g, curvature)`` over flat parameter vectors for the rows of X, for a ``with`` block.
 
     ``f(flat)`` is the loss and ``g(flat)`` its gradient at the model with
     parameters ``flat`` (``model`` gives only the dimensions); they equal
     :func:`sse_loss` and :func:`gradient` on the same X bit for bit.
     ``curvature(flat, p)`` is the exact second directional derivative p'Hp,
     by forward-mode differentiation of the network (Pearlmutter, "Fast
-    exact multiplication by the Hessian", 1994).
+    exact multiplication by the Hessian", 1994). X is checked on entry.
 
     The precision comes from X: the matmuls and ``tanh`` run in float32 for
     a float32 X, and in float64 for a float64 or integer X (cast once). The
@@ -163,15 +166,13 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
     point of ``f`` adds only the backward pass, and ``curvature`` at the
     point of ``g`` only the forward-mode pass.
 
-    Each call makes one pass over the row blocks of :func:`_blocks`, which
-    ``run`` maps a function over as the builtin ``map`` does; ``scg.train``
-    passes a thread pool's ``map``. A pass of one block runs through the
-    builtin ``map``, in the calling thread. Each block writes float64
-    partial sums, the gradient's products among them, and the partials are
-    added in a fixed order. A worker keeps its temporaries in block-sized
-    buffers from a free list, so no call allocates a matrix of every row.
-    The blocks follow from the shapes alone, so the results do not depend
-    on how many workers run them; they depend on the BLAS build.
+    Each call makes one pass over the row blocks of :func:`_blocks` on a
+    :func:`_pool` that lives as long as the ``with`` block. Each block writes
+    float64 partial sums, the gradient's products among them, which are
+    added in a fixed order, and keeps its temporaries in the pool's
+    block-sized buffers, so no call allocates a matrix of every row. The
+    blocks follow from the shapes alone, so the results do not depend on
+    how many workers run them; they depend on the BLAS build.
     """
     _check_matrix(model, X)
     if X.shape[0] == 0:
@@ -185,31 +186,24 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
     w1, b1, w2, b2 = _split(model, params)
     rows = _blocks(n, d * h)
     most = max(b.stop - b.start for b in rows)
-    free = []  # a (2, most, d) and a (2, most, h) buffer per worker, made when none is free
+    blocks = range(len(rows))
     losses, tangents, grads = np.empty(len(rows)), np.empty((len(rows), 3)), np.empty((len(rows), model.n_params))
     grad_parts = [_split(model, grad) for grad in grads]
     at = np.full(model.n_params, np.nan)  # point of hidden and residual
     backward_at = np.full(model.n_params, np.nan)  # point of d_hidden
 
-    def each_block(task) -> None:
-        def block(i: int) -> None:
-            try:
-                wide, narrow = free.pop()
-            except IndexError:
-                wide, narrow = np.empty((2, most, d), dtype), np.empty((2, most, h), dtype)
-            try:
-                size = rows[i].stop - rows[i].start
-                task(i, rows[i], wide[:, :size], narrow[:, :size])
-            finally:
-                free.append((wide, narrow))
+    def new_buffers() -> list[tuple[np.ndarray, np.ndarray]]:
+        """A (2, most, d) and a (2, most, h) buffer, as a view of each block's rows of the two."""
+        wide, narrow = np.empty((2, most, d), dtype), np.empty((2, most, h), dtype)
+        return [(wide[:, : b.stop - b.start], narrow[:, : b.stop - b.start]) for b in rows]
 
-        _each(run, block, range(len(rows)))
-
-    def forward_rows(i: int, b: slice, wide: np.ndarray, _) -> None:
+    def forward_rows(i: int, buffers) -> None:
+        b, (wide, _) = rows[i], buffers[i]
         np.subtract(_forward(X[b], w1, b1, w2, b2, hidden[b], residual[b]), X[b], out=residual[b])
         losses[i] = np.sum(np.square(residual[b], out=wide[0]), dtype=np.float64)
 
-    def backward_rows(i: int, b: slice, _, narrow: np.ndarray) -> None:
+    def backward_rows(i: int, buffers) -> None:
+        b, (_, narrow) = rows[i], buffers[i]
         slope = np.subtract(1.0, np.square(hidden[b], out=narrow[0]), out=narrow[0])
         np.multiply(np.matmul(residual[b], w2, out=d_hidden[b]), slope, out=d_hidden[b])
         g_w1, g_b1, g_w2, g_b2 = grad_parts[i]
@@ -220,7 +214,7 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
 
     def f(flat: np.ndarray) -> float:
         params[:] = _checked(model, flat)
-        each_block(forward_rows)
+        run(forward_rows, blocks)
         at[:] = flat
         backward_at[:] = np.nan
         return 0.5 * float(losses.sum())
@@ -228,7 +222,7 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
     def g(flat: np.ndarray) -> np.ndarray:
         if not np.array_equal(flat, at):
             f(flat)
-        each_block(backward_rows)
+        run(backward_rows, blocks)
         backward_at[:] = flat
         return grads.sum(axis=0)
 
@@ -237,8 +231,8 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
             g(flat)
         p1, q1, p2, q2 = _split(model, _checked(model, p).astype(dtype))
 
-        def tangent_rows(i: int, b: slice, wide: np.ndarray, narrow: np.ndarray) -> None:
-            (products, r_dot), (a_dot, h_dot) = wide, narrow
+        def tangent_rows(i: int, buffers) -> None:
+            b, ((products, r_dot), (a_dot, h_dot)) = rows[i], buffers[i]
             np.add(np.matmul(X[b], p1.T, out=a_dot), q1, out=a_dot)
             np.multiply(np.subtract(1.0, np.square(hidden[b], out=h_dot), out=h_dot), a_dot, out=h_dot)  # h'
             np.multiply(np.square(a_dot, out=a_dot), hidden[b], out=a_dot)
@@ -248,23 +242,25 @@ def objective(model: AutoencoderModel, X: np.ndarray, run=map):
             r_dot += q2  # r' = h' w2' + h p2' + q2
             tangents[i, 2] = _dot64(r_dot, r_dot)
 
-        each_block(tangent_rows)
+        run(tangent_rows, blocks)
         tanh_term, cross, r_dot_sq = tangents.sum(axis=0)
         return r_dot_sq - 2.0 * tanh_term + 2.0 * cross
 
-    return f, g, curvature
+    with _pool(new_buffers) as run:
+        yield f, g, curvature
 
 
 # Row blocks of the objective. The rows are split only where each block's
-# products keep at least _BLOCK_WORK multiply-adds: OpenBLAS's SkylakeX
-# kernels round a product of up to about 10**6 multiply-adds through
-# separate small-matrix code, so with finer blocks the layers' rows would
-# round differently from those of the unsplit products. Inner block
-# edges fall on multiples of _BLOCK_ALIGN. The block count is a power of two
-# up to _MAX_BLOCKS. More blocks than workers let the others take over the
-# share of a worker whose CPU another process keeps busy: on 2 cores with one
-# of them busy, 8 row blocks of a 10,031 x 100 window matrix trained as fast
-# as one thread, and 4 blocks 15% slower; with both free, 4 and 8 ran alike.
+# products keep at least _BLOCK_WORK multiply-adds, as every block costs a
+# pool task, its numpy calls and its partial sums: on 10,031 x 100 windows at
+# 100 hidden units and 2 CPUs, fixed 512-row blocks (20 a phase) trained
+# about 10% slower over 6 benchmark pairs, and fixed 1,024-row blocks within
+# noise. Inner block edges fall on multiples of _BLOCK_ALIGN. The block count
+# is a power of two up to _MAX_BLOCKS. More blocks than workers let the
+# others take over the share of a worker whose CPU another process keeps
+# busy: on 2 cores with one of them busy, 8 row blocks of a 10,031 x 100
+# window matrix trained as fast as one thread, and 4 blocks 15% slower; with
+# both free, 4 and 8 ran alike.
 _BLOCK_WORK = 1 << 22
 _BLOCK_ALIGN = 16
 _MAX_BLOCKS = 8
@@ -304,49 +300,59 @@ def _usable_cpus() -> int:
 
 
 @contextlib.contextmanager
-def _mapper():
-    """The ``map`` that training and scoring run their blocks with, and how many blocks it runs at once.
+def _pool(new_buffers):
+    """Yield ``run(task, blocks)``, which calls ``task(block, buffers)`` for every block and returns when all end.
 
-    It is the builtin ``map`` for one usable CPU, else the ``map`` of a pool
-    of one thread per usable CPU, up to ``_MAX_BLOCKS`` threads, which starts
-    a thread only when a block waits and no thread is idle, and is shut down
-    on exit. No phase of the objective has more blocks, and scoring holds a
-    set of block buffers per worker, so the cap keeps a many-core host's
-    threads and memory at those of ``_MAX_BLOCKS`` CPUs. Each worker takes
-    the caller's numpy error handling, which is per thread. The pool, and
-    the import of ``concurrent.futures``, wait for the first call, which
-    :func:`_each` makes only for two blocks or more: a run whose every phase
-    is one block, and every command that does not train or score, start
-    without them.
+    With one usable CPU, and in a call of one block, the blocks run in the
+    calling thread. Otherwise they run on one thread per usable CPU, up to
+    ``_MAX_BLOCKS``, each with the caller's numpy error handling, which is
+    per thread; a thread starts only when a block waits and none is idle.
+    No phase of the objective has more blocks, and each worker holds a set
+    of buffers, so the cap keeps a many-core host's threads and memory at
+    those of ``_MAX_BLOCKS`` CPUs. The threads, and the import of
+    ``concurrent.futures``, wait for the first call of two blocks or more,
+    and end on exit.
+
+    ``new_buffers()`` makes a set of buffers in the calling thread, as glibc
+    gives each thread its own heap, which keeps what the thread freed after
+    the thread ends. A call first makes sets until one free list holds
+    ``min(workers, len(blocks))``, which every later call reuses. A block,
+    failed or not, puts its set back, and the exception of the first failed
+    block, in block order, reaches the caller.
     """
     workers = min(_usable_cpus(), _MAX_BLOCKS)
-    if workers <= 1:
-        yield map, 1
-        return
-    pool, initializer = None, functools.partial(np.seterr, **np.geterr())
+    initializer = functools.partial(np.seterr, **np.geterr())
+    free, executor = [], None
 
-    def run(task, blocks):
-        nonlocal pool
-        if pool is None:
+    def block(task, item) -> None:
+        buffers = free.pop()
+        try:
+            task(item, buffers)
+        finally:
+            free.append(buffers)
+
+    def run(task, blocks) -> None:
+        nonlocal executor
+        while len(free) < min(workers, len(blocks)):
+            free.append(new_buffers())
+        if workers == 1 or len(blocks) < 2:
+            for item in blocks:
+                block(task, item)
+            return
+        if executor is None:
             from concurrent.futures import ThreadPoolExecutor
 
-            pool = ThreadPoolExecutor(workers, initializer=initializer)
-        return pool.map(task, blocks)
+            executor = ThreadPoolExecutor(workers, initializer=initializer)
+        futures = [executor.submit(block, task, item) for item in blocks]
+        for error in [future.exception() for future in futures]:  # waits for every block, so every set is back
+            if error is not None:
+                raise error
 
     try:
-        yield run, workers
+        yield run
     finally:
-        if pool is not None:
-            pool.shutdown()
-
-
-def _each(run, task, blocks) -> None:
-    """``task`` of every block, through ``run`` for several blocks and in the calling thread for one.
-
-    The results are drained, so a block's exception reaches the caller.
-    """
-    for _ in (run if len(blocks) > 1 else map)(task, blocks):
-        pass
+        if executor is not None:
+            executor.shutdown()
 
 
 def _dot64(a: np.ndarray, b: np.ndarray) -> float:

@@ -4,8 +4,8 @@ The novelty of a window is the mean squared difference between the
 autoencoder's outputs and its inputs over all 2k dimensions: zero for a
 perfect reconstruction, growing as the input leaves the trained envelope.
 Scoring cuts a series' windows into blocks of ``SCORE_BLOCK_ROWS`` and
-scores them on the thread pool that training uses, one block per worker at
-a time; a window's novelty does not depend on the block or the worker count.
+runs them through training's block runner, ``autoencoder._pool``; a
+window's novelty does not depend on the block size or the worker count.
 Alarms group above-threshold minutes into episodes; the rule-based baseline
 applies the same grouping to raw per-minute update totals so the two alarm
 streams can be compared for lead time.
@@ -21,7 +21,7 @@ from typing import BinaryIO, Sequence, TextIO
 import numpy as np
 
 from . import features
-from .autoencoder import AutoencoderModel, _check_matrix, _each, _mapper, reconstruct
+from .autoencoder import AutoencoderModel, _check_matrix, _pool, reconstruct
 from .series import MINUTE, CsvRows, MinuteSeries, first_row_fault, read_csv, write_minute_csv
 from .series import format_minute_utc, format_minutes_utc, parse_minutes_utc
 
@@ -90,8 +90,8 @@ def score_series(model: AutoencoderModel, X: np.ndarray, buffers: tuple[np.ndarr
     the matrix shape, and a kernel for fewer rows may round a row's sums
     differently; with one shape for every call, a row's novelty does not
     depend on the rows scored with it. At the pipeline's 100 inputs and 100
-    hidden units a block is above the sizes OpenBLAS's SkylakeX kernels
-    round through small-matrix code (see ``autoencoder._BLOCK_WORK``), so
+    hidden units a block's products are above the about 10**6 multiply-adds
+    that OpenBLAS's SkylakeX kernels round through small-matrix code, so
     there the novelty does not depend on ``SCORE_BLOCK_ROWS`` either.
     ``buffers`` are the float64 (windows, hidden, output) matrices of
     ``SCORE_BLOCK_ROWS`` rows that a thread scoring block after block passes
@@ -120,33 +120,25 @@ def score_windows(model: AutoencoderModel, series: MinuteSeries) -> np.ndarray:
     """:func:`score_series` of the series' windows, built and scored ``SCORE_BLOCK_ROWS`` at a time.
 
     Entry ``i`` scores the window ending at ``series.minutes()[model.k - 1 + i]``.
-    Every block, the short last one too, runs on ``autoencoder._mapper``,
-    the pool ``scg.train`` uses: one worker per usable CPU, up to
-    ``autoencoder._MAX_BLOCKS``, each building, padding and
-    scoring one block at a time in its own window and layer buffers. No
-    thread outlives the call, and the novelty is the same at any worker
-    count. Memory follows the block and the workers, not the series, apart
-    from 8 bytes a window.
+    Every block, the short last one too, runs on ``autoencoder._pool``, the
+    runner ``scg.train`` uses: one worker per usable CPU, up to
+    ``autoencoder._MAX_BLOCKS``, each building, padding and scoring one
+    block at a time in the window and layer buffers the pool hands it, made
+    in this thread. No thread outlives the call, and the novelty is the same
+    at any worker count. Memory follows the block and the workers, not the
+    series, apart from 8 bytes a window.
     """
     novelty = np.empty(max(len(series) - model.k + 1, 0))
-    starts = range(0, novelty.size, SCORE_BLOCK_ROWS)
     widths = model.input_dim, model.hidden_dim, model.input_dim  # of the windows and the two layers
 
-    def score_block(lo: int) -> None:
-        buffers = free.pop()
-        try:
-            minutes = slice(lo, min(lo + SCORE_BLOCK_ROWS, novelty.size) + model.k - 1)  # those its windows cover
-            part = MinuteSeries(series.minute_at(lo), series.announcements[minutes], series.withdrawals[minutes])
-            windows = features.make_windows(part, model.k, model.norm, out=buffers[0])
-            novelty[lo : lo + len(windows)] = score_series(model, windows, buffers)
-        finally:
-            free.append(buffers)  # a failed block leaves its buffers to the blocks after it
+    def score_block(lo: int, buffers: tuple[np.ndarray, ...]) -> None:
+        minutes = slice(lo, min(lo + SCORE_BLOCK_ROWS, novelty.size) + model.k - 1)  # those its windows cover
+        part = MinuteSeries(series.minute_at(lo), series.announcements[minutes], series.withdrawals[minutes])
+        windows = features.make_windows(part, model.k, model.norm, out=buffers[0])
+        novelty[lo : lo + len(windows)] = score_series(model, windows, buffers)
 
-    with _mapper() as (run, workers):
-        # The buffers are allocated in this thread: glibc gives each thread its
-        # own heap, which keeps what the thread freed after the thread ends.
-        free = [tuple(np.empty((SCORE_BLOCK_ROWS, w)) for w in widths) for _ in range(min(workers, len(starts)))]
-        _each(run, score_block, starts)
+    with _pool(lambda: tuple(np.empty((SCORE_BLOCK_ROWS, w)) for w in widths)) as run:
+        run(score_block, range(0, novelty.size, SCORE_BLOCK_ROWS))
     return novelty
 
 

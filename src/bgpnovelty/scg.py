@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autoencoder import AutoencoderModel, _mapper, flatten_params, objective, unflatten_params
+from .autoencoder import AutoencoderModel, flatten_params, objective, unflatten_params
 from .series import csv_text
 
 STOP_BUDGET = "budget"
@@ -173,19 +173,17 @@ def train(model: AutoencoderModel, X: np.ndarray, max_cycles: int) -> tuple[Auto
     already is float32, and ``autoencoder.objective`` runs its loss,
     gradient and curvature kernels in X's precision, one pass over its row
     blocks each, with float64 partial sums per block. The SCG vectors, the
-    loss history and the returned weights are float64. The blocks run on
-    ``autoencoder._mapper``, the pool that scoring uses too: one worker per
-    usable CPU, up to ``autoencoder._MAX_BLOCKS``, opened at the first pass
-    of two blocks or more. With one CPU, and in a pass of one block, they
-    run in this thread; no thread outlives the call. Deterministic given
-    (model, X, max_cycles): the weights depend on the BLAS build, not on
-    the worker count, and the optimizer has no randomness of its own.
-    Raises DimensionMismatch or EmptyDataset, as ``objective`` does, and
-    ValueError for a budget below 1.
+    loss history and the returned weights are float64. The objective runs
+    its blocks through ``autoencoder._pool``, as scoring does, with one set
+    of block buffers per worker, made once in this thread for the whole run.
+    With one CPU, and in a pass of one block, the blocks run in this thread;
+    no thread outlives the call. Deterministic given (model, X, max_cycles):
+    the weights depend on the BLAS build, not on the worker count, and the
+    optimizer has no randomness of its own. Raises DimensionMismatch or
+    EmptyDataset, as ``objective`` does, and ValueError for a budget below 1.
     """
     X = X.astype(np.float32, copy=False)
-    with _mapper() as (run, _):
-        fused = objective(model, X, run)
+    with objective(model, X) as fused:
         best, report = scg_minimize(*fused, flatten_params(model), max_cycles)
     return unflatten_params(model, best), report
 

@@ -13,7 +13,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from bgpnovelty import autoencoder
+from bgpnovelty import autoencoder, detector
 from bgpnovelty.autoencoder import AutoencoderModel, init_model, sse_loss
 from bgpnovelty.detector import score_series, suggest_threshold
 from bgpnovelty.features import NormalizationParams, fit_normalization, make_windows
@@ -59,6 +59,24 @@ def block_threads(monkeypatch):
 
     monkeypatch.setattr(autoencoder, "_forward", recorded)
     return seen
+
+
+@pytest.fixture
+def buffer_sets(monkeypatch):
+    """The thread that makes each of the pool's buffer sets, collected as training or scoring runs."""
+    made = []
+    pool = autoencoder._pool
+
+    def recorded(new_buffers):
+        def made_here():
+            made.append(threading.current_thread())
+            return new_buffers()
+
+        return pool(made_here)
+
+    monkeypatch.setattr(autoencoder, "_pool", recorded)
+    monkeypatch.setattr(detector, "_pool", recorded)
+    return made
 
 
 def threads_started(monkeypatch) -> list:

@@ -3,8 +3,9 @@
 import math
 import re
 import sys
+import threading
+import time
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -218,57 +219,57 @@ class TestObjective:
     @given(shapes_and_seed)
     def test_equals_sse_loss_and_gradient_exactly(self, shape):
         model, X, _ = problem(shape)
-        f, g, _ = objective(model, X)
         flat = flatten_params(model)
         loss, grad = reference_loss_and_gradient(model, X)
-        assert f(flat) == sse_loss(model, X) == loss
-        assert np.array_equal(g(flat), gradient(model, X))
-        assert np.array_equal(g(flat), grad)
+        with objective(model, X) as (f, g, _):
+            assert f(flat) == sse_loss(model, X) == loss
+            assert np.array_equal(g(flat), gradient(model, X))
+            assert np.array_equal(g(flat), grad)
 
     @settings(max_examples=60, deadline=None)
     @given(shapes_and_seed)
     def test_gradient_away_from_last_point_is_fresh(self, shape):
         model, X, rng = problem(shape)
-        f, g, _ = objective(model, X)
         flat = flatten_params(model)
         other = flat + rng.normal(size=flat.size)
-        f(flat)
-        assert np.array_equal(g(other), gradient(unflatten_params(model, other), X))
-        assert np.array_equal(g(flat), gradient(model, X))
+        with objective(model, X) as (f, g, _):
+            f(flat)
+            assert np.array_equal(g(other), gradient(unflatten_params(model, other), X))
+            assert np.array_equal(g(flat), gradient(model, X))
 
     @settings(max_examples=60, deadline=None)
     @given(shapes_and_seed, st.data())
     def test_in_place_change_after_f_is_never_stale(self, shape, data):
         model, X, _ = problem(shape)
-        f, g, _ = objective(model, X)
         flat = flatten_params(model)
-        f(flat)
-        i = data.draw(st.integers(0, flat.size - 1))
-        flat[i] = data.draw(st.floats(-3.0, 3.0).filter(lambda v: v != flat[i]))
-        assert np.array_equal(g(flat), gradient(unflatten_params(model, flat), X))
+        with objective(model, X) as (f, g, _):
+            f(flat)
+            i = data.draw(st.integers(0, flat.size - 1))
+            flat[i] = data.draw(st.floats(-3.0, 3.0).filter(lambda v: v != flat[i]))
+            assert np.array_equal(g(flat), gradient(unflatten_params(model, flat), X))
 
     @settings(max_examples=30, deadline=None)
     @given(shapes_and_seed)
     def test_each_gradient_call_returns_a_new_array(self, shape):
         model, X, _ = problem(shape)
-        f, g, _ = objective(model, X)
         flat = flatten_params(model)
-        f(flat)
-        first, second = g(flat), g(flat)
+        with objective(model, X) as (f, g, _):
+            f(flat)
+            first, second = g(flat), g(flat)
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, second)
 
     def test_rejects_wrong_inputs(self):
         model = init_model(4, 3, seed=0)
-        with pytest.raises(EmptyDataset):
-            objective(model, np.zeros((0, 4)))
-        with pytest.raises(DimensionMismatch):
-            objective(model, np.zeros((2, 5)))
-        f, g, _ = objective(model, np.zeros((2, 4)))
-        with pytest.raises(DimensionMismatch):
-            f(np.zeros(5))
-        with pytest.raises(DimensionMismatch):
-            g(np.zeros(5))
+        with pytest.raises(EmptyDataset), objective(model, np.zeros((0, 4))):
+            pass
+        with pytest.raises(DimensionMismatch), objective(model, np.zeros((2, 5))):
+            pass
+        with objective(model, np.zeros((2, 4))) as (f, g, _):
+            with pytest.raises(DimensionMismatch):
+                f(np.zeros(5))
+            with pytest.raises(DimensionMismatch):
+                g(np.zeros(5))
 
 
 def unit_direction(rng, size):
@@ -282,42 +283,44 @@ class TestCurvature:
     def test_float64_matches_central_difference_of_gradient(self, shape):
         # relative to |Hp|, the largest |p'Hp| for a unit direction p
         model, X, rng = problem(shape)
-        _, g, curvature = objective(model, X)
         flat, p = flatten_params(model), unit_direction(rng, model.n_params)
         step = 1e-5
-        hessian_p = (g(flat + step * p) - g(flat - step * p)) / (2.0 * step)
-        assert abs(curvature(flat, p) - hessian_p @ p) <= 1e-6 * np.linalg.norm(hessian_p)
+        with objective(model, X) as (_, g, curvature):
+            hessian_p = (g(flat + step * p) - g(flat - step * p)) / (2.0 * step)
+            assert abs(curvature(flat, p) - hessian_p @ p) <= 1e-6 * np.linalg.norm(hessian_p)
 
     @settings(max_examples=60, deadline=None)
     @given(shapes_and_seed, st.sampled_from([np.float64, np.float32]))
     def test_after_gradient_equals_a_fresh_objective(self, shape, dtype):
         model, X, rng = problem(shape)
-        f, g, curvature = objective(model, X.astype(dtype))
         flat, p = flatten_params(model), unit_direction(rng, model.n_params)
-        f(flat)
-        g(flat)
-        assert curvature(flat, p) == objective(model, X.astype(dtype))[2](flat, p)
+        with objective(model, X.astype(dtype)) as (_, _, fresh):
+            expected = fresh(flat, p)
+        with objective(model, X.astype(dtype)) as (f, g, curvature):
+            f(flat)
+            g(flat)
+            assert curvature(flat, p) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(shapes_and_seed)
     def test_spent_buffers_are_never_stale(self, shape):
         model, X, rng = problem(shape)
-        f, g, curvature = objective(model, X)
         flat, p = flatten_params(model), unit_direction(rng, model.n_params)
-        f(flat)
-        g(flat)
-        first = curvature(flat, p)
-        assert np.array_equal(g(flat), gradient(model, X))
-        assert curvature(flat, p) == first
-        assert f(flat) == sse_loss(model, X)
+        with objective(model, X) as (f, g, curvature):
+            f(flat)
+            g(flat)
+            first = curvature(flat, p)
+            assert np.array_equal(g(flat), gradient(model, X))
+            assert curvature(flat, p) == first
+            assert f(flat) == sse_loss(model, X)
 
     def test_rejects_wrong_sizes(self):
         model = init_model(4, 3, seed=0)
-        _, _, curvature = objective(model, np.zeros((2, 4)))
-        with pytest.raises(DimensionMismatch):
-            curvature(np.zeros(5), np.zeros(model.n_params))
-        with pytest.raises(DimensionMismatch):
-            curvature(flatten_params(model), np.zeros(5))
+        with objective(model, np.zeros((2, 4))) as (_, _, curvature):
+            with pytest.raises(DimensionMismatch):
+                curvature(np.zeros(5), np.zeros(model.n_params))
+            with pytest.raises(DimensionMismatch):
+                curvature(flatten_params(model), np.zeros(5))
 
 
 class TestFloat32Objective:
@@ -330,13 +333,13 @@ class TestFloat32Objective:
         X = rng.uniform(size=(n, d))
         model = init_model(d, h, seed=seed)
         flat, p = flatten_params(model), unit_direction(rng, model.n_params)
-        f64, g64, curvature64 = objective(model, X)
-        f32, g32, curvature32 = objective(model, X.astype(np.float32))
-        assert abs(f32(flat) - f64(flat)) <= 10 * self.EPS * f64(flat)
-        grad64, grad32 = g64(flat), g32(flat)
-        assert grad32.dtype == np.float64
-        assert np.max(np.abs(grad32 - grad64)) <= 100 * self.EPS * np.max(np.abs(grad64))
-        assert abs(curvature32(flat, p) - curvature64(flat, p)) <= 100 * self.EPS * abs(curvature64(flat, p))
+        with objective(model, X) as (f64, g64, curvature64), objective(model, X.astype(np.float32)) as fused32:
+            f32, g32, curvature32 = fused32
+            assert abs(f32(flat) - f64(flat)) <= 10 * self.EPS * f64(flat)
+            grad64, grad32 = g64(flat), g32(flat)
+            assert grad32.dtype == np.float64
+            assert np.max(np.abs(grad32 - grad64)) <= 100 * self.EPS * np.max(np.abs(grad64))
+            assert abs(curvature32(flat, p) - curvature64(flat, p)) <= 100 * self.EPS * abs(curvature64(flat, p))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_loss_gradient_and_curvature_within_tolerance_of_float64(self, seed):
@@ -350,22 +353,23 @@ class TestFloat32Objective:
 
 
 class TestObjectiveMemory:
-    def test_a_cycle_allocates_no_matrix_of_every_row(self):
-        # 8 row blocks: run serially, the first cycle makes one worker's four
+    def test_a_cycle_allocates_no_matrix_of_every_row(self, monkeypatch):
+        # 8 row blocks on one CPU: the first cycle makes one buffer set, four
         # block-sized buffers, half an (n, d) matrix in all, and nothing of n rows.
+        monkeypatch.setattr(autoencoder, "_usable_cpus", lambda: 1)
         rng = np.random.default_rng(3)
         X = rng.uniform(size=(9000, 100)).astype(np.float32)
         model = init_model(100, 100, seed=3)
         flat, p = flatten_params(model), unit_direction(rng, model.n_params)
-        f, g, curvature = objective(model, X)
-        tracemalloc.start()
-        try:
-            f(flat)
-            g(flat)
-            curvature(flat, p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with objective(model, X) as (f, g, curvature):
+            tracemalloc.start()
+            try:
+                f(flat)
+                g(flat)
+                curvature(flat, p)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         assert peak < X.nbytes
 
 
@@ -374,10 +378,11 @@ class TestObjectiveMemory:
 BLOCKINGS = [(autoencoder._BLOCK_WORK, autoencoder._BLOCK_ALIGN), (1, 1), (64, 4)]
 
 
-def evaluations(model, X, run, flat, p, other):
-    """f, g and the curvature at ``flat``, then g and f at ``other``, with the objective's blocks mapped by ``run``."""
-    f, g, curvature = objective(model, X, run)
-    return f(flat), g(flat).tobytes(), curvature(flat, p), g(other).tobytes(), f(other)
+def evaluations(model, X, count, flat, p, other):
+    """f, g and the curvature at ``flat``, then g and f at ``other``, on a pool sized for ``count`` CPUs."""
+    # mock, not monkeypatch: a function-scoped fixture would span every example of @given
+    with mock.patch.object(autoencoder, "_usable_cpus", lambda: count), objective(model, X) as (f, g, curvature):
+        return f(flat), g(flat).tobytes(), curvature(flat, p), g(other).tobytes(), f(other)
 
 
 class TestBlocks:
@@ -392,7 +397,7 @@ class TestBlocks:
         dtype=st.sampled_from([np.float32, np.float64]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_same_bits_serially_and_on_pools_of_two_and_three(self, n, d, h, blocking, dtype, seed):
+    def test_same_bits_on_one_two_and_three_cpus(self, n, d, h, blocking, dtype, seed):
         rng = np.random.default_rng(seed)
         model = init_model(d, h, seed=seed)
         flat, p, other = (rng.normal(size=model.n_params) for _ in range(3))
@@ -400,8 +405,7 @@ class TestBlocks:
         work, align = blocking
         # mock, not monkeypatch: a function-scoped fixture would span every example of @given
         with mock.patch.multiple(autoencoder, _BLOCK_WORK=work, _BLOCK_ALIGN=align):
-            with ThreadPoolExecutor(2) as two, ThreadPoolExecutor(3) as three:
-                serial, *pooled = (evaluations(model, X, run, flat, p, other) for run in (map, two.map, three.map))
+            serial, *pooled = (evaluations(model, X, count, flat, p, other) for count in (1, 2, 3))
         assert pooled == [serial, serial]
 
     @pytest.mark.parametrize("n,d,h", [(2100, 64, 64), (9000, 100, 100), (6000, 150, 40)])
@@ -411,22 +415,21 @@ class TestBlocks:
         flat, p, other = (rng.normal(scale=0.1, size=model.n_params) for _ in range(3))
         X = rng.uniform(size=(n, d)).astype(np.float32)
         assert len(autoencoder._blocks(n, d * h)) > 1  # the rows are split
-        with ThreadPoolExecutor(2) as two, ThreadPoolExecutor(3) as three:
-            serial, *pooled = (evaluations(model, X, run, flat, p, other) for run in (map, two.map, three.map))
+        serial, *pooled = (evaluations(model, X, count, flat, p, other) for count in (1, 2, 3))
         assert pooled == [serial, serial]
 
     def test_same_bits_on_more_workers_than_blocks_switching_often(self):
         rng = np.random.default_rng(5)
         model = init_model(12, 9, seed=5)
         flat, p, other = (rng.normal(size=model.n_params) for _ in range(3))
-        X = rng.uniform(size=(200, 12)).astype(np.float32)
+        X = rng.uniform(size=(15, 12)).astype(np.float32)
         interval = sys.getswitchinterval()
         with mock.patch.multiple(autoencoder, _BLOCK_WORK=1, _BLOCK_ALIGN=1):
-            serial = evaluations(model, X, map, flat, p, other)
+            assert len(autoencoder._blocks(15, 12 * 9)) == 4  # on up to _MAX_BLOCKS = 8 workers
+            serial = evaluations(model, X, 1, flat, p, other)
             sys.setswitchinterval(1e-6)
             try:
-                with ThreadPoolExecutor(16) as pool:
-                    pooled = [evaluations(model, X, pool.map, flat, p, other) for _ in range(20)]
+                pooled = [evaluations(model, X, 16, flat, p, other) for _ in range(20)]
             finally:
                 sys.setswitchinterval(interval)
         assert pooled == [serial] * 20
@@ -467,6 +470,59 @@ class TestUsableCpus:
         monkeypatch.setattr(autoencoder, "_CPU_MAX", str(path))
         monkeypatch.setattr(autoencoder.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         assert autoencoder._usable_cpus() == expected
+
+
+class TestPool:
+    """``_pool``'s buffer sets: made in the calling thread, one per block that can run at once, and reused."""
+
+    @staticmethod
+    def sets(made):
+        """A ``new_buffers`` that records the thread that makes each set."""
+
+        def new_buffers():
+            made.append(threading.current_thread())
+            return [len(made)]
+
+        return new_buffers
+
+    @pytest.mark.parametrize("count,calls,expected", [
+        (1, [8, 8], 1),
+        (3, [1], 1),
+        (3, [2], 2),
+        (3, [2, 8, 5], 3),
+        (64, [8, 8], autoencoder._MAX_BLOCKS),
+    ])
+    def test_a_call_makes_sets_only_in_the_calling_thread_for_the_blocks_that_run_at_once(
+        self, count, calls, expected, monkeypatch
+    ):
+        monkeypatch.setattr(autoencoder, "_usable_cpus", lambda: count)
+        made, seen = [], []
+        with autoencoder._pool(self.sets(made)) as run:
+            for blocks in calls:
+                run(lambda block, buffers: seen.append((block, buffers[0])), range(blocks))
+        assert made == [threading.current_thread()] * expected
+        assert sorted(block for block, _ in seen) == sorted(block for blocks in calls for block in range(blocks))
+        assert {number for _, number in seen} <= set(range(1, expected + 1))
+
+    def test_a_failed_block_hands_its_set_on_to_later_blocks(self, monkeypatch):
+        # Every one of twice as many blocks as workers fails: each still gets a set,
+        # and the call after the failed one reuses the sets rather than making more.
+        monkeypatch.setattr(autoencoder, "_usable_cpus", lambda: 3)
+        made, seen = [], []
+        failure = ArithmeticError("raised in a block")
+
+        def failing(block, buffers):
+            seen.append(buffers[0])
+            time.sleep(0.001)
+            raise failure
+
+        with autoencoder._pool(self.sets(made)) as run:
+            with pytest.raises(ArithmeticError) as raised:
+                run(failing, range(6))
+            assert raised.value is failure
+            assert len(seen) == 6 and set(seen) <= {1, 2, 3}
+            run(lambda block, buffers: seen.append(buffers[0]), range(6))
+        assert len(made) == 3 and len(seen) == 12
 
 
 class TestFlattening:

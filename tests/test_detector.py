@@ -356,30 +356,14 @@ class TestScoreWorkers:
         assert raised.value is failure
         assert threading.active_count() == before
 
-    def test_a_failed_block_leaves_its_buffers_to_the_blocks_after_it(self, monkeypatch):
-        # Every block fails, twice as many as there are workers, and each block's exception is kept rather
-        # than raised, so that no block is cancelled: each still gets a set of buffers and fails in the network.
-        cpus(monkeypatch, 3)
-        errors = []
-        each = detector._each
-
-        def kept(run, task, blocks):
-            def block(lo):
-                try:
-                    task(lo)
-                except Exception as error:
-                    errors.append(error)
-
-            each(run, block, blocks)
-
-        def failing(*args):
-            raise ArithmeticError("raised in a block")
-
-        monkeypatch.setattr(detector, "_each", kept)
-        monkeypatch.setattr(autoencoder, "_forward", failing)
-        model, series = self.scored(6 * SCORE_BLOCK_ROWS + 2)
-        score_windows(model, series)
-        assert [type(error) for error in errors] == [ArithmeticError] * 6
+    @pytest.mark.parametrize("count,blocks,sets", [(3, 4, 3), (3, 2, 2), (1, 4, 1), (64, 9, 8)])
+    def test_buffer_sets_are_made_in_the_calling_thread_for_the_blocks_that_run_at_once(
+        self, count, blocks, sets, buffer_sets, monkeypatch
+    ):
+        cpus(monkeypatch, count)
+        model, series = self.scored((blocks - 1) * SCORE_BLOCK_ROWS + 3)
+        assert score_windows(model, series).shape == ((blocks - 1) * SCORE_BLOCK_ROWS + 1,)
+        assert buffer_sets == [threading.current_thread()] * sets
 
 
 class TestDetectAlarms:

@@ -270,9 +270,9 @@ class TestTrain:
         X = np.random.default_rng(24).uniform(size=(10, 4)).astype(np.float32)
         seen = []
 
-        def keep(model, data, run):
+        def keep(model, data):
             seen.append(data)
-            return objective(model, data, run)
+            return objective(model, data)
 
         monkeypatch.setattr(scg, "objective", keep)
         train(init_model(4, 3, seed=3), X, 1)
@@ -306,14 +306,17 @@ class TestFusedObjectiveMatchesReference:
         calls = {"g": 0}
 
         def f(flat):
-            return objective(model, X.astype(np.float32))[0](flat)
+            with objective(model, X.astype(np.float32)) as (fresh, _, _):
+                return fresh(flat)
 
         def g(flat):
             calls["g"] += 1
-            return objective(model, X.astype(np.float32))[1](flat)
+            with objective(model, X.astype(np.float32)) as (_, fresh, _):
+                return fresh(flat)
 
         def curvature(flat, p):
-            return objective(model, X.astype(np.float32))[2](flat, p)
+            with objective(model, X.astype(np.float32)) as (_, _, fresh):
+                return fresh(flat, p)
 
         best, report = scg_minimize(f, g, curvature, flatten_params(model), max_cycles)
         return unflatten_params(model, best), report, calls["g"]
@@ -395,6 +398,17 @@ class TestTrainWorkers:
         assert 1 <= len(started) <= 2
         assert threading.current_thread() not in block_threads
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("n,blocks,count,sets", [(40, 8, 3, 3), (6, 2, 3, 2), (40, 8, 1, 1)])
+    def test_a_run_makes_its_buffer_sets_once_in_the_calling_thread(
+        self, n, blocks, count, sets, fine_blocks, buffer_sets, monkeypatch
+    ):
+        # A set for each block that can run at once, made before the first pass and reused by every phase after it.
+        cpus(monkeypatch, count)
+        _, report = train(init_model(4, 3, seed=0), np.random.default_rng(1).uniform(size=(n, 4)), 5)
+        assert report.cycles_run == 5
+        assert len(autoencoder._blocks(n, 4 * 3)) == blocks
+        assert buffer_sets == [threading.current_thread()] * sets
 
     def test_no_thread_outlives_a_run(self, fine_blocks, block_threads, monkeypatch):
         cpus(monkeypatch, 3)
