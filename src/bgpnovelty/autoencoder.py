@@ -160,19 +160,27 @@ def objective(model: AutoencoderModel, X: np.ndarray):
     exact multiplication by the Hessian", 1994). X is checked on entry.
 
     The precision comes from X: the matmuls and ``tanh`` run in float32 for
-    a float32 X, and in float64 for a float64 or integer X (cast once). The
-    loss and the other reductions sum in float64, and the gradient is
-    float64. The closures keep the layers of their last point: ``g`` at the
-    point of ``f`` adds only the backward pass, and ``curvature`` at the
-    point of ``g`` only the forward-mode pass.
+    a float32 X, and in float64 for a float64 or integer X (cast once). So
+    do the sums within a block, all in BLAS: the block's loss and its three
+    curvature terms are dot products (sdot or ddot), its bias gradients are
+    products with a vector of ones (sgemv or dgemv), and its weight
+    gradients are matrix products. Each block's sums are stored in float64,
+    and the blocks' are added in float64 in a fixed order; the gradient is
+    float64.
 
-    Each call makes one pass over the row blocks of :func:`_blocks` on a
-    :func:`_pool` that lives as long as the ``with`` block. Each block writes
-    float64 partial sums, the gradient's products among them, which are
-    added in a fixed order, and keeps its temporaries in the pool's
-    block-sized buffers, so no call allocates a matrix of every row. The
-    blocks follow from the shapes alone, so the results do not depend on
-    how many workers run them; they depend on the BLAS build.
+    ``f`` runs each block's backward pass right after its forward pass, in
+    the same block task, and the closures keep the layers and the block
+    sums of the last ``f``: ``g`` at its point only adds the blocks'
+    gradients, and ``curvature`` there makes one forward-mode pass. At any
+    other point, ``g`` and ``curvature`` first call ``f``. So a trial point
+    that the optimizer rejects costs one unused backward pass.
+
+    A pass runs over the row blocks of :func:`_blocks` on a :func:`_pool`
+    that lives as long as the ``with`` block. Each block keeps its
+    temporaries in the pool's block-sized buffers, so no call allocates a
+    matrix of every row. The blocks follow from the shapes alone, so the
+    results do not depend on how many workers run them; they depend on the
+    BLAS build.
     """
     _check_matrix(model, X)
     if X.shape[0] == 0:
@@ -189,46 +197,40 @@ def objective(model: AutoencoderModel, X: np.ndarray):
     blocks = range(len(rows))
     losses, tangents, grads = np.empty(len(rows)), np.empty((len(rows), 3)), np.empty((len(rows), model.n_params))
     grad_parts = [_split(model, grad) for grad in grads]
-    at = np.full(model.n_params, np.nan)  # point of hidden and residual
-    backward_at = np.full(model.n_params, np.nan)  # point of d_hidden
+    ones = np.ones(most, dtype)  # the bias gradients' column sums, as gemv
+    at = np.full(model.n_params, np.nan)  # point of the layers and the partials
 
     def new_buffers() -> list[tuple[np.ndarray, np.ndarray]]:
         """A (2, most, d) and a (2, most, h) buffer, as a view of each block's rows of the two."""
         wide, narrow = np.empty((2, most, d), dtype), np.empty((2, most, h), dtype)
         return [(wide[:, : b.stop - b.start], narrow[:, : b.stop - b.start]) for b in rows]
 
-    def forward_rows(i: int, buffers) -> None:
-        b, (wide, _) = rows[i], buffers[i]
-        np.subtract(_forward(X[b], w1, b1, w2, b2, hidden[b], residual[b]), X[b], out=residual[b])
-        losses[i] = np.sum(np.square(residual[b], out=wide[0]), dtype=np.float64)
-
-    def backward_rows(i: int, buffers) -> None:
+    def pass_rows(i: int, buffers) -> None:
         b, (_, narrow) = rows[i], buffers[i]
+        np.subtract(_forward(X[b], w1, b1, w2, b2, hidden[b], residual[b]), X[b], out=residual[b])
+        losses[i] = np.vdot(residual[b], residual[b])
         slope = np.subtract(1.0, np.square(hidden[b], out=narrow[0]), out=narrow[0])
         np.multiply(np.matmul(residual[b], w2, out=d_hidden[b]), slope, out=d_hidden[b])
         g_w1, g_b1, g_w2, g_b2 = grad_parts[i]
         g_w1[:] = d_hidden[b].T @ X[b]
-        np.sum(d_hidden[b], axis=0, dtype=np.float64, out=g_b1)
+        g_b1[:] = ones[: b.stop - b.start] @ d_hidden[b]
         g_w2[:] = residual[b].T @ hidden[b]
-        np.sum(residual[b], axis=0, dtype=np.float64, out=g_b2)
+        g_b2[:] = ones[: b.stop - b.start] @ residual[b]
 
     def f(flat: np.ndarray) -> float:
         params[:] = _checked(model, flat)
-        run(forward_rows, blocks)
+        run(pass_rows, blocks)
         at[:] = flat
-        backward_at[:] = np.nan
         return 0.5 * float(losses.sum())
 
     def g(flat: np.ndarray) -> np.ndarray:
         if not np.array_equal(flat, at):
             f(flat)
-        run(backward_rows, blocks)
-        backward_at[:] = flat
         return grads.sum(axis=0)
 
     def curvature(flat: np.ndarray, p: np.ndarray) -> float:
-        if not np.array_equal(flat, backward_at):
-            g(flat)
+        if not np.array_equal(flat, at):
+            f(flat)
         p1, q1, p2, q2 = _split(model, _checked(model, p).astype(dtype))
 
         def tangent_rows(i: int, buffers) -> None:
@@ -236,11 +238,11 @@ def objective(model: AutoencoderModel, X: np.ndarray):
             np.add(np.matmul(X[b], p1.T, out=a_dot), q1, out=a_dot)
             np.multiply(np.subtract(1.0, np.square(hidden[b], out=h_dot), out=h_dot), a_dot, out=h_dot)  # h'
             np.multiply(np.square(a_dot, out=a_dot), hidden[b], out=a_dot)
-            tangents[i, 0] = _dot64(d_hidden[b], a_dot)  # <r @ w2, h h' a'>, as h'' = -2 h h' a'
-            tangents[i, 1] = _dot64(residual[b], np.matmul(h_dot, p2.T, out=products))  # <r, h' p2'>
+            tangents[i, 0] = np.vdot(d_hidden[b], a_dot)  # <r @ w2, h h' a'>, as h'' = -2 h h' a'
+            tangents[i, 1] = np.vdot(residual[b], np.matmul(h_dot, p2.T, out=products))  # <r, h' p2'>
             np.add(np.matmul(h_dot, w2.T, out=r_dot), np.matmul(hidden[b], p2.T, out=products), out=r_dot)
             r_dot += q2  # r' = h' w2' + h p2' + q2
-            tangents[i, 2] = _dot64(r_dot, r_dot)
+            tangents[i, 2] = np.vdot(r_dot, r_dot)
 
         run(tangent_rows, blocks)
         tanh_term, cross, r_dot_sq = tangents.sum(axis=0)
@@ -353,11 +355,6 @@ def _pool(new_buffers):
     finally:
         if executor is not None:
             executor.shutdown()
-
-
-def _dot64(a: np.ndarray, b: np.ndarray) -> float:
-    """Sum of ``a * b`` over two equally shaped matrices, accumulated in float64."""
-    return float(np.einsum("ij,ij->", a, b, dtype=np.float64))
 
 
 def flatten_params(model: AutoencoderModel) -> np.ndarray:

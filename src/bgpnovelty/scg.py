@@ -12,8 +12,11 @@ and after an accepted step one gradient and one curvature evaluation at the
 new point. The curvature p'Hp is exact, supplied by the caller, instead of
 Møller's finite-difference probe ``f(x + sigma*p)``: a probe loses its
 accuracy once the loss is evaluated in single precision. For the
-autoencoder, ``autoencoder.objective`` fuses the three, so a cycle costs
-one forward pass, one backward pass and one forward-mode pass over it.
+autoencoder, ``autoencoder.objective`` fuses the three: its loss pass also
+takes the gradient, so the gradient rides on the trial's pass, and an
+accepted cycle costs two passes over the data, one forward and backward,
+then one forward-mode. A rejected cycle costs one pass, whose backward half
+goes unused; ``TrainReport.accepted`` records which cycles those were.
 
 A run stops on its caller's cycle budget, on a gradient norm below the
 constant ``GRAD_TOL``, or on a non-finite value. The optimizer works in
@@ -23,7 +26,7 @@ float64; ``train`` is the one place that runs the autoencoder in float32.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -46,11 +49,17 @@ GRAD_TOL = 1e-6  # a gradient norm below this ends the run as converged
 
 @dataclass
 class TrainReport:
-    """Per-cycle accepted-state losses plus how the run ended."""
+    """Per-cycle accepted-state losses, whether each cycle's trial step was accepted, and how the run ended.
+
+    ``accepted`` runs parallel to ``loss_history``: a rejected cycle keeps
+    the loss before it, and its trial point's evaluation goes unused. The
+    CSV of :meth:`to_csv` holds the losses alone.
+    """
 
     loss_history: list[float]
     cycles_run: int
     stop_reason: str
+    accepted: list[bool] = field(default_factory=list)
 
     @property
     def non_finite(self) -> bool:
@@ -87,8 +96,9 @@ def scg_minimize(
     fx = float(f(x))
     r = -np.asarray(g(x), dtype=np.float64)
     losses: list[float] = []
+    accepted: list[bool] = []
     if not _finite(fx, r):
-        return x, TrainReport(losses, 0, STOP_NON_FINITE)
+        return x, TrainReport(losses, 0, STOP_NON_FINITE, accepted)
 
     p = r.copy()
     success = True
@@ -136,7 +146,9 @@ def scg_minimize(
             break
         comparison = 2.0 * delta * (fx - f_trial) / (mu * mu)
 
-        if comparison >= 0.0:
+        success = comparison >= 0.0
+        accepted.append(success)
+        if success:
             x = x_trial
             fx = f_trial
             r_new = -np.asarray(g(x), dtype=np.float64)
@@ -144,7 +156,6 @@ def scg_minimize(
                 losses.append(fx)
                 stop = STOP_NON_FINITE
                 break
-            success = True
             updates_since_restart += 1
             if updates_since_restart >= dim:
                 p = r_new.copy()
@@ -155,15 +166,13 @@ def scg_minimize(
             r = r_new
             if comparison >= 0.75:
                 lam = 0.25 * lam
-        else:
-            success = False
 
         if comparison < 0.25:
             lam = min(lam + delta * (1.0 - comparison) / p_sq, _LAMBDA_MAX)
 
         losses.append(fx)
 
-    return x, TrainReport(losses, cycles, stop)
+    return x, TrainReport(losses, cycles, stop, accepted)
 
 
 def train(model: AutoencoderModel, X: np.ndarray, max_cycles: int) -> tuple[AutoencoderModel, TrainReport]:
@@ -171,11 +180,13 @@ def train(model: AutoencoderModel, X: np.ndarray, max_cycles: int) -> tuple[Auto
 
     Training runs in float32: X is cast once, which copies nothing when it
     already is float32, and ``autoencoder.objective`` runs its loss,
-    gradient and curvature kernels in X's precision, one pass over its row
-    blocks each, with float64 partial sums per block. The SCG vectors, the
-    loss history and the returned weights are float64. The objective runs
-    its blocks through ``autoencoder._pool``, as scoring does, with one set
-    of block buffers per worker, made once in this thread for the whole run.
+    gradient and curvature kernels, and the sums within each row block, in
+    X's precision; each block's sums are kept, and added over the blocks,
+    in float64. The loss and the gradient share one pass over the blocks,
+    and the curvature takes another. The SCG vectors, the loss history and
+    the returned weights are float64. The objective runs its blocks through
+    ``autoencoder._pool``, as scoring does, with one set of block buffers
+    per worker, made once in this thread for the whole run.
     With one CPU, and in a pass of one block, the blocks run in this thread;
     no thread outlives the call. Deterministic given (model, X, max_cycles):
     the weights depend on the BLAS build, not on the worker count, and the

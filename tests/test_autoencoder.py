@@ -1,5 +1,6 @@
 """Forward pass, loss, analytic gradient, and model persistence."""
 
+import contextlib
 import math
 import re
 import sys
@@ -191,14 +192,15 @@ class TestGradient:
 
 
 def reference_loss_and_gradient(model, X):
-    """The loss and gradient formulas, evaluated out of place on the model."""
+    """The loss and gradient formulas, evaluated out of place on the model, with the objective's BLAS reductions."""
     hidden = np.tanh(X @ model.w1.T + model.b1)
     residual = (hidden @ model.w2.T + model.b2) - X
     d_hidden = (residual @ model.w2) * (1.0 - hidden * hidden)
+    ones = np.ones(X.shape[0])
     grad = np.concatenate(
-        [(d_hidden.T @ X).ravel(), d_hidden.sum(axis=0), (residual.T @ hidden).ravel(), residual.sum(axis=0)]
+        [(d_hidden.T @ X).ravel(), ones @ d_hidden, (residual.T @ hidden).ravel(), ones @ residual]
     )
-    return 0.5 * float(np.sum(residual * residual)), grad
+    return 0.5 * float(residual.ravel() @ residual.ravel()), grad
 
 
 shapes_and_seed = st.tuples(
@@ -350,6 +352,70 @@ class TestFloat32Objective:
         # 9,000 x 100 windows at 100 hidden units: the shipped blocking sums 8 row blocks' partials.
         assert len(autoencoder._blocks(9000, 100 * 100)) == 8
         self.check(9000, 100, 100, seed)
+
+
+@contextlib.contextmanager
+def counted_passes():
+    """The block count of every pass that objectives opened inside the ``with`` block run, on blocks of a few rows."""
+    passes = []
+    pool = autoencoder._pool
+
+    @contextlib.contextmanager
+    def counted(new_buffers):
+        with pool(new_buffers) as run:
+
+            def counting(task, blocks):
+                passes.append(len(blocks))
+                run(task, blocks)
+
+            yield counting
+
+    # mock, not monkeypatch: a function-scoped fixture would span every example of @given
+    with mock.patch.multiple(autoencoder, _pool=counted, _BLOCK_WORK=1, _BLOCK_ALIGN=1):
+        yield passes
+
+
+class TestEvaluationCount:
+    """``f`` leaves the gradient's partials with the layers: ``g`` there only adds them, ``curvature`` adds one pass."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shapes_and_seed, st.sampled_from([np.float64, np.float32]))
+    def test_gradient_at_the_point_of_f_runs_no_block(self, shape, dtype):
+        model, X, _ = problem(shape)
+        flat = flatten_params(model)
+        with counted_passes() as passes, objective(model, X.astype(dtype)) as (f, g, _):
+            f(flat)
+            assert len(passes) == 1
+            assert np.array_equal(g(flat), g(flat))
+            assert len(passes) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(shapes_and_seed, st.sampled_from([np.float64, np.float32]), st.booleans())
+    def test_curvature_at_the_point_of_f_runs_one_pass(self, shape, dtype, after_gradient):
+        model, X, rng = problem(shape)
+        flat, p = flatten_params(model), unit_direction(rng, model.n_params)
+        with counted_passes() as passes, objective(model, X.astype(dtype)) as (f, g, curvature):
+            f(flat)
+            if after_gradient:
+                g(flat)
+            curvature(flat, p)
+            assert passes == [len(autoencoder._blocks(X.shape[0], X.shape[1] * model.hidden_dim))] * 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(shapes_and_seed, st.sampled_from([np.float64, np.float32]))
+    def test_gradient_after_a_rejected_trial_equals_a_fresh_objective(self, shape, dtype):
+        # f at a trial point that SCG rejects leaves that point's layers: g and the curvature at the earlier one start over.
+        model, X, rng = problem(shape)
+        flat, p = flatten_params(model), unit_direction(rng, model.n_params)
+        trial = flat + rng.normal(size=flat.size)
+        X = X.astype(dtype)
+        with counted_passes(), objective(model, X) as (_, fresh_g, fresh_curvature):
+            expected = fresh_g(flat).tobytes(), fresh_curvature(flat, p)
+        with counted_passes() as passes, objective(model, X) as (f, g, curvature):
+            f(flat)
+            f(trial)
+            assert (g(flat).tobytes(), curvature(flat, p)) == expected
+            assert len(passes) == 4
 
 
 class TestObjectiveMemory:

@@ -177,6 +177,16 @@ class TestScgMinimize:
         assert report.cycles_run == 5
 
 
+def check_accept_record(report: TrainReport, start_loss: float, g_calls: int):
+    """Accepted losses never rise, a rejected cycle repeats the loss before it, and g ran once per acceptance and once first."""
+    assert len(report.accepted) == len(report.loss_history)
+    previous = start_loss
+    for loss, accepted in zip(report.loss_history, report.accepted):
+        assert loss <= previous if accepted else loss == previous
+        previous = loss
+    assert g_calls == sum(report.accepted) + 1
+
+
 class TestScgProperties:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -219,6 +229,7 @@ class TestScgProperties:
                 assert np.array_equal(point, latest["f" if kind == "g" else "g"])
             latest[kind] = point
         assert all(later <= earlier for earlier, later in zip([f(x0), *losses], losses))
+        check_accept_record(report, f(x0), [kind for kind, _ in calls].count("g"))
         if losses:
             assert f(x) == losses[-1]
         else:
@@ -228,6 +239,29 @@ class TestScgProperties:
         else:
             assert report.stop_reason == STOP_GRADIENT
             assert np.linalg.norm(g(x)) <= grad_tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        d=st.integers(1, 6),
+        h=st.integers(1, 6),
+        cycles=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_run_on_a_small_autoencoder(self, n, d, h, cycles, seed):
+        X = np.random.default_rng(seed).uniform(size=(n, d)).astype(np.float32)
+        model = init_model(d, h, seed=seed)
+        x0 = flatten_params(model)
+        g_calls = []
+        with objective(model, X) as (f, g, curvature):
+            start_loss = f(x0)
+
+            def counted_g(x):
+                g_calls.append(x)
+                return g(x)
+
+            _, report = scg_minimize(f, counted_g, curvature, x0, cycles)
+        check_accept_record(report, start_loss, len(g_calls))
 
 
 class TestConfig:
@@ -297,6 +331,10 @@ class TestTrain:
         assert len(lines) == 1 + len(report.loss_history)
         assert lines[1].startswith("1,")
 
+    def test_csv_has_no_accept_column(self):
+        report = TrainReport([2.0, 2.0, 1.5], 3, STOP_BUDGET, [True, False, True])
+        assert report.to_csv() == "cycle,loss\n1,2.0\n2,2.0\n3,1.5\n"
+
 
 class TestFusedObjectiveMatchesReference:
     """``train`` gives the bytes of SCG over one fresh float32 objective per evaluation."""
@@ -332,6 +370,7 @@ class TestFusedObjectiveMatchesReference:
         trained, report = train(model, X, cycles)
         assert flatten_params(trained).tobytes() == flatten_params(expected).tobytes()  # d = 3 has no document
         assert report.loss_history == expected_report.loss_history
+        assert report.accepted == expected_report.accepted
         assert report.stop_reason == expected_report.stop_reason
 
     def test_reference_run_rejects_a_step(self):
@@ -340,6 +379,7 @@ class TestFusedObjectiveMatchesReference:
         X = np.random.default_rng(0).uniform(size=(12, 4))
         _, report, g_calls = self.reference_train(init_model(4, 3, seed=0), X, 40)
         assert g_calls < report.cycles_run + 1
+        assert not all(report.accepted) and g_calls == sum(report.accepted) + 1
 
 
 @pytest.fixture
