@@ -161,7 +161,7 @@ def objective(model: AutoencoderModel, X: np.ndarray):
 
     The precision comes from X: the matmuls and ``tanh`` run in float32 for
     a float32 X, and in float64 for a float64 or integer X (cast once). So
-    do the sums within a block, all in BLAS: the block's loss and its three
+    do the sums within a block, all in BLAS: the block's loss and its
     curvature terms are dot products (sdot or ddot), its bias gradients are
     products with a vector of ones (sgemv or dgemv), and its weight
     gradients are matrix products. Each block's sums are stored in float64,
@@ -174,6 +174,16 @@ def objective(model: AutoencoderModel, X: np.ndarray):
     gradients, and ``curvature`` there makes one forward-mode pass. At any
     other point, ``g`` and ``curvature`` first call ``f``. So a trial point
     that the optimizer rejects costs one unused backward pass.
+
+    The forward-mode pass takes three products a block: ``a' = X p1' + q1``,
+    ``z = (h + h') p2'`` with ``h' = (1 - h**2) a'``, and ``h' (w2 - p2)'``,
+    which with ``z`` and ``q2`` makes ``r' = h' w2' + h p2' + q2``. The cross
+    term ``<r, h' p2'>`` is then ``<r, z> - <r'h, p2>``, with the block's w2
+    gradient ``r'h`` that ``f`` kept, or ``<d_hidden, a'> - <r, h' (w2 - p2)'>``;
+    each difference cancels a gradient term, and a block takes the one whose
+    term is smaller. The pass runs at ``p / 2**e``, ``e`` the exponent of
+    ``|p|``, and scales the result by ``4**e``: both exact, and ``w2 - p2``
+    keeps ``w2``.
 
     A pass runs over the row blocks of :func:`_blocks` on a :func:`_pool`
     that lives as long as the ``with`` block. Each block keeps its
@@ -231,22 +241,33 @@ def objective(model: AutoencoderModel, X: np.ndarray):
     def curvature(flat: np.ndarray, p: np.ndarray) -> float:
         if not np.array_equal(flat, at):
             f(flat)
-        p1, q1, p2, q2 = _split(model, _checked(model, p).astype(dtype))
+        p = _checked(model, p)
+        scale = math.frexp(np.linalg.norm(p))[1]  # p'Hp is p^ H p^ * 4**scale at p^ = p / 2**scale, both exact
+        p1, q1, p2, q2 = _split(model, np.ldexp(p, -scale).astype(dtype))
+        p2_64, w2_less_p2 = p2.astype(np.float64), w2 - p2
 
         def tangent_rows(i: int, buffers) -> None:
-            b, ((products, r_dot), (a_dot, h_dot)) = rows[i], buffers[i]
+            b, ((z, r_dot), (a_dot, h_dot)) = rows[i], buffers[i]
             np.add(np.matmul(X[b], p1.T, out=a_dot), q1, out=a_dot)
             np.multiply(np.subtract(1.0, np.square(hidden[b], out=h_dot), out=h_dot), a_dot, out=h_dot)  # h'
+            first = np.vdot(d_hidden[b], a_dot)  # <r, h' w2'>, as d_hidden = (r @ w2) (1 - h**2)
+            second = np.vdot(grad_parts[i][2], p2_64)  # <r, h p2'>, as f kept r'h
             np.multiply(np.square(a_dot, out=a_dot), hidden[b], out=a_dot)
             tangents[i, 0] = np.vdot(d_hidden[b], a_dot)  # <r @ w2, h h' a'>, as h'' = -2 h h' a'
-            tangents[i, 1] = np.vdot(residual[b], np.matmul(h_dot, p2.T, out=products))  # <r, h' p2'>
-            np.add(np.matmul(h_dot, w2.T, out=r_dot), np.matmul(hidden[b], p2.T, out=products), out=r_dot)
-            r_dot += q2  # r' = h' w2' + h p2' + q2
+            np.matmul(np.add(hidden[b], h_dot, out=a_dot), p2.T, out=z)  # z = (h + h') p2'
+            np.matmul(h_dot, w2_less_p2.T, out=r_dot)  # h' (w2 - p2)'
+            # <r, h' p2'> is <r, z> - second and first - <r, h' (w2 - p2)'>: take the one that cancels less
+            if abs(second) <= abs(first):
+                tangents[i, 1] = np.vdot(residual[b], z) - second
+            else:
+                tangents[i, 1] = first - np.vdot(residual[b], r_dot)
+            r_dot += z
+            r_dot += q2  # r' = h' (w2 - p2)' + z + q2 = h' w2' + h p2' + q2
             tangents[i, 2] = np.vdot(r_dot, r_dot)
 
         run(tangent_rows, blocks)
         tanh_term, cross, r_dot_sq = tangents.sum(axis=0)
-        return r_dot_sq - 2.0 * tanh_term + 2.0 * cross
+        return np.ldexp(r_dot_sq - 2.0 * tanh_term + 2.0 * cross, 2 * scale)
 
     with _pool(new_buffers) as run:
         yield f, g, curvature
@@ -305,50 +326,63 @@ def _usable_cpus() -> int:
 def _pool(new_buffers):
     """Yield ``run(task, blocks)``, which calls ``task(block, buffers)`` for every block and returns when all end.
 
-    With one usable CPU, and in a call of one block, the blocks run in the
-    calling thread. Otherwise they run on one thread per usable CPU, up to
-    ``_MAX_BLOCKS``, each with the caller's numpy error handling, which is
-    per thread; a thread starts only when a block waits and none is idle.
+    The calling thread and ``min(workers, len(blocks)) - 1`` helper threads,
+    ``workers`` being the usable CPUs up to ``_MAX_BLOCKS``, take the blocks
+    from one shared iterator, so a call hands each helper one task, not one
+    per block; with one usable CPU, or one block, no helper takes part.
+    Helpers run with the caller's numpy error handling, which is per thread,
+    and a helper thread starts only when a task waits and none is idle.
     No phase of the objective has more blocks, and each worker holds a set
     of buffers, so the cap keeps a many-core host's threads and memory at
-    those of ``_MAX_BLOCKS`` CPUs. The threads, and the import of
+    those of ``_MAX_BLOCKS`` CPUs. The helper threads, and the import of
     ``concurrent.futures``, wait for the first call of two blocks or more,
     and end on exit.
 
     ``new_buffers()`` makes a set of buffers in the calling thread, as glibc
     gives each thread its own heap, which keeps what the thread freed after
     the thread ends. A call first makes sets until one free list holds
-    ``min(workers, len(blocks))``, which every later call reuses. A block,
-    failed or not, puts its set back, and the exception of the first failed
-    block, in block order, reaches the caller.
+    ``min(workers, len(blocks))``, which every later call reuses. A worker
+    holds one set for the whole call and puts it back when no block is
+    left. Every block runs, failed or not; the call returns when every set
+    is back, and then raises the exception of the first failed block, in
+    block order.
     """
     workers = min(_usable_cpus(), _MAX_BLOCKS)
     initializer = functools.partial(np.seterr, **np.geterr())
     free, executor = [], None
 
-    def block(task, item) -> None:
-        buffers = free.pop()
+    def work(task, items) -> list[tuple[int, Exception]]:
+        """Run ``task`` on each block that ``items`` yields, on one set of buffers; returns the failures."""
+        buffers, failures = free.pop(), []
         try:
-            task(item, buffers)
+            for i, item in items:  # next() of a builtin iterator holds the GIL: no block is taken twice
+                try:
+                    task(item, buffers)
+                except Exception as error:
+                    failures.append((i, error))
         finally:
             free.append(buffers)
+        return failures
 
     def run(task, blocks) -> None:
         nonlocal executor
-        while len(free) < min(workers, len(blocks)):
-            free.append(new_buffers())
-        if workers == 1 or len(blocks) < 2:
-            for item in blocks:
-                block(task, item)
+        if not blocks:
             return
-        if executor is None:
-            from concurrent.futures import ThreadPoolExecutor
+        helpers = min(workers, len(blocks)) - 1
+        while len(free) <= helpers:
+            free.append(new_buffers())
+        items, futures = enumerate(blocks), []
+        if helpers > 0:
+            if executor is None:
+                from concurrent.futures import ThreadPoolExecutor
 
-            executor = ThreadPoolExecutor(workers, initializer=initializer)
-        futures = [executor.submit(block, task, item) for item in blocks]
-        for error in [future.exception() for future in futures]:  # waits for every block, so every set is back
-            if error is not None:
-                raise error
+                executor = ThreadPoolExecutor(workers - 1, initializer=initializer)
+            futures = [executor.submit(work, task, items) for _ in range(helpers)]
+        failures = work(task, items)
+        for future in futures:  # waits for every helper, so every set is back
+            failures += future.result()
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
 
     try:
         yield run

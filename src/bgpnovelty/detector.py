@@ -121,12 +121,13 @@ def score_windows(model: AutoencoderModel, series: MinuteSeries) -> np.ndarray:
 
     Entry ``i`` scores the window ending at ``series.minutes()[model.k - 1 + i]``.
     Every block, the short last one too, runs on ``autoencoder._pool``, the
-    runner ``scg.train`` uses: one worker per usable CPU, up to
-    ``autoencoder._MAX_BLOCKS``, each building, padding and scoring one
-    block at a time in the window and layer buffers the pool hands it, made
-    in this thread. No thread outlives the call, and the novelty is the same
-    at any worker count. Memory follows the block and the workers, not the
-    series, apart from 8 bytes a window.
+    runner ``scg.train`` uses: this thread and up to one helper thread per
+    usable CPU but one, ``autoencoder._MAX_BLOCKS`` workers at most, each
+    building, padding and scoring one block at a time in the window and
+    layer buffers the pool hands it, made in this thread. No thread outlives
+    the call, and the novelty is the same at any worker count. Memory
+    follows the block and the workers, not the series, apart from 8 bytes a
+    window.
     """
     novelty = np.empty(max(len(series) - model.k + 1, 0))
     widths = model.input_dim, model.hidden_dim, model.input_dim  # of the windows and the two layers

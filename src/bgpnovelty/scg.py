@@ -14,9 +14,10 @@ Møller's finite-difference probe ``f(x + sigma*p)``: a probe loses its
 accuracy once the loss is evaluated in single precision. For the
 autoencoder, ``autoencoder.objective`` fuses the three: its loss pass also
 takes the gradient, so the gradient rides on the trial's pass, and an
-accepted cycle costs two passes over the data, one forward and backward,
-then one forward-mode. A rejected cycle costs one pass, whose backward half
-goes unused; ``TrainReport.accepted`` records which cycles those were.
+accepted cycle costs two passes over the data, one forward and backward
+(five matrix products a row block), then one forward-mode (three). A
+rejected cycle costs one pass, whose backward half goes unused;
+``TrainReport.accepted`` records which cycles those were.
 
 A run stops on its caller's cycle budget, on a gradient norm below the
 constant ``GRAD_TOL``, or on a non-finite value. The optimizer works in
@@ -185,10 +186,11 @@ def train(model: AutoencoderModel, X: np.ndarray, max_cycles: int) -> tuple[Auto
     in float64. The loss and the gradient share one pass over the blocks,
     and the curvature takes another. The SCG vectors, the loss history and
     the returned weights are float64. The objective runs its blocks through
-    ``autoencoder._pool``, as scoring does, with one set of block buffers
-    per worker, made once in this thread for the whole run.
-    With one CPU, and in a pass of one block, the blocks run in this thread;
-    no thread outlives the call. Deterministic given (model, X, max_cycles):
+    ``autoencoder._pool``, as scoring does: this thread and up to one
+    helper thread per CPU but one take the blocks of a pass, each with one
+    set of block buffers, made once in this thread for the whole run.
+    With one CPU, and in a pass of one block, no helper takes part; no
+    thread outlives the call. Deterministic given (model, X, max_cycles):
     the weights depend on the BLAS build, not on the worker count, and the
     optimizer has no randomness of its own. Raises DimensionMismatch or
     EmptyDataset, as ``objective`` does, and ValueError for a budget below 1.

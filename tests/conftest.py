@@ -62,6 +62,27 @@ def block_threads(monkeypatch):
 
 
 @pytest.fixture
+def helpers_take_blocks(monkeypatch):
+    """Hold the calling thread's first block until a helper thread starts one, so that helpers run blocks.
+
+    The calling thread takes blocks from the same iterator as the helpers and
+    could otherwise run them all before a helper starts. It waits once, for at most 10 s.
+    """
+    started, waited = threading.Event(), []
+    forward = autoencoder._forward
+    caller = threading.current_thread()
+
+    def held(*args):
+        if threading.current_thread() is not caller:
+            started.set()
+        elif not waited:
+            waited.append(started.wait(10))
+        return forward(*args)
+
+    monkeypatch.setattr(autoencoder, "_forward", held)
+
+
+@pytest.fixture
 def buffer_sets(monkeypatch):
     """The thread that makes each of the pool's buffer sets, collected as training or scoring runs."""
     made = []

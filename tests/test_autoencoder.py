@@ -316,6 +316,50 @@ class TestCurvature:
             assert curvature(flat, p) == first
             assert f(flat) == sse_loss(model, X)
 
+    @settings(max_examples=60, deadline=None)
+    @given(shapes_and_seed, st.sampled_from([np.float64, np.float32]), st.integers(-40, 40))
+    def test_a_power_of_two_in_the_direction_scales_the_curvature_exactly(self, shape, dtype, k):
+        model, X, rng = problem(shape)
+        flat, p = flatten_params(model), rng.normal(size=model.n_params)
+        with objective(model, X.astype(dtype)) as (_, _, curvature):
+            assert curvature(flat, 2.0**k * p) == 4.0**k * curvature(flat, p)
+
+    @staticmethod
+    def float32_error(X, model, flat, p):
+        """The float32 curvature's error relative to the float64 one, along ``p`` at ``flat``."""
+        with objective(model, X) as (_, _, curvature64), objective(model, X.astype(np.float32)) as (_, _, curvature32):
+            expected = curvature64(flat, p)
+            return abs(curvature32(flat, p) - expected) / abs(expected)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        weight_scale=st.floats(0.3, 3.0),
+        norm_exponent=st.floats(-3.0, 6.0),
+        zero_layer=st.sampled_from([None, 0, 1]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_float32_within_tolerance_of_float64_over_scales(self, weight_scale, norm_exponent, zero_layer, seed):
+        # TestFloat32Objective's 2,000 x 40 windows at 20 hidden units, at scaled initial weights, along
+        # directions of |p| from 1e-3 to 1e6, some with a zero first-layer (w1, b1) or second-layer (w2, b2) part.
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(size=(2000, 40))
+        model = init_model(40, 20, seed=seed)
+        flat, p = weight_scale * flatten_params(model), rng.normal(size=model.n_params)
+        if zero_layer is not None:
+            for part in autoencoder._split(model, p)[2 * zero_layer : 2 * zero_layer + 2]:
+                part[:] = 0.0
+        p *= 10.0**norm_exponent / np.linalg.norm(p)
+        assert self.float32_error(X, model, flat, p) <= 1e-4
+
+    def test_float32_within_tolerance_where_a_gradient_term_dwarfs_the_curvature(self):
+        # 817 x 24 windows at 43 hidden units and initial weights x 0.3: along this direction <r, h p2'> is 28,
+        # <r, h' w2'> 2.8 and p'Hp 0.54. Taking the cross term as <r, z> - <r'h, p2> here loses 2e-4 of p'Hp.
+        rng = np.random.default_rng(43)
+        X = rng.uniform(size=(817, 24))
+        model = init_model(24, 43, seed=43)
+        flat, p = 0.3 * flatten_params(model), rng.normal(size=model.n_params)
+        assert self.float32_error(X, model, flat, p / np.linalg.norm(p)) <= 1e-4
+
     def test_rejects_wrong_sizes(self):
         model = init_model(4, 3, seed=0)
         with objective(model, np.zeros((2, 4))) as (_, _, curvature):
@@ -539,7 +583,7 @@ class TestUsableCpus:
 
 
 class TestPool:
-    """``_pool``'s buffer sets: made in the calling thread, one per block that can run at once, and reused."""
+    """``_pool``: the calling thread runs blocks with one task per helper, on buffer sets made in it and reused."""
 
     @staticmethod
     def sets(made):
@@ -556,6 +600,7 @@ class TestPool:
         (3, [1], 1),
         (3, [2], 2),
         (3, [2, 8, 5], 3),
+        (3, [0, 2], 2),
         (64, [8, 8], autoencoder._MAX_BLOCKS),
     ])
     def test_a_call_makes_sets_only_in_the_calling_thread_for_the_blocks_that_run_at_once(
@@ -589,6 +634,84 @@ class TestPool:
             assert len(seen) == 6 and set(seen) <= {1, 2, 3}
             run(lambda block, buffers: seen.append(buffers[0]), range(6))
         assert len(made) == 3 and len(seen) == 12
+
+    def test_the_calling_thread_and_each_helper_run_a_block_at_once(self, monkeypatch):
+        # Three blocks on three CPUs meet at a barrier, which opens only when three threads hold one each.
+        monkeypatch.setattr(autoencoder, "_usable_cpus", lambda: 3)
+        meeting, threads = threading.Barrier(3, timeout=10), set()
+
+        def meet(block, buffers):
+            threads.add(threading.current_thread())
+            meeting.wait()
+
+        with autoencoder._pool(self.sets([])) as run:
+            run(meet, range(3))
+        assert threading.current_thread() in threads and len(threads) == 3
+
+    def test_every_block_runs_once_on_more_workers_than_cores_switching_often(self, monkeypatch):
+        # The workers share one iterator of blocks: a block taken twice, or lost, would show in the count.
+        monkeypatch.setattr(autoencoder, "_usable_cpus", lambda: 64)
+        ran = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with autoencoder._pool(self.sets([])) as run:
+                for _ in range(20):
+                    run(lambda block, buffers: ran.append(block), range(500))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(ran) == sorted(list(range(500)) * 20)
+
+    @pytest.mark.parametrize("count,calls", [(1, [8, 8]), (2, [8, 1, 8]), (3, [2, 8, 5]), (64, [8, 3])])
+    def test_a_call_hands_one_task_to_each_helper(self, count, calls, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor
+
+        monkeypatch.setattr(autoencoder, "_usable_cpus", lambda: count)
+        submitted, per_call = [], []
+        submit = ThreadPoolExecutor.submit
+
+        def counted(executor, *args, **kwargs):
+            submitted.append(executor._max_workers)
+            return submit(executor, *args, **kwargs)
+
+        monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+        workers = min(count, autoencoder._MAX_BLOCKS)
+        with autoencoder._pool(self.sets([])) as run:
+            for blocks in calls:
+                before = len(submitted)
+                run(lambda block, buffers: None, range(blocks))
+                per_call.append(len(submitted) - before)
+        assert per_call == [min(workers, blocks) - 1 for blocks in calls]
+        assert set(submitted) <= {workers - 1}  # the pool has one thread per CPU but one
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_a_failure_raises_the_first_failed_block_in_block_order_with_every_set_back(self, count, monkeypatch):
+        # Blocks 2, 5 and 6 of 8 fail, block 2 last in time: every block runs and block 2's error is
+        # raised. The next call then runs a block on every set at once and makes none.
+        monkeypatch.setattr(autoencoder, "_usable_cpus", lambda: count)
+        made, ran, held = [], [], []
+        failures = {block: ArithmeticError(f"raised in block {block}") for block in (2, 5, 6)}
+
+        def failing(block, buffers):
+            if block == 2:
+                time.sleep(0.05)
+            ran.append(block)
+            if block in failures:
+                raise failures[block]
+
+        meeting = threading.Barrier(count, timeout=10)
+
+        def meet(block, buffers):
+            held.append(buffers[0])
+            meeting.wait()
+
+        with autoencoder._pool(self.sets(made)) as run:
+            with pytest.raises(ArithmeticError) as raised:
+                run(failing, range(8))
+            assert raised.value is failures[2]
+            assert sorted(ran) == list(range(8))
+            run(meet, range(count))
+        assert len(made) == count and sorted(held) == list(range(1, count + 1))
 
 
 class TestFlattening:

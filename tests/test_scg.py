@@ -428,15 +428,19 @@ class TestTrainWorkers:
         assert block_threads == {threading.current_thread()}
         assert not started
 
-    def test_the_pool_starts_at_most_one_thread_per_cpu(self, block_threads, monkeypatch):
-        # 9,000 x 100 windows at 100 hidden units: the shipped blocking cuts the rows into 8 blocks.
-        cpus(monkeypatch, 2)
+    @pytest.mark.parametrize("count", [2, 3])
+    def test_the_pool_starts_at_most_one_helper_thread_per_cpu_but_one(
+        self, count, block_threads, helpers_take_blocks, monkeypatch
+    ):
+        # 9,000 x 100 windows at 100 hidden units: the shipped blocking cuts the rows into 8 blocks,
+        # which the calling thread runs along with the helpers.
+        cpus(monkeypatch, count)
         started = threads_started(monkeypatch)
         before = threading.active_count()
         train(init_model(100, 100, seed=0), np.random.default_rng(1).uniform(size=(9000, 100)), 2)
         assert len(autoencoder._blocks(9000, 100 * 100)) == 8
-        assert 1 <= len(started) <= 2
-        assert threading.current_thread() not in block_threads
+        assert 1 <= len(started) <= count - 1
+        assert threading.current_thread() in block_threads and block_threads - {threading.current_thread()}
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("n,blocks,count,sets", [(40, 8, 3, 3), (6, 2, 3, 2), (40, 8, 1, 1)])
@@ -450,16 +454,16 @@ class TestTrainWorkers:
         assert len(autoencoder._blocks(n, 4 * 3)) == blocks
         assert buffer_sets == [threading.current_thread()] * sets
 
-    def test_no_thread_outlives_a_run(self, fine_blocks, block_threads, monkeypatch):
+    def test_no_thread_outlives_a_run(self, fine_blocks, block_threads, helpers_take_blocks, monkeypatch):
         cpus(monkeypatch, 3)
         before = threading.active_count()
         _, report = train(init_model(4, 3, seed=0), np.random.default_rng(1).uniform(size=(40, 4)), 5)
         assert report.stop_reason == STOP_BUDGET
-        assert threading.current_thread() not in block_threads  # the blocks ran on the pool
+        assert block_threads - {threading.current_thread()}  # helpers ran blocks
         assert threading.active_count() == before
 
     def test_non_finite_stop_ends_the_pool_and_keeps_the_callers_error_handling(
-        self, fine_blocks, block_threads, monkeypatch
+        self, fine_blocks, block_threads, helpers_take_blocks, monkeypatch
     ):
         cpus(monkeypatch, 3)
         before = threading.active_count()
@@ -468,7 +472,7 @@ class TestTrainWorkers:
         with np.errstate(all="ignore"):
             _, report = train(init_model(4, 3, seed=0), np.full((40, 4), 1e30), 5)
         assert report.stop_reason == STOP_NON_FINITE
-        assert threading.current_thread() not in block_threads
+        assert block_threads - {threading.current_thread()}  # helpers ran blocks
         assert threading.active_count() == before
 
     @pytest.mark.parametrize("X,error", [(np.zeros((0, 4)), EmptyDataset), (np.zeros((40, 6)), DimensionMismatch)])
@@ -480,15 +484,16 @@ class TestTrainWorkers:
         assert not block_threads
         assert threading.active_count() == before
 
-    def test_a_workers_exception_reaches_the_caller_unchanged(self, fine_blocks, monkeypatch):
+    def test_a_workers_exception_reaches_the_caller_unchanged(self, fine_blocks, helpers_take_blocks, monkeypatch):
         cpus(monkeypatch, 3)
         failure = ArithmeticError("raised in a block")
         forward = autoencoder._forward
 
         def failing(*args):
+            out = forward(*args)
             if threading.current_thread() is not threading.main_thread():
                 raise failure
-            return forward(*args)
+            return out
 
         monkeypatch.setattr(autoencoder, "_forward", failing)
         before = threading.active_count()

@@ -5,7 +5,9 @@
 Runs the benchmark's own inputs (``bench/workloads.py``) through the CLI of
 the package in ``DIR/src`` (default: this checkout), with BLAS on one thread:
 
-- ``train_week``: the final loss of the 100-cycle training, per seed;
+- ``train_week``: the final loss of the 100-cycle training, and its
+  rejected trial steps (the cycles that ``TrainReport.accepted`` marks
+  false, each a wasted backward pass), per seed;
 - ``score_month``: per seed and detector (autoencoder at quantile 0.999 of
   the quiet week, rule at quantile 0.999 of the quiet week's totals, both
   with a 60-minute gap), each surge's onset delay in minutes, and the
@@ -46,19 +48,33 @@ def main() -> None:
     sys.path[:0] = [str(args.tree.resolve() / "src"), str(args.tree.resolve() / "bench")]
     import numpy as np
     import workloads
+    from bgpnovelty import scg
+
+    reports = []
+    train = scg.train
+
+    def recorded(*args, **kwargs):
+        trained, report = train(*args, **kwargs)
+        reports.append(report)
+        return trained, report
+
+    scg.train = recorded  # the CLI calls scg.train through the module
 
     def run(plan) -> None:
         for argv in plan.commands:
             workloads.cli(argv)
 
-    out = {"tree": str(args.tree), "final_loss": {}, "detection": {}}
+    out = {"tree": str(args.tree), "final_loss": {}, "rejected_trials": {}, "detection": {}}
     with tempfile.TemporaryDirectory() as scratch:
         for seed in args.loss_seeds:
             work = Path(scratch, f"train-{seed}")
             work.mkdir()
             os.chdir(work)
+            reports.clear()
             run(workloads.prepare_train_week(work, seed))
             out["final_loss"][seed] = float(workloads._csv_rows(work / "model.json.report.csv", "cycle,loss")[-1][1])
+            (report,) = reports
+            out["rejected_trials"][seed] = report.accepted.count(False)
         for seed in args.detect_seeds:
             work = Path(scratch, f"score-{seed}")
             work.mkdir()
