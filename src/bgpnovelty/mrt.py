@@ -14,14 +14,15 @@ Withdrawn Routes field. Multiprotocol prefixes (MP_REACH_NLRI /
 MP_UNREACH_NLRI) ride inside path attributes and are not decoded; an UPDATE
 carrying only attributes yields a (t, 0, 0) row.
 
-The dump is read from a file object ``CHUNK_BYTES`` at a time, and a gzip
-or bzip2 dump is decompressed in the same loop, at most ``CHUNK_BYTES`` a
-step. One Python loop walks the common headers of each chunk, and the whole
-records found are decoded with numpy in one pass; a record cut by the
-chunk's end is carried into the next chunk. A pass sees a chunk and at most
-one carried record, and so about ``CHUNK_BYTES / 12`` records at most.
-Memory follows the chunk and the longest record, plus the 24-byte row of
-each UPDATE, not the dump.
+The dump is read from a file object ``CHUNK_BYTES`` at a time, and a dump
+that starts with gzip's or bzip2's whole magic (:func:`compression`) is
+decompressed in the same loop, at most ``CHUNK_BYTES`` a step. One Python
+loop walks the common headers of each chunk, and the whole records found
+are decoded with numpy in one pass; a record cut by the chunk's end is
+carried into the next chunk. A pass sees a chunk and at most one carried
+record, and so about ``CHUNK_BYTES / 12`` records at most. Memory follows
+the chunk and the longest record, plus the 24-byte row of each UPDATE, not
+the dump.
 """
 
 from __future__ import annotations
@@ -34,8 +35,6 @@ from array import array
 from typing import BinaryIO, Iterator
 
 import numpy as np
-
-from .series import first_fault
 
 MRT_HEADER_LEN = 12
 
@@ -56,7 +55,9 @@ CHUNK_BYTES = 1 << 18  # bytes read from the stream, and at most decompressed, p
 
 GZIP = "gzip"
 BZIP2 = "bzip2"
-_MAGIC = {b"\x1f\x8b": GZIP, b"BZh": BZIP2}
+# gzip: ID bytes, then method 8 (deflate). bzip2: "BZh", a level 1-9, then a block's or the end of stream's magic.
+_BZIP2_MAGIC = tuple(b"BZh%c" % level + block for level in b"123456789" for block in (b"1AY&SY", b"\x17rE8P\x90"))
+_MAGIC = {GZIP: (b"\x1f\x8b\x08",), BZIP2: _BZIP2_MAGIC}
 # A fresh decompressor for one member of each format; zlib's wbits 16 + 15 takes a gzip header and trailer.
 _DECOMPRESSORS = {GZIP: functools.partial(zlib.decompressobj, 31), BZIP2: bz2.BZ2Decompressor}
 
@@ -88,8 +89,8 @@ class UnreadableStream(MrtParseError):
 
 
 def compression(head: bytes) -> str | None:
-    """:data:`GZIP` or :data:`BZIP2` when ``head``, a dump's first bytes, carries that format's magic, else None."""
-    return next((name for magic, name in _MAGIC.items() if head.startswith(magic)), None)
+    """:data:`GZIP` or :data:`BZIP2` when ``head``, a dump's first 10 bytes, starts with its whole magic, else None."""
+    return next((name for name, magic in _MAGIC.items() if head.startswith(magic)), None)
 
 
 def parse_mrt_stream(stream: BinaryIO, compressed: str | None = None) -> np.ndarray:
@@ -193,8 +194,9 @@ def _decode_block(buf: np.ndarray, starts: np.ndarray, base: int) -> np.ndarray:
     ``buf`` holds the stream from byte offset ``base`` on, so a fault at
     ``buf`` position ``i`` is reported at stream offset ``base + i``.
 
-    ``live`` marks the records still being decoded. Each check flags the live
-    records that fail it and drops them from ``live``; reads for records
+    ``live`` marks the records still being decoded. Each check writes the
+    fault of the live records that fail it into ``code`` and ``at`` and drops
+    them from ``live``, so a record keeps its first fault; reads for records
     that are not live may land anywhere in the buffer and are never used.
     """
 
@@ -204,10 +206,13 @@ def _decode_block(buf: np.ndarray, starts: np.ndarray, base: int) -> np.ndarray:
             value = (value << 8) | buf.take(pos + k, mode="clip")
         return value
 
-    checks: list[tuple[np.ndarray, object]] = []  # (flagged records, record index -> error), in record order
+    messages: list[str] = []  # a fault's code is 1 + the index of its check's message, or -1 for a bad prefix
+    code, at = np.zeros(starts.shape, dtype=np.int8), np.zeros(starts.shape, dtype=np.int64)  # 0: no fault
 
-    def check(live: np.ndarray, short: np.ndarray, message: str, at: np.ndarray) -> np.ndarray:
-        checks.append((live & short, lambda i: TruncatedRecord(message, base + int(at[i]))))
+    def check(live: np.ndarray, short: np.ndarray, message: str, pos: np.ndarray) -> np.ndarray:
+        messages.append(message)
+        bad = live & short
+        code[bad], at[bad] = len(messages), pos[bad]
         return live & ~short
 
     timestamp = field(starts, 4)
@@ -246,7 +251,6 @@ def _decode_block(buf: np.ndarray, starts: np.ndarray, base: int) -> np.ndarray:
     live = check(live, pos + withdrawn_len > end, "withdrawn-routes field overruns the UPDATE", pos)
     withdrawn_start = np.where(live, pos, pos + withdrawn_len)  # a closed field starts at its end
     withdrawn_end = pos + withdrawn_len
-    withdrawn_rank = len(checks)  # withdrawn-prefix faults rank here
     pos = pos + withdrawn_len
     live = check(live, end - pos < 2, "path-attribute length field truncated", pos)
     attr_len = field(pos, 2)
@@ -258,12 +262,13 @@ def _decode_block(buf: np.ndarray, starts: np.ndarray, base: int) -> np.ndarray:
         buf, np.concatenate((withdrawn_start, np.where(live, pos, end))), np.concatenate((withdrawn_end, end))
     )
     (withdrawn, announced), (withdrawn_fault, announced_fault) = np.split(count, 2), np.split(fault, 2)
-    checks.insert(withdrawn_rank, (withdrawn_fault >= 0, lambda i: _prefix_error(buf, int(withdrawn_fault[i]), base)))
-    checks.append((announced_fault >= 0, lambda i: _prefix_error(buf, int(announced_fault[i]), base)))
-
-    fault = first_fault(checks)
-    if fault:
-        raise fault[1]
+    for prefix_fault in (announced_fault, withdrawn_fault):  # a bad withdrawn prefix outranks every later check
+        bad = prefix_fault >= 0
+        code[bad], at[bad] = -1, prefix_fault[bad]
+    faulty = np.flatnonzero(code)
+    if faulty.size:
+        i, offset = faulty[0], int(at[faulty[0]])
+        raise _prefix_error(buf, offset, base) if code[i] < 0 else TruncatedRecord(messages[code[i] - 1], base + offset)
     return np.column_stack((timestamp[live], announced[live], withdrawn[live]))
 
 

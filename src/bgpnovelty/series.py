@@ -468,23 +468,17 @@ def csv_rows(data: bytes, width: int, error: type[ValueError], first_line: int) 
     )
 
 
-def first_fault(checks) -> tuple[int, Exception] | None:
-    """The earliest row any check flags and the exception of its first failing check, or None.
+def first_row_fault(line_nos: np.ndarray, checks, misfit: ValueError | None) -> None:
+    """Raise the earliest flagged row's first failing check, prefixed with its line number, else ``misfit`` if any.
 
     ``checks`` pairs a boolean mask over the rows with a function from a row
     index to the exception; a row's checks apply in the order given.
     """
     flags = np.array([mask for mask, _ in checks])  # (checks, rows)
     rows = np.flatnonzero(flags.any(axis=0))
-    return (int(rows[0]), checks[int(np.argmax(flags[:, rows[0]]))][1](rows[0])) if rows.size else None
-
-
-def first_row_fault(line_nos: np.ndarray, checks, misfit: ValueError | None) -> None:
-    """Raise :func:`first_fault`'s exception prefixed with its line number, else ``misfit`` if any."""
-    fault = first_fault(checks)
-    if fault:
-        row, exc = fault
-        raise type(exc)(f"line {line_nos[row]}: {exc}")
+    if rows.size:
+        exc = checks[int(np.argmax(flags[:, rows[0]]))][1](rows[0])
+        raise type(exc)(f"line {line_nos[rows[0]]}: {exc}")
     if misfit:
         raise misfit
 

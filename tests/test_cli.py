@@ -183,6 +183,19 @@ class TestIngestStreams:
         assert run("ingest", tmp_path / "updates.mrt.z", "--out", tmp_path / "z.csv") == 0
         assert (tmp_path / "z.csv").read_bytes() == (tmp_path / "raw.csv").read_bytes()
 
+    def test_raw_dump_that_starts_with_bzh_is_read_raw(self, tmp_path):
+        # 1113221173 is 0x425A6835, "BZh5": the first four bytes of a bzip2 dump, but not its block magic.
+        (tmp_path / "updates.mrt").write_bytes(
+            bgp4mp_update_record(timestamp=1113221173, n_announced=2, n_withdrawn=1)
+            + bgp4mp_update_record(timestamp=1113221233, n_announced=3, n_withdrawn=0)
+        )
+        assert run("ingest", tmp_path / "updates.mrt", "--out", tmp_path / "buckets.csv") == 0
+        assert (tmp_path / "buckets.csv").read_text() == (
+            "minute_utc,announcements,withdrawals\n"
+            "2005-04-11T12:06:00Z,2,1\n"
+            "2005-04-11T12:07:00Z,3,0\n"
+        )
+
     @pytest.mark.parametrize("damage", [lambda c: c[: len(c) // 2], lambda c: c[:10] + b"\x07" + c[11:]],
                              ids=["truncated", "corrupt"])
     @pytest.mark.parametrize("compress", [gzip.compress, bz2.compress], ids=["gz", "bz2"])
