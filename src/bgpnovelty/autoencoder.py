@@ -136,28 +136,18 @@ def _forward(X, w1, b1, w2, b2, hidden: np.ndarray, out: np.ndarray) -> np.ndarr
     return np.add(np.matmul(hidden, w2.T, out=out), b2, out=out)
 
 
-def sse_loss(model: AutoencoderModel, X: np.ndarray) -> float:
-    """Half the summed squared reconstruction error over the rows of X, in X's precision (see :func:`objective`)."""
-    with objective(model, X) as (f, _, _):
-        return f(flatten_params(model))
-
-
-def gradient(model: AutoencoderModel, X: np.ndarray) -> np.ndarray:
-    """Analytic gradient of :func:`sse_loss` over w1 (row-major), b1, w2 (row-major), b2."""
-    with objective(model, X) as (_, g, _):
-        return g(flatten_params(model))
-
-
 @contextlib.contextmanager
 def objective(model: AutoencoderModel, X: np.ndarray):
     """Fused ``(f, g, curvature)`` over flat parameter vectors for the rows of X, for a ``with`` block.
 
-    ``f(flat)`` is the loss and ``g(flat)`` its gradient at the model with
-    parameters ``flat`` (``model`` gives only the dimensions); they equal
-    :func:`sse_loss` and :func:`gradient` on the same X bit for bit.
-    ``curvature(flat, p)`` is the exact second directional derivative p'Hp,
-    by forward-mode differentiation of the network (Pearlmutter, "Fast
-    exact multiplication by the Hessian", 1994). X is checked on entry.
+    ``f(flat)`` is the loss, half the summed squared reconstruction error
+    over the rows of X, and ``g(flat)`` its gradient over w1 (row-major),
+    b1, w2 (row-major) and b2, at the model with parameters ``flat``
+    (``model`` gives only the dimensions); the tests check both against an
+    out-of-place numpy reference. ``curvature(flat, p)`` is the exact second
+    directional derivative p'Hp, by forward-mode differentiation of the
+    network (Pearlmutter, "Fast exact multiplication by the Hessian", 1994).
+    X is checked on entry.
 
     The precision comes from X: the matmuls and ``tanh`` run in float32 for
     a float32 X, and in float64 for a float64 or integer X (cast once). So

@@ -105,14 +105,13 @@ def scg_minimize(
     success = True
     lam = _LAMBDA0
     raw_delta = 0.0  # unscaled directional curvature, reused on rejected cycles
-    p_sq = float(p @ p)
     updates_since_restart = 0
 
     cycles = 0
     stop = STOP_BUDGET
     for _ in range(max_cycles):
         grad_norm = float(np.linalg.norm(r))
-        if grad_norm == 0.0 or grad_norm < GRAD_TOL:
+        if grad_norm == 0.0 or grad_norm < GRAD_TOL:  # zero stops even at GRAD_TOL 0: p would restart at r = 0
             stop = STOP_GRADIENT
             break
         cycles += 1

@@ -14,7 +14,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from bgpnovelty import autoencoder, detector
-from bgpnovelty.autoencoder import AutoencoderModel, init_model, sse_loss
+from bgpnovelty.autoencoder import AutoencoderModel, flatten_params, init_model, objective
 from bgpnovelty.detector import score_series, suggest_threshold
 from bgpnovelty.features import NormalizationParams, fit_normalization, make_windows
 from bgpnovelty.scg import TrainReport, train
@@ -173,7 +173,8 @@ def pipeline() -> TrainedPipeline:
     norm = fit_normalization(train_series)
     matrix = make_windows(train_series, K, norm)
     model0 = init_model(2 * K, HIDDEN, seed=INIT_SEED, norm=norm)
-    initial_loss = sse_loss(model0, matrix)
+    with objective(model0, matrix) as (f, _, _):
+        initial_loss = f(flatten_params(model0))
     started = time.perf_counter()
     model, report = train(model0, matrix, CYCLES)
     train_seconds = time.perf_counter() - started

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from bgpnovelty.autoencoder import gradient, init_model, load_model, save_model
+from bgpnovelty.autoencoder import flatten_params, init_model, load_model, objective, save_model
 from bgpnovelty.cli import main
 from bgpnovelty.detector import (
     DetectorConfig,
@@ -71,7 +71,8 @@ def test_gradient_correctness():
     for seed in range(10):
         model = init_model(10, 7, seed=seed)
         X = np.random.default_rng(1000 + seed).uniform(size=(5, 10))
-        analytic = gradient(model, X)
+        with objective(model, X) as (_, g, _):
+            analytic = g(flatten_params(model))
         numeric = finite_difference_gradient(model, X, step=1e-5)
         worst = max(worst, np.max(np.abs(analytic - numeric)) / np.max(np.abs(numeric)))
     elapsed = time.perf_counter() - started

@@ -22,31 +22,27 @@ from bgpnovelty.autoencoder import (
     EmptyDataset,
     VersionMismatch,
     flatten_params,
-    gradient,
     init_model,
     load_model,
     objective,
     reconstruct,
     save_model,
-    sse_loss,
     unflatten_params,
 )
 from bgpnovelty.features import NormalizationParams
 
 
 def finite_difference_gradient(model, X, step=1e-5):
-    """Central-difference oracle over the flattened parameters."""
+    """Central-difference oracle over the flattened parameters, from the loss ``f`` of one objective."""
     flat = flatten_params(model)
     out = np.empty_like(flat)
-    for i in range(flat.size):
-        up = flat.copy()
-        up[i] += step
-        down = flat.copy()
-        down[i] -= step
-        out[i] = (
-            sse_loss(unflatten_params(model, up), X)
-            - sse_loss(unflatten_params(model, down), X)
-        ) / (2.0 * step)
+    with objective(model, X) as (f, _, _):
+        for i in range(flat.size):
+            up = flat.copy()
+            up[i] += step
+            down = flat.copy()
+            down[i] -= step
+            out[i] = (f(up) - f(down)) / (2.0 * step)
     return out
 
 
@@ -119,46 +115,48 @@ class TestForward:
 
 
 class TestSseLoss:
+    """The loss ``f`` of :func:`objective`, half the summed squared error, at the model's own parameters."""
+
     def test_zero_for_perfect_reconstruction(self):
         # identity-ish: zero weights, bias equal to the constant input
         x = np.array([0.3, 0.7])
         model = tiny_model(np.zeros((2, 2)), np.zeros(2), np.zeros((2, 2)), x)
-        assert sse_loss(model, x[None, :]) == 0.0
+        with objective(model, x[None, :]) as (f, _, _):
+            assert f(flatten_params(model)) == 0.0
 
     def test_unit_errors_sum_with_half_factor(self):
         model = tiny_model(np.zeros((1, 2)), [0.0], np.zeros((2, 1)), [1.0, 1.0])
-        assert sse_loss(model, np.array([[0.0, 0.0]])) == 1.0  # 0.5 * (1 + 1)
+        with objective(model, np.array([[0.0, 0.0]])) as (f, _, _):
+            assert f(flatten_params(model)) == 1.0  # 0.5 * (1 + 1)
 
     def test_additive_over_identical_samples(self):
         model = init_model(6, 4, seed=2)
+        flat = flatten_params(model)
         x = np.random.default_rng(2).uniform(size=(1, 6))
-        single = sse_loss(model, x)
-        double = sse_loss(model, np.vstack([x, x]))
-        assert double == pytest.approx(2.0 * single, rel=1e-12)
+        with objective(model, x) as (single, _, _), objective(model, np.vstack([x, x])) as (double, _, _):
+            assert double(flat) == pytest.approx(2.0 * single(flat), rel=1e-12)
 
     def test_non_negative_on_random_models(self):
         rng = np.random.default_rng(8)
         for seed in range(5):
             model = init_model(7, 3, seed=seed)
-            X = rng.uniform(size=(4, 7))
-            assert sse_loss(model, X) >= 0.0
-
-    def test_empty_dataset_raises(self):
-        model = init_model(4, 3, seed=0)
-        with pytest.raises(EmptyDataset):
-            sse_loss(model, np.zeros((0, 4)))
+            with objective(model, rng.uniform(size=(4, 7))) as (f, _, _):
+                assert f(flatten_params(model)) >= 0.0
 
 
 class TestGradient:
+    """The gradient ``g`` of :func:`objective`, at the model's own parameters."""
+
     def test_zero_model_on_zero_data_is_stationary(self):
         model = tiny_model(np.zeros((3, 4)), np.zeros(3), np.zeros((4, 3)), np.zeros(4))
-        grad = gradient(model, np.zeros((1, 4)))
-        assert not grad.any()
+        with objective(model, np.zeros((1, 4))) as (_, g, _):
+            assert not g(flatten_params(model)).any()
 
     def test_matches_finite_differences_on_seeded_model(self):
         model = init_model(10, 7, seed=0)
         X = np.random.default_rng(100).uniform(size=(5, 10))
-        analytic = gradient(model, X)
+        with objective(model, X) as (_, g, _):
+            analytic = g(flatten_params(model))
         numeric = finite_difference_gradient(model, X)
         scale = np.max(np.abs(numeric))
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
@@ -167,7 +165,8 @@ class TestGradient:
     def test_matches_finite_differences_across_seeds(self, seed):
         model = init_model(10, 7, seed=seed)
         X = np.random.default_rng(200 + seed).uniform(size=(5, 10))
-        analytic = gradient(model, X)
+        with objective(model, X) as (_, g, _):
+            analytic = g(flatten_params(model))
         numeric = finite_difference_gradient(model, X)
         scale = np.max(np.abs(numeric))
         assert np.max(np.abs(analytic - numeric)) / scale < 1e-5
@@ -183,12 +182,8 @@ class TestGradient:
             r * t,                      # dE/dw2
             r,                          # dE/db2
         ]
-        assert np.allclose(gradient(model, np.array([[x]])), expected, rtol=1e-12)
-
-    def test_empty_dataset_raises(self):
-        model = init_model(4, 3, seed=0)
-        with pytest.raises(EmptyDataset):
-            gradient(model, np.zeros((0, 4)))
+        with objective(model, np.array([[x]])) as (_, g, _):
+            assert np.allclose(g(flatten_params(model)), expected, rtol=1e-12)
 
 
 def reference_loss_and_gradient(model, X):
@@ -219,13 +214,12 @@ def problem(shape):
 class TestObjective:
     @settings(max_examples=60, deadline=None)
     @given(shapes_and_seed)
-    def test_equals_sse_loss_and_gradient_exactly(self, shape):
+    def test_equals_the_reference_exactly(self, shape):
         model, X, _ = problem(shape)
         flat = flatten_params(model)
         loss, grad = reference_loss_and_gradient(model, X)
         with objective(model, X) as (f, g, _):
-            assert f(flat) == sse_loss(model, X) == loss
-            assert np.array_equal(g(flat), gradient(model, X))
+            assert f(flat) == loss
             assert np.array_equal(g(flat), grad)
 
     @settings(max_examples=60, deadline=None)
@@ -236,8 +230,8 @@ class TestObjective:
         other = flat + rng.normal(size=flat.size)
         with objective(model, X) as (f, g, _):
             f(flat)
-            assert np.array_equal(g(other), gradient(unflatten_params(model, other), X))
-            assert np.array_equal(g(flat), gradient(model, X))
+            assert np.array_equal(g(other), reference_loss_and_gradient(unflatten_params(model, other), X)[1])
+            assert np.array_equal(g(flat), reference_loss_and_gradient(model, X)[1])
 
     @settings(max_examples=60, deadline=None)
     @given(shapes_and_seed, st.data())
@@ -248,7 +242,7 @@ class TestObjective:
             f(flat)
             i = data.draw(st.integers(0, flat.size - 1))
             flat[i] = data.draw(st.floats(-3.0, 3.0).filter(lambda v: v != flat[i]))
-            assert np.array_equal(g(flat), gradient(unflatten_params(model, flat), X))
+            assert np.array_equal(g(flat), reference_loss_and_gradient(unflatten_params(model, flat), X)[1])
 
     @settings(max_examples=30, deadline=None)
     @given(shapes_and_seed)
@@ -308,13 +302,14 @@ class TestCurvature:
     def test_spent_buffers_are_never_stale(self, shape):
         model, X, rng = problem(shape)
         flat, p = flatten_params(model), unit_direction(rng, model.n_params)
+        loss, grad = reference_loss_and_gradient(model, X)
         with objective(model, X) as (f, g, curvature):
             f(flat)
             g(flat)
             first = curvature(flat, p)
-            assert np.array_equal(g(flat), gradient(model, X))
+            assert np.array_equal(g(flat), grad)
             assert curvature(flat, p) == first
-            assert f(flat) == sse_loss(model, X)
+            assert f(flat) == loss
 
     @settings(max_examples=60, deadline=None)
     @given(shapes_and_seed, st.sampled_from([np.float64, np.float32]), st.integers(-40, 40))

@@ -15,7 +15,6 @@ from bgpnovelty.autoencoder import (
     flatten_params,
     init_model,
     objective,
-    sse_loss,
     unflatten_params,
 )
 from bgpnovelty.features import NormalizationParams
@@ -280,7 +279,8 @@ class TestTrain:
         x = np.array([0.2, 0.8, 0.5, 0.1])
         X = np.tile(x, (20, 1))
         model = init_model(4, 4, seed=1, norm=NormalizationParams(0, 1, 0, 1))
-        initial = sse_loss(model, X)
+        with objective(model, X) as (f, _, _):
+            initial = f(flatten_params(model))
         trained, report = train(model, X, 100)
         assert report.loss_history[-1] <= 1e-3 * initial
         assert_monotone(report)

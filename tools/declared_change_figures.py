@@ -15,7 +15,12 @@ the package in ``DIR/src`` (default: this checkout), with BLAS on one thread:
   neither a surge nor the hour after it; its minutes run from its start to
   its end. The onset delay is the minutes from a surge's first minute to
   the start of the first event that overlaps the surge, 0 when that event
-  began earlier.
+  began earlier. Beside them, the off-surge scored minutes whose score lies
+  strictly above the threshold ``detect`` used (nearest rank 0.999 of
+  ``quiet_novelty.csv``, or of ``quiet_week.csv``'s totals for the rule),
+  and 0.001 times the off-surge scored minutes: the count that a threshold
+  at the 0.999 quantile of quiet traffic leads one to expect. A minute is
+  off-surge if it lies in neither a surge nor the hour after it.
 
 Prints one JSON object. Nothing is written outside a temporary directory.
 """
@@ -30,6 +35,8 @@ import tempfile
 from pathlib import Path
 
 HOUR = 60
+NOVELTY = "minute_utc,novelty"
+BUCKETS = "minute_utc,announcements,withdrawals"
 
 
 def seeds(text: str) -> list[int]:
@@ -64,6 +71,12 @@ def main() -> None:
         for argv in plan.commands:
             workloads.cli(argv)
 
+    def scores(path: Path, header: str):
+        """Epoch-second minutes and per-minute scores of a CSV: its novelty, or its update counts summed."""
+        rows = workloads._csv_rows(path, header)
+        minutes = np.array([workloads._epoch_minute(row[0]) for row in rows])
+        return minutes, np.array([sum(map(float, row[1:])) for row in rows])
+
     out = {"tree": str(args.tree), "final_loss": {}, "rejected_trials": {}, "detection": {}}
     with tempfile.TemporaryDirectory() as scratch:
         for seed in args.loss_seeds:
@@ -86,17 +99,25 @@ def main() -> None:
             start = workloads._epoch_minute((work / "month.csv").read_text().splitlines()[1].split(",")[0])
             spans = [(start + 60 * onset, start + 60 * (onset + minutes - 1)) for onset, minutes in surges]
             figures = {}
-            for name, report in (("ae", "ae_alarms.json"), ("rule", "rule_alarms.json")):
+            for name, report, scored, quiet, header in (
+                ("ae", "ae_alarms.json", "novelty.csv", "quiet_novelty.csv", NOVELTY),
+                ("rule", "rule_alarms.json", "month.csv", "quiet_week.csv", BUCKETS),
+            ):
                 events = [(lo, hi) for lo, hi, _, _ in workloads._alarm_spans(work / report)]
                 delays = []
                 for lo, hi in spans:
                     starts = [s for s, e in events if s <= hi and e >= lo]
                     delays.append(max(0, (min(starts) - lo) // 60) if starts else None)
                 off = [(s, e) for s, e in events if not any(s <= hi + 60 * HOUR and e >= lo for lo, hi in spans)]
+                minutes, values = scores(work / scored, header)
+                off_surge = ~np.any([(minutes >= lo) & (minutes <= hi + 60 * HOUR) for lo, hi in spans], axis=0)
+                threshold = workloads._nearest_rank(scores(work / quiet, header)[1], workloads.QUANTILE)
                 figures[name] = {
                     "onset_delay_min": delays,
                     "off_surge_events": len(off),
                     "off_surge_minutes": sum((e - s) // 60 + 1 for s, e in off),
+                    "off_surge_exceedances": int(np.count_nonzero(values[off_surge] > threshold)),
+                    "expected_exceedances": round((1.0 - workloads.QUANTILE) * int(np.count_nonzero(off_surge)), 9),
                 }
             out["detection"][seed] = figures
     print(json.dumps(out))
