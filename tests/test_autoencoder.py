@@ -143,6 +143,11 @@ class TestSseLoss:
             with objective(model, rng.uniform(size=(4, 7))) as (f, _, _):
                 assert f(flatten_params(model)) >= 0.0
 
+    def test_empty_dataset_raises(self):
+        model = init_model(4, 3, seed=0)
+        with pytest.raises(EmptyDataset), objective(model, np.zeros((0, 4))) as (f, _, _):
+            f(flatten_params(model))
+
 
 class TestGradient:
     """The gradient ``g`` of :func:`objective`, at the model's own parameters."""
@@ -184,6 +189,11 @@ class TestGradient:
         ]
         with objective(model, np.array([[x]])) as (_, g, _):
             assert np.allclose(g(flatten_params(model)), expected, rtol=1e-12)
+
+    def test_empty_dataset_raises(self):
+        model = init_model(4, 3, seed=0)
+        with pytest.raises(EmptyDataset), objective(model, np.zeros((0, 4))) as (_, g, _):
+            g(flatten_params(model))
 
 
 def reference_loss_and_gradient(model, X):
