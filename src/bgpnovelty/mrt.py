@@ -14,15 +14,18 @@ Withdrawn Routes field. Multiprotocol prefixes (MP_REACH_NLRI /
 MP_UNREACH_NLRI) ride inside path attributes and are not decoded; an UPDATE
 carrying only attributes yields a (t, 0, 0) row.
 
-The dump is read from a file object ``CHUNK_BYTES`` at a time, and a dump
-that starts with gzip's or bzip2's whole magic (:func:`compression`) is
-decompressed in the same loop, at most ``CHUNK_BYTES`` a step. One Python
-loop walks the common headers of each chunk, and the whole records found
-are decoded with numpy in one pass; a record cut by the chunk's end is
-carried into the next chunk. A pass sees a chunk and at most one carried
-record, and so about ``CHUNK_BYTES / 12`` records at most. Memory follows
-the chunk and the longest record, plus the 24-byte row of each UPDATE, not
-the dump.
+The dump is read from a file object ``CHUNK_BYTES`` (512 KiB) at a time,
+and a dump that starts with gzip's or bzip2's whole magic
+(:func:`compression`) is decompressed in the same loop, at most
+``CHUNK_BYTES`` a step. One Python loop walks the common headers of each
+chunk, and the whole records found are decoded with numpy in one pass, a
+fixed run of numpy calls plus a few more for each prefix of the chunk's
+longest prefix field; a record cut by the chunk's end is carried into the
+next chunk. A pass sees a chunk and at most one carried record, and so
+about ``CHUNK_BYTES / 12`` records at most. It holds about 160 bytes a
+record at its peak, in the prefix count, so a chunk of bare 12-byte
+records peaks near 11 chunks. Memory follows the chunk and the longest
+record, plus the 24-byte row of each UPDATE, not the dump.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from array import array
 from typing import BinaryIO, Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 MRT_HEADER_LEN = 12
 
@@ -51,7 +55,7 @@ AFI_IPV6 = 2
 BGP_HEADER_LEN = 19  # 16-octet marker + 2-octet length + 1-octet type
 BGP_TYPE_UPDATE = 2
 
-CHUNK_BYTES = 1 << 18  # bytes read from the stream, and at most decompressed, per step
+CHUNK_BYTES = 1 << 19  # bytes read from the stream, and at most decompressed, per step
 
 GZIP = "gzip"
 BZIP2 = "bzip2"
@@ -200,11 +204,8 @@ def _decode_block(buf: np.ndarray, starts: np.ndarray, base: int) -> np.ndarray:
     that are not live may land anywhere in the buffer and are never used.
     """
 
-    def field(pos: np.ndarray, width: int) -> np.ndarray:
-        value = np.zeros(pos.shape, dtype=np.int64)
-        for k in range(width):
-            value = (value << 8) | buf.take(pos + k, mode="clip")
-        return value
+    def two_octets(pos: np.ndarray) -> np.ndarray:  # the big-endian 2-octet fields at ``pos``
+        return buf.take(pos, mode="clip").astype(np.int64) << 8 | buf.take(pos + 1, mode="clip")
 
     messages: list[str] = []  # a fault's code is 1 + the index of its check's message, or -1 for a bad prefix
     code, at = np.zeros(starts.shape, dtype=np.int8), np.zeros(starts.shape, dtype=np.int64)  # 0: no fault
@@ -212,51 +213,57 @@ def _decode_block(buf: np.ndarray, starts: np.ndarray, base: int) -> np.ndarray:
     def check(live: np.ndarray, short: np.ndarray, message: str, pos: np.ndarray) -> np.ndarray:
         messages.append(message)
         bad = live & short
-        code[bad], at[bad] = len(messages), pos[bad]
-        return live & ~short
+        if bad.any():
+            code[bad], at[bad] = len(messages), pos[bad]
+        live ^= bad
+        return live
 
-    timestamp = field(starts, 4)
-    mrt_type = field(starts + 4, 2)
-    subtype = field(starts + 6, 2)
+    # Each record's common header as three big-endian uint32: timestamp, type << 16 | subtype, length.
+    header = sliding_window_view(buf, MRT_HEADER_LEN)[starts].view(">u4")
+    timestamp, kind, length = (header[:, i].astype(np.int64) for i in range(3))
+    del header
     pos = starts + MRT_HEADER_LEN
-    end = pos + field(starts + 8, 4)
+    end = pos + length
+    mrt_type, subtype = kind >> 16, kind & 0xFFFF
+    del kind, length  # the pass peaks in the prefix count; hold no column it does not need there
     extended = mrt_type == MRT_TYPE_BGP4MP_ET
     as4 = subtype == BGP4MP_MESSAGE_AS4
     live = ((mrt_type == MRT_TYPE_BGP4MP) | extended) & ((subtype == BGP4MP_MESSAGE) | as4)
+    del mrt_type, subtype
 
     # Microsecond extension: bucketing is per-minute, so it is skipped.
     live = check(live, extended & (end - pos < 4), "BGP4MP_ET microsecond field truncated", pos)
-    pos = pos + 4 * extended
-    as_size = np.where(as4, 4, 2)
-    live = check(live, end - pos < 2 * as_size + 4, "BGP4MP message header truncated", pos)
-    afi = field(pos + 2 * as_size + 2, 2)
-    pos = pos + 2 * as_size + 4
+    pos += 4 * extended
+    peer_header = np.where(as4, 12, 8)  # peer and local AS numbers of 2 or 4 octets, interface index, AFI
+    live = check(live, end - pos < peer_header, "BGP4MP message header truncated", pos)
+    pos += peer_header
+    afi = two_octets(pos - 2)
     # Unknown address family: the BGP message cannot be located, so the record is skipped.
-    live &= (afi == AFI_IPV4) | (afi == AFI_IPV6)
-    addr_size = np.where(afi == AFI_IPV4, 4, 16)
-    live = check(live, end - pos < 2 * addr_size, "BGP4MP peer addresses truncated", pos)
-    pos = pos + 2 * addr_size
+    ipv4 = afi == AFI_IPV4
+    live &= ipv4 | (afi == AFI_IPV6)
+    addresses = np.where(ipv4, 8, 32)  # peer and local address
+    live = check(live, end - pos < addresses, "BGP4MP peer addresses truncated", pos)
+    pos += addresses
 
     live = check(live, end - pos < BGP_HEADER_LEN, "BGP message header truncated", pos)
-    msg_len = field(pos + 16, 2)
+    msg_len = two_octets(pos + 16)
     live = check(live, msg_len < BGP_HEADER_LEN, "BGP message length below header size", pos)
-    live = check(live, pos + msg_len > end, "BGP message overruns its MRT record", pos)
+    msg_end = pos + msg_len
+    live = check(live, msg_end > end, "BGP message overruns its MRT record", pos)
     live &= buf.take(pos + 18, mode="clip") == BGP_TYPE_UPDATE
-    end = pos + msg_len
-    pos = pos + BGP_HEADER_LEN
+    end = msg_end
+    pos += BGP_HEADER_LEN
 
     live = check(live, end - pos < 2, "withdrawn-routes length field truncated", pos)
-    withdrawn_len = field(pos, 2)
-    pos = pos + 2
-    live = check(live, pos + withdrawn_len > end, "withdrawn-routes field overruns the UPDATE", pos)
-    withdrawn_start = np.where(live, pos, pos + withdrawn_len)  # a closed field starts at its end
-    withdrawn_end = pos + withdrawn_len
-    pos = pos + withdrawn_len
-    live = check(live, end - pos < 2, "path-attribute length field truncated", pos)
-    attr_len = field(pos, 2)
-    pos = pos + 2
-    live = check(live, pos + attr_len > end, "path attributes overrun the UPDATE", pos)
-    pos = pos + attr_len  # attribute semantics are out of scope
+    withdrawn_end = pos + 2 + two_octets(pos)
+    pos += 2
+    live = check(live, withdrawn_end > end, "withdrawn-routes field overruns the UPDATE", pos)
+    withdrawn_start = np.where(live, pos, withdrawn_end)  # a closed field starts at its end
+    live = check(live, end - withdrawn_end < 2, "path-attribute length field truncated", withdrawn_end)
+    pos = withdrawn_end + 2
+    attr_end = pos + two_octets(withdrawn_end)
+    live = check(live, attr_end > end, "path attributes overrun the UPDATE", pos)
+    pos = attr_end  # attribute semantics are out of scope
 
     count, fault = _count_prefixes(
         buf, np.concatenate((withdrawn_start, np.where(live, pos, end))), np.concatenate((withdrawn_end, end))
@@ -264,7 +271,8 @@ def _decode_block(buf: np.ndarray, starts: np.ndarray, base: int) -> np.ndarray:
     (withdrawn, announced), (withdrawn_fault, announced_fault) = np.split(count, 2), np.split(fault, 2)
     for prefix_fault in (announced_fault, withdrawn_fault):  # a bad withdrawn prefix outranks every later check
         bad = prefix_fault >= 0
-        code[bad], at[bad] = -1, prefix_fault[bad]
+        if bad.any():
+            code[bad], at[bad] = -1, prefix_fault[bad]
     faulty = np.flatnonzero(code)
     if faulty.size:
         i, offset = faulty[0], int(at[faulty[0]])
@@ -275,23 +283,28 @@ def _decode_block(buf: np.ndarray, starts: np.ndarray, base: int) -> np.ndarray:
 def _count_prefixes(buf: np.ndarray, cursor: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Count the (length-octet, ceil(length/8) octets) prefix entries of each field.
 
-    Field ``j`` spans ``[cursor[j], end[j])``. All fields advance in
-    lockstep, one prefix position per step, over the fields still open.
+    Field ``j`` spans ``[cursor[j], end[j])``. The open fields advance in
+    lockstep, one prefix a step; only their indices, cursors and ends are
+    carried, and a field that closes at step ``s`` holds ``s`` prefixes.
     Returns the counts and the offset of each field's bad prefix (-1 for none).
     """
-    cursor = cursor.copy()
     count = np.zeros(cursor.size, dtype=np.int64)
     fault = np.full(cursor.size, -1, dtype=np.int64)
-    stepping = np.flatnonzero(cursor < end)
-    while stepping.size:
-        at = cursor[stepping]
-        bits = buf[at].astype(np.int64)
-        after = at + 1 + (bits + 7) // 8
-        bad = (bits > 32) | (after > end[stepping])
-        fault[stepping[bad]] = at[bad]
-        cursor[stepping] = after
-        count[stepping] += 1
-        stepping = stepping[~bad & (after < end[stepping])]
+    index = np.flatnonzero(cursor < end)
+    cursor, end = cursor[index], end[index]
+    step = 0
+    while index.size:
+        step += 1
+        count[index] = step
+        octet = buf[cursor]
+        # 1 + ceil(length / 8) octets, summed in int16: the length octet plus 15 wraps a uint8 from 241 up
+        after = cursor + (np.add(octet, 15, dtype=np.int16) >> 3)
+        too_long = octet > 32
+        bad = too_long | (after > end)
+        if bad.any():
+            fault[index[bad]] = cursor[bad]
+        keep = np.flatnonzero(~too_long & (after < end))
+        index, cursor, end = index[keep], after[keep], end[keep]
     return count, fault
 
 

@@ -22,6 +22,7 @@ MAX_SERIES_MINUTES = 2**22
 
 BUCKET_CSV_HEADER = "minute_utc,announcements,withdrawals"
 
+_BUCKETIZE_ROWS = 1 << 16  # rows bucketize sums at once
 CSV_BLOCK_ROWS = 2**12  # rows a bucket- or novelty-CSV write renders at once
 CSV_CHUNK_BYTES = 2**18  # bytes a CSV read takes at a time; each chunk costs a fixed run of numpy calls
 
@@ -191,20 +192,23 @@ def bucketize(records: np.ndarray, start_minute_s: int, end_minute_s: int) -> Mi
     Rows need not be sorted; rows outside the range are dropped; minutes
     with no rows hold zeros. Sums are exact: a minute whose sum leaves int64
     raises CountOverflow. The output always spans ``(end - start)/60 + 1``
-    buckets regardless of input sparsity.
+    buckets regardless of input sparsity. Rows are summed ``_BUCKETIZE_ROWS``
+    at a time, so the temporaries follow that block, not ``records``.
     """
     _check_range(start_minute_s, end_minute_s)
     records = np.asarray(records, dtype=np.int64)
     if records.ndim != 2 or records.shape[1] != 3:
         raise ValueError(f"records must be an (n, 3) array, got shape {records.shape}")
     n = (end_minute_s - start_minute_s) // MINUTE + 1
-    index = (records[:, 0] - start_minute_s) // MINUTE
-    index[(index < 0) | (index >= n)] = n  # rows outside the range go to a spare bucket, dropped below
-    counts = records[:, 1], records[:, 2]
     # Summing the high and low 32-bit halves apart cannot wrap below 2**31 rows a minute.
     halves = np.zeros((4, n + 1), dtype=np.int64)
-    for total, part in zip(halves, [*(c >> 32 for c in counts), *(c & 0xFFFFFFFF for c in counts)]):
-        np.add.at(total, index, part)
+    for lo in range(0, len(records), _BUCKETIZE_ROWS):
+        block = records[lo : lo + _BUCKETIZE_ROWS]
+        index = (block[:, 0] - start_minute_s) // MINUTE
+        index[(index < 0) | (index >= n)] = n  # rows outside the range go to a spare bucket, dropped below
+        counts = block[:, 1], block[:, 2]
+        for total, part in zip(halves, [*(c >> 32 for c in counts), *(c & 0xFFFFFFFF for c in counts)]):
+            np.add.at(total, index, part)
     sums, low = halves[:2, :n], halves[2:, :n]
     sums += low >> 32
     over = (sums < -(2**31)) | (sums >= 2**31)

@@ -213,7 +213,7 @@ class TestIngestStreams:
         ids=["gz", "bz2"],
     )
     def test_cut_dump_names_the_offset_of_its_last_decoded_byte(self, tmp_path, capsys, compress, decoder):
-        stream = self.STREAM * 4  # past one 256 KiB chunk
+        stream = self.STREAM * (3 * mrt.CHUNK_BYTES // len(self.STREAM))  # about 3 chunks: the cut passes one
         packed = compress(stream)
         cut = packed[: len(packed) * 3 // 4]
         decoded = len(decoder().decompress(cut))  # every byte the cut copy still holds

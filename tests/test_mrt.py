@@ -436,9 +436,10 @@ class TestDenseChunk:
         assert counts == [len(pieces)]
 
     def test_peak_memory_of_the_pass_follows_the_chunk(self):
-        # Measured 3.34 MB (12.7 chunks) for these 17,314 records, about 190 bytes a record: some 24 int64
-        # columns at once, most of them header fields widened to int64. A record's first fault is kept in
-        # two columns, an int8 code and an int64 position. The bound, 3.5 MiB, leaves a 10% margin.
+        # Measured 5.55 MB (10.6 chunks) for these 34,647 records of a 512 KiB chunk, about 160 bytes a
+        # record: some 20 int64 columns at once, the peak in the prefix count, whose count and fault columns
+        # hold two entries a record. A record's first fault is kept in two columns, an int8 code and an
+        # int64 position. The bound, 14 chunks, leaves a 30% margin.
         stream, _ = dense_chunk()
         data = io.BytesIO(stream)
         tracemalloc.start()

@@ -5,12 +5,14 @@ import io
 import re
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bgpnovelty import series as series_module
 from bgpnovelty.series import (
     BUCKET_CSV_HEADER,
     CSV_BLOCK_ROWS,
@@ -232,6 +234,14 @@ record_rows = st.lists(
     max_size=60,
 )
 
+# bucketize's own row block, and blocks that put the edges between the rows a test draws
+block_rows = pytest.mark.parametrize("block", [series_module._BUCKETIZE_ROWS, 1, 3], ids=["default", "1", "3"])
+
+
+def in_blocks(block):
+    """A context in which bucketize sums ``block`` rows at a time."""
+    return mock.patch.object(series_module, "_BUCKETIZE_ROWS", block)
+
 
 class TestBucketize:
     def test_sums_records_within_a_minute(self):
@@ -298,11 +308,13 @@ class TestBucketize:
         assert bucket(series, 0) == (NOON, 2**53 + 1, 2**60 + 3)
         assert bucket(series, 1) == (NOON + 60, 2**63 - 1, 0)
 
+    @block_rows
     @settings(max_examples=200, deadline=None)
     @given(records=record_rows, lo=st.integers(-3, 3), span=st.integers(0, 12))
-    def test_matches_per_row_sums(self, records, lo, span):
+    def test_matches_per_row_sums(self, block, records, lo, span):
         start = NOON + 60 * lo
-        series = bucketize(rows(*records), start, start + 60 * span)
+        with in_blocks(block):
+            series = bucketize(rows(*records), start, start + 60 * span)
         assert np.column_stack((series.announcements, series.withdrawals)).tolist() == reference_bucketize(
             records, start, start + 60 * span
         )
@@ -317,12 +329,14 @@ class TestBucketize:
         assert int(series.withdrawals.sum()) == sum(r[2] for r in inside)
         assert len(series) == span + 1
 
+    @block_rows
     @settings(max_examples=100, deadline=None)
     @given(records=record_rows, data=st.data())
-    def test_any_permutation_gives_the_same_buckets(self, records, data):
+    def test_any_permutation_gives_the_same_buckets(self, block, records, data):
         shuffled = data.draw(st.permutations(records))
-        a = bucketize(rows(*records), NOON, NOON + 600)
-        b = bucketize(rows(*shuffled), NOON, NOON + 600)
+        with in_blocks(block):
+            a = bucketize(rows(*records), NOON, NOON + 600)
+            b = bucketize(rows(*shuffled), NOON, NOON + 600)
         assert np.array_equal(a.announcements, b.announcements)
         assert np.array_equal(a.withdrawals, b.withdrawals)
 
@@ -352,18 +366,22 @@ class TestSumsLeavingInt64:
         records = rows((NOON, 2**62, -(2**62)), (NOON, 2**62 - 1, -(2**62)))
         assert bucket(bucketize(records, NOON, NOON), 0) == (NOON, 2**63 - 1, -(2**63))
 
+    @block_rows
     @settings(max_examples=200, deadline=None)
     @given(records=st.lists(st.tuples(st.integers(NOON, NOON + 179), int64_counts, int64_counts), max_size=12))
-    def test_matches_python_sums_or_names_the_first_overflow(self, records):
+    def test_matches_python_sums_or_names_the_first_overflow(self, block, records):
         expected = reference_bucketize(records, NOON, NOON + 120)
         outside = [(i, c) for i, sums in enumerate(expected) for c in (0, 1) if not -(2**63) <= sums[c] < 2**63]
         if outside:
             minute, channel = outside[0]
             name = ("announcements", "withdrawals")[channel]
-            with pytest.raises(CountOverflow, match=f"{name} of minute {format_minute_utc(NOON + 60 * minute)}"):
+            with in_blocks(block), pytest.raises(
+                CountOverflow, match=f"{name} of minute {format_minute_utc(NOON + 60 * minute)}"
+            ):
                 bucketize(rows(*records), NOON, NOON + 120)
         else:
-            series = bucketize(rows(*records), NOON, NOON + 120)
+            with in_blocks(block):
+                series = bucketize(rows(*records), NOON, NOON + 120)
             assert np.column_stack((series.announcements, series.withdrawals)).tolist() == expected
 
 

@@ -1,6 +1,7 @@
 """Figures a declared numerical change records: final training losses and detection quality.
 
     python3 tools/declared_change_figures.py [--tree DIR] [--loss-seeds 1-10] [--detect-seeds 1-3]
+        [--score-cycles 30]
 
 Runs the benchmark's own inputs (``bench/workloads.py``) through the CLI of
 the package in ``DIR/src`` (default: this checkout), with BLAS on one thread:
@@ -8,9 +9,11 @@ the package in ``DIR/src`` (default: this checkout), with BLAS on one thread:
 - ``train_week``: the final loss of the 100-cycle training, and its
   rejected trial steps (the cycles that ``TrainReport.accepted`` marks
   false, each a wasted backward pass), per seed;
-- ``score_month``: per seed and detector (autoencoder at quantile 0.999 of
-  the quiet week, rule at quantile 0.999 of the quiet week's totals, both
-  with a 60-minute gap), each surge's onset delay in minutes, and the
+- ``score_month``, with its model trained for ``--score-cycles`` cycles
+  (default 30, the benchmark's ``SCORE_MODEL_CYCLES``; the CLI's default is
+  100): per seed and detector (autoencoder at quantile 0.999 of the quiet
+  week, rule at quantile 0.999 of the quiet week's totals, both with a
+  60-minute gap), each surge's onset delay in minutes, and the
   off-surge alarm events and minutes. An event is off-surge if it overlaps
   neither a surge nor the hour after it; its minutes run from its start to
   its end. The onset delay is the minutes from a surge's first minute to
@@ -49,6 +52,7 @@ def main() -> None:
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--loss-seeds", type=seeds, default=seeds("1-10"))
     parser.add_argument("--detect-seeds", type=seeds, default=seeds("1-3"))
+    parser.add_argument("--score-cycles", type=int, default=30, help="training cycles of the score_month model")
     args = parser.parse_args()
     for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ[name] = "1"  # before numpy is first imported
@@ -57,6 +61,7 @@ def main() -> None:
     import workloads
     from bgpnovelty import scg
 
+    workloads.SCORE_MODEL_CYCLES = args.score_cycles  # prepare_score_month reads it at each call
     reports = []
     train = scg.train
 
@@ -77,7 +82,13 @@ def main() -> None:
         minutes = np.array([workloads._epoch_minute(row[0]) for row in rows])
         return minutes, np.array([sum(map(float, row[1:])) for row in rows])
 
-    out = {"tree": str(args.tree), "final_loss": {}, "rejected_trials": {}, "detection": {}}
+    out = {
+        "tree": str(args.tree),
+        "score_cycles": args.score_cycles,
+        "final_loss": {},
+        "rejected_trials": {},
+        "detection": {},
+    }
     with tempfile.TemporaryDirectory() as scratch:
         for seed in args.loss_seeds:
             work = Path(scratch, f"train-{seed}")
