@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bgpnovelty import autoencoder
@@ -343,6 +343,11 @@ class TestCurvature:
         zero_layer=st.sampled_from([None, 0, 1]),
         seed=st.integers(0, 2**32 - 1),
     )
+    # Points whose float32 terms cancel 1,060-, 6,150- and 70,900-fold: p'Hp was 2.0e-4, 9.9e-5 and 2.9e-3 off
+    # before the objective took such a curvature again in float64.
+    @example(weight_scale=1.9375, norm_exponent=0.0, zero_layer=None, seed=3325366)
+    @example(weight_scale=1.875, norm_exponent=0.0, zero_layer=None, seed=3325366)
+    @example(weight_scale=2.600835620154678, norm_exponent=0.0, zero_layer=1, seed=140)
     def test_float32_within_tolerance_of_float64_over_scales(self, weight_scale, norm_exponent, zero_layer, seed):
         # TestFloat32Objective's 2,000 x 40 windows at 20 hidden units, at scaled initial weights, along
         # directions of |p| from 1e-3 to 1e6, some with a zero first-layer (w1, b1) or second-layer (w2, b2) part.
