@@ -168,14 +168,13 @@ def objective(model: AutoencoderModel, X: np.ndarray):
     The forward-mode pass takes three products a block: ``a' = X p1' + q1``,
     ``z = (h + h') p2'`` with ``h' = (1 - h**2) a'``, and ``h' (w2 - p2)'``,
     which with ``z`` and ``q2`` makes ``r' = h' w2' + h p2' + q2``. The cross
-    term ``<r, h' p2'>`` is then ``<r, z> - <r'h, p2>``, with the block's w2
-    gradient ``r'h`` that ``f`` kept, or ``<d_hidden, a'> - <r, h' (w2 - p2)'>``;
-    each difference cancels a gradient term, and a block takes the one whose
-    term is smaller. The pass runs at ``p / 2**e``, ``e`` the exponent of
+    term ``<r, h' p2'>`` is then ``<d_hidden, a'> - <r, h' (w2 - p2)'>``, from
+    the layers that ``f`` kept; the difference cancels the gradient term
+    ``<r, h' w2'>``. The pass runs at ``p / 2**e``, ``e`` the exponent of
     ``|p|``, and scales the result by ``4**e``: both exact, and ``w2 - p2``
-    keeps ``w2``. A float32 p'Hp whose terms cancel to less than
-    1/``_CANCEL_LIMIT`` of their magnitudes is taken again in float64, a row
-    block at a time and outside the pool.
+    keeps ``w2``. A float32 p'Hp whose terms, that gradient term among them,
+    cancel to less than 1/``_CANCEL_LIMIT`` of their magnitudes is taken
+    again in float64, a row block at a time and outside the pool.
 
     A pass runs over the row blocks of :func:`_blocks` on a :func:`_pool`
     that lives as long as the ``with`` block. Each block keeps its
@@ -237,29 +236,23 @@ def objective(model: AutoencoderModel, X: np.ndarray):
         scale = math.frexp(np.linalg.norm(p))[1]  # p'Hp is p^ H p^ * 4**scale at p^ = p / 2**scale, both exact
         p_hat = np.ldexp(p, -scale)
         p1, q1, p2, q2 = _split(model, p_hat.astype(dtype))
-        p2_64, w2_less_p2 = p2.astype(np.float64), w2 - p2
+        w2_less_p2 = w2 - p2
 
         def tangent_rows(i: int, buffers) -> None:
             b, ((z, r_dot), (a_dot, h_dot)) = rows[i], buffers[i]
             np.add(np.matmul(X[b], p1.T, out=a_dot), q1, out=a_dot)
             np.multiply(np.subtract(1.0, np.square(hidden[b], out=h_dot), out=h_dot), a_dot, out=h_dot)  # h'
             first = np.vdot(d_hidden[b], a_dot)  # <r, h' w2'>, as d_hidden = (r @ w2) (1 - h**2)
-            second = np.vdot(grad_parts[i][2], p2_64)  # <r, h p2'>, as f kept r'h
             np.multiply(np.square(a_dot, out=a_dot), hidden[b], out=a_dot)
             tangents[i, 0] = np.vdot(d_hidden[b], a_dot)  # <r @ w2, h h' a'>, as h'' = -2 h h' a'
             np.matmul(np.add(hidden[b], h_dot, out=a_dot), p2.T, out=z)  # z = (h + h') p2'
             np.matmul(h_dot, w2_less_p2.T, out=r_dot)  # h' (w2 - p2)'
-            # <r, h' p2'> is <r, z> - second and first - <r, h' (w2 - p2)'>: take the one that cancels less
-            if abs(second) <= abs(first):
-                tangents[i, 1] = np.vdot(residual[b], z) - second
-            else:
-                tangents[i, 1] = first - np.vdot(residual[b], r_dot)
+            tangents[i, 1] = first - np.vdot(residual[b], r_dot)  # <r, h' p2'>
             r_dot += z
             r_dot += q2  # r' = h' (w2 - p2)' + z + q2 = h' w2' + h p2' + q2
             tangents[i, 2] = np.vdot(r_dot, r_dot)
-            # the terms' magnitude, with the gradient term that the cross term's difference cancelled
-            cancelled = min(abs(first), abs(second))
-            tangents[i, 3] = tangents[i, 2] + 2.0 * (abs(tangents[i, 0]) + abs(tangents[i, 1]) + cancelled)
+            # the terms' magnitude, with the gradient term <r, h' w2'> that the cross term's difference cancels
+            tangents[i, 3] = tangents[i, 2] + 2.0 * (abs(tangents[i, 0]) + abs(tangents[i, 1]) + abs(first))
 
         run(tangent_rows, blocks)
         tanh_term, cross, r_dot_sq, magnitude = tangents.sum(axis=0)
@@ -277,9 +270,9 @@ def objective(model: AutoencoderModel, X: np.ndarray):
 # 3.2e-7 of those magnitudes on random problems, so p'Hp can be 2e-5 off at
 # the limit, and more beyond it, up to its sign, on which SCG's step depends.
 # On 2,000 x 40 windows at 20 hidden units and initial weights x 1.9375 (seed
-# 3325366) the terms cancel 1,060-fold, and the float32 p'Hp was 2.0e-4 off
+# 3325366) the terms cancel 1,120-fold, and the float32 p'Hp is 1.7e-4 off
 # the float64 one. Training a quiet week (10,031 x 100 windows, 100 hidden
-# units, 100 cycles, benchmark seeds 1-3) cancelled at most 2.2-fold.
+# units, 100 cycles, benchmark seeds 1-3) cancelled at most 2.5-fold.
 _CANCEL_LIMIT = 64.0
 
 
@@ -287,20 +280,22 @@ def _float64_curvature(model: AutoencoderModel, X: np.ndarray, rows: list[slice]
     """p'Hp at ``flat`` along ``p`` over the rows of X in float64, one of ``rows`` at a time.
 
     The sum of ``|r'|**2 + <r, r''>``, with ``r' = h' w2' + h p2' + q2`` and
-    ``r'' = h'' w2' + 2 h' p2'``. A block at a time, so that no float64 copy
-    of every row of X or of its layers is made.
+    ``r'' = h'' w2' + 2 h' p2'``. A block at a time, with the block's layers
+    from :func:`_forward`, so that no float64 copy of every row of X or of its
+    layers is made.
     """
     w1, b1, w2, b2 = _split(model, flat)
     p1, q1, p2, q2 = _split(model, p)
     total = 0.0
     for b in rows:
         x = X[b].astype(np.float64)
-        hidden = np.tanh(x @ w1.T + b1)
+        hidden, residual = np.empty((len(x), model.hidden_dim)), np.empty_like(x)
+        np.subtract(_forward(x, w1, b1, w2, b2, hidden, residual), x, out=residual)
         a_dot = x @ p1.T + q1
         h_dot = (1.0 - hidden**2) * a_dot
         r_dot = h_dot @ w2.T + hidden @ p2.T + q2
         r_ddot = (-2.0 * hidden * h_dot * a_dot) @ w2.T + 2.0 * (h_dot @ p2.T)  # h'' = -2 h h' a'
-        total += np.vdot(r_dot, r_dot) + np.vdot(hidden @ w2.T + b2 - x, r_ddot)
+        total += np.vdot(r_dot, r_dot) + np.vdot(residual, r_ddot)
     return total
 
 

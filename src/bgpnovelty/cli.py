@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import BinaryIO, Iterator, TextIO
 
 import numpy as np
 
@@ -206,14 +206,29 @@ def _slice_to_flags(data: series.MinuteSeries, start: int | None, end: int | Non
     return series.slice_range(data, start, end)
 
 
+class _Prefixed:
+    """The ``read`` of a binary stream with ``head``, bytes already read from it, put back in front."""
+
+    def __init__(self, head: bytes, stream: BinaryIO):
+        self.head, self.stream = head, stream
+
+    def read(self, size: int) -> bytes:
+        """Up to ``size`` bytes, the put-back ones first; the readers ask for chunks longer than the head."""
+        head, self.head = self.head, b""
+        return head + self.stream.read(size - len(head))
+
+
 def cmd_ingest(args) -> int:
     start, end = _flag_range(args)
     with args.input.open("rb") as raw:
-        head = raw.peek(len(_BUCKET_MAGIC))
+        # read, not peek: peek gives what one read delivered, on a pipe its first write alone, where a
+        # buffered read returns fewer bytes only at the input's end
+        head = raw.read(len(_BUCKET_MAGIC))
+        stream = _Prefixed(head, raw)
         if head.startswith(_BUCKET_MAGIC):
-            result = _slice_to_flags(series.read_bucket_csv(raw), start, end)
+            result = _slice_to_flags(series.read_bucket_csv(stream), start, end)
         else:
-            records = mrt.parse_mrt_stream(raw, mrt.compression(head))
+            records = mrt.parse_mrt_stream(stream, mrt.compression(head))
             if not len(records) and (start is None or end is None):
                 raise ValueError("input contains no BGP UPDATE records and no range was given")
             if start is None:

@@ -338,22 +338,30 @@ class TestCurvature:
 
     @settings(max_examples=100, deadline=None)
     @given(
+        rows=st.integers(16, 2000),
+        inputs=st.integers(2, 60),
+        hidden=st.integers(2, 40),
         weight_scale=st.floats(0.3, 3.0),
         norm_exponent=st.floats(-3.0, 6.0),
         zero_layer=st.sampled_from([None, 0, 1]),
         seed=st.integers(0, 2**32 - 1),
     )
-    # Points whose float32 terms cancel 1,060-, 6,150- and 70,900-fold: p'Hp was 2.0e-4, 9.9e-5 and 2.9e-3 off
-    # before the objective took such a curvature again in float64.
-    @example(weight_scale=1.9375, norm_exponent=0.0, zero_layer=None, seed=3325366)
-    @example(weight_scale=1.875, norm_exponent=0.0, zero_layer=None, seed=3325366)
-    @example(weight_scale=2.600835620154678, norm_exponent=0.0, zero_layer=1, seed=140)
-    def test_float32_within_tolerance_of_float64_over_scales(self, weight_scale, norm_exponent, zero_layer, seed):
-        # TestFloat32Objective's 2,000 x 40 windows at 20 hidden units, at scaled initial weights, along
-        # directions of |p| from 1e-3 to 1e6, some with a zero first-layer (w1, b1) or second-layer (w2, b2) part.
+    # Points of TestFloat32Objective's 2,000 x 40 windows at 20 hidden units whose float32 terms cancel 1,120-,
+    # 6,680- and 164,000-fold: p'Hp is 1.7e-4, 1.4e-3 and 4.1e-2 off there unless the objective takes it
+    # again in float64.
+    @example(rows=2000, inputs=40, hidden=20, weight_scale=1.9375, norm_exponent=0.0, zero_layer=None, seed=3325366)
+    @example(rows=2000, inputs=40, hidden=20, weight_scale=1.875, norm_exponent=0.0, zero_layer=None, seed=3325366)
+    @example(
+        rows=2000, inputs=40, hidden=20, weight_scale=2.600835620154678, norm_exponent=0.0, zero_layer=1, seed=140
+    )
+    def test_float32_within_tolerance_of_float64_over_scales(
+        self, rows, inputs, hidden, weight_scale, norm_exponent, zero_layer, seed
+    ):
+        # Windows of every shape at scaled initial weights, along directions of |p| from 1e-3 to 1e6, some with
+        # a zero first-layer (w1, b1) or second-layer (w2, b2) part.
         rng = np.random.default_rng(seed)
-        X = rng.uniform(size=(2000, 40))
-        model = init_model(40, 20, seed=seed)
+        X = rng.uniform(size=(rows, inputs))
+        model = init_model(inputs, hidden, seed=seed)
         flat, p = weight_scale * flatten_params(model), rng.normal(size=model.n_params)
         if zero_layer is not None:
             for part in autoencoder._split(model, p)[2 * zero_layer : 2 * zero_layer + 2]:
@@ -363,7 +371,9 @@ class TestCurvature:
 
     def test_float32_within_tolerance_where_a_gradient_term_dwarfs_the_curvature(self):
         # 817 x 24 windows at 43 hidden units and initial weights x 0.3: along this direction <r, h p2'> is 28,
-        # <r, h' w2'> 2.8 and p'Hp 0.54. Taking the cross term as <r, z> - <r'h, p2> here loses 2e-4 of p'Hp.
+        # <r, h' w2'> 2.8 and p'Hp 0.54. The cross term's difference cancels the 2.8; taken as
+        # <r, z> - <r'h, p2>, which cancels the 28, it lost 2e-4 of p'Hp. The terms cancel 82-fold, so p'Hp is
+        # taken again in float64; the float32 one alone is 9.1e-6 off.
         rng = np.random.default_rng(43)
         X = rng.uniform(size=(817, 24))
         model = init_model(24, 43, seed=43)

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import zlib
 
@@ -195,6 +196,33 @@ class TestIngestStreams:
             "2005-04-11T12:06:00Z,2,1\n"
             "2005-04-11T12:07:00Z,3,0\n"
         )
+
+    @pytest.mark.parametrize("kind", ["csv", "gz"])
+    def test_pipe_whose_first_write_cuts_the_head_gives_the_files_csv(self, tmp_path, kind):
+        # A pipe's first read holds only the first write: 4 bytes of "minute_utc", or gzip's ID bytes alone.
+        if kind == "csv":
+            data, split = b"minute_utc,announcements,withdrawals\n1970-01-01T00:02:00Z,2,1\n", 4
+        else:
+            data, split = gzip.compress(self.STREAM), 2
+        (tmp_path / "input").write_bytes(data)
+        assert run("ingest", tmp_path / "input", "--out", tmp_path / "file.csv") == 0
+        read_end, write_end = os.pipe()
+
+        def write() -> None:
+            with open(write_end, "wb", buffering=0) as pipe:
+                pipe.write(data[:split])
+                time.sleep(0.2)
+                pipe.write(data[split:])
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        try:
+            code = run("ingest", f"/dev/fd/{read_end}", "--out", tmp_path / "pipe.csv")
+        finally:
+            os.close(read_end)
+            writer.join(timeout=10)
+        assert code == 0
+        assert (tmp_path / "pipe.csv").read_bytes() == (tmp_path / "file.csv").read_bytes()
 
     @pytest.mark.parametrize("damage", [lambda c: c[: len(c) // 2], lambda c: c[:10] + b"\x07" + c[11:]],
                              ids=["truncated", "corrupt"])
