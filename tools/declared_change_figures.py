@@ -9,6 +9,9 @@ the package in ``DIR/src`` (default: this checkout), with BLAS on one thread:
 - ``train_week``: the final loss of the 100-cycle training, and its
   rejected trial steps (the cycles that ``TrainReport.accepted`` marks
   false, each a wasted backward pass), per seed;
+- ``float64_retakes``: per seed, the curvatures that the ``train_week``
+  training, and the ``score_month`` model's training, took again in
+  float64 because their float32 terms cancelled too far;
 - ``score_month``, with its model trained for ``--score-cycles`` cycles
   (default 30, the benchmark's ``SCORE_MODEL_CYCLES``; the CLI's default is
   100): per seed and detector (autoencoder at quantile 0.999 of the quiet
@@ -59,7 +62,7 @@ def main() -> None:
     sys.path[:0] = [str(args.tree.resolve() / "src"), str(args.tree.resolve() / "bench")]
     import numpy as np
     import workloads
-    from bgpnovelty import scg
+    from bgpnovelty import autoencoder, scg
 
     workloads.SCORE_MODEL_CYCLES = args.score_cycles  # prepare_score_month reads it at each call
     reports = []
@@ -71,6 +74,14 @@ def main() -> None:
         return trained, report
 
     scg.train = recorded  # the CLI calls scg.train through the module
+    retakes = []
+    float64_curvature = autoencoder._float64_curvature
+
+    def retaken(*args, **kwargs):
+        retakes.append(None)
+        return float64_curvature(*args, **kwargs)
+
+    autoencoder._float64_curvature = retaken  # the curvature calls it through the module
 
     def run(plan) -> None:
         for argv in plan.commands:
@@ -87,6 +98,7 @@ def main() -> None:
         "score_cycles": args.score_cycles,
         "final_loss": {},
         "rejected_trials": {},
+        "float64_retakes": {"train_week": {}, "score_month": {}},
         "detection": {},
     }
     with tempfile.TemporaryDirectory() as scratch:
@@ -95,7 +107,9 @@ def main() -> None:
             work.mkdir()
             os.chdir(work)
             reports.clear()
+            retakes.clear()
             run(workloads.prepare_train_week(work, seed))
+            out["float64_retakes"]["train_week"][seed] = len(retakes)
             out["final_loss"][seed] = float(workloads._csv_rows(work / "model.json.report.csv", "cycle,loss")[-1][1])
             (report,) = reports
             out["rejected_trials"][seed] = report.accepted.count(False)
@@ -103,7 +117,9 @@ def main() -> None:
             work = Path(scratch, f"score-{seed}")
             work.mkdir()
             os.chdir(work)
-            plan = workloads.prepare_score_month(work, seed)
+            retakes.clear()
+            plan = workloads.prepare_score_month(work, seed)  # trains the model
+            out["float64_retakes"]["score_month"][seed] = len(retakes)
             run(plan)
             offsets = np.random.default_rng(seed).integers(120, 1200, size=len(workloads.SURGES))
             surges = [(day * 1440 + int(offset), minutes) for (day, minutes, _), offset in zip(workloads.SURGES, offsets)]
