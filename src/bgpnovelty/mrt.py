@@ -34,7 +34,6 @@ import bz2
 import functools
 import struct
 import zlib
-from array import array
 from typing import BinaryIO, Iterator
 
 import numpy as np
@@ -127,7 +126,7 @@ def parse_mrt_stream(stream: BinaryIO, compressed: str | None = None) -> np.ndar
             continue
         data = b"".join(pieces)
         starts, stop = _walk_headers(data)
-        blocks.append(_decode_block(np.frombuffer(data, dtype=np.uint8), np.frombuffer(starts, dtype=np.int64), base))
+        blocks.append(_decode_block(np.frombuffer(data, dtype=np.uint8), starts, base))
         pieces = [data[stop:]]
         held = len(data) - stop
         want = MRT_HEADER_LEN + (_RECORD_LENGTH.unpack_from(data, stop)[0] if held >= MRT_HEADER_LEN else 0)
@@ -173,23 +172,27 @@ def _decompressed(stream: BinaryIO, compressed: str) -> Iterator[bytes]:
             raise EOFError("compressed dump ended before the end-of-stream marker was reached")
 
 
-def _walk_headers(data: bytes) -> tuple[array, int]:
+def _walk_headers(data: bytes) -> tuple[np.ndarray, int]:
     """Start offsets of the whole records in ``data``, and the offset where the first cut record starts.
 
-    The loop checks only that a header fits: a declared length that overruns
-    ``data`` can only belong to the last record walked, which is taken back.
+    The loop ends on the ``struct.error`` of the first header that does not
+    fit: a declared length that overruns ``data`` can only belong to the
+    last record walked, which is taken back.
     """
-    starts = array("q")
+    starts: list[int] = []
     append = starts.append
     unpack_length = _RECORD_LENGTH.unpack_from
-    limit = len(data) - MRT_HEADER_LEN
     offset = 0
-    while offset <= limit:
-        append(offset)
-        offset += MRT_HEADER_LEN + unpack_length(data, offset)[0]
+    try:
+        while True:
+            length = unpack_length(data, offset)[0]
+            append(offset)
+            offset += MRT_HEADER_LEN + length
+    except struct.error:
+        pass
     if offset > len(data):
         offset = starts.pop()
-    return starts, offset
+    return np.fromiter(starts, np.int64, len(starts)), offset
 
 
 def _decode_block(buf: np.ndarray, starts: np.ndarray, base: int) -> np.ndarray:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import BinaryIO, Callable, Sequence, TextIO
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 MINUTE = 60
 
@@ -85,8 +84,11 @@ def format_minutes_utc(minutes: Sequence[int] | np.ndarray) -> list[str]:
     outside = (minutes < _FIRST_SECOND) | (minutes > _LAST_SECOND)
     if outside.any():
         raise ValueError(f"epoch second {minutes[np.argmax(outside)]} is outside the years 0001-9999")
+    minutes = minutes // MINUTE
+    days, day_of = np.unique(minutes // 1440, return_inverse=True)  # each date is rendered once
     rows = np.empty((minutes.size, _STAMP_LEN + 1), np.uint8)  # one stamp and its LF per row
-    rows[:, :16] = (minutes // MINUTE).astype("datetime64[m]").astype("S16")[:, None].view(np.uint8)  # to the minute
+    rows[:, :10] = days.astype("datetime64[D]").astype("S10")[:, None].view(np.uint8).take(day_of, axis=0)
+    rows[:, 10:16] = _CLOCK.take(minutes % 1440, axis=0)
     rows[:, 16:] = np.frombuffer(b":00Z\n", np.uint8)
     return rows.tobytes().decode("ascii").splitlines()
 
@@ -103,6 +105,8 @@ _STAMP_RANGE = np.frombuffer(b"9999-99-99T99:99:00Z", np.uint8) - _STAMP  # how 
 _STAMP_FIELDS = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2))  # (first byte, digits) of year, month, day, hour, minute
 _FIRST_SECOND, _LAST_SECOND = -62135596800, 253402300799  # 0001-01-01T00:00:00Z, 9999-12-31T23:59:59Z
 _COUNT_DIGITS = len(str(2**63 - 1))  # a count of more significant digits exceeds int64
+# "THH:MM" of each minute of a day, from the stamps of the day 1970-01-01
+_CLOCK = np.arange(1440).astype("datetime64[m]").astype("S16")[:, None].view(np.uint8)[:, 10:].copy()
 
 
 def _stamp_column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -111,10 +115,9 @@ def _stamp_column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     ``buf`` is uint8 and holds at least 20 bytes from every start on. The
     seconds hold only where a stamp is both.
     """
-    # (20, n): row j holds byte j of every stamp less byte j of the pattern, wrapping below zero
-    digits = sliding_window_view(buf, _STAMP_LEN)[starts].T - _STAMP[:, None]
+    digits = _byte_rows(buf, starts, _STAMP_LEN, _STAMP[:, None])  # each stamp less the pattern, wrapping below zero
     shaped = (ends - starts == _STAMP_LEN) & (digits <= _STAMP_RANGE[:, None]).all(axis=0)
-    year, month, day, hour, minute = (_decimal(digits[lo : lo + width]) for lo, width in _STAMP_FIELDS)
+    year, month, day, hour, minute = (_decimal(digits[lo : lo + width], np.int32) for lo, width in _STAMP_FIELDS)
     month_start = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
     days = month_start.astype("datetime64[D]").view(np.int64)  # since 1970-01-01
     month_days = (month_start + 1).astype("datetime64[D]").view(np.int64) - days
@@ -123,11 +126,25 @@ def _stamp_column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tupl
     return 86400 * (days + day - 1) + 3600 * hour + 60 * minute, shaped, on_calendar
 
 
+def _byte_rows(buf: np.ndarray, firsts: np.ndarray, width: int, less) -> np.ndarray:
+    """The C-contiguous ``(width, n)`` uint8 matrix of ``buf[firsts + j] - less[j]`` in row j, wrapping below zero.
+
+    ``buf`` is 1-D uint8 and holds ``width`` bytes from every first on;
+    ``less`` is a ``(width, 1)`` array or a scalar. The bytes are gathered
+    as one ``width``-byte item a row and transposed in the subtraction.
+    """
+    items = np.ndarray((buf.size - width + 1,), f"V{width}", buf, 0, (1,))  # the width bytes from every offset
+    rows = np.empty((width, firsts.size), np.uint8)
+    np.subtract(items[firsts].view(np.uint8).reshape(-1, width).T, less, out=rows)
+    return rows
+
+
 def _decimal(digits: np.ndarray, dtype: type = np.int64) -> np.ndarray:
     """The numbers whose decimal digits are the rows of ``digits``, most significant first."""
     value = np.zeros(digits.shape[1], dtype)
     for row in digits:
-        value = 10 * value + row
+        value *= 10
+        value += row
     return value
 
 
@@ -352,7 +369,7 @@ class CsvRows:
     """The header and the data rows of a piece of a CSV file as byte spans, as :func:`csv_rows` splits them."""
 
     header: str | None  # None for a piece without the file's first line, or a file without lines
-    padded: bytes  # the piece's bytes with 20 zero bytes on either side
+    padded: bytearray  # 20 bytes, the piece's bytes, then at least 20 more
     buf: np.ndarray  # the padded bytes as uint8
     starts: np.ndarray  # (width, rows): field j of row i is buf[starts[j, i]:ends[j, i]]
     ends: np.ndarray
@@ -362,7 +379,7 @@ class CsvRows:
     def text(self, column: int, row: int) -> str:
         return self.padded[self.starts[column, row] : self.ends[column, row]].decode()
 
-    def fields(self, column: int) -> list[bytes]:
+    def fields(self, column: int) -> list[bytearray]:
         """Field ``column`` of every row."""
         return [self.padded[lo:hi] for lo, hi in zip(self.starts[column].tolist(), self.ends[column].tolist())]
 
@@ -375,10 +392,10 @@ class CsvRows:
         """int64 counts of a column, and its check: a count that is not ASCII digits or exceeds int64."""
         starts, ends = self.starts[column], self.ends[column]
         lengths = ends - starts
-        width = min(int(lengths.max(initial=0)), _COUNT_DIGITS)
+        width = min(int(lengths.max(initial=1)), _COUNT_DIGITS)  # at least 1, for the rows of empty counts
         # (width, rows): the last bytes of each count, zeros before its start; a non-digit reads above 9
-        window = sliding_window_view(self.buf, width)[ends - width].T
-        digits = np.where(np.arange(width)[:, None] >= width - lengths, window - _ZERO, 0)
+        digits = _byte_rows(self.buf, ends - width, width, _ZERO)
+        np.copyto(digits, 0, where=np.arange(width)[:, None] < width - lengths)
         value = _decimal(digits, np.uint64)
         bad = (lengths == 0) | (digits > 9).any(axis=0) | (value > 2**63 - 1)
         long = np.flatnonzero(lengths > _COUNT_DIGITS)
@@ -395,61 +412,73 @@ def read_csv(
 ) -> None:
     """Read a CSV file object ``CSV_CHUNK_BYTES`` at a time and pass on its header and rows.
 
-    The bytes up to the last LF read go through :func:`csv_rows`; the line
-    cut by a chunk's end waits for the next chunk. ``check_header`` gets the
-    first line (None for an empty file), and ``read_rows`` the rows of each
-    piece in turn. The first ValueError these raise is held, and nothing
-    more is passed on, while the rest of the file is read: a byte that is
-    not UTF-8 anywhere in the file raises ``error`` naming its line instead,
-    as a whole-file decode would.
+    Each chunk is copied once, after the bytes held from the chunks before
+    it, into a buffer that keeps 20 spare bytes on either side and grows
+    only for a line longer than a chunk. The bytes up to the last LF read
+    go through :func:`csv_rows`; the line cut by a chunk's end moves to the
+    front and waits for the next chunk. ``check_header`` gets the first
+    line (None for an empty file), and ``read_rows`` the rows of each piece
+    in turn. The first ValueError these raise is held, and nothing more is
+    passed on, while the rest of the file is read: a byte that is not UTF-8
+    anywhere in the file raises ``error`` naming its line instead, as a
+    whole-file decode would.
     """
-    fault, lines, held = None, 0, bytearray()  # LF bytes passed on; bytes read but not passed on
+    pad = _STAMP_LEN
+    padded = bytearray(pad + CSV_CHUNK_BYTES + pad)
+    fault, lines, held, plain = None, 0, 0, True  # LF bytes passed on; bytes read but not passed on; all ASCII
     while True:
         chunk = stream.read(CSV_CHUNK_BYTES)
-        held += chunk
-        if chunk and b"\n" not in chunk:
+        plain = plain and chunk.isascii()
+        top = pad + held + len(chunk)
+        if top + pad > len(padded):  # a new buffer, as the rows of the last piece may still view this one
+            padded = padded[: pad + held] + bytes(max(top + pad, 2 * len(padded)) - pad - held)
+        padded[pad + held : top] = chunk
+        end = padded.rfind(b"\n", pad + held, top) + 1 if chunk else top
+        held = top - pad
+        if not end:
             continue
-        end = held.rfind(b"\n") + 1 if chunk else len(held)
-        piece, held = held[:end], held[end:]
-        if not piece.isascii():
+        if not plain:
             try:
-                piece.decode("utf-8")
+                padded[pad:end].decode("utf-8")
             except UnicodeDecodeError as exc:
-                line = lines + piece.count(b"\n", 0, exc.start) + 1
+                line = lines + padded.count(b"\n", pad, pad + exc.start) + 1
                 raise error(f"line {line}: not UTF-8 text ({exc.reason})") from None
         if fault is None:
             try:
-                rows = csv_rows(piece, width, error, lines + 1)
+                rows = csv_rows(padded, end - pad, width, error, lines + 1)
                 if not lines:
                     check_header(rows.header)
                 read_rows(rows)
             except ValueError as exc:
                 fault = exc
-        lines += piece.count(b"\n")
+        lines += int(np.count_nonzero(np.frombuffer(padded, np.uint8, end - pad, pad) == _LF))
+        held = top - end
+        padded[pad : pad + held] = padded[end:top]
         if not chunk:
             break
     if fault:
         raise fault
 
 
-def csv_rows(data: bytes, width: int, error: type[ValueError], first_line: int) -> CsvRows:
-    """Split UTF-8 CSV bytes into lines, numbered from ``first_line``, and the data rows into ``width`` fields.
+def csv_rows(padded: bytearray, size: int, width: int, error: type[ValueError], first_line: int) -> CsvRows:
+    """Split the UTF-8 CSV bytes ``padded[20:20 + size]`` into lines numbered from ``first_line``, and rows into fields.
 
-    Lines end at LF, or at the end of the data; a CR just before an LF is
-    dropped. Line 1 is the header. Blank lines are skipped but counted in
-    line numbers. The rows stop before the first one without ``width``
-    fields.
+    ``padded`` holds at least 20 more bytes after the data, whatever they
+    are. Lines end at LF, or at the end of the data; a CR just before an LF
+    is dropped. Line 1 is the header. Blank lines are skipped but counted
+    in line numbers. The data rows are split into ``width`` fields and stop
+    before the first one without them.
     """
     pad = _STAMP_LEN  # fixed-width reads near either end of the data stay in the buffer
-    padded = bytes(pad) + data + bytes(pad)
     buf = np.frombuffer(padded, np.uint8)
-    text = buf[pad:-pad]
+    text = buf[pad : pad + size]
     lf = np.flatnonzero(text == _LF) + pad
-    ends = lf if data[-1:] in (b"", b"\n") else np.append(lf, pad + len(data))
-    starts = np.concatenate(([pad], ends[:-1] + 1))[: ends.size]
-    ends = ends - ((ends > starts) & (ends < pad + len(data)) & (buf[ends - 1] == _CR))
+    ends = lf if not size or text[-1] == _LF else np.append(lf, pad + size)
     commas = np.flatnonzero(text == _COMMA) + pad
-    per_line = np.bincount(np.searchsorted(lf, commas), minlength=ends.size)
+    before = np.searchsorted(commas, ends)  # commas before each line's end
+    per_line = before - np.concatenate(([0], before[:-1]))
+    starts = np.concatenate(([pad], ends[:-1] + 1))[: ends.size]
+    ends = ends - ((ends > starts) & (ends < pad + size) & (buf[ends - 1] == _CR))
     header = int(first_line == 1)  # lines of the data that are the header
     line_nos = np.flatnonzero(ends[header:] > starts[header:]) + header + first_line
     fields = per_line[line_nos - first_line] + 1

@@ -176,6 +176,18 @@ class TestCodecMatchesScalarReference:
         assert parse_minutes_utc(stamps).tolist() == minutes
         assert [reference_parse(s) for s in stamps] == minutes
 
+    def test_many_shuffled_minutes_with_repeats_equal_the_reference(self):
+        # 50 days around 1970-01-01 and 20 around 2000-02-29, drawn with repeats, in no order
+        rng = np.random.default_rng(11)
+        leap_day = 951782400 // 60
+        around_epoch, around_leap_day = rng.integers(-25 * 1440, 25 * 1440, 9000), rng.integers(-14400, 14400, 3000)
+        drawn = np.concatenate([around_epoch, leap_day + around_leap_day])
+        minutes = 60 * rng.permutation(np.concatenate([drawn, drawn[:2000]]))
+        stamps = format_minutes_utc(minutes)
+        assert stamps == [reference_format(m) for m in minutes.tolist()]
+        assert {"1969-12-07", "1970-01-25", "2000-02-29"} <= {stamp[:10] for stamp in stamps}
+        assert np.array_equal(parse_minutes_utc(stamps), minutes)
+
     @settings(max_examples=500, deadline=None)
     @given(minute=minute_epochs, mutate=st.sampled_from(_MUTATIONS), char=_REPLACEMENTS)
     def test_mutated_stamps_are_judged_like_the_reference(self, minute, mutate, char):
