@@ -269,7 +269,7 @@ def _check_novelty_header(header: str | None) -> None:
         raise ValueError(f"expected header {NOVELTY_CSV_HEADER!r}")
 
 
-def _floats(fields: list[bytes]) -> tuple[np.ndarray, int, ValueError | None]:
+def _floats(fields: list[bytearray]) -> tuple[np.ndarray, int, ValueError | None]:
     """``float()`` of each field's UTF-8 text, and the index and error of the first that fails (-1, None for none).
 
     The values from the failing field on are NaN.
