@@ -44,7 +44,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except UsageError as exc:
         parser.error(f"{args.command}: {exc}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # numpy refuses an impossible allocation at once
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

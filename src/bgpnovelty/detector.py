@@ -22,7 +22,7 @@ import numpy as np
 
 from . import features
 from .autoencoder import AutoencoderModel, _check_matrix, _pool, reconstruct
-from .series import MINUTE, CsvRows, MinuteSeries, first_row_fault, read_csv, write_minute_csv
+from .series import MINUTE, MinuteSeries, read_csv, write_minute_csv
 from .series import format_minute_utc, format_minutes_utc, parse_minutes_utc
 
 SOURCE_AUTOENCODER = "autoencoder"
@@ -249,16 +249,16 @@ def read_novelty_csv(stream: BinaryIO) -> tuple[np.ndarray, np.ndarray]:
     """
     minutes, values = [np.empty(0, np.int64)], [np.empty(0)]
 
-    def read_rows(rows: CsvRows) -> None:
+    def read_rows(rows) -> list[tuple]:
         stamps, stamp_check = rows.minutes()
-        scores, bad, error = _floats(rows.fields(1))
-        first_row_fault(rows.line_nos, [
-            stamp_check,
-            (np.arange(scores.size) == bad, lambda i: error),
-            (~np.isfinite(scores), lambda i: NonFiniteValue(f"novelty is not finite: {rows.text(1, i)!r}")),
-        ], rows.misfit)
+        scores, score_check = rows.floats(1)
         minutes.append(stamps)
         values.append(scores)
+        return [
+            stamp_check,
+            score_check,
+            (~np.isfinite(scores), lambda i: NonFiniteValue(f"novelty is not finite: {rows.text(1, i)!r}")),
+        ]
 
     read_csv(stream, 2, ValueError, _check_novelty_header, read_rows)
     return np.concatenate(minutes), np.concatenate(values)
@@ -267,24 +267,6 @@ def read_novelty_csv(stream: BinaryIO) -> tuple[np.ndarray, np.ndarray]:
 def _check_novelty_header(header: str | None) -> None:
     if header != NOVELTY_CSV_HEADER:
         raise ValueError(f"expected header {NOVELTY_CSV_HEADER!r}")
-
-
-def _floats(fields: list[bytearray]) -> tuple[np.ndarray, int, ValueError | None]:
-    """``float()`` of each field's UTF-8 text, and the index and error of the first that fails (-1, None for none).
-
-    The values from the failing field on are NaN.
-    """
-    try:  # float() reads ASCII bytes as it reads their text, and fails on any other byte
-        return np.fromiter(map(float, fields), np.float64, len(fields)), -1, None
-    except ValueError:
-        pass
-    values = np.full(len(fields), np.nan)
-    for i, field in enumerate(fields):  # a failure, or text beyond ASCII such as other scripts' digits
-        try:
-            values[i] = float(field.decode())
-        except ValueError as exc:
-            return values, i, exc
-    return values, -1, None
 
 
 def write_alarm_report(events: Sequence[AlarmEvent]) -> str:
@@ -298,7 +280,11 @@ def write_alarm_report(events: Sequence[AlarmEvent]) -> str:
 
 
 def read_alarm_report(data: str) -> list[AlarmEvent]:
-    """Parse a JSON alarm report back into events."""
+    """Parse a JSON alarm report back into events.
+
+    Each ``source`` must be ``autoencoder`` or ``rule``, and each
+    ``peak_value`` a finite JSON number (not ``true``, ``"5"`` or ``NaN``).
+    """
     try:
         document = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -307,10 +293,14 @@ def read_alarm_report(data: str) -> list[AlarmEvent]:
         raise BadAlarmReport("alarm report must be a JSON array")
     try:
         stamps = parse_minutes_utc([entry[key] for entry in document for key in _SPAN_KEYS])
-        events = [
-            AlarmEvent(*span, float(entry["peak_value"]), str(entry["source"]))
-            for span, entry in zip(stamps.reshape(-1, 3).tolist(), document)
-        ]
-    except (KeyError, TypeError, ValueError) as exc:
+        events = []
+        for span, entry in zip(stamps.reshape(-1, 3).tolist(), document):
+            value, source = entry["peak_value"], entry["source"]
+            if type(value) not in (int, float) or not math.isfinite(value):  # bool is an int subclass
+                raise ValueError(f"peak_value is not a finite number: {value!r}")
+            if source not in (SOURCE_AUTOENCODER, SOURCE_RULE):
+                raise ValueError(f"source is not {SOURCE_AUTOENCODER!r} or {SOURCE_RULE!r}: {source!r}")
+            events.append(AlarmEvent(*span, float(value), source))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise BadAlarmReport(f"alarm report entry is malformed: {exc}") from None
     return events

@@ -297,7 +297,7 @@ def read_bucket_csv(stream: BinaryIO) -> MinuteSeries:
     blocks = []  # (minutes after the first row's, announcements, withdrawals) of each chunk's rows
     first = last = np.empty(0, np.int64)  # the first and the latest minute read, once a row is read
 
-    def read_rows(rows: CsvRows) -> None:
+    def read_rows(rows: CsvRows) -> list[tuple]:
         nonlocal first, last
         minutes, stamp_check = rows.minutes()
         announcements, announcement_check = rows.counts(1, "announcements")
@@ -305,17 +305,17 @@ def read_bucket_csv(stream: BinaryIO) -> MinuteSeries:
         if not first.size:
             first, last = minutes[:1], minutes[:1] - 1
         index = (minutes - first) // MINUTE
-        first_row_fault(rows.line_nos, [
+        ascending = np.diff(minutes, prepend=last) > 0
+        last = minutes[-1:] if minutes.size else last
+        blocks.append((index.astype(np.int32), announcements, withdrawals))
+        return [
             stamp_check,
             announcement_check,
             withdrawal_check,
-            (np.diff(minutes, prepend=last) <= 0,
-             lambda i: NonMonotonic(f"timestamp {rows.text(0, i)} not after the previous row")),
+            (~ascending, lambda i: NonMonotonic(f"timestamp {rows.text(0, i)} not after the previous row")),
             (index >= MAX_SERIES_MINUTES, lambda i: BucketCsvError(
                 f"timestamp {rows.text(0, i)} exceeds the {MAX_SERIES_MINUTES}-minute series limit")),
-        ], rows.misfit)
-        last = minutes[-1:] if minutes.size else last
-        blocks.append((index.astype(np.int32), announcements, withdrawals))
+        ]
 
     read_csv(stream, 3, BucketCsvError, _check_bucket_header, read_rows)
     start, n = (int(first[0]), int(last[0] - first[0]) // MINUTE + 1) if first.size else (0, 0)
@@ -369,25 +369,18 @@ def _csv_lines(*columns) -> str:
 
 @dataclass(frozen=True)
 class CsvRows:
-    """The header and the data rows of a piece of a CSV file as byte spans, as :func:`csv_rows` splits them."""
+    """The data rows of a piece of a CSV file as byte spans, as :func:`csv_rows` splits them."""
 
-    header: str | None  # None for a piece without the file's first line, or a file without lines
     padded: bytearray  # 20 bytes, the piece's bytes, then at least 20 more
     buf: np.ndarray  # the padded bytes as uint8
     starts: np.ndarray  # (width, rows): field j of row i is buf[starts[j, i]:ends[j, i]]
     ends: np.ndarray
-    line_nos: np.ndarray
-    misfit: ValueError | None  # the first row without the expected fields, where the rows stop
 
     def text(self, column: int, row: int) -> str:
         return self.padded[self.starts[column, row] : self.ends[column, row]].decode()
 
-    def fields(self, column: int) -> list[bytearray]:
-        """Field ``column`` of every row."""
-        return [self.padded[lo:hi] for lo, hi in zip(self.starts[column].tolist(), self.ends[column].tolist())]
-
     def minutes(self) -> tuple[np.ndarray, tuple]:
-        """Epoch seconds of the stamps in column 0, and their ``(bad, error)`` check for :func:`first_row_fault`."""
+        """Epoch seconds of the stamps in column 0, and their ``(bad, error)`` check for :func:`read_csv`."""
         seconds, shaped, on_calendar = _stamp_column(self.buf, self.starts[0], self.ends[0])
         return seconds, (~(shaped & on_calendar), lambda i: _stamp_error(shaped[i], self.text(0, i)))
 
@@ -409,6 +402,22 @@ class CsvRows:
             bad[long] |= ~np.logical_and.reduceat(self.buf[at] == _ZERO, firsts)
         return value.astype(np.int64), (bad, lambda i: _count_error(name, self.text(column, i)))
 
+    def floats(self, column: int) -> tuple[np.ndarray, tuple]:
+        """``float()`` of a column's UTF-8 fields, and its check: the first field that fails, NaN from there on."""
+        fields = [self.padded[lo:hi] for lo, hi in zip(self.starts[column].tolist(), self.ends[column].tolist())]
+        bad = np.zeros(len(fields), bool)
+        try:  # float() reads ASCII bytes as it reads their text, and fails on any other byte
+            values = np.fromiter(map(float, fields), np.float64, len(fields))
+        except ValueError:
+            values = np.full(len(fields), np.nan)
+            for i, field in enumerate(fields):  # a failure, or text beyond ASCII such as other scripts' digits
+                try:
+                    values[i] = float(field.decode())
+                except ValueError as exc:
+                    bad[i], error = True, exc
+                    break
+        return values, (bad, lambda i: error)
+
 
 def read_csv(
     stream: BinaryIO, width: int, error: type[ValueError], check_header: Callable, read_rows: Callable
@@ -421,10 +430,12 @@ def read_csv(
     go through :func:`csv_rows`; the line cut by a chunk's end moves to the
     front and waits for the next chunk. ``check_header`` gets the first
     line (None for an empty file), and ``read_rows`` the rows of each piece
-    in turn. The first ValueError these raise is held, and nothing more is
-    passed on, while the rest of the file is read: a byte that is not UTF-8
-    anywhere in the file raises ``error`` naming its line instead, as a
-    whole-file decode would.
+    in turn; it returns ``(bad, error)`` checks of them, a boolean mask over
+    the rows and a function from a row index to an exception, which
+    :func:`_first_row_fault` ranks. The first ValueError is held, and
+    nothing more is passed on, while the rest of the file is read: a byte
+    that is not UTF-8 anywhere in the file raises ``error`` naming its line
+    instead, as a whole-file decode would.
     """
     pad = _STAMP_LEN
     padded = bytearray(pad + CSV_CHUNK_BYTES + pad)
@@ -448,10 +459,10 @@ def read_csv(
                 raise error(f"line {line}: not UTF-8 text ({exc.reason})") from None
         if fault is None:
             try:
-                rows = csv_rows(padded, end - pad, width, error, lines + 1)
+                header, rows, line_nos, misfit = csv_rows(padded, end - pad, width, error, lines + 1)
                 if not lines:
-                    check_header(rows.header)
-                read_rows(rows)
+                    check_header(header)
+                _first_row_fault(line_nos, read_rows(rows), misfit)
             except ValueError as exc:
                 fault = exc
         lines += int(np.count_nonzero(np.frombuffer(padded, np.uint8, end - pad, pad) == _LF))
@@ -463,14 +474,15 @@ def read_csv(
         raise fault
 
 
-def csv_rows(padded: bytearray, size: int, width: int, error: type[ValueError], first_line: int) -> CsvRows:
+def csv_rows(padded: bytearray, size: int, width: int, error: type[ValueError], first_line: int) -> tuple:
     """Split the UTF-8 CSV bytes ``padded[20:20 + size]`` into lines numbered from ``first_line``, and rows into fields.
 
     ``padded`` holds at least 20 more bytes after the data, whatever they
     are. Lines end at LF, or at the end of the data; a CR just before an LF
     is dropped. Line 1 is the header. Blank lines are skipped but counted
     in line numbers. The data rows are split into ``width`` fields and stop
-    before the first one without them.
+    before the first one without them. Returns the header (None without
+    line 1), the rows, their line numbers, and that first row's ``error``.
     """
     pad = _STAMP_LEN  # fixed-width reads near either end of the data stay in the buffer
     buf = np.frombuffer(padded, np.uint8)
@@ -497,23 +509,12 @@ def csv_rows(padded: bytearray, size: int, width: int, error: type[ValueError], 
     field_starts[0], field_ends[-1] = starts[line_nos - first_line], ends[line_nos - first_line]
     np.add(row_commas, 1, out=field_starts[1:])
     field_ends[:-1] = row_commas
-    return CsvRows(
-        padded[starts[0] : ends[0]].decode() if header and ends.size else None,
-        padded,
-        buf,
-        field_starts,
-        field_ends,
-        line_nos,
-        misfit,
-    )
+    header_text = padded[starts[0] : ends[0]].decode() if header and ends.size else None
+    return header_text, CsvRows(padded, buf, field_starts, field_ends), line_nos, misfit
 
 
-def first_row_fault(line_nos: np.ndarray, checks, misfit: ValueError | None) -> None:
-    """Raise the earliest flagged row's first failing check, prefixed with its line number, else ``misfit`` if any.
-
-    ``checks`` pairs a boolean mask over the rows with a function from a row
-    index to the exception; a row's checks apply in the order given.
-    """
+def _first_row_fault(line_nos: np.ndarray, checks: list[tuple], misfit: ValueError | None) -> None:
+    """Raise the first flagged row's first failing check in the order given, with its line number, else ``misfit``."""
     flags = np.array([mask for mask, _ in checks])  # (checks, rows)
     rows = np.flatnonzero(flags.any(axis=0))
     if rows.size:

@@ -26,7 +26,6 @@ from bgpnovelty.series import (
     MinuteSeries,
     NegativeCount,
     NonMonotonic,
-    first_row_fault,
 )
 
 _STAMP = np.array([ord(c) - ord("0") for c in "dddd-dd-ddTdd:dd:00Z"])  # "d": any digit
@@ -41,7 +40,7 @@ def reference_bucket_csv(data: bytes) -> MinuteSeries:
     if header != BUCKET_CSV_HEADER:
         raise BadHeader(f"expected header {BUCKET_CSV_HEADER!r}, got {header!r}")
     minutes, stamp_check = minutes_column(stamps)
-    first_row_fault(line_nos, [
+    _first_fault(line_nos, [
         stamp_check,
         (_count_faults(announcements), lambda i: _count_error("announcements", announcements[i])),
         (_count_faults(withdrawals), lambda i: _count_error("withdrawals", withdrawals[i])),
@@ -63,12 +62,27 @@ def reference_novelty_csv(data: bytes) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"expected header {NOVELTY_CSV_HEADER!r}")
     minutes, stamp_check = minutes_column(stamps)
     values, bad_value = _floats(texts)
-    first_row_fault(line_nos, [
+    _first_fault(line_nos, [
         stamp_check,
         (np.arange(len(texts)) == bad_value[0], lambda i: ValueError(bad_value[1])),
         (~np.isfinite(values), lambda i: NonFiniteValue(f"novelty is not finite: {texts[i]!r}")),
     ], misfit)
     return minutes, values
+
+
+def _first_fault(line_nos: np.ndarray, checks: list[tuple], misfit: ValueError | None) -> None:
+    """Raise the first failing check of the first row that fails one, with its line number, else ``misfit``.
+
+    Each check pairs a boolean list over the rows with a function from a row
+    index to the exception; a row's checks apply in the order given.
+    """
+    for row, line_no in enumerate(line_nos.tolist()):
+        for bad, error in checks:
+            if bad[row]:
+                exc = error(row)
+                raise type(exc)(f"line {line_no}: {exc}")
+    if misfit:
+        raise misfit
 
 
 def lines_of(data: bytes, error: type[ValueError]) -> list[str]:
@@ -103,7 +117,7 @@ def csv_columns(data: bytes, width: int, error: type[ValueError]) -> tuple:
 
 
 def minutes_column(stamps: list[str]) -> tuple[np.ndarray, tuple]:
-    """Epoch seconds of each stamp, and the ``(bad, error)`` check of ``first_row_fault``."""
+    """Epoch seconds of each stamp, and the ``(bad, error)`` check of ``_first_fault``."""
     n = len(stamps)
     lengths = np.fromiter(map(len, stamps), np.int64, n)
     digits = np.array(stamps, dtype="U20").view(np.int32).reshape(n, 20)  # code points

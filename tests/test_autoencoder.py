@@ -601,6 +601,15 @@ class TestUsableCpus:
         monkeypatch.setattr(autoencoder.os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
         assert autoencoder._usable_cpus() == expected
 
+    @pytest.mark.parametrize("count,expected", [(64, 2), (None, 1)])
+    def test_cpu_count_where_the_platform_reports_no_affinity(self, count, expected, tmp_path, monkeypatch):
+        path = tmp_path / "cpu.max"
+        path.write_text("200000 100000\n")
+        monkeypatch.setattr(autoencoder, "_CPU_MAX", str(path))
+        monkeypatch.delattr(autoencoder.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(autoencoder.os, "cpu_count", lambda: count)
+        assert autoencoder._usable_cpus() == expected
+
 
 class TestPool:
     """``_pool``: the calling thread runs blocks with one task per helper, on buffer sets made in it and reused."""
@@ -755,6 +764,16 @@ class TestFlattening:
             unflatten_params(model, np.zeros(5))
 
 
+class TestModelFields:
+    @pytest.mark.parametrize("name", ["w1", "b1", "w2", "b2"])
+    def test_an_array_of_another_shape_raises(self, name):
+        model = init_model(4, 3, seed=0)
+        arrays = {key: getattr(model, key) for key in ("w1", "b1", "w2", "b2")}
+        arrays[name] = arrays[name].T[..., None]
+        with pytest.raises(DimensionMismatch, match=f"{name} has shape"):
+            AutoencoderModel(4, 3, norm=model.norm, **arrays)
+
+
 class TestPersistence:
     def test_round_trip_preserves_forward_outputs(self):
         model = init_model(10, 8, seed=9, norm=NormalizationParams(0, 900, 2, 80))
@@ -777,6 +796,20 @@ class TestPersistence:
             load_model(data[: len(data) // 2])
         with pytest.raises(BadFormat):
             load_model(b"\x00\x01\xff garbage")
+
+    @pytest.mark.parametrize("data", [b"[]", b"5", b'"model"', b"null"])
+    def test_document_that_is_not_an_object_is_bad_format(self, data):
+        with pytest.raises(BadFormat, match="model document must be a JSON object"):
+            load_model(data)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_weight_is_bad_format(self, value):
+        import json
+
+        doc = json.loads(save_model(init_model(4, 3, seed=0)))
+        doc["w2"][5] = value  # json writes NaN or Infinity, and reads them back
+        with pytest.raises(BadFormat, match="w2 contains non-finite values"):
+            load_model(json.dumps(doc).encode())
 
     def test_missing_field_is_bad_format(self):
         import json

@@ -123,6 +123,15 @@ class TestIngest:
         assert run("ingest", tmp_path / "absent.mrt", "--out", tmp_path / "x.csv") == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [[], ["--from", "2001-09-18T12:00:00Z"], ["--to", "2001-09-18T12:00:00Z"]])
+    def test_dump_without_updates_needs_a_range(self, tmp_path, capsys, flags):
+        src = tmp_path / "empty.mrt"
+        src.write_bytes(b"")
+        out = tmp_path / "x.csv"
+        assert run("ingest", src, *flags, "--out", out) == 1
+        assert "error: input contains no BGP UPDATE records and no range was given" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truncated_mrt_exits_one(self, tmp_path, capsys):
         src = tmp_path / "bad.mrt"
         src.write_bytes(b"\x00" * 11)
@@ -358,6 +367,27 @@ class TestTrainScoreDetect:
         expected = make_windows(buckets, 5, fit_normalization(buckets)).astype(np.float32)
         assert seen[0].dtype == np.float32
         assert np.array_equal(seen[0].view(np.uint32), expected.view(np.uint32))
+
+    def test_train_on_a_header_only_csv_exits_one(self, tmp_path, capsys):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("minute_utc,announcements,withdrawals\n")
+        assert run("train", empty, "--k", 5, "--out", tmp_path / "m.json") == 1
+        assert "error: input contains no data rows" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_train_range_shorter_than_k_exits_one(self, tmp_path, quiet_csv, capsys):
+        assert run(
+            "train", quiet_csv, "--from", "1970-01-01T00:00:00Z", "--to", "1970-01-01T00:09:00Z",
+            "--k", 50, "--out", tmp_path / "m.json",
+        ) == 1
+        assert "error: training range has 10 minutes, fewer than k=50" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_an_allocation_numpy_refuses_exits_one_with_an_error_line(self, tmp_path, quiet_csv, capsys):
+        # 10**17 hidden units of 10 weights each ask for 6.9 EiB, which numpy refuses at once
+        assert run("train", quiet_csv, "--k", 5, "--hidden", 10**17, "--out", tmp_path / "m.json") == 1
+        assert "error: Unable to allocate" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
 
     def test_train_range_outside_csv_fails(self, tmp_path, quiet_csv, capsys):
         assert run(
@@ -672,6 +702,33 @@ class TestCompare:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "report,message",
+        [
+            ("[", "alarm report is not valid JSON"),
+            ('{"start": "2001-09-18T12:00:00Z"}', "alarm report must be a JSON array"),
+            ('[{"start": "2001-09-18T12:00:00Z"}]', "alarm report entry is malformed: 'end'"),
+            (dict(source=5), "alarm report entry is malformed: source is not 'autoencoder' or 'rule': 5"),
+            (dict(peak_value="nan"), "alarm report entry is malformed: peak_value is not a finite number: 'nan'"),
+            (dict(peak_value=True), "alarm report entry is malformed: peak_value is not a finite number: True"),
+        ],
+        ids=["not_json", "not_an_array", "missing_key", "source_number", "peak_string", "peak_bool"],
+    )
+    def test_bad_report_exits_one_without_output(self, tmp_path, capsys, report, message):
+        if isinstance(report, dict):
+            report = json.dumps([{
+                "start": "2001-09-18T12:00:00Z", "end": "2001-09-18T12:30:00Z",
+                "peak_minute": "2001-09-18T12:10:00Z", "peak_value": 2.0, "source": "autoencoder", **report,
+            }])
+        ae = tmp_path / "ae.json"
+        ae.write_text(report)
+        rule = tmp_path / "rule.json"
+        rule.write_text("[]")
+        out = tmp_path / "lead.csv"
+        assert run("compare", ae, rule, "--out", out) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_ae_report_gives_the_header_only(self, tmp_path):
         ae = tmp_path / "ae.json"
         rule = tmp_path / "rule.json"
@@ -821,6 +878,21 @@ class TestSynth:
             "synth", "--minutes", 10, "--surge", "shape=step", "--out", tmp_path / "x.csv",
         ) == 1
         assert "surge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("start", "--surge parts must be key=value, got 'start'"),
+            ("start=1970-01-01T00:02:00Z,duration=2,shape=step,magnitude=5,colour=red",
+             "--surge has unknown keys: ['colour']"),
+        ],
+        ids=["not_key_value", "unknown_key"],
+    )
+    def test_malformed_surge_part_exits_one_naming_it(self, tmp_path, capsys, spec, message):
+        out = tmp_path / "x.csv"
+        assert run("synth", "--minutes", 10, "--surge", spec, "--out", out) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "magnitude,message",

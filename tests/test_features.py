@@ -53,6 +53,11 @@ class TestFitNormalization:
         with pytest.raises(EmptySeries):
             fit_normalization(MinuteSeries(NOON, [], []))
 
+    @pytest.mark.parametrize("bounds", [(5, 1, 0, 1), (0, 1, 3, 2)])
+    def test_a_maximum_below_its_minimum_raises(self, bounds):
+        with pytest.raises(ValueError, match="normalization bounds must satisfy max >= min"):
+            NormalizationParams(*bounds)
+
 
 class TestNormalize:
     def test_midpoint(self):

@@ -157,6 +157,16 @@ class TestScgMinimize:
         assert np.linalg.norm(x) < 1.0
         assert report.cycles_run == len(report.loss_history) + 1
 
+    def test_non_finite_gradient_after_an_accepted_step_flags_and_returns_that_step(self):
+        def bad_grad(x):
+            return np.full_like(x, np.nan) if np.linalg.norm(x) < 1.0 else sphere_grad(x)
+
+        x, report = scg_minimize(sphere, bad_grad, sphere_curvature, np.array([3.0, -2.0]), 100)
+        assert report.stop_reason == STOP_NON_FINITE
+        assert np.linalg.norm(x) < 1.0
+        assert report.accepted == [True]
+        assert report.loss_history[-1] == sphere(x)
+
     def test_non_finite_at_start_returns_start(self):
         x0 = np.array([0.5, 0.5])
         bad_f = lambda x: float("nan")

@@ -60,6 +60,7 @@ class TestGenBaseline:
             dict(minutes=10, mean_a=0.0, mean_w=1.0, diurnal_amp=0.0, seed=0),
             dict(minutes=10, mean_a=1.0, mean_w=1.0, diurnal_amp=1.0, seed=0),
             dict(minutes=10, mean_a=1.0, mean_w=1.0, diurnal_amp=-0.1, seed=0),
+            dict(minutes=10, mean_a=1.0, mean_w=1.0, diurnal_amp=0.0, seed=0, start_minute_s=30),
         ],
     )
     def test_rejects_bad_params(self, kwargs):
@@ -121,6 +122,9 @@ class TestInjectSurge:
         assert multipliers[60] == pytest.approx(1.0 + 9.0 * 60 / 119, rel=1e-12)
         assert abs(multipliers[60] - 5.5) < 0.1
 
+    def test_one_minute_ramp_is_its_magnitude(self):
+        assert surge_multipliers(SurgeSpec(0, 1, "ramp", 7.5)).tolist() == [7.5]
+
     def test_ramp_applies_rounded_multiplier(self):
         series = self.base()
         onset = series.minute_at(60)
@@ -162,6 +166,10 @@ class TestInjectSurge:
             inject_surge(series, SurgeSpec(series.minute_at(290), 20, "step", 2.0))
         with pytest.raises(OutOfRange):
             inject_surge(series, SurgeSpec(series.start_minute_s - MINUTE, 5, "step", 2.0))
+
+    def test_empty_series_raises(self):
+        with pytest.raises(OutOfRange, match="cannot inject a surge into an empty series"):
+            inject_surge(MinuteSeries(0, [], []), SurgeSpec(0, 1, "step", 2.0))
 
     @pytest.mark.parametrize("channels", ["announcements", "withdrawals"])
     def test_scaled_count_past_int64_raises_naming_the_minute(self, channels):
