@@ -487,10 +487,14 @@ def load_model(data: bytes) -> AutoencoderModel:
 
     try:
         input_dim, hidden_dim, k = (document[key] for key in ("input_dim", "hidden_dim", "k"))
-        bounds = document["norm"]
-        norm = NormalizationParams(**{bound.name: float(bounds[bound.name]) for bound in fields(NormalizationParams)})
-        arrays = [np.asarray(document[name], dtype=np.float64) for name in _PARAMS]
-    except (KeyError, TypeError, ValueError) as exc:
+        bounds = {bound.name: document["norm"][bound.name] for bound in fields(NormalizationParams)}
+        weights = [document[name] for name in _PARAMS]
+        strays = set(map(type, bounds.values())).union(*(map(type, values) for values in weights)) - {int, float}
+        if strays:  # float() and numpy would take "7" and true; type(true) is bool, not int
+            raise TypeError(f"weights and norm bounds must be JSON numbers, not {sorted(t.__name__ for t in strays)}")
+        norm = NormalizationParams(**{name: float(value) for name, value in bounds.items()})
+        arrays = [np.asarray(values, dtype=np.float64) for values in weights]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an integer past float64 overflows
         raise BadFormat(f"model document is missing or mistypes a field: {exc}") from None
 
     if not all(type(dim) is int for dim in (input_dim, hidden_dim, k)) or input_dim != 2 * k:  # bool is an int subclass

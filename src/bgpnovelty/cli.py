@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import sys
 import tempfile
@@ -41,7 +42,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return globals()[f"cmd_{args.command}"](args)  # looked up per call, so a replaced cmd_* runs
     except UsageError as exc:
         parser.error(f"{args.command}: {exc}")
     except (ValueError, OSError, MemoryError) as exc:  # numpy refuses an impossible allocation at once
@@ -49,6 +50,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+@functools.cache  # one parser a process: main may run many times, and nothing changes the parser once built
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bgpnovelty",
@@ -62,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="from_minute", metavar="MINUTE", help="range start (default: first data minute)")
     p.add_argument("--to", dest="to_minute", metavar="MINUTE", help="range end (default: last data minute)")
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(handler=cmd_ingest)
 
     p = sub.add_parser("train", help="fit the autoencoder on a quiet range of a bucket CSV")
     p.add_argument("input", type=Path)
@@ -74,13 +75,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=whole, default=DEFAULT_SEED, help="weight init seed (default %(default)s)")
     p.add_argument("--out", type=Path, required=True, help="model file path")
     p.add_argument("--report", type=Path, help="training report CSV (default: <out>.report.csv)")
-    p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("score", help="novelty-score a bucket CSV with a trained model")
     p.add_argument("input", type=Path)
     p.add_argument("model", type=Path)
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(handler=cmd_score)
 
     p = sub.add_parser("detect", help="group above-threshold minutes into an alarm report")
     p.add_argument("input", type=Path, help="novelty CSV (autoencoder) or bucket CSV (rule)")
@@ -95,13 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap-minutes", type=whole, default=detector.DetectorConfig.group_gap_minutes,
                    help="quiet minutes merged into one event (default %(default)s)")
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(handler=cmd_detect)
 
     p = sub.add_parser("top", help="rank the highest per-minute update totals")
     p.add_argument("input", type=Path)
     p.add_argument("--n", type=whole, required=True)
     p.add_argument("--out", type=Path, help="default: standard output")
-    p.set_defaults(handler=cmd_top)
 
     p = sub.add_parser("compare", help="lead-time table for two alarm reports")
     p.add_argument("ae_report", type=Path)
@@ -109,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--match-window", type=whole, default=240,
                    help="pairing window in minutes (default %(default)s)")
     p.add_argument("--out", type=Path, help="default: standard output")
-    p.set_defaults(handler=cmd_compare)
 
     p = sub.add_parser("synth", help="generate a seeded synthetic bucket CSV")
     p.add_argument("--minutes", type=count, required=True)
@@ -123,7 +119,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="start=MINUTE,duration=N,shape=step|ramp|spike,magnitude=X"
                         "[,channels=announcements|withdrawals|both]; repeatable")
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(handler=cmd_synth)
 
     return parser
 

@@ -848,6 +848,47 @@ class TestPersistence:
         with pytest.raises(BadFormat, match="normalization bounds must be finite"):
             load_model(json.dumps(doc).encode())
 
+    @pytest.mark.parametrize(
+        "key,index,value,kinds",
+        [
+            ("w1", 0, "0.5", ["str"]),
+            ("w1", 1, True, ["bool"]),
+            ("b2", 0, None, ["NoneType"]),
+            ("w2", 2, [0.5], ["list"]),
+            ("norm", "a_max", True, ["bool"]),
+            ("norm", "w_max", "7", ["str"]),
+            ("w1", slice(0, 2), ["0.5", True], ["bool", "str"]),
+        ],
+        ids=["weight_string", "weight_true", "weight_null", "weight_list", "bound_true", "bound_string", "both"],
+    )
+    def test_weight_or_bound_that_is_not_a_json_number_is_bad_format(self, key, index, value, kinds):
+        import json
+
+        doc = json.loads(save_model(init_model(4, 3, seed=0)))
+        doc[key][index] = value  # float() and numpy would read "0.5" as 0.5 and true as 1.0
+        with pytest.raises(BadFormat, match=re.escape(f"must be JSON numbers, not {kinds}")):
+            load_model(json.dumps(doc).encode())
+
+    def test_integer_weights_and_bounds_load_as_floats(self):
+        import json
+
+        doc = json.loads(save_model(init_model(4, 3, seed=0)))
+        doc["w1"] = list(range(-6, 6))
+        doc["norm"] = {"a_min": 0, "a_max": 900, "w_min": 2, "w_max": 80}
+        model = load_model(json.dumps(doc).encode())
+        assert model.w1.dtype == np.float64 and model.w1.ravel().tolist() == list(range(-6, 6))
+        assert model.norm == NormalizationParams(0.0, 900.0, 2.0, 80.0)
+        assert all(type(bound) is float for bound in vars(model.norm).values())
+
+    @pytest.mark.parametrize("key,index", [("w1", 0), ("norm", "a_max")])
+    def test_integer_past_float64_is_bad_format(self, key, index):
+        import json
+
+        doc = json.loads(save_model(init_model(4, 3, seed=0)))
+        doc[key][index] = 10**400
+        with pytest.raises(BadFormat, match="int too large to convert to float"):
+            load_model(json.dumps(doc).encode())
+
     @pytest.mark.parametrize("key", ["format_version", "layout_version"])
     @pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
     def test_version_equal_to_1_but_not_the_integer_is_version_mismatch(self, key, value):

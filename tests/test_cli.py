@@ -931,3 +931,54 @@ class TestEndToEnd:
         with pytest.raises(SystemExit) as info:
             main(["detect"])  # missing required arguments
         assert info.value.code == 2
+
+
+class TestRepeatedCalls:
+    """``main`` runs many commands in one process on one parser, as the benchmark chain and the tools do."""
+
+    def test_the_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_a_handler_replaced_after_a_call_runs_on_the_next(self, tmp_path, monkeypatch):
+        src = tmp_path / "buckets.csv"
+        src.write_text(top15_csv_text())
+        assert run("ingest", src, "--out", tmp_path / "first.csv") == 0
+        seen = []
+
+        def replaced(args):
+            seen.append(args.input)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_ingest", replaced)
+        assert run("ingest", src, "--out", tmp_path / "second.csv") == 7
+        assert seen == [src]
+        assert not (tmp_path / "second.csv").exists()
+
+    def test_a_surge_does_not_carry_over_to_the_next_synth(self, tmp_path):
+        # argparse copies the empty --surge default before it appends to it
+        flags = ["--minutes", 10, "--seed", 2]
+        surge = ["--surge", "start=1970-01-01T00:02:00Z,duration=3,shape=step,magnitude=50"]
+        paths = [tmp_path / name for name in ("plain.csv", "surge.csv", "plain_again.csv")]
+        for path, extra in zip(paths, [[], surge, []]):
+            assert run("synth", *flags, *extra, "--out", path) == 0
+        plain, surged, again = (path.read_bytes() for path in paths)
+        assert surged != plain
+        assert again == plain
+
+    def test_a_usage_error_after_a_successful_call_exits_two_with_the_same_message(self, tmp_path, capsys):
+        novelty_csv = tmp_path / "n.csv"
+        novelty_csv.write_text("minute_utc,novelty\n2001-06-02T00:00:00Z,0.1\n")
+
+        def usage_error():
+            with pytest.raises(SystemExit) as info:
+                run("detect", novelty_csv, "--quantile", 0.99, "--out", tmp_path / "bad.json")
+            assert info.value.code == 2
+            return capsys.readouterr().err
+
+        first = usage_error()
+        assert run("detect", novelty_csv, "--threshold", 1.0, "--out", tmp_path / "good.json") == 0
+        assert usage_error() == first
+        assert first.endswith(
+            "error: detect: --quantile requires --quantile-from FILE; pass the input's own path to calibrate on it\n"
+        )
+        assert not (tmp_path / "bad.json").exists()

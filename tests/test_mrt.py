@@ -3,6 +3,7 @@
 import bz2
 import gzip
 import io
+import random
 import tracemalloc
 import zlib
 from itertools import product
@@ -177,6 +178,41 @@ def mrt_pieces(draw):
 streams = st.lists(mrt_pieces(), max_size=8).map(b"".join)
 
 
+@st.composite
+def wide_prefix_fields(draw):
+    """100-1,000 entries of /0 to /32, and at a drawn entry maybe a fault.
+
+    The fault is a length octet above 32, with the entries after it kept, or
+    an entry cut short, which then ends the field: its bytes overrun it.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))  # one draw for the entries, not one each
+    lengths = [rng.randint(0, 32) for _ in range(draw(st.integers(100, 1000)))]
+    entries = [prefix(bits, *rng.randbytes((bits + 7) // 8)) for bits in lengths]
+    at = draw(st.integers(0, len(entries) - 1))
+    fault = draw(st.sampled_from([None, "length", "overrun"]))
+    if fault == "length":
+        entries[at] = bytes([draw(st.integers(33, 255))]) + entries[at][1:]
+    elif fault == "overrun":
+        bits = draw(st.integers(1, 32))
+        entries[at:] = [bytes([bits]) + rng.randbytes(draw(st.integers(0, (bits + 7) // 8 - 1)))]
+    return b"".join(entries)
+
+
+@st.composite
+def wide_update_records(draw):
+    """One BGP4MP or BGP4MP_ET UPDATE record with wide withdrawn and NLRI fields."""
+    message = bgp_update(
+        withdrawn=draw(wide_prefix_fields()), attrs=draw(st.binary(max_size=8)), nlri=draw(wide_prefix_fields())
+    )
+    return bgp4mp_message_record(
+        message,
+        mrt_type=draw(st.sampled_from([16, 17])),
+        subtype=draw(st.sampled_from([1, 4])),
+        afi=draw(st.sampled_from([1, 2])),
+        timestamp=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
 class TestMatchesReference:
     @settings(max_examples=200, deadline=None)
     @given(stream=streams)
@@ -205,6 +241,12 @@ class TestMatchesReference:
     )
     def test_random_bodies_under_message_headers(self, mrt_type, subtype, body, tail):
         stream = mrt_record(mrt_type, subtype, body) + tail
+        assert outcome(parse_bytes, stream) == outcome(reference_parse, stream)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lead=streams, wide=st.lists(wide_update_records(), min_size=1, max_size=3))
+    def test_wide_fields_with_a_fault_at_any_entry(self, lead, wide):
+        stream = lead + b"".join(wide)
         assert outcome(parse_bytes, stream) == outcome(reference_parse, stream)
 
     def test_streams_longer_than_one_block(self):

@@ -179,6 +179,25 @@ class TestScgMinimize:
         with pytest.raises(ValueError):
             scg_minimize(sphere, sphere_grad, sphere_curvature, np.array([np.nan, 0.0]), 100)
 
+    def test_flat_curvature_at_lambda_zero_takes_the_fallback_scale(self):
+        # lambda 0 and p'Hp 0 leave no curvature to scale by: the first trial step is mu / (_FLAT_CURVATURE p'p)
+        x0 = np.array([3.0, -2.0])
+        trials = []
+
+        def f(x):
+            trials.append(x.copy())
+            return sphere(x)
+
+        with mock.patch.object(scg, "_LAMBDA0", 0.0):
+            x, report = scg_minimize(f, sphere_grad, lambda x, p: 0.0, x0, 20)
+        r0 = -sphere_grad(x0)
+        p_sq = float(r0 @ r0)  # p starts at r, so mu is p'p too
+        assert np.array_equal(trials[1], x0 + p_sq / (scg._FLAT_CURVATURE * p_sq) * r0)
+        assert report.accepted[0] is False  # a step of 10^4 gradients overshoots, and lambda grows from 0
+        assert all(np.all(np.isfinite(trial)) for trial in trials)
+        assert_monotone(report)
+        assert report.stop_reason == STOP_GRADIENT and np.linalg.norm(x) < 1e-4
+
     def test_budget_stop_reason_when_tolerance_unreachable(self):
         with mock.patch.object(scg, "GRAD_TOL", 0.0):
             _, report = scg_minimize(rosenbrock, rosenbrock_grad, rosenbrock_curvature, np.array([-1.2, 1.0]), 5)
