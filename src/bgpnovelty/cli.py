@@ -143,6 +143,14 @@ def _read_scores(path: Path, source: str) -> tuple[np.ndarray, np.ndarray]:
     return buckets.minutes(), buckets.totals()
 
 
+def _same_file(a: Path, b: Path) -> bool:
+    """Whether two paths name one file; False when either cannot be looked at, so that reading it says why."""
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return False
+
+
 def _flag_minute(text: str, flag: str) -> int:
     """The minute stamp ``text`` as epoch seconds; a bad stamp's error names ``flag``."""
     try:
@@ -275,7 +283,9 @@ def cmd_detect(args) -> int:
     minutes, values = _read_scores(args.input, args.source)
     threshold = args.threshold
     if threshold is None:
-        _, calibration = _read_scores(args.quantile_from, args.source)
+        # the input calibrating itself is not read again: a pipe such as /dev/stdin would give nothing twice
+        same = args.quantile_from == args.input or _same_file(args.quantile_from, args.input)
+        calibration = values if same else _read_scores(args.quantile_from, args.source)[1]
         threshold = detector.suggest_threshold(calibration, args.quantile)
     events = detector.detect_alarms(
         minutes, values, detector.DetectorConfig(threshold, args.gap_minutes), source=args.source

@@ -244,8 +244,11 @@ def read_novelty_csv(stream: BinaryIO) -> tuple[np.ndarray, np.ndarray]:
     """Parse a binary file object in the novelty CSV format into int64 minutes and float64 values.
 
     The file is read as :func:`~bgpnovelty.series.read_csv` says. Values
-    take Python's ``float()`` syntax. Errors name the first bad line; a
-    ``nan`` or ``inf`` value raises NonFiniteValue.
+    take Python's ``float()`` syntax and come out bit for bit as ``float()``
+    gives them: those in ``repr``'s fixed form are parsed exactly in numpy
+    (:func:`~bgpnovelty.series.parse_decimals`), the rest by ``float()``.
+    Errors name the first bad line; a ``nan`` or ``inf`` value raises
+    NonFiniteValue.
     """
     minutes, values = [np.empty(0, np.int64)], [np.empty(0)]
 

@@ -86,13 +86,18 @@ def format_minutes_utc(minutes: Sequence[int] | np.ndarray) -> list[str]:
     outside = (minutes < _FIRST_SECOND) | (minutes > _LAST_SECOND)
     if outside.any():
         raise ValueError(f"epoch second {minutes[np.argmax(outside)]} is outside the years 0001-9999")
-    minutes = minutes // MINUTE
+    rows = np.empty((_STAMP_LEN + 1, minutes.size), np.uint8)  # one stamp and its LF a column
+    _stamp_text(minutes // MINUTE, rows[:_STAMP_LEN])
+    rows[_STAMP_LEN] = _LF
+    return rows.T.tobytes().decode("ascii").splitlines()
+
+
+def _stamp_text(minutes: np.ndarray, out: np.ndarray) -> None:
+    """Write the stamps of the epoch minutes, one a column, into the ``(20, n)`` uint8 array ``out``."""
     days, day_of = np.unique(minutes // 1440, return_inverse=True)  # each date is rendered once
-    rows = np.empty((minutes.size, _STAMP_LEN + 1), np.uint8)  # one stamp and its LF per row
-    rows[:, :10] = days.astype("datetime64[D]").astype("S10")[:, None].view(np.uint8).take(day_of, axis=0)
-    rows[:, 10:16] = _CLOCK.take(minutes % 1440, axis=0)
-    rows[:, 16:] = np.frombuffer(b":00Z\n", np.uint8)
-    return rows.tobytes().decode("ascii").splitlines()
+    np.take(days.astype("datetime64[D]").astype("S10").view(np.uint8).reshape(-1, 10).T, day_of, axis=1, out=out[:10])
+    np.take(_CLOCK, minutes % 1440, axis=1, out=out[10:16])
+    out[16:] = _STAMP[16:, None]
 
 
 def format_minute_utc(minute_start_s: int) -> str:
@@ -100,15 +105,15 @@ def format_minute_utc(minute_start_s: int) -> str:
     return format_minutes_utc([minute_start_s])[0]
 
 
-_LF, _CR, _COMMA, _ZERO = b"\n\r,0"
+_LF, _CR, _COMMA, _ZERO, _DOT, _MINUS = b"\n\r,0.-"
 _STAMP = np.frombuffer(b"0000-00-00T00:00:00Z", np.uint8)
 _STAMP_LEN = _STAMP.size
 _STAMP_RANGE = np.frombuffer(b"9999-99-99T99:99:00Z", np.uint8) - _STAMP  # how far each byte may exceed _STAMP
 _STAMP_FIELDS = ((0, 4), (5, 2), (8, 2), (11, 2), (14, 2))  # (first byte, digits) of year, month, day, hour, minute
 _FIRST_SECOND, _LAST_SECOND = -62135596800, 253402300799  # 0001-01-01T00:00:00Z, 9999-12-31T23:59:59Z
 _COUNT_DIGITS = len(str(2**63 - 1))  # a count of more significant digits exceeds int64
-# "THH:MM" of each minute of a day, from the stamps of the day 1970-01-01
-_CLOCK = np.arange(1440).astype("datetime64[m]").astype("S16")[:, None].view(np.uint8)[:, 10:].copy()
+# "THH:MM" of each minute of a day, one a column, from the stamps of the day 1970-01-01
+_CLOCK = np.arange(1440).astype("datetime64[m]").astype("S16")[:, None].view(np.uint8)[:, 10:].T.copy()
 
 
 def _stamp_column(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,6 +158,185 @@ def _decimal(digits: np.ndarray, dtype: type) -> np.ndarray:
 
 def _stamp_error(shaped: bool, text: str) -> BadTimestamp:
     return BadTimestamp(f"{'invalid calendar' if shaped else 'not a minute-aligned UTC'} timestamp: {text!r}")
+
+
+# The decimal codec of float64 CSV columns. Both directions work on whole arrays in the fixed form that repr
+# writes for 1e-4 <= v < 1e16 ("digits.digits"), and hand each value they cannot certify to float() or repr(),
+# so values stay bit-identical and text byte-identical to theirs. Selections between uint8 arrays multiply by a
+# mask: np.where and masked copies there cost about 30 times as much.
+_FLOAT_WIDTH = 25  # longest field the reader takes: a point and 24 digits, at most 23 of them after the point
+_PAD = _FLOAT_WIDTH  # spare bytes on either side of a CSV piece: the widest fixed-width read (a stamp takes 20)
+_POINT = (ord(".") - _ZERO) % 256  # a point less "0", as a uint8
+_INT_TEXT = 20  # bytes a rendered int64 takes: a sign and 19 digits, NUL where absent
+_FLOAT_TEXT = 24  # bytes a rendered float takes, NUL where absent: repr's longest, such as "-1.2345678901234567e-308"
+_MANTISSA = np.uint64(2**52 - 1)
+_SPLIT = 2.0**27 + 1  # Veltkamp's constant: splits a float64 into two halves of 26 bits
+_TEN = np.array([float(10**k) for k in range(_FLOAT_WIDTH + 1)])  # exact through 10**22
+_SLOTS = np.arange(_FLOAT_WIDTH + 1, dtype=np.uint8)[:, None]  # the place of each byte of a column of them
+_TRIPLES = (np.arange(1000) // np.array([[100], [10], [1]]) % 10 + _ZERO).astype(np.uint8)  # (3, 1000): "000".."999"
+
+
+def _tenths(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """10**-f as an unevaluated sum hi + lo of float64 arrays, for f below ``count``, each part correctly rounded."""
+    his, los = [], []
+    for f in range(count):
+        hi = 1 / 10**f  # int true division rounds correctly
+        num, den = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((den - num * 10**f) / (den * 10**f))  # 10**-f - hi, exactly, then rounded
+    return np.array(his), np.array(los)
+
+
+_TENTH_HI, _TENTH_LO = _tenths(_FLOAT_WIDTH + 1)
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``p, e`` with ``p`` the float64 product and ``p + e == a * b`` exactly (Dekker), far from over- and underflow."""
+    p = a * b
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(b)
+    return p, ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _ulp(x: np.ndarray) -> np.ndarray:
+    """The gap from each positive finite float64 to the next one up, exactly."""
+    return (x.view(np.int64) + 1).view(np.float64) - x
+
+
+def _binade_edge(x: np.ndarray) -> np.ndarray:
+    """Where a float64 is a power of two (or zero), so the gap below it is half the gap above."""
+    return (x.view(np.uint64) & _MANTISSA) == 0
+
+
+def _digit_rows(values: np.ndarray, groups: int) -> np.ndarray:
+    """The ``(3 * groups, n)`` ASCII digits of integers from 0 below 1000**groups, most significant first."""
+    out = np.empty((groups, 3, values.size), np.uint8)
+    for group in out[::-1]:
+        high = values // 1000
+        np.take(_TRIPLES, values - high * 1000, axis=1, out=group)
+        values = high
+    return out.reshape(3 * groups, -1)
+
+
+def parse_decimals(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``float()`` of the fields ``buf[starts[i]:ends[i]]`` of the form ``digits.digits``, and where it is unsure.
+
+    ``buf`` is uint8 and holds 25 bytes before every end. A field of at
+    most 25 bytes, a run of ASCII digits, a point and another run, reads
+    exactly in float64: its digits less the point form an integer ``m``
+    below 10**18, and ``f`` of them follow the point. If ``m < 2**53`` and
+    ``f <= 22`` the value is ``m / 10.0**f``, both factors exact (Clinger's
+    fast path); otherwise it is Dekker's double-double product of ``m`` and
+    10**-f, kept only where the rounding it implies is certain. The second
+    array is True where a field is of another form or its value is
+    unsure; the value there is meaningless.
+    """
+    lengths = ends - starts
+    width = min(max(int(lengths.max(initial=0)), 3), _FLOAT_WIDTH)
+    digits = _byte_rows(buf, ends - width, width, _ZERO)  # (width, rows), right-aligned; a point reads _POINT
+    digits *= _SLOTS[:width] >= (width - np.minimum(lengths, width)).astype(np.uint8)  # zeros before each field
+    point = ((digits == _POINT) * _SLOTS[1 : width + 1]).max(axis=0)  # 1 + the last point's place, 0 for none
+    fraction = width - point.astype(np.int64)  # digits after the point
+    # The digits less the point, right-aligned under zero rows up to whole 3-digit groups. A field with a
+    # second point keeps one, which reads above 9.
+    groups = -(-(width - 1) // 3)
+    plain = np.zeros((3 * groups, digits.shape[1]), np.uint8)
+    shifted = plain[3 * groups - width + 1 :]
+    shifted[...] = digits[:-1]
+    shifted += (digits[1:] - digits[:-1]) * (_SLOTS[1:width] >= point)
+    triples = np.multiply(plain[0::3], 100, dtype=np.uint16)  # an explicit dtype: numpy 1.24 would keep uint8
+    triples += np.multiply(plain[1::3], 10, dtype=np.uint16)
+    triples += plain[2::3]
+    m = np.zeros(digits.shape[1], np.int64)
+    for group in triples[-6:]:  # 18 digits fit in int64
+        m *= 1000
+        m += group
+    shaped = (plain <= 9).all(axis=0) & ~triples[:-6].any(axis=0) & (fraction >= 1) & (fraction < lengths - 1)
+    shaped &= lengths <= width
+    exact = (m < 2**53) & (fraction <= 22)
+    m_hi = m.astype(np.float64)
+    m_lo = (m - m_hi.astype(np.int64)).astype(np.float64)
+    tenth = _TENTH_HI[fraction]
+    p, e = _two_product(m_hi, tenth)
+    t = e + (m_hi * _TENTH_LO[fraction] + m_lo * tenth)  # within 2**-102 |p| of m * 10**-f - p
+    s = p + t
+    residue = t - (s - p)  # p + t - s, exactly, as |t| <= |p|
+    half_gap = np.where(_binade_edge(s), 0.25, 0.5) * _ulp(s)  # the smaller of the half-gaps either side of s
+    sure = np.abs(residue) + s * 2.0**-100 < half_gap
+    values = np.where(exact, m / _TEN[fraction], s)
+    return values, ~(shaped & (exact | sure))
+
+
+def render_decimals(values: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write ``repr`` of each float64, one a column, into the ``(24, n)`` uint8 array ``out``, NUL where no byte is.
+
+    A value in [1e-4, 1e16) that is not a power of two is rendered in
+    numpy: one Dekker product gives ``y = v * 10**k`` exactly, with ``k`` so
+    that ``y`` has 17 integer digits; the nearest integers to ``y / 100``,
+    ``y / 10`` and ``y`` follow by exact integer rounding, and the first of
+    them that is certainly within half an ulp of ``v`` gives the digits.
+    Returns the indices of the values whose text came from ``repr``: the
+    others, and any value whose candidate is a tie or within 2**-40 of the
+    interval's edge.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    fast = (values >= 1e-4) & (values < 1e16) & ~_binade_edge(values)
+    x = np.where(fast, values, 1.5)  # keeps the arithmetic below finite
+    decpt = np.floor(np.log10(x)).astype(np.int64) + 1  # v is 0.d1d2... * 10**decpt, unless log10 misses
+    scale = _TEN[17 - decpt]
+    y_hi, y_lo = _two_product(x, scale)
+    whole = np.floor(y_lo)
+    fraction = y_lo - whole  # exact, as |y_lo| <= 8
+    floor = y_hi.astype(np.int64) + whole.astype(np.int64)
+    half_ulp = 0.5 * _ulp(x) * scale  # exact: a power of two times an exact power of ten
+    fast &= (floor >= 10**16) & (floor < 10**17 - 100)  # y has 17 digits, and so do its roundings
+    chosen, settled, tied = np.zeros_like(floor), ~fast, np.zeros_like(fast)
+    for step in (100, 10, 1):  # the first certain candidate is the shortest
+        q = floor // step
+        rest = (floor - q * step) + fraction  # within 2**-46 of y mod step
+        up = rest > step / 2
+        distance = np.where(up, step - rest, rest)
+        take = ~settled & (distance < half_ulp - 2.0**-40)
+        chosen = np.where(take, (q + up) * step, chosen)
+        tied |= take & (rest == step / 2)
+        settled |= distance <= half_ulp + 2.0**-40  # a candidate too near the edge to call ends the search
+    slow = np.flatnonzero(~fast | tied | (chosen == 0))
+    decpt = np.clip(decpt, -3, 16).astype(np.int8)
+    digits = _digit_rows(chosen, 6)[1:]  # (17, n): the digits of y's candidate
+    significant = ((digits != _ZERO) * _SLOTS[1:18]).max(axis=0)  # through the last nonzero digit
+    digits *= _SLOTS[:17] < np.maximum(significant, decpt + 1).astype(np.uint8)  # and through the ones place
+    small = decpt <= 0  # "0.", then -decpt zeros, then the digits
+    out[0] = small * np.uint8(_ZERO)
+    out[1] = small * np.uint8(_DOT)
+    out[2:5] = (_SLOTS[:3] < np.maximum(-decpt, 0).astype(np.uint8)) * np.uint8(_ZERO)
+    point = np.where(small, 18, decpt).astype(np.uint8)  # a point after the first decpt digits, where decpt >= 1
+    body = out[5:23]
+    body[:17] = digits * (_SLOTS[:17] < point)
+    body[17] = 0
+    out[23] = 0
+    body[1:] += digits * (_SLOTS[1:18] > point)
+    body += (_SLOTS[:18] == point) * np.uint8(_DOT)
+    if slow.size:
+        texts = np.array([repr(v) for v in values[slow].tolist()], f"S{_FLOAT_TEXT}")
+        out[:, slow] = texts.view(np.uint8).reshape(-1, _FLOAT_TEXT).T
+    return slow
+
+
+def _render_integers(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``repr`` of each int64, one a column, into the ``(20, n)`` uint8 array ``out``, NUL where no byte is."""
+    negative = values < 0
+    magnitude = values.astype(np.uint64)
+    np.negative(magnitude, out=magnitude, where=negative)  # wraps, so -2**63 gives 2**63
+    digits = out[1:]
+    digits[...] = _digit_rows(magnitude, 7)[2:]
+    digits[:-1] *= ~np.logical_and.accumulate(digits[:-1] == _ZERO, axis=0)  # no leading zeros
+    out[0] = negative * np.uint8(_MINUS)
 
 
 @dataclass(frozen=True)
@@ -342,36 +526,44 @@ def write_minute_csv(out: TextIO, header: str, start_minute_s: int, *columns: np
     """Write the header line, then one row per minute from ``start_minute_s`` (LF line endings).
 
     Row ``i`` holds the stamp of minute ``i`` and the ``repr`` of item ``i``
-    of each equally long column. Rows are rendered and written
-    ``CSV_BLOCK_ROWS`` at a time, so memory follows the block, not the
-    columns. Minutes reaching outside the years 0001-9999 raise ValueError
-    before anything is written.
+    of each equally long int64 or float64 column. Rows are rendered
+    ``CSV_BLOCK_ROWS`` at a time into a ``(bytes, rows)`` uint8 matrix, NUL
+    where a field is shorter than its slot, which is compacted into text
+    once a block; floats go through :func:`render_decimals`. Memory follows
+    the block, not the columns. Minutes reaching outside the years
+    0001-9999 raise ValueError before anything is written.
     """
     n = len(columns[0])
     if n:
         format_minutes_utc([start_minute_s, start_minute_s + MINUTE * (n - 1)])
+    slots = [(render_decimals, _FLOAT_TEXT) if column.dtype.kind == "f" else (_render_integers, _INT_TEXT)
+             for column in columns]
     out.write(header + "\n")
     for lo in range(0, n, CSV_BLOCK_ROWS):
-        blocks = [column[lo : lo + CSV_BLOCK_ROWS].tolist() for column in columns]
-        stamps = format_minutes_utc(start_minute_s + MINUTE * np.arange(lo, lo + len(blocks[0])))
-        out.write(_csv_lines(stamps, *(map(repr, block) for block in blocks)))
+        size = min(CSV_BLOCK_ROWS, n - lo)
+        rows = np.empty((_STAMP_LEN + sum(1 + width for _, width in slots) + 1, size), np.uint8)
+        _stamp_text(start_minute_s // MINUTE + np.arange(lo, lo + size), rows[:_STAMP_LEN])
+        at = _STAMP_LEN
+        for column, (render, width) in zip(columns, slots):
+            rows[at] = _COMMA
+            render(column[lo : lo + size], rows[at + 1 : at + 1 + width])
+            at += 1 + width
+        rows[at] = _LF
+        rows = rows.T.copy()
+        out.write(rows[rows != 0].tobytes().decode("ascii"))
 
 
 def csv_text(header: str, *columns) -> str:
-    """The header line, then :func:`_csv_lines` of the columns."""
-    return header + "\n" + _csv_lines(*columns)
-
-
-def _csv_lines(*columns) -> str:
-    """Row ``i`` joins item ``i`` of the equally long string columns with commas; every row ends in LF."""
-    return "\n".join([*map(",".join, zip(*columns, strict=True)), ""])
+    """The header line, then row ``i`` joining item ``i`` of the equally long string columns with commas; every
+    row ends in LF."""
+    return "\n".join([header, *map(",".join, zip(*columns, strict=True)), ""])
 
 
 @dataclass(frozen=True)
 class CsvRows:
     """The data rows of a piece of a CSV file as byte spans, as :func:`csv_rows` splits them."""
 
-    padded: bytearray  # 20 bytes, the piece's bytes, then at least 20 more
+    padded: bytearray  # 25 bytes, the piece's bytes, then at least 25 more
     buf: np.ndarray  # the padded bytes as uint8
     starts: np.ndarray  # (width, rows): field j of row i is buf[starts[j, i]:ends[j, i]]
     ends: np.ndarray
@@ -403,18 +595,25 @@ class CsvRows:
         return value.astype(np.int64), (bad, lambda i: _count_error(name, self.text(column, i)))
 
     def floats(self, column: int) -> tuple[np.ndarray, tuple]:
-        """``float()`` of a column's UTF-8 fields, and its check: the first field that fails, NaN from there on."""
-        fields = [self.padded[lo:hi] for lo, hi in zip(self.starts[column].tolist(), self.ends[column].tolist())]
-        bad = np.zeros(len(fields), bool)
+        """``float()`` of a column's UTF-8 fields, and its check: the first field that fails, NaN from there on.
+
+        :func:`parse_decimals` reads the fields in ``repr``'s fixed form;
+        ``float()`` reads the rest one at a time.
+        """
+        starts, ends = self.starts[column], self.ends[column]
+        values, unsure = parse_decimals(self.buf, starts, ends)
+        slow = np.flatnonzero(unsure)
+        fields = [self.padded[lo:hi] for lo, hi in zip(starts[slow].tolist(), ends[slow].tolist())]
+        bad = np.zeros(values.size, bool)
         try:  # float() reads ASCII bytes as it reads their text, and fails on any other byte
-            values = np.fromiter(map(float, fields), np.float64, len(fields))
+            values[slow] = np.fromiter(map(float, fields), np.float64, len(fields))
         except ValueError:
-            values = np.full(len(fields), np.nan)
-            for i, field in enumerate(fields):  # a failure, or text beyond ASCII such as other scripts' digits
+            for i, field in zip(slow.tolist(), fields):  # a failure, or text beyond ASCII such as other scripts' digits
                 try:
                     values[i] = float(field.decode())
                 except ValueError as exc:
                     bad[i], error = True, exc
+                    values[i:] = np.nan
                     break
         return values, (bad, lambda i: error)
 
@@ -425,7 +624,7 @@ def read_csv(
     """Read a CSV file object ``CSV_CHUNK_BYTES`` at a time and pass on its header and rows.
 
     Each chunk is copied once, after the bytes held from the chunks before
-    it, into a buffer that keeps 20 spare bytes on either side and grows
+    it, into a buffer that keeps 25 spare bytes on either side and grows
     only for a line longer than a chunk. The bytes up to the last LF read
     go through :func:`csv_rows`; the line cut by a chunk's end moves to the
     front and waits for the next chunk. ``check_header`` gets the first
@@ -437,7 +636,7 @@ def read_csv(
     that is not UTF-8 anywhere in the file raises ``error`` naming its line
     instead, as a whole-file decode would.
     """
-    pad = _STAMP_LEN
+    pad = _PAD
     padded = bytearray(pad + CSV_CHUNK_BYTES + pad)
     fault, lines, held, plain = None, 0, 0, True  # LF bytes passed on; bytes read but not passed on; all ASCII
     while True:
@@ -475,16 +674,16 @@ def read_csv(
 
 
 def csv_rows(padded: bytearray, size: int, width: int, error: type[ValueError], first_line: int) -> tuple:
-    """Split the UTF-8 CSV bytes ``padded[20:20 + size]`` into lines numbered from ``first_line``, and rows into fields.
+    """Split the UTF-8 CSV bytes ``padded[25:25 + size]`` into lines numbered from ``first_line``, and rows into fields.
 
-    ``padded`` holds at least 20 more bytes after the data, whatever they
+    ``padded`` holds at least 25 more bytes after the data, whatever they
     are. Lines end at LF, or at the end of the data; a CR just before an LF
     is dropped. Line 1 is the header. Blank lines are skipped but counted
     in line numbers. The data rows are split into ``width`` fields and stop
     before the first one without them. Returns the header (None without
     line 1), the rows, their line numbers, and that first row's ``error``.
     """
-    pad = _STAMP_LEN  # fixed-width reads near either end of the data stay in the buffer
+    pad = _PAD  # fixed-width reads near either end of the data stay in the buffer
     buf = np.frombuffer(padded, np.uint8)
     text = buf[pad : pad + size]
     lf = np.flatnonzero(text == _LF) + pad

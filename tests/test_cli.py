@@ -470,6 +470,45 @@ class TestTrainScoreDetect:
         events = json.loads(alarms.read_text())
         assert isinstance(events, list)
 
+    @pytest.mark.parametrize("kind", ["file", "pipe"])
+    def test_input_that_calibrates_itself_is_read_once(self, tmp_path, quiet_csv, kind):
+        model, novelty, copy = tmp_path / "model.json", tmp_path / "novelty.csv", tmp_path / "copy.csv"
+        assert run("train", quiet_csv, "--k", 5, "--hidden", 8, "--cycles", 10, "--seed", 3, "--out", model) == 0
+        assert run("score", quiet_csv, model, "--out", novelty) == 0
+        copy.write_bytes(novelty.read_bytes())
+        flags = ("--quantile", 0.9, "--gap-minutes", 2)
+        assert run("detect", novelty, *flags, "--quantile-from", copy, "--out", tmp_path / "two_reads.json") == 0
+        if kind == "file":  # another name of the same file
+            (tmp_path / "link.csv").symlink_to(novelty)
+            code = run("detect", novelty, *flags, "--quantile-from", tmp_path / "link.csv", "--out", tmp_path / "one_read.json")
+        else:  # the second read of a pipe would give no bytes at all
+            read_end, write_end = os.pipe()
+
+            def write() -> None:
+                with open(write_end, "wb") as pipe:
+                    pipe.write(novelty.read_bytes())
+
+            writer = threading.Thread(target=write, daemon=True)
+            writer.start()
+            try:
+                stdin = f"/dev/fd/{read_end}"
+                code = run("detect", stdin, *flags, "--quantile-from", stdin, "--out", tmp_path / "one_read.json")
+            finally:
+                os.close(read_end)
+                writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert code == 0
+        report = (tmp_path / "one_read.json").read_text()
+        assert report == (tmp_path / "two_reads.json").read_text() and json.loads(report)
+
+    def test_missing_calibration_file_exits_one_naming_it(self, tmp_path, capsys):
+        novelty_csv = tmp_path / "n.csv"
+        novelty_csv.write_text("minute_utc,novelty\n2001-06-02T00:00:00Z,0.1\n")
+        missing = tmp_path / "quiet.csv"
+        assert run("detect", novelty_csv, "--quantile", 0.9, "--quantile-from", missing, "--out", tmp_path / "a.json") == 1
+        assert f"No such file or directory: '{missing}'" in capsys.readouterr().err
+        assert not (tmp_path / "a.json").exists()
+
     def test_quantile_without_calibration_is_a_usage_error_naming_the_flag(self, tmp_path, capsys):
         novelty_csv = tmp_path / "n.csv"
         novelty_csv.write_text("minute_utc,novelty\n2001-06-02T00:00:00Z,0.1\n")

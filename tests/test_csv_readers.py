@@ -79,6 +79,12 @@ counts = st.one_of(
 novelties = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(repr),
     st.sampled_from(["0", "1e-300", " 2.5 ", "1_0.5", "-0.0", "\u0662.5"]),
+    # repr's fixed form, which the numpy reader takes, mixed in one chunk with forms it leaves to float()
+    st.floats(1e-4, 1e16, exclude_max=True).map(repr),
+    st.tuples(st.integers(0, 10**20 - 1), st.integers(1, 19)).map(  # 20 digits, the point anywhere inside
+        lambda z: f"{z[0]:020d}"[: z[1]] + "." + f"{z[0]:020d}"[z[1] :]
+    ),
+    st.sampled_from([".5", "5.", "1e-05", "0.0", "9007199254740993.0", "1.5.5", "0.000000000000000000000001"]),
 )
 
 

@@ -2,6 +2,7 @@
 
 import calendar
 import io
+import math
 import re
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
@@ -9,10 +10,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from fractions import Fraction
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bgpnovelty import cli
 from bgpnovelty import series as series_module
+from bgpnovelty.detector import NOVELTY_CSV_HEADER, read_novelty_csv, write_novelty_csv
 from bgpnovelty.series import (
     BUCKET_CSV_HEADER,
     CSV_BLOCK_ROWS,
@@ -28,9 +33,11 @@ from bgpnovelty.series import (
     bucketize,
     format_minute_utc,
     format_minutes_utc,
+    parse_decimals,
     parse_minute_utc,
     parse_minutes_utc,
     read_bucket_csv,
+    render_decimals,
     slice_range,
     top_n,
     write_bucket_csv,
@@ -608,6 +615,158 @@ class TestBucketCsvWriter:
         with pytest.raises(ValueError, match="outside the years 0001-9999"):
             write_bucket_csv(MinuteSeries(last_minute, np.zeros(2), np.zeros(2)), out)
         assert out.getvalue() == ""
+
+
+def rendered(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The text render_decimals gives each float64, and the indices of those it took from repr."""
+    out = np.zeros((series_module._FLOAT_TEXT, values.size), np.uint8)
+    slow = render_decimals(values, out)
+    return [bytes(column[column != 0]).decode() for column in out.T], slow
+
+
+def parsed(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """parse_decimals of the texts as comma-separated fields after 25 bytes of other text."""
+    encoded = [text.encode() for text in texts]
+    buf = np.frombuffer(b"x" * 25 + b"".join(field + b"," for field in encoded), np.uint8)
+    ends = 25 + np.cumsum([len(field) + 1 for field in encoded], dtype=np.int64) - 1
+    return parse_decimals(buf, ends - [len(field) for field in encoded], ends)
+
+
+def bits(value: float) -> int:
+    return int(np.float64(value).view(np.int64))
+
+
+def midpoint_text(x: float, digits: int, above: bool) -> str:
+    """The fixed-point text nearest below or above the midpoint between ``x`` and the next float up, in at
+    least ``digits`` significant digits and at least one after the point."""
+    mid = Fraction(x) + Fraction(math.ulp(x)) / 2
+    fraction = max(digits - len(str(int(mid))) if mid >= 1 else digits - 1 - math.floor(math.log10(mid)), 1)
+    scaled = math.floor(mid * 10**fraction) + 1 if above else math.ceil(mid * 10**fraction) - 1
+    text = str(scaled).rjust(fraction + 1, "0")
+    return f"{text[:-fraction]}.{text[-fraction:]}"
+
+
+def clinger_form(text: str) -> bool:
+    """Whether ``text`` is ``digits.digits`` of at most 25 bytes, whose digits less the point make an integer
+    below 10**15 and at most 22 of which follow the point: the reader takes it exactly, without a fallback."""
+    whole, point, fraction = text.partition(".")
+    return (len(text) <= 25 and point and (whole + fraction).isdigit() and whole.isdigit() and fraction.isdigit()
+            and text.isascii() and len(fraction) <= 22 and int(whole + fraction) < 10**15)
+
+
+in_range = st.floats(1e-4, 1e16, exclude_max=True)
+any_bits = st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64)))
+# decimal strings of 1-25 digits, leading zeros and all, with a point anywhere or none
+decimal_texts = st.tuples(st.text("0123456789", min_size=1, max_size=25), st.integers(-1, 25)).map(
+    lambda drawn: drawn[0] if drawn[1] < 0 else drawn[0][: drawn[1]] + "." + drawn[0][drawn[1] :]
+)
+EDGE_TEXTS = [
+    "9007199254740993.0",  # 2**53 + 1, the midpoint between two floats: a tie, which float() breaks to even
+    "9007199254740995.0", "0.0001", "10000000000000000.0", "9999999999999998.0", "0.00010000000000000000",
+    "0.12345678901234567890", "0.12345678901234567890123", "1.00000000000000000000001", "0.00000000000000000000001",
+    "5.", ".5", "00.5", "0.0", "000000000000000000000000.5", "123456789012345678.5", "1234567890123456789.5",
+]
+
+
+class TestDecimalCodec:
+    """render_decimals against repr and parse_decimals against float(), bit for bit and byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(in_range, any_bits), min_size=1, max_size=40))
+    def test_floats_render_as_repr(self, values):
+        texts, slow = rendered(np.array(values))
+        assert texts == [repr(v) for v in values]
+        fast = np.ones(len(values), bool)
+        fast[slow] = False
+        assert all(1e-4 <= v < 1e16 for v in np.array(values)[fast])
+
+    @settings(max_examples=300, deadline=None)
+    @given(values=st.lists(st.one_of(in_range, any_bits), min_size=1, max_size=40))
+    def test_repr_text_parses_as_float(self, values):
+        texts = [repr(v) for v in values if math.isfinite(v)]
+        got, unsure = parsed(texts)
+        assert [bits(v) for v in got[~unsure]] == [bits(float(t)) for t, u in zip(texts, unsure) if not u]
+        assert not any(u for t, u in zip(texts, unsure) if 1e-4 <= float(t) < 1e16)  # repr's fixed form reads fast
+
+    @settings(max_examples=500, deadline=None)
+    @given(texts=st.lists(decimal_texts, min_size=1, max_size=40))
+    @example(texts=EDGE_TEXTS)
+    def test_decimal_strings_parse_as_float(self, texts):
+        got, unsure = parsed(texts)
+        assert [bits(v) for v in got[~unsure]] == [bits(float(t)) for t, u in zip(texts, unsure) if not u]
+        assert not any(u for t, u in zip(texts, unsure) if clinger_form(t))
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=in_range, digits=st.integers(17, 20), above=st.booleans())
+    @example(x=0.1, digits=19, above=False)
+    @example(x=1e-4, digits=17, above=True)
+    @example(x=4503599627370497.0, digits=17, above=False)
+    def test_texts_beside_a_rounding_midpoint_parse_as_float(self, x, digits, above):
+        """17 or 18 digits read through the double-double product; 19 or more through float()."""
+        text = midpoint_text(x, digits, above)
+        got, unsure = parsed([text])
+        assert unsure[0] or bits(got[0]) == bits(float(text))
+        assert float(text) == (math.nextafter(x, math.inf) if above else x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(x=st.floats(2.0**51, 2.0**55, exclude_max=True), zeros=st.integers(0, 1))
+    @example(x=9007199254740992.0, zeros=0)  # 9007199254740993.0
+    def test_exact_midpoints_are_left_to_float(self, x, zeros):
+        """A tie, which float() breaks to even, is never certain. Its text has 17 to 19 digits, 1 to 3 after the
+        point; one of more than 18 is not taken at all."""
+        mid = Fraction(x) + Fraction(math.ulp(x)) / 2
+        fraction = max(mid.denominator.bit_length() - 1 + zeros, 1)  # a denominator 2**j needs j digits
+        text = f"{int(mid)}.{str(int((mid - int(mid)) * 10**fraction)).rjust(fraction, '0')}"
+        assert Fraction(text) == mid
+        got, unsure = parsed([text])
+        assert unsure[0]
+        assert float(text) in (x, math.nextafter(x, math.inf))
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.one_of(in_range, any_bits), max_size=20))
+    def test_novelty_csv_round_trip_is_exact_with_any_value(self, values):
+        out = io.StringIO()
+        write_novelty_csv(NOON, np.array(values, np.float64), out)
+        stamps = format_minutes_utc(NOON + 60 * np.arange(len(values)))
+        assert out.getvalue() == "".join([NOVELTY_CSV_HEADER + "\n", *(f"{s},{v!r}\n" for s, v in zip(stamps, values))])
+        finite = [v for v in values if math.isfinite(v)]
+        if len(finite) == len(values):
+            got = read_novelty_csv(io.BytesIO(out.getvalue().encode()))[1]
+            assert [bits(v) for v in got] == [bits(v) for v in values]
+
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=30))
+    @example(counts=[-(2**63), 2**63 - 1, 0, -1, 10, -1000])
+    def test_any_int64_renders_as_repr(self, counts):
+        out = io.StringIO()
+        write_bucket_csv(MinuteSeries(NOON, np.array(counts), np.array(counts[::-1])), out)
+        rows = out.getvalue().splitlines()[1:]
+        assert [row.split(",")[1:] for row in rows] == [[repr(a), repr(w)] for a, w in zip(counts, counts[::-1])]
+
+    def test_a_scored_month_goes_both_ways_without_a_fallback(self, tmp_path, monkeypatch):
+        """Counted, not timed: every novelty of a month is written and read back in numpy alone."""
+        fallbacks, rows = {"render": 0, "parse": 0}, {"render": 0, "parse": 0}
+
+        def counted(name, codec):
+            def run(*args):
+                result = codec(*args)
+                slow = result if name == "render" else np.flatnonzero(result[1])
+                fallbacks[name] += slow.size
+                rows[name] += args[0].size if name == "render" else args[1].size
+                return result
+
+            return run
+
+        monkeypatch.setattr(series_module, "render_decimals", counted("render", render_decimals))
+        monkeypatch.setattr(series_module, "parse_decimals", counted("parse", parse_decimals))
+        month, model, novelty, alarms = (tmp_path / name for name in ("month.csv", "m.json", "n.csv", "a.json"))
+        assert cli.main(["synth", "--minutes", "43200", "--seed", "1", "--out", str(month)]) == 0
+        assert cli.main(["train", str(month), "--cycles", "3", "--out", str(model)]) == 0
+        assert cli.main(["score", str(month), str(model), "--out", str(novelty)]) == 0
+        assert cli.main(["detect", str(novelty), "--quantile", "0.99", "--quantile-from", str(novelty),
+                         "--out", str(alarms)]) == 0
+        assert rows == {"render": 43151, "parse": 43151}
+        assert fallbacks == {"render": 0, "parse": 0}
 
 
 class TestFillAndSlice:
