@@ -281,9 +281,9 @@ def render_decimals(values: np.ndarray, out: np.ndarray) -> np.ndarray:
     that ``y`` has 17 integer digits; the nearest integers to ``y / 100``,
     ``y / 10`` and ``y`` follow by exact integer rounding, and the first of
     them that is certainly within half an ulp of ``v`` gives the digits.
-    Returns the indices of the values whose text came from ``repr``: the
-    others, and any value whose candidate is a tie or within 2**-40 of the
-    interval's edge.
+    Returns the indices of the values whose text came from ``repr``: zero,
+    negatives, powers of two, values outside that range, and any value
+    whose candidate is a tie or within 2**-40 of its interval's edge.
     """
     values = np.asarray(values, dtype=np.float64)
     fast = (values >= 1e-4) & (values < 1e16) & ~_binade_edge(values)
@@ -335,7 +335,8 @@ def _render_integers(values: np.ndarray, out: np.ndarray) -> None:
     np.negative(magnitude, out=magnitude, where=negative)  # wraps, so -2**63 gives 2**63
     digits = out[1:]
     digits[...] = _digit_rows(magnitude, 7)[2:]
-    digits[:-1] *= ~np.logical_and.accumulate(digits[:-1] == _ZERO, axis=0)  # no leading zeros
+    places = _SLOTS[19:0:-1]  # how many digits each position leaves to its end
+    digits *= places <= np.maximum(((digits != _ZERO) * places).max(axis=0), 1)  # no leading zeros
     out[0] = negative * np.uint8(_MINUS)
 
 
