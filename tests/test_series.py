@@ -6,12 +6,11 @@ import math
 import re
 import tracemalloc
 from datetime import date, datetime, timedelta, timezone
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from fractions import Fraction
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -650,8 +649,8 @@ def clinger_form(text: str) -> bool:
     """Whether ``text`` is ``digits.digits`` of at most 25 bytes, whose digits less the point make an integer
     below 10**15 and at most 22 of which follow the point: the reader takes it exactly, without a fallback."""
     whole, point, fraction = text.partition(".")
-    return (len(text) <= 25 and point and (whole + fraction).isdigit() and whole.isdigit() and fraction.isdigit()
-            and text.isascii() and len(fraction) <= 22 and int(whole + fraction) < 10**15)
+    return (len(text) <= 25 and point and text.isascii() and whole.isdigit() and fraction.isdigit()
+            and len(fraction) <= 22 and int(whole + fraction) < 10**15)
 
 
 in_range = st.floats(1e-4, 1e16, exclude_max=True)
