@@ -672,6 +672,7 @@ class TestDecimalCodec:
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.one_of(in_range, any_bits), min_size=1, max_size=40))
+    @example(values=[1e-4, 1e16, 9999999999999998.0, 9007199254740994.0, 1000000000000000.2, 0.1, 0.0, -0.0, 5e-324])
     def test_floats_render_as_repr(self, values):
         texts, slow = rendered(np.array(values))
         assert texts == [repr(v) for v in values]
@@ -681,6 +682,7 @@ class TestDecimalCodec:
 
     @settings(max_examples=300, deadline=None)
     @given(values=st.lists(st.one_of(in_range, any_bits), min_size=1, max_size=40))
+    @example(values=[1e-4, 1e16, 9999999999999998.0, 9007199254740994.0, 1125899906842624.0, 0.1, 0.0, 5e-324])
     def test_repr_text_parses_as_float(self, values):
         texts = [repr(v) for v in values if math.isfinite(v)]
         got, unsure = parsed(texts)
